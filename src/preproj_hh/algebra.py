@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactla import ExactMatrix, FieldSpec
+from .exactla import ExactMatrix, FieldSpec, det
 
 QQ = FieldSpec(0)
 
@@ -498,25 +498,4 @@ def center_basis(t: AlgebraTable) -> List[dict]:
 
 def cartan_matrix(t: AlgebraTable) -> Tuple[List[List[int]], int]:
     """Cartan matrix (dim e_i L e_j) and its exact integer determinant."""
-    return t.cartan, int(_det_int(t.cartan))
-
-
-def _det_int(rows: List[List[int]]) -> Fraction:
-    """Exact determinant by fraction-based forward elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    return t.cartan, int(det(t.cartan, QQ))

@@ -33,6 +33,10 @@ from .yoneda import YonedaEngine, c_matrix
 
 SCHEMA_VERSION = 1
 
+# the product table multiplies generators of degree up to 6, so the cochain
+# window must reach degree 12
+MIN_MAXDEG = 13
+
 
 @dataclass
 class RunConfig:
@@ -314,6 +318,13 @@ def _add_common(sub):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    jobs_env = os.environ.get("PREPROJ_HH_JOBS", "1")
+    try:
+        default_jobs = int(jobs_env)
+    except ValueError:
+        print(f"error: PREPROJ_HH_JOBS must be an integer, got {jobs_env!r}",
+              file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="preproj-hh",
         description="exact Hochschild cohomology of type-L preprojective algebras")
@@ -346,8 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             p.add_argument("--format", choices=["json", "csv", "markdown"],
                            default="json")
             p.add_argument("--out", default="certificates")
-            p.add_argument("--jobs", type=int,
-                           default=int(os.environ.get("PREPROJ_HH_JOBS", "1")))
+            p.add_argument("--jobs", type=int, default=default_jobs)
 
     rep = sub.add_parser("report", help="re-render stored certificates")
     rep.add_argument("--in", dest="indir", required=True)
@@ -360,10 +370,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "report":
         certs = []
-        for fname in sorted(os.listdir(args.indir)):
-            if fname.endswith(".json"):
-                with open(os.path.join(args.indir, fname)) as fh:
-                    certs.append(json.load(fh))
+        try:
+            for fname in sorted(os.listdir(args.indir)):
+                if fname.endswith(".json"):
+                    with open(os.path.join(args.indir, fname)) as fh:
+                        certs.append(json.load(fh))
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read certificates: {exc}", file=sys.stderr)
+            return 2
         text = render_csv(certs) if args.format == "csv" else render_markdown(certs)
         print(text)
         return 0
@@ -382,6 +396,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if args.command == "run":
+        if args.maxdeg < MIN_MAXDEG:
+            print(f"error: --maxdeg must be at least {MIN_MAXDEG}", file=sys.stderr)
+            return 2
         config = RunConfig(n_values, chars, args.maxdeg, args.budget,
                            args.format, args.out, args.jobs,
                            with_oracle=not args.no_oracle)

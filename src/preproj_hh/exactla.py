@@ -2,9 +2,9 @@
 
 Scalars are `fractions.Fraction` in characteristic 0 and plain ints in the
 range 0..p-1 over the p-element field.  No floating point is used anywhere.
-Row reduction follows one fixed pivot rule (leftmost nonzero column, topmost
-nonzero row, pivot scaled to 1) so that every derived object is reproducible
-byte for byte.
+Every rank, kernel, solve and determinant goes through one sparse forward
+elimination, `_reduce`, over {column: scalar} rows, followed by
+`_back_substitute` where the reduced row echelon form is needed.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy
 
 Scalar = Union[Fraction, int]
 
@@ -96,11 +94,122 @@ class FieldSpec:
             return 1 / a
         return pow(a, -1, self.characteristic)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
+
+
+# -- the one elimination ------------------------------------------------------
+#
+# Soundness: every routine below reads its answer off `_reduce`, which takes
+# pivots in the order the rows arrive.  The reduced row echelon form of a
+# matrix is unique: its pivot columns are the leftmost columns independent of
+# those before them, and each of its rows is fixed by them.  So the pivot
+# columns, the kernel basis (one vector per free column) and the
+# echelon-canonical solution (free variables zero) do not depend on the
+# elimination order, and nothing serialized from them can move with it.
+
+
+def _axpy(row: dict, f, prow: dict, lead, p: int):
+    """row -= f * prow in place, skipping prow's leading column `lead`."""
+    for k, v in prow.items():
+        if k != lead:
+            x = row.get(k, 0) - f * v
+            if p:
+                x %= p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _reduce(rows: Iterable[dict], F: FieldSpec, ncols: Optional[int] = None):
+    """Forward elimination of {column: scalar} rows over F.
+
+    Each incoming row is coerced into F, reduced against the pivot rows found
+    so far (keyed by leading column) and kept as a new pivot row if anything
+    is left.  Only columns below `ncols` (any column when None) may carry a
+    pivot; a row whose part below `ncols` vanishes while entries remain
+    beyond it goes to `rest`.  Returns (pivots, rest): pivots maps each pivot
+    column, in the order found, to (scale, row), where row is the reduced row
+    divided by its leading entry `scale`.
+    """
+    p = F.characteristic
+    pivots: dict = {}
+    rest = []
+    for row in rows:
+        row = {c: fv for c, v in row.items() if (fv := F(v)) != 0}
+        while row:
+            c = min(row)
+            if ncols is not None and c >= ncols:
+                rest.append(row)
+                break
+            hit = pivots.get(c)
+            if hit is None:
+                scale = row[c]
+                if scale != 1:
+                    inv = F.inv(scale)
+                    row = {k: F.mul(inv, v) for k, v in row.items()}
+                pivots[c] = (scale, row)
+                break
+            _axpy(row, row.pop(c), hit[1], c, p)
+    return pivots, rest
+
+
+def _back_substitute(pivots: dict, F: FieldSpec) -> dict:
+    """Reduced row echelon form from `_reduce`'s pivots.
+
+    Consumes the pivot rows and returns {pivot column: row} in ascending
+    column order.  Rows are cleared at the later pivot columns from the last
+    pivot back, so every row subtracted is already final and has no entry at
+    another pivot column.
+    """
+    rref: dict = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c][1]
+        for k in [k for k in row if k in rref]:
+            _axpy(row, row.pop(k), rref[k], k, F.characteristic)
+        rref[c] = row
+    return dict(reversed(rref.items()))
+
+
+def _sparse(row: Sequence) -> dict:
+    return {j: x for j, x in enumerate(row) if x != 0}
+
+
+def det(rows: Sequence[Sequence], field: FieldSpec) -> Scalar:
+    """Exact determinant of a square matrix given as dense rows.
+
+    `_reduce` only adds multiples of earlier rows to later ones, which keeps
+    the determinant, and leaves row i with leading entry scale_i in pivot
+    column c_i.  Sorted by pivot column those rows are triangular, so the
+    determinant is the product of the scales times the sign of i -> c_i.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    pivots, _ = _reduce((_sparse(row) for row in rows), field)
+    if len(pivots) < n:
+        return field.zero
+    d = field.one
+    for scale, _ in pivots.values():
+        d = field.mul(d, scale)
+    cols = list(pivots)  # every row gave a pivot, so this is row order
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return field.neg(d) if inversions % 2 else d
+
+
+def sparse_rank(row_dicts: Iterable[dict], field: FieldSpec) -> int:
+    """Rank of a matrix given as an iterable of {column: scalar} rows.
+
+    Columns may be any mutually comparable keys.  Exact over either kind of
+    field; suited to the large, very sparse differential matrices.
+    """
+    return len(_reduce(row_dicts, field)[0])
+
+
+def rank_mod_p(rows: Sequence[dict], p: int) -> int:
+    """Rank over F_p of an integer matrix given as {column: int} rows."""
+    return sparse_rank(rows, FieldSpec(p))
 
 
 @dataclass(frozen=True)
@@ -151,14 +260,6 @@ class ExactMatrix:
             return cls.zero(field, 0, 0)
         nrows = len(columns[0])
         return cls(field, [[columns[j][i] for j in range(len(columns))] for i in range(nrows)])
-
-    def copy(self) -> "ExactMatrix":
-        m = ExactMatrix.__new__(ExactMatrix)
-        m.field = self.field
-        m.nrows = self.nrows
-        m.ncols = self.ncols
-        m.rows = [row[:] for row in self.rows]
-        return m
 
     # -- basic ops ---------------------------------------------------------
 
@@ -211,41 +312,17 @@ class ExactMatrix:
     # -- elimination -------------------------------------------------------
 
     def echelonize(self) -> EchelonForm:
-        """Reduced row echelon form with the fixed deterministic pivot rule."""
+        """Reduced row echelon form; the zero rows come last."""
         F = self.field
-        rows = [row[:] for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = F.inv(rows[r][c])
-            if inv != 1:
-                rows[r] = [F.mul(inv, x) for x in rows[r]]
-            prow = rows[r]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        reduced = ExactMatrix.__new__(ExactMatrix)
-        reduced.field = F
-        reduced.nrows = self.nrows
-        reduced.ncols = self.ncols
-        reduced.rows = rows
-        return EchelonForm(rank=r, pivot_columns=tuple(pivots), reduced=reduced)
+        rref = _back_substitute(_reduce(map(_sparse, self.rows), F)[0], F)
+        reduced = ExactMatrix.zero(F, self.nrows, self.ncols)
+        for i, row in enumerate(rref.values()):
+            for j, x in row.items():
+                reduced.rows[i][j] = x
+        return EchelonForm(rank=len(rref), pivot_columns=tuple(rref), reduced=reduced)
 
     def rank(self) -> int:
-        return self.echelonize().rank
+        return len(_reduce(map(_sparse, self.rows), self.field)[0])
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel; one vector per free column, ascending."""
@@ -273,148 +350,55 @@ class ExactMatrix:
         valid) particular solution, which the lifting property tests use.
         """
         F = self.field
-        order = list(range(self.ncols)) if variable_order is None else list(variable_order)
-        aug_rows = []
-        for i in range(self.nrows):
-            row = [self.rows[i][j] for j in order]
-            row.append(F(b[i]))
-            aug_rows.append(row)
-        aug = ExactMatrix.__new__(ExactMatrix)
-        aug.field = F
-        aug.nrows = self.nrows
-        aug.ncols = self.ncols + 1
-        aug.rows = aug_rows
-        ech = aug.echelonize()
-        if self.ncols in ech.pivot_columns:
+        n = self.ncols
+        order = list(range(n)) if variable_order is None else list(variable_order)
+        aug = []
+        for i, row in enumerate(self.rows):
+            r = _sparse([row[j] for j in order])
+            r[n] = b[i]
+            aug.append(r)
+        pivots, rest = _reduce(aug, F, n)
+        if rest:
             return None
-        x = [F.zero] * self.ncols
-        for r, pc in enumerate(ech.pivot_columns):
-            x[order[pc]] = ech.reduced.rows[r][-1]
+        x = [F.zero] * n
+        for pc, row in _back_substitute(pivots, F).items():
+            x[order[pc]] = row.get(n, F.zero)
         return x
 
 
 class PreparedSolver:
     """Repeated exact solves against one fixed matrix.
 
-    The reduction of [A | I] is computed once; each solve is then a matrix-
-    vector product with the recorded transform plus a consistency check on
-    the zero rows.  Solutions are echelon-canonical (free variables zero),
-    identical to ExactMatrix.solve.
+    The reduction of [A | I] is computed once.  Its first `rank` transform
+    rows map b to the pivot variables; the rest span the left kernel of A,
+    and b is consistent exactly when they all vanish on it.  Solutions are
+    echelon-canonical (free variables zero), identical to ExactMatrix.solve.
     """
 
     def __init__(self, matrix: "ExactMatrix"):
         F = matrix.field
+        n = matrix.ncols
         self.field = F
-        self.ncols = matrix.ncols
-        nrows = matrix.nrows
-        rows = [row[:] + [F.one if i == j else F.zero for j in range(nrows)]
-                for i, row in enumerate(matrix.rows)]
-        pivots = []
-        r = 0
-        for c in range(matrix.ncols):
-            pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = F.inv(rows[r][c])
-            if inv != 1:
-                rows[r] = [F.mul(inv, x) for x in rows[r]]
-            prow = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        self.rank = r
-        self.pivots = pivots
-        self.transform = [row[matrix.ncols:] for row in rows]
-        self.reduced = [row[: matrix.ncols] for row in rows]
+        self.ncols = n
+        rows = []
+        for i, row in enumerate(matrix.rows):
+            r = _sparse(row)
+            r[n + i] = F.one
+            rows.append(r)
+        pivots, rest = _reduce(rows, F, n)
+        rref = _back_substitute(pivots, F)
+        self.rank = len(rref)
+        self.pivots = list(rref)
+        self.transform = [{k - n: v for k, v in row.items() if k >= n}
+                          for row in list(rref.values()) + rest]
 
     def solve(self, b) -> Optional[list]:
         F = self.field
-        y = []
-        for trow in self.transform:
-            s = F.zero
-            for a, x in zip(trow, b):
-                if a != 0 and x != 0:
-                    s = F.add(s, F.mul(a, x))
-            y.append(s)
-        for r in range(self.rank, len(y)):
-            if y[r] != 0:
-                return None
+        y = [F(sum(v * b[i] for i, v in trow.items() if b[i] != 0))
+             for trow in self.transform]
+        if any(y[self.rank:]):
+            return None
         x = [F.zero] * self.ncols
-        for r, pc in enumerate(self.pivots):
-            x[pc] = y[r]
+        for pc, yr in zip(self.pivots, y):
+            x[pc] = yr
         return x
-
-
-# -- sparse and fast-path ranks -------------------------------------------
-
-
-def sparse_rank(row_dicts: Iterable[dict], field: FieldSpec) -> int:
-    """Rank of a matrix given as an iterable of {column: scalar} rows.
-
-    Incremental forward elimination: each incoming row is reduced against the
-    pivot rows found so far, keyed by leading column.  Exact over either kind
-    of field; intended for the large, very sparse differential matrices.
-    """
-    F = field
-    pivots: dict = {}
-    rank = 0
-    for row in row_dicts:
-        row = {c: fv for c, v in row.items() if (fv := F(v)) != 0}
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row.pop(c)
-                for pc, pv in pivots[c].items():
-                    if pc == c:
-                        continue
-                    val = F.sub(row.get(pc, F.zero), F.mul(f, pv))
-                    if val == 0:
-                        row.pop(pc, None)
-                    else:
-                        row[pc] = val
-            else:
-                inv = F.inv(row[c])
-                if inv != 1:
-                    row = {k: F.mul(inv, v) for k, v in row.items()}
-                pivots[c] = row
-                rank += 1
-                break
-    return rank
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix, via vectorized elimination.
-
-    Entries are reduced mod p up front; p is small so int64 row updates
-    cannot overflow.  Used as the fast path for the big flattened
-    resolution-term matrices.
-    """
-    a = numpy.array(rows, dtype=numpy.int64) % p
-    if a.size == 0:
-        return 0
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        col = a[r:, c]
-        nz = numpy.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        mask = numpy.nonzero(a[:, c])[0]
-        mask = mask[mask != r]
-        if len(mask):
-            a[mask] = (a[mask] - numpy.outer(a[mask, c], a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r

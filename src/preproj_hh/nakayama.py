@@ -40,11 +40,6 @@ class NakayamaForm:
         s, m = self.dual[mid]
         return {m: s}
 
-    def gram_matrix(self) -> ExactMatrix:
-        t, F = self.table, self.table.field
-        return ExactMatrix(F, [[self.gram[b].get(c, F.zero) for c in range(t.dim)]
-                               for b in range(t.dim)])
-
     def serialize(self) -> dict:
         return {"dual": [[mid, str(s), m] for mid, (s, m) in sorted(self.dual.items())]}
 
@@ -84,11 +79,6 @@ def associated_form(t: AlgebraTable) -> NakayamaForm:
 
     dual = {b: (F.inv(gram[b][c]), c) for b, c in partner.items()}
     return NakayamaForm(table=t, gram=gram, dual=dual)
-
-
-def dual_basis(f: NakayamaForm) -> Dict[int, Tuple[object, int]]:
-    """The map b -> b* as {monomial id: (scalar, partner monomial id)}."""
-    return dict(f.dual)
 
 
 @dataclass

@@ -52,11 +52,6 @@ class BimoduleMap:
     def equals(self, other: "BimoduleMap") -> bool:
         return self.normalized().values == other.normalized().values
 
-    def scaled(self, c: int) -> "BimoduleMap":
-        return BimoduleMap(self.table, self.source, self.target,
-                           [[(k, c * c0, x, y) for k, c0, x, y in terms]
-                            for terms in self.values])
-
     def serialize(self) -> list:
         return [[list(term) for term in terms] for terms in self.normalized().values]
 
@@ -159,10 +154,6 @@ class ResolutionWindow:
     diffs: List[Optional[BimoduleMap]]   # index m uses diffs[m]; diffs[0] is None
     gen_degrees: List[int]               # internal degree of the generators of each term
 
-    def flat_basis(self, term_index: int):
-        """Vector-space basis of a term: (summand, left mid, right mid) triples."""
-        return _term_basis(self.table, self.terms[term_index])
-
 
 def build_resolution(t: AlgebraTable, form: NakayamaForm, depth: int) -> ResolutionWindow:
     """Window of the resolution; terms alternate P,Q,P with Q at index 1 mod 3."""
@@ -196,30 +187,15 @@ def flat_dim(t: AlgebraTable, term: ProjectiveBimodule) -> int:
 
 
 def _blocked_rank(t: AlgebraTable, f: BimoduleMap, p: int) -> int:
-    """Rank mod p of the flattened map, block by block.
+    """Rank mod p of the flattened map.
 
     The flattening preserves (source vertex of the left factor, target vertex
-    of the right factor), so the matrix is block diagonal over those pairs.
+    of the right factor), so the matrix is block diagonal over those pairs;
+    sparse elimination never combines rows of different blocks, so one call
+    ranks all blocks at once.
     """
-    cols_by_block: dict = {}
-    src_basis = _term_basis(t, f.source)
-    columns = flatten_map(t, f, src_basis)
-    for (k, x, y), col in columns.items():
-        block = (t.basis[x].source, t.basis[y].target)
-        cols_by_block.setdefault(block, []).append(col)
-    total = 0
-    for block in sorted(cols_by_block):
-        cols = cols_by_block[block]
-        keys = sorted({kk for col in cols for kk in col})
-        if not keys:
-            continue
-        pos = {kk: i for i, kk in enumerate(keys)}
-        rows = [[0] * len(keys) for _ in cols]
-        for r, col in enumerate(cols):
-            for kk, v in col.items():
-                rows[r][pos[kk]] = v
-        total += exactla.rank_mod_p(rows, p)
-    return total
+    columns = flatten_map(t, f, _term_basis(t, f.source))
+    return exactla.rank_mod_p(list(columns.values()), p)
 
 
 def flatten_map(t: AlgebraTable, f: BimoduleMap, src_basis):
@@ -330,20 +306,18 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
             ranks[m] + ranks[m + 1] != dims[m] for m in range(1, w.depth)):
         # the pinning prime failed to exhibit exactness; fall back to honest
         # rational elimination before reporting anything
-        from .exactla import FieldSpec as _FS, sparse_rank as _sr
         method = "rational sparse elimination (mod-p pinning failed)"
         ranks = [0]
         for m in range(1, w.depth + 1):
             cols = flatten_map(t, w.diffs[m], _term_basis(t, w.diffs[m].source))
-            ranks.append(_sr(cols.values(), _FS(0)))
+            ranks.append(exactla.sparse_rank(cols.values(), exactla.FieldSpec(0)))
 
     # augmentation: rank of x (x) y -> xy
     u_rows = []
     for (k, x, y) in _term_basis(t, w.terms[0]):
         hit = t.mono_mul(x, y)
         u_rows.append({} if hit is None else {hit[1]: hit[0]})
-    u_rank = exactla.rank_mod_p(
-        [[row.get(c, 0) for c in range(t.dim)] for row in u_rows], p)
+    u_rank = exactla.rank_mod_p(u_rows, p)
 
     exact_at = []
     ok0 = (u_rank == t.dim) and (ranks[1] + u_rank == dims[0])

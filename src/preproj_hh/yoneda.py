@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_add, elem_scale, multiply
 from .cochain import CanonicalBasis, CochainComplex, PARALLELS, canonical_cocycles
-from .exactla import ExactMatrix, PreparedSolver
+from .exactla import ExactMatrix, FieldSpec, PreparedSolver, det
 from .resolution import BimoduleMap, ResolutionWindow, compose
 
 
@@ -344,16 +344,6 @@ class YonedaEngine:
     def cup(self, xvec: list, dx: int, yvec: list, dy: int) -> CohomologyClass:
         return self.identify(self.cup_vec(xvec, dx, yvec, dy), dx + dy)
 
-    def class_vector(self, cls: CohomologyClass) -> list:
-        """A representative cocycle of a class given in canonical coordinates."""
-        cx, F = self.cx, self.table.field
-        basis = self.canonical(cls.degree)
-        vec = cx.zero_vector(cls.degree)
-        for c, bvec in zip(cls.coords, basis.vectors):
-            if c != 0:
-                vec = [F.add(a, F.mul(F(c), b)) for a, b in zip(vec, bvec)]
-        return vec
-
     def product_table(self) -> Dict[Tuple[str, str], CohomologyClass]:
         """All ordered products of the positive-degree ring generators."""
         out = {}
@@ -436,14 +426,13 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
                         f"cup product coordinate ({j},{k}) = {cls.coords[j - 1]}, "
                         f"expected {comb[j - 1][k - 1]}")
     rank = ExactMatrix(F, comb).rank()
-    from .algebra import _det_int
-    det = int(_det_int(comb))
+    comb_det = int(det(comb, FieldSpec(0)))
     D = adjacency_matrix(n)
     ident = all(
         -sum(comb[i][k] * (2 * (k == j) + D[k][j]) for k in range(n))
         == (2 * n + 1) * (i == j)
         for i in range(n) for j in range(n))
-    return CMatrix(comb, rank, det, ident)
+    return CMatrix(comb, rank, comb_det, ident)
 
 
 # -- h-periodicity checks ------------------------------------------------------

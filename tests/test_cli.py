@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -113,3 +116,36 @@ def test_markdown_render_shape():
     assert md.startswith("# Verification digest")
     csv = render_csv(certs)
     assert re.search(r"^1,0,HH\^,0,2$", csv, re.M)
+
+
+def test_maxdeg_below_the_product_window_is_a_usage_error(capsys):
+    assert main(["run", "--n", "1", "--maxdeg", "5"]) == 2
+    assert "--maxdeg" in capsys.readouterr().err
+
+
+def test_malformed_jobs_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PREPROJ_HH_JOBS", "x")
+    assert main(["dims", "--n", "1"]) == 2
+    assert "PREPROJ_HH_JOBS" in capsys.readouterr().err
+
+
+def test_report_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path / "missing")]) == 2
+    assert "cannot read certificates" in capsys.readouterr().err
+
+
+def test_certifies_without_numpy():
+    # the package has no third-party runtime dependency; a blocked numpy
+    # import must not matter
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from preproj_hh.cli import compute_certificate\n"
+        "cert = compute_certificate(1, 3)\n"
+        "assert cert['body']['pass'], cert['body']['verdicts']\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.exactla import (ExactMatrix, FieldSpec, PreparedSolver,
-                                UnsupportedCharacteristicError, rank_mod_p,
-                                sparse_rank)
+                                UnsupportedCharacteristicError, det,
+                                rank_mod_p, sparse_rank)
 
 QQ = FieldSpec(0)
 F5 = FieldSpec(5)
+BIG_P = 4294967311  # the first prime above 2**32: products of residues overflow int64
+
+
+def _reference_rank(rows, F):
+    """Textbook dense forward elimination, kept apart from the package's."""
+    m = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = F.inv(m[rank][c])
+        for i in range(rank + 1, len(m)):
+            f = F.mul(m[i][c], inv)
+            m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _cofactor_det(rows, F):
+    if not rows:
+        return F.one
+    total = F.zero
+    for j, a in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = F.mul(F(a), _cofactor_det(minor, F))
+        total = F.sub(total, term) if j % 2 else F.add(total, term)
+    return total
 
 
 def test_field_validation():
@@ -111,8 +141,40 @@ def test_solve_consistency(rows, char, data):
 def test_sparse_rank_matches_dense(rows, char):
     F = FieldSpec(char)
     m = ExactMatrix(F, rows)
-    sparse = sparse_rank(({j: x for j, x in enumerate(row) if x != 0}
-                          for row in rows), F)
-    assert sparse == m.rank()
+    row_dicts = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+    assert sparse_rank(iter(row_dicts), F) == m.rank() == _reference_rank(rows, F)
     if char:
-        assert rank_mod_p(rows, char) == m.rank()
+        assert rank_mod_p(row_dicts, char) == m.rank()
+
+
+def test_rank_mod_p_near_a_large_prime():
+    # rank-2 products U V mod p: the residues are the size of p, so every
+    # elimination step multiplies two numbers whose product exceeds 64 bits
+    rng = random.Random(0)
+    F = FieldSpec(BIG_P)
+    for _ in range(200):
+        u = [[rng.randrange(BIG_P // 2, BIG_P) for _ in range(2)] for _ in range(5)]
+        v = [[rng.randrange(BIG_P // 2, BIG_P) for _ in range(6)] for _ in range(2)]
+        rows = [{j: sum(a * b for a, b in zip(ur, col)) % BIG_P
+                 for j, col in enumerate(zip(*v))} for ur in u]
+        assert rank_mod_p(rows, BIG_P) == sparse_rank(rows, F) == 2
+
+
+square_strategy = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@given(rows=square_strategy, char=field_strategy)
+@settings(max_examples=150, deadline=None)
+def test_det_matches_cofactor_expansion(rows, char):
+    F = FieldSpec(char)
+    d = det(rows, F)
+    assert d == _cofactor_det(rows, F)
+    assert (d == 0) == (_reference_rank(rows, F) < len(rows))
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        det([[1, 2]], QQ)

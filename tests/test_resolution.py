@@ -158,3 +158,14 @@ def test_rational_vs_prime_ranks_spot_check():
         rq = sparse_rank(rows, FieldSpec(0))
         for p in (3, 5, 97):
             assert sparse_rank(rows, FieldSpec(p)) == rq
+
+
+def test_certify_exact_over_a_prime_above_two_to_the_32():
+    # mod-p ranks must stay exact when products of residues exceed 64 bits
+    from preproj_hh.algebra import build_algebra
+    from preproj_hh.exactla import FieldSpec
+    from preproj_hh.nakayama import associated_form
+    t = build_algebra(2, FieldSpec(4294967311))
+    rep = certify_exact(build_resolution(t, associated_form(t), 13))
+    assert rep.ok, rep.failures
+    assert rep.ranks[:6] == [0, 42, 42, 10, 42, 42]
