@@ -458,27 +458,20 @@ def center_basis(t: AlgebraTable) -> List[dict]:
         return t._center
     F = t.field
     diag = [m.mid for m in t.basis if m.source == m.target]
-    cols = []
-    for mid in diag:
-        col: dict = {}
+    entries = []  # (arrow, monomial) row key, column, value
+    for j, mid in enumerate(diag):
         for a in t.quiver.arrows:
             am = t.arrow_ids[a.index]
             left = t.mono_mul(am, mid)
             right = t.mono_mul(mid, am)
             if left is not None:
-                c, m3 = left
-                col[(a.index, m3)] = F.add(col.get((a.index, m3), F.zero), F(c))
+                entries.append(((a.index, left[1]), j, left[0]))
             if right is not None:
-                c, m3 = right
-                col[(a.index, m3)] = F.sub(col.get((a.index, m3), F.zero), F(c))
-        cols.append(col)
-    keys = sorted({k for col in cols for k in col})
-    key_pos = {k: i for i, k in enumerate(keys)}
-    mat = ExactMatrix.zero(F, len(keys), len(diag))
-    for j, col in enumerate(cols):
-        for k, v in col.items():
-            mat.rows[key_pos[k]][j] = v
-    kernel = mat.kernel_basis()
+                entries.append(((a.index, right[1]), j, -right[0]))
+    key_pos = {k: i for i, k in enumerate(sorted({k for k, _, _ in entries}))}
+    kernel = ExactMatrix.from_entries(
+        F, len(key_pos), len(diag),
+        ((key_pos[k], j, c) for k, j, c in entries)).kernel_basis()
     if len(kernel) != 2 * t.n:
         raise CenterMismatchError(f"center dimension {len(kernel)}, expected {2 * t.n}")
     listed = [t.unit()]

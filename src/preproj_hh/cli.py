@@ -378,7 +378,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read certificates: {exc}", file=sys.stderr)
             return 2
-        text = render_csv(certs) if args.format == "csv" else render_markdown(certs)
+        try:
+            text = render_csv(certs) if args.format == "csv" else render_markdown(certs)
+        except (KeyError, TypeError, AttributeError) as exc:
+            print(f"error: {args.indir} holds a .json file that is not a "
+                  f"certificate ({type(exc).__name__}: {exc})", file=sys.stderr)
+            return 2
         print(text)
         return 0
 
@@ -393,6 +398,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     fields = _parse_fields(chars)
     if fields is None:
+        return 2
+    # dims and oracle read HH^0..HH^upto off a complex built to MIN_MAXDEG
+    upto = getattr(args, "upto", None)
+    if upto is not None and not 0 <= upto < MIN_MAXDEG:
+        print(f"error: --upto must lie in 0..{MIN_MAXDEG - 1}", file=sys.stderr)
         return 2
 
     if args.command == "run":
@@ -458,14 +468,14 @@ def _run_single(command: str, n: int, field: FieldSpec, args) -> int:
               f"det={cm.det} adjacency={cm.adjacency_identity}")
         return 0 if cm.adjacency_identity else 1
     form = associated_form(table)
-    cx = build_complex(table, form, 13)
+    cx = build_complex(table, form, MIN_MAXDEG)
     if command == "dims":
-        dims = hh_dims(cx, min(12, args.upto))
+        dims = hh_dims(cx, args.upto)
         print(f"n={n} char={field.characteristic}: {dims}")
         ok = dims[0] == 2 * n and all(d == n for d in dims[1:])
         return 0 if ok else 1
     if command == "oracle":
-        rep = compare(table, hh_dims(cx, min(12, args.upto)), args.upto, args.budget)
+        rep = compare(table, hh_dims(cx, args.upto), args.upto, args.budget)
         print(f"n={n} char={field.characteristic}: bar={rep.bar} "
               f"resolution={rep.resolution} ok={rep.ok}")
         return 0 if rep.ok else 1

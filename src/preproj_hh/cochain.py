@@ -85,7 +85,7 @@ class CochainComplex:
         for i in range(maxdeg):
             explicit = self._explicit_matrix(i)
             dual = self._dual_matrix(i)
-            if explicit.rows != dual.rows:
+            if explicit != dual:
                 raise ComplexMismatchError(
                     f"differential {i}: explicit formula disagrees with the "
                     f"dualized resolution differential")
@@ -154,19 +154,33 @@ class CochainComplex:
             self._cob_solvers[degree] = solver
         return solver.solve(vec)
 
+    def span_with_coboundaries(self, degree: int, vectors: List[list]) -> ExactMatrix:
+        """Columns: the given vectors of V^degree, then the columns of d^(degree-1).
+
+        Its rank is len(vectors) + rank d^(degree-1) exactly when the vectors
+        are independent modulo coboundaries, and a solve against it reads off
+        coordinates over the vectors.
+        """
+        entries = [(i, j, x) for j, v in enumerate(vectors)
+                   for i, x in enumerate(v) if x != 0]
+        ncols = len(vectors)
+        if degree > 0:
+            d = self.diffs[degree - 1]
+            entries += [(i, ncols + j, x) for i, j, x in d.entries()]
+            ncols += d.ncols
+        return ExactMatrix.from_entries(self.table.field, self.spaces[degree].dim,
+                                        ncols, entries)
+
     # -- differentials ---------------------------------------------------------
 
     def _explicit_matrix(self, i: int) -> ExactMatrix:
         t = self.table
         src, tgt = self.spaces[i], self.spaces[i + 1]
-        F = t.field
-        mat = ExactMatrix.zero(F, tgt.dim, src.dim)
         step = i % 6
-        for col, (comp, mid) in enumerate(src.basis):
-            for (key, coeff) in self._explicit_image(step, comp, mid):
-                r = tgt.pos[key]
-                mat.rows[r][col] = F.add(mat.rows[r][col], F(coeff))
-        return mat
+        return ExactMatrix.from_entries(
+            t.field, tgt.dim, src.dim,
+            ((tgt.pos[key], col, coeff) for col, (comp, mid) in enumerate(src.basis)
+             for key, coeff in self._explicit_image(step, comp, mid)))
 
     def _explicit_image(self, step: int, comp: int, mid: int):
         """Value terms ((component, monomial), coeff) of one basis cochain."""
@@ -205,8 +219,7 @@ class CochainComplex:
         t = self.table
         d = self.window.diffs[i + 1]
         src, tgt = self.spaces[i], self.spaces[i + 1]
-        F = t.field
-        mat = ExactMatrix.zero(F, tgt.dim, src.dim)
+        entries = []
         for col, (comp, mid) in enumerate(src.basis):
             comp_pos = comp if src.kind == PARALLELS else comp - 1
             for k, terms in enumerate(d.values):
@@ -221,10 +234,8 @@ class CochainComplex:
                     rhs = t.mono_mul(lhs[1], y)
                     if rhs is None:
                         continue
-                    r = tgt.pos[(tkey, rhs[1])]
-                    mat.rows[r][col] = F.add(
-                        mat.rows[r][col], F(c * lhs[0] * rhs[0]))
-        return mat
+                    entries.append((tgt.pos[(tkey, rhs[1])], col, c * lhs[0] * rhs[0]))
+        return ExactMatrix.from_entries(t.field, tgt.dim, src.dim, entries)
 
     # -- ranks and dimensions ----------------------------------------------------
 
@@ -232,9 +243,7 @@ class CochainComplex:
         if i < 0:
             return 0
         if i not in self._hh_ranks:
-            rows = [{j: x for j, x in enumerate(row) if x != 0}
-                    for row in self.diffs[i].rows]
-            self._hh_ranks[i] = sparse_rank(rows, self.table.field)
+            self._hh_ranks[i] = self.diffs[i].rank()
         return self._hh_ranks[i]
 
 
@@ -267,11 +276,10 @@ def _tensor_space(t: AlgebraTable, term) -> List[Tuple[int, int]]:
 
 def _tensor_matrix(t: AlgebraTable, w: ResolutionWindow, m: int) -> ExactMatrix:
     """Induced map L (x) P^-m -> L (x) P^-(m+1-1): z at (s,t) -> sum y z x."""
-    F = t.field
     src = _tensor_space(t, w.terms[m])
     tgt = _tensor_space(t, w.terms[m - 1])
     tgt_pos = {k: r for r, k in enumerate(tgt)}
-    mat = ExactMatrix.zero(F, len(tgt), len(src))
+    entries = []
     d = w.diffs[m]
     for col, (k, z) in enumerate(src):
         for k2, c, x, y in d.values[k]:
@@ -281,9 +289,8 @@ def _tensor_matrix(t: AlgebraTable, w: ResolutionWindow, m: int) -> ExactMatrix:
             rhs = t.mono_mul(lhs[1], x)
             if rhs is None:
                 continue
-            r = tgt_pos[(k2, rhs[1])]
-            mat.rows[r][col] = F.add(mat.rows[r][col], F(c * lhs[0] * rhs[0]))
-    return mat
+            entries.append((tgt_pos[(k2, rhs[1])], col, c * lhs[0] * rhs[0]))
+    return ExactMatrix.from_entries(t.field, len(tgt), len(src), entries)
 
 
 def homology_dims(c: CochainComplex, upto: int) -> List[int]:
@@ -293,9 +300,7 @@ def homology_dims(c: CochainComplex, upto: int) -> List[int]:
         raise ValueError("window too shallow")
     ranks = [0]
     for m in range(1, upto + 2):
-        mat = _tensor_matrix(t, w, m)
-        rows = [{j: x for j, x in enumerate(row) if x != 0} for row in mat.rows]
-        ranks.append(sparse_rank(rows, t.field))
+        ranks.append(_tensor_matrix(t, w, m).rank())
     dims = []
     for i in range(upto + 1):
         total = len(_tensor_space(t, w.terms[i]))
@@ -439,18 +444,8 @@ def _x0_label(k: int, gen: str) -> str:
 
 
 def _check_independent_mod_coboundaries(c, degree, vectors, labels):
-    F = c.table.field
-    rows = []
-    for v in vectors:
-        rows.append({j: x for j, x in enumerate(v) if x != 0})
-    base_rank = c.diff_rank(degree - 1)
-    if degree > 0:
-        for row in c.diffs[degree - 1].transpose().rows:
-            d = {j: x for j, x in enumerate(row) if x != 0}
-            if d:
-                rows.append(d)
-    total = sparse_rank(rows, F)
-    if total != len(vectors) + base_rank:
+    total = c.span_with_coboundaries(degree, vectors).rank()
+    if total != len(vectors) + c.diff_rank(degree - 1):
         raise CanonicalBasisError(
             f"canonical cocycles of degree {degree} ({labels}) are dependent "
             f"modulo coboundaries")

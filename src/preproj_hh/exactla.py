@@ -172,10 +172,6 @@ def _back_substitute(pivots: dict, F: FieldSpec) -> dict:
     return dict(reversed(rref.items()))
 
 
-def _sparse(row: Sequence) -> dict:
-    return {j: x for j, x in enumerate(row) if x != 0}
-
-
 def det(rows: Sequence[Sequence], field: FieldSpec) -> Scalar:
     """Exact determinant of a square matrix given as dense rows.
 
@@ -187,7 +183,7 @@ def det(rows: Sequence[Sequence], field: FieldSpec) -> Scalar:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    pivots, _ = _reduce((_sparse(row) for row in rows), field)
+    pivots, _ = _reduce((dict(enumerate(row)) for row in rows), field)
     if len(pivots) < n:
         return field.zero
     d = field.one
@@ -220,125 +216,128 @@ class EchelonForm:
 
 
 class ExactMatrix:
-    """Dense matrix with exact entries over one FieldSpec.
+    """Sparse matrix with exact entries over one FieldSpec.
 
-    Immutable by convention: the reduction routines return fresh objects.
+    `rows[i]` is a {column: scalar} dict holding the nonzero entries of row
+    i, the format `_reduce` eliminates.  Immutable by convention: the
+    reduction routines return fresh objects.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: FieldSpec, rows: Sequence[Sequence]):
+        """A literal matrix from dense rows."""
         self.field = field
-        self.rows = [[field(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(row) != self.ncols for row in rows):
+            raise ValueError("ragged rows")
+        self.rows = [{j: fx for j, x in enumerate(row) if (fx := field(x)) != 0}
+                     for row in rows]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":
+    def _wrap(cls, field: FieldSpec, nrows: int, ncols: int, rows: list) -> "ExactMatrix":
         m = cls.__new__(cls)
-        m.field = field
-        m.nrows = nrows
-        m.ncols = ncols
-        m.rows = [[field.zero] * ncols for _ in range(nrows)]
+        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
         return m
+
+    @classmethod
+    def from_entries(cls, field: FieldSpec, nrows: int, ncols: int,
+                     entries: Iterable[tuple]) -> "ExactMatrix":
+        """Assemble from (row, column, value) triples, summed in the field.
+
+        Entries that cancel are dropped, so two assemblies of one matrix
+        compare equal however their terms were split.
+        """
+        rows: list = [{} for _ in range(nrows)]
+        for i, j, x in entries:
+            row = rows[i]
+            row[j] = field.add(row.get(j, field.zero), field(x))
+        return cls._wrap(field, nrows, ncols,
+                         [{j: x for j, x in row.items() if x != 0} for row in rows])
+
+    @classmethod
+    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":
+        return cls.from_entries(field, nrows, ncols, ())
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        m = cls.zero(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        return cls.from_entries(field, n, n, ((i, i, field.one) for i in range(n)))
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence]) -> "ExactMatrix":
-        if not columns:
-            return cls.zero(field, 0, 0)
-        nrows = len(columns[0])
-        return cls(field, [[columns[j][i] for j in range(len(columns))] for i in range(nrows)])
+        nrows = len(columns[0]) if columns else 0
+        return cls.from_entries(field, nrows, len(columns),
+                                ((i, j, x) for j, col in enumerate(columns)
+                                 for i, x in enumerate(col) if x != 0))
 
     # -- basic ops ---------------------------------------------------------
 
+    def entries(self):
+        """The nonzero entries as (row, column, value) triples."""
+        return ((i, j, x) for i, row in enumerate(self.rows) for j, x in row.items())
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.rows[i].get(j, self.field.zero)
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.field == other.field
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and self.rows == other.rows
         )
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                        for j in range(self.ncols)])
+        return ExactMatrix.from_entries(self.field, self.ncols, self.nrows,
+                                        ((j, i, x) for i, j, x in self.entries()))
 
     def matvec(self, v: Sequence) -> list:
         F = self.field
-        out = []
-        for row in self.rows:
-            s = F.zero
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    s = F.add(s, F.mul(a, x))
-            out.append(s)
-        return out
+        return [F(sum(a * v[j] for j, a in row.items() if v[j] != 0))
+                for row in self.rows]
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        F = self.field
-        ot = other.transpose()
-        out = []
-        for row in self.rows:
-            new = []
-            for col in ot.rows:
-                s = F.zero
-                for a, b in zip(row, col):
-                    if a != 0 and b != 0:
-                        s = F.add(s, F.mul(a, b))
-                new.append(s)
-            out.append(new)
-        return ExactMatrix(F, out)
+        return ExactMatrix.from_entries(
+            self.field, self.nrows, other.ncols,
+            ((i, l, a * b) for i, j, a in self.entries()
+             for l, b in other.rows[j].items()))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.rows)
 
     # -- elimination -------------------------------------------------------
 
     def echelonize(self) -> EchelonForm:
         """Reduced row echelon form; the zero rows come last."""
         F = self.field
-        rref = _back_substitute(_reduce(map(_sparse, self.rows), F)[0], F)
-        reduced = ExactMatrix.zero(F, self.nrows, self.ncols)
-        for i, row in enumerate(rref.values()):
-            for j, x in row.items():
-                reduced.rows[i][j] = x
-        return EchelonForm(rank=len(rref), pivot_columns=tuple(rref), reduced=reduced)
+        rref = _back_substitute(_reduce(self.rows, F)[0], F)
+        rows = list(rref.values()) + [{} for _ in range(self.nrows - len(rref))]
+        return EchelonForm(rank=len(rref), pivot_columns=tuple(rref),
+                           reduced=ExactMatrix._wrap(F, self.nrows, self.ncols, rows))
 
     def rank(self) -> int:
-        return len(_reduce(map(_sparse, self.rows), self.field)[0])
+        return len(_reduce(self.rows, self.field)[0])
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel; one vector per free column, ascending."""
         ech = self.echelonize()
         F = self.field
-        pivots = list(ech.pivot_columns)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        pivot_set = set(ech.pivot_columns)
         basis = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in pivot_set:
+                continue
             v = [F.zero] * self.ncols
             v[fc] = F.one
-            for r, pc in enumerate(pivots):
-                coef = ech.reduced.rows[r][fc]
-                if coef != 0:
-                    v[pc] = F.neg(coef)
+            for pc, row in zip(ech.pivot_columns, ech.reduced.rows):
+                if fc in row:
+                    v[pc] = F.neg(row[fc])
             basis.append(v)
         return basis
 
@@ -352,11 +351,9 @@ class ExactMatrix:
         F = self.field
         n = self.ncols
         order = list(range(n)) if variable_order is None else list(variable_order)
-        aug = []
-        for i, row in enumerate(self.rows):
-            r = _sparse([row[j] for j in order])
-            r[n] = b[i]
-            aug.append(r)
+        pos = {j: c for c, j in enumerate(order)}
+        aug = [{**{pos[j]: x for j, x in row.items()}, n: b[i]}
+               for i, row in enumerate(self.rows)]
         pivots, rest = _reduce(aug, F, n)
         if rest:
             return None
@@ -380,12 +377,8 @@ class PreparedSolver:
         n = matrix.ncols
         self.field = F
         self.ncols = n
-        rows = []
-        for i, row in enumerate(matrix.rows):
-            r = _sparse(row)
-            r[n + i] = F.one
-            rows.append(r)
-        pivots, rest = _reduce(rows, F, n)
+        pivots, rest = _reduce(({**row, n + i: F.one} for i, row in enumerate(matrix.rows)),
+                               F, n)
         rref = _back_substitute(pivots, F)
         self.rank = len(rref)
         self.pivots = list(rref)

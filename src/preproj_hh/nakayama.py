@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Tuple
 
 from .algebra import AlgebraTable, elem_eq, multiply
-from .exactla import ExactMatrix
+from .exactla import sparse_rank
 
 
 class DegenerateFormError(RuntimeError):
@@ -71,9 +71,7 @@ def associated_form(t: AlgebraTable) -> NakayamaForm:
             partner[b] = next(iter(row))
         structural = sorted(partner.values()) == list(range(t.dim))
     if not structural:
-        mat = ExactMatrix(F, [[gram[b].get(c, F.zero) for c in range(t.dim)]
-                              for b in range(t.dim)])
-        if mat.rank() < t.dim:
+        if sparse_rank(gram.values(), F) < t.dim:
             raise DegenerateFormError("gram matrix is singular")
         raise DegenerateFormError("gram matrix nondegenerate but not monomial")
 

@@ -256,26 +256,26 @@ def _span_audit(spec, engine, ev, audit_to):
             gd, gvec = ev.gen_vectors[name]
             for w in span_vecs[i - d]:
                 candidates.append(engine.cup_vec(w, i - d, gvec, gd))
-        # close under the degree-0 generators
+        # close under the degree-0 generators; each candidate is identified
+        # once, its coordinates kept alongside it
+        coords = [list(engine.identify(v, i).coords) for v in candidates]
+        rank = ExactMatrix.from_columns(F, coords).rank()
         frontier = list(candidates)
         while frontier:
             new_frontier = []
-            coords = [list(engine.identify(v, i).coords) for v in candidates]
-            rank_before = ExactMatrix.from_columns(F, coords).rank() if coords else 0
             for name in zero_gens:
                 _, zv = ev.gen_vectors[name]
                 z = engine.central_from_v0(zv)
                 for v in frontier:
                     new_frontier.append(engine.cx.scale_vector(i, z, v))
-            coords2 = coords + [list(engine.identify(v, i).coords)
-                                for v in new_frontier]
-            rank_after = ExactMatrix.from_columns(F, coords2).rank()
-            if rank_after == rank_before:
+            new_coords = [list(engine.identify(v, i).coords) for v in new_frontier]
+            rank_after = ExactMatrix.from_columns(F, coords + new_coords).rank()
+            if rank_after == rank:
                 break
             candidates.extend(new_frontier)
+            coords.extend(new_coords)
+            rank = rank_after
             frontier = new_frontier
-        coords = [list(engine.identify(v, i).coords) for v in candidates]
-        rank = ExactMatrix.from_columns(F, coords).rank() if coords else 0
         audit[i] = (rank, expected)
         # keep an independent subset as the span basis for later degrees
         span_vecs[i] = _independent_subset(F, candidates, coords)
@@ -283,15 +283,9 @@ def _span_audit(spec, engine, ev, audit_to):
 
 
 def _independent_subset(F, vectors, coords):
-    if not vectors:
-        return []
-    mat = ExactMatrix(F, coords)  # rows = candidate coordinate vectors
-    ech = mat.transpose().echelonize()
-    keep = []
-    # pivot columns of the transpose select independent candidates
-    for c in ech.pivot_columns:
-        keep.append(vectors[c])
-    return keep
+    # pivot columns select the candidates independent of those before them
+    pivots = ExactMatrix.from_columns(F, coords).echelonize().pivot_columns
+    return [vectors[c] for c in pivots]
 
 
 @dataclass

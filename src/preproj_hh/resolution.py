@@ -64,6 +64,27 @@ def projective_q(t: AlgebraTable) -> ProjectiveBimodule:
     return ProjectiveBimodule("Q", tuple((a.source, a.target) for a in t.quiver.arrows))
 
 
+def expand(f: BimoduleMap, k: int, x: int, y: int) -> dict:
+    """f on the element x (x) y of source summand k.
+
+    Returns {(target summand, left monomial, right monomial): coefficient},
+    the coefficients summed as stored in f (not reduced into the field), so
+    some may be zero.
+    """
+    t = f.table
+    out: dict = {}
+    for k2, c, xd, yd in f.values[k]:
+        lhs = t.mono_mul(x, xd)
+        if lhs is None:
+            continue
+        rhs = t.mono_mul(yd, y)
+        if rhs is None:
+            continue
+        key = (k2, lhs[1], rhs[1])
+        out[key] = out.get(key, 0) + c * lhs[0] * rhs[0]
+    return out
+
+
 def compose(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
     """f after g, on generators: expand f on each value term of g."""
     t = f.table
@@ -75,18 +96,8 @@ def compose(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
         acc: dict = {}
         for k, c, x, y in terms:
             fc = F(c)
-            for k2, c2, x2, y2 in f.values[k]:
-                lhs = t.mono_mul(x, x2)
-                if lhs is None:
-                    continue
-                rhs = t.mono_mul(y2, y)
-                if rhs is None:
-                    continue
-                cl, ml = lhs
-                cr, mr = rhs
-                key = (k2, ml, mr)
-                acc[key] = F.add(acc.get(key, F.zero),
-                                 F.mul(F.mul(fc, F(c2)), F(cl * cr)))
+            for key, v in expand(f, k, x, y).items():
+                acc[key] = F.add(acc.get(key, F.zero), F.mul(fc, F(v)))
         values.append([(k, c, x, y) for (k, x, y), c in sorted(acc.items()) if c != 0])
     return BimoduleMap(t, g.source, f.target, values)
 
@@ -194,28 +205,14 @@ def _blocked_rank(t: AlgebraTable, f: BimoduleMap, p: int) -> int:
     sparse elimination never combines rows of different blocks, so one call
     ranks all blocks at once.
     """
-    columns = flatten_map(t, f, _term_basis(t, f.source))
+    columns = flatten_map(f)
     return exactla.rank_mod_p(list(columns.values()), p)
 
 
-def flatten_map(t: AlgebraTable, f: BimoduleMap, src_basis):
+def flatten_map(f: BimoduleMap):
     """Integer column dict per source basis triple, keyed by target triple."""
-    columns = {}
-    for (k, x, y) in src_basis:
-        col: dict = {}
-        for k2, c, xd, yd in f.values[k]:
-            lhs = t.mono_mul(x, xd)
-            if lhs is None:
-                continue
-            rhs = t.mono_mul(yd, y)
-            if rhs is None:
-                continue
-            cl, ml = lhs
-            cr, mr = rhs
-            key = (k2, ml, mr)
-            col[key] = col.get(key, 0) + c * cl * cr
-        columns[(k, x, y)] = {kk: v for kk, v in col.items() if v != 0}
-    return columns
+    return {(k, x, y): {key: v for key, v in expand(f, k, x, y).items() if v != 0}
+            for (k, x, y) in _term_basis(f.table, f.source)}
 
 
 @dataclass
@@ -309,7 +306,7 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
         method = "rational sparse elimination (mod-p pinning failed)"
         ranks = [0]
         for m in range(1, w.depth + 1):
-            cols = flatten_map(t, w.diffs[m], _term_basis(t, w.diffs[m].source))
+            cols = flatten_map(w.diffs[m])
             ranks.append(exactla.sparse_rank(cols.values(), exactla.FieldSpec(0)))
 
     # augmentation: rank of x (x) y -> xy

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import AlgebraTable, elem_add, elem_scale, multiply
 from .cochain import CanonicalBasis, CochainComplex, PARALLELS, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, PreparedSolver, det
-from .resolution import BimoduleMap, ResolutionWindow, compose
+from .resolution import BimoduleMap, ResolutionWindow, compose, expand
 
 
 class NotACocycleError(RuntimeError):
@@ -186,33 +186,14 @@ class YonedaEngine:
             unknown_degree = rhs_value_degree
         else:
             unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
-        unknowns = []
-        for kt, (u, v) in enumerate(tgt_term.summands):
-            for x in t.basis:
-                if x.source != s or x.target != u:
-                    continue
-                for y in t.basis:
-                    if y.source != v or y.target != tt:
-                        continue
-                    if x.degree + y.degree == unknown_degree:
-                        unknowns.append((kt, x.mid, y.mid))
+        unknowns = _graded_triples(t, tgt_term, s, tt, unknown_degree)
         if k == 0:
             eq_keys = [m.mid for m in t.basis
                        if m.source == s and m.target == tt
                        and m.degree == rhs_value_degree]
             rhs_vec = {mid: c for _, c, mid, _ in rhs_terms}
         else:
-            next_term = w.terms[k - 1]
-            eq_keys = []
-            for kn, (u, v) in enumerate(next_term.summands):
-                for x in t.basis:
-                    if x.source != s or x.target != u:
-                        continue
-                    for y in t.basis:
-                        if y.source != v or y.target != tt:
-                            continue
-                        if x.degree + y.degree == rhs_value_degree:
-                            eq_keys.append((kn, x.mid, y.mid))
+            eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
             rhs_vec = {}
             for kn, c, x, y in rhs_terms:
                 rhs_vec[(kn, x, y)] = F.add(rhs_vec.get((kn, x, y), F.zero), F(c))
@@ -220,10 +201,10 @@ class YonedaEngine:
         for key in rhs_vec:
             if key not in eq_pos and rhs_vec[key] != 0:
                 raise LiftFailedError("right-hand side outside the graded piece")
-        mat = ExactMatrix.zero(F, len(eq_keys), len(unknowns))
-        for col, (kt, x, y) in enumerate(unknowns):
-            for key, c in self._composed_column(k, kt, x, y):
-                mat.rows[eq_pos[key]][col] = F.add(mat.rows[eq_pos[key]][col], F(c))
+        mat = ExactMatrix.from_entries(
+            F, len(eq_keys), len(unknowns),
+            ((eq_pos[key], col, c) for col, (kt, x, y) in enumerate(unknowns)
+             for key, c in self._composed_column(k, kt, x, y)))
         b = [rhs_vec.get(key, F.zero) for key in eq_keys]
         order = None
         if variable_order == "reversed":
@@ -236,22 +217,10 @@ class YonedaEngine:
 
     def _composed_column(self, k, kt, x, y):
         """Image of the elementary hom with value x (x) y at summand kt."""
-        t = self.table
-        out = []
         if k == 0:
-            hit = t.mono_mul(x, y)
-            if hit is not None:
-                out.append((hit[1], hit[0]))
-            return out
-        for k2, c, xd, yd in self.window.diffs[k].values[kt]:
-            lhs = t.mono_mul(x, xd)
-            if lhs is None:
-                continue
-            rhs = t.mono_mul(yd, y)
-            if rhs is None:
-                continue
-            out.append(((k2, lhs[1], rhs[1]), c * lhs[0] * rhs[0]))
-        return out
+            hit = self.table.mono_mul(x, y)
+            return [] if hit is None else [(hit[1], hit[0])]
+        return expand(self.window.diffs[k], kt, x, y).items()
 
     def verify_segment(self, seg: ChainMapSegment, vec: list) -> bool:
         """Symbolic check of the chain-map identities for a given segment."""
@@ -321,18 +290,13 @@ class YonedaEngine:
 
     def identify(self, vec: list, degree: int) -> CohomologyClass:
         """Coordinates over the canonical basis, modulo coboundaries."""
-        cx, F = self.cx, self.table.field
+        cx = self.cx
         if not cx.is_cocycle(degree, vec):
             raise NotACocycleError(f"identify: input of degree {degree} is not a cocycle")
         basis = self.canonical(degree)
         solver = self._identify_solvers.get(degree)
         if solver is None:
-            columns = [list(v) for v in basis.vectors]
-            if degree > 0:
-                d = cx.diffs[degree - 1]
-                for j in range(d.ncols):
-                    columns.append([d.rows[r][j] for r in range(d.nrows)])
-            solver = PreparedSolver(ExactMatrix.from_columns(F, columns))
+            solver = PreparedSolver(cx.span_with_coboundaries(degree, basis.vectors))
             self._identify_solvers[degree] = solver
         sol = solver.solve(vec)
         if sol is None:
@@ -359,6 +323,15 @@ class YonedaEngine:
 
     def c_matrix(self) -> "CMatrix":
         return c_matrix(self.table, engine=self)
+
+
+def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list:
+    """Keys (summand, x, y) of the value terms x (x) y in `term`, of total
+    degree `degree`, that a map from the elementary bimodule at (s, tt) takes."""
+    return [(k, x.mid, y.mid) for k, (u, v) in enumerate(term.summands)
+            for x in t.basis if x.source == s and x.target == u
+            for y in t.basis if y.source == v and y.target == tt
+            and x.degree + y.degree == degree]
 
 
 @dataclass

@@ -165,7 +165,7 @@ def test_06_resolution_exactness_and_dual_coincidence():
             for i in range(cx.maxdeg):
                 explicit = cx._explicit_matrix(i)
                 dual = cx._dual_matrix(i)
-                ok = ok and explicit.rows == dual.rows
+                ok = ok and explicit == dual
     _report(6, "resolution exact through depth 13, dual matches formulas", ok)
 
 

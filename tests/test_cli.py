@@ -134,6 +134,23 @@ def test_report_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert "cannot read certificates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,upto", [("dims", 20), ("dims", -1),
+                                          ("oracle", -1), ("oracle", 20)])
+def test_upto_outside_the_cochain_window_is_a_usage_error(command, upto, capsys):
+    assert main([command, "--n", "1", "--upto", str(upto)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--upto" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_report_on_json_that_is_no_certificate_is_a_usage_error(tmp_path, capsys, fmt):
+    (tmp_path / "empty.json").write_text("{}")
+    assert main(["report", "--in", str(tmp_path), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a certificate" in err
+
+
 def test_certifies_without_numpy():
     # the package has no third-party runtime dependency; a blocked numpy
     # import must not matter

@@ -42,6 +42,16 @@ def _cofactor_det(rows, F):
     return total
 
 
+def _reference_matmul(a, b, F):
+    """Textbook dense product of two lists of rows."""
+    return [[F(sum(x * y for x, y in zip(row, col))) for col in zip(*b)] for row in a]
+
+
+def _entries(m):
+    """The matrix read back entry by entry, as dense rows."""
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
 def test_field_validation():
     assert FieldSpec(0).characteristic == 0
     assert FieldSpec(3).characteristic == 3
@@ -64,6 +74,24 @@ def test_scalar_coercion():
 def test_echelonize_identity_and_zero():
     assert ExactMatrix.identity(QQ, 2).echelonize().rank == 2
     assert ExactMatrix.zero(QQ, 3, 4).echelonize().rank == 0
+
+
+def test_from_entries_sums_and_drops_entries_that_cancel():
+    plain = ExactMatrix.from_entries(QQ, 2, 3, [(0, 1, 2), (1, 2, 1)])
+    assert plain == ExactMatrix(QQ, [[0, 2, 0], [0, 0, 1]])
+    cancelled = ExactMatrix.from_entries(
+        QQ, 2, 3, [(0, 1, 2), (1, 0, 3), (1, 2, 1), (1, 0, -3)])
+    assert cancelled == plain
+    split = ExactMatrix.from_entries(QQ, 2, 3, [(0, 1, 1), (1, 2, 1), (0, 1, 1)])
+    assert split == plain
+    # 2 + 3 vanishes mod 5 but not over Q
+    terms = [(0, 0, 2), (0, 0, 3)]
+    assert ExactMatrix.from_entries(F5, 1, 2, terms) == ExactMatrix.zero(F5, 1, 2)
+    assert ExactMatrix.from_entries(F5, 1, 2, terms).is_zero()
+    assert ExactMatrix.from_entries(QQ, 1, 2, terms) == ExactMatrix(QQ, [[5, 0]])
+    # the shape belongs to the matrix even where every entry is zero
+    assert ExactMatrix.zero(QQ, 2, 3) != ExactMatrix.zero(QQ, 2, 4)
+    assert ExactMatrix.zero(QQ, 2, 3) != ExactMatrix.zero(QQ, 3, 3)
 
 
 def test_rank_of_c_matrix_mod_5():
@@ -134,6 +162,34 @@ def test_solve_consistency(rows, char, data):
     assert m.matvec(s) == b
     s2 = PreparedSolver(m).solve(b)
     assert s2 == s
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@given(rows=matrix_strategy, char=field_strategy, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_storage_matches_dense_reference(rows, char, data):
+    F = FieldSpec(char)
+    m = ExactMatrix(F, rows)
+    dense = [[F(x) for x in row] for row in rows]
+    nr, nc = len(rows), len(rows[0])
+    assert _entries(m) == dense
+    assert m.is_zero() == all(x == 0 for row in dense for x in row)
+    assert _entries(m.transpose()) == [list(col) for col in zip(*dense)]
+    v = [F(x) for x in data.draw(st.lists(small_ints, min_size=nc, max_size=nc))]
+    assert m.matvec(v) == [F(sum(a * x for a, x in zip(row, v))) for row in dense]
+    width = data.draw(st.integers(min_value=1, max_value=5))
+    other = data.draw(st.lists(st.lists(small_ints, min_size=width, max_size=width),
+                               min_size=nc, max_size=nc))
+    product = m.matmul(ExactMatrix(F, other))
+    assert (product.nrows, product.ncols) == (nr, width)
+    assert _entries(product) == _reference_matmul(dense, other, F)
+    # shifting entries by 0, 1 or the characteristic: equal exactly when the
+    # dense rows agree in F
+    shifts = st.sampled_from([0, 0, 1, char])
+    twin = [[x + data.draw(shifts) for x in row] for row in rows]
+    assert (ExactMatrix(F, twin) == m) == ([[F(x) for x in row] for row in twin] == dense)
 
 
 @given(rows=matrix_strategy, char=field_strategy)

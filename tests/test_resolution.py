@@ -149,11 +149,10 @@ def test_rational_vs_prime_ranks_spot_check():
     # rational ranks of the flattened differentials coincide with the mod-p
     # ranks for the primes in play (the certification's pinning argument)
     from preproj_hh.exactla import FieldSpec, sparse_rank
-    from preproj_hh.resolution import flatten_map, _term_basis
-    ctx = context(2)
-    w, t = ctx.window, ctx.table
+    from preproj_hh.resolution import flatten_map
+    w = context(2).window
     for m in (1, 2, 3):
-        cols = flatten_map(t, w.diffs[m], _term_basis(t, w.diffs[m].source))
+        cols = flatten_map(w.diffs[m])
         rows = list(cols.values())
         rq = sparse_rank(rows, FieldSpec(0))
         for p in (3, 5, 97):
