@@ -141,12 +141,15 @@ class AlgebraTable:
         self.act = act
         self.dim = len(basis)
         self.by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
+        self.by_ends: Dict[Tuple[int, int], List[BasisMonomial]] = {}
+        for m in basis:
+            self.by_ends.setdefault((m.source, m.target), []).append(m)
         self.e_ids = {i: self.by_ijd[(i, i, 0)] for i in self.quiver.vertices}
         self.socle_ids = {i: self.by_ijd[(i, i, 2 * n - 1)] for i in self.quiver.vertices}
         self.arrow_ids = {a.index: self.by_ijd[(a.source, a.target, 1)]
                           for a in self.quiver.arrows}
-        self.cartan = [[sum(1 for m in basis if m.source == i and m.target == j)
-                        for j in self.quiver.vertices] for i in self.quiver.vertices]
+        self.cartan = [[len(self.by_ends.get((i, j), ())) for j in self.quiver.vertices]
+                       for i in self.quiver.vertices]
         self.top_degree = 2 * n - 1
         self._center = None
 

@@ -405,15 +405,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --upto must lie in 0..{MIN_MAXDEG - 1}", file=sys.stderr)
         return 2
 
+    # an unusable --out is found before anything is computed
+    if args.command == "build" and args.out is not None:
+        directory = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(directory) or os.path.isdir(args.out):
+            print(f"error: --out {args.out} is not a file path in an existing "
+                  f"directory", file=sys.stderr)
+            return 2
+
     if args.command == "run":
         if args.maxdeg < MIN_MAXDEG:
             print(f"error: --maxdeg must be at least {MIN_MAXDEG}", file=sys.stderr)
+            return 2
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create --out directory {args.out}: {exc.strerror}",
+                  file=sys.stderr)
             return 2
         config = RunConfig(n_values, chars, args.maxdeg, args.budget,
                            args.format, args.out, args.jobs,
                            with_oracle=not args.no_oracle)
         certs = run_grid(config)
-        os.makedirs(args.out, exist_ok=True)
         failed = []
         for cert in certs:
             cfg = cert["body"]["config"]

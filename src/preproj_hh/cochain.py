@@ -142,7 +142,7 @@ class CochainComplex:
     def is_cocycle(self, degree: int, vec: list) -> bool:
         if degree >= self.maxdeg:
             raise ValueError("degree beyond the built window")
-        return all(x == 0 for x in self.diffs[degree].matvec(vec))
+        return not any(self.diffs[degree].matvec(vec))
 
     def coboundary_solve(self, degree: int, vec: list) -> Optional[list]:
         """A preimage under d^(degree-1), or None (degree 0: only zero)."""

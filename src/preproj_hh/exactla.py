@@ -220,10 +220,11 @@ class ExactMatrix:
 
     `rows[i]` is a {column: scalar} dict holding the nonzero entries of row
     i, the format `_reduce` eliminates.  Immutable by convention: the
-    reduction routines return fresh objects.
+    reduction routines return fresh objects, and the column view `matvec`
+    builds on first use stays valid.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_columns")
 
     def __init__(self, field: FieldSpec, rows: Sequence[Sequence]):
         """A literal matrix from dense rows."""
@@ -234,6 +235,7 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         self.rows = [{j: fx for j, x in enumerate(row) if (fx := field(x)) != 0}
                      for row in rows]
+        self._columns = None
 
     # -- constructors ------------------------------------------------------
 
@@ -241,6 +243,7 @@ class ExactMatrix:
     def _wrap(cls, field: FieldSpec, nrows: int, ncols: int, rows: list) -> "ExactMatrix":
         m = cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
+        m._columns = None
         return m
 
     @classmethod
@@ -296,9 +299,12 @@ class ExactMatrix:
                                         ((j, i, x) for i, j, x in self.entries()))
 
     def matvec(self, v: Sequence) -> list:
-        F = self.field
-        return [F(sum(a * v[j] for j, a in row.items() if v[j] != 0))
-                for row in self.rows]
+        """self @ v, accumulated over the nonzeros of v only."""
+        if self._columns is None:
+            self._columns = _by_column(self.rows, self.ncols)
+        out = [self.field.zero] * self.nrows
+        _accumulate(out, self._columns, v, self.field)
+        return out
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
@@ -363,6 +369,30 @@ class ExactMatrix:
         return x
 
 
+def _by_column(rows: Sequence[dict], ncols: int) -> list:
+    """The {column: scalar} rows as ncols {row: scalar} columns."""
+    cols: list = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            cols[j][i] = a
+    return cols
+
+
+def _accumulate(out: list, columns: list, v: Sequence, F: FieldSpec):
+    """out += (matrix with these columns) @ v, walking only the nonzeros of v.
+
+    Each touched entry of `out` is summed as a plain number and coerced into
+    F once at the end.
+    """
+    acc: dict = {}
+    for j, x in enumerate(v):
+        if x:
+            for i, a in columns[j].items():
+                acc[i] = acc.get(i, 0) + a * x
+    for i, s in acc.items():
+        out[i] = F(s)
+
+
 class PreparedSolver:
     """Repeated exact solves against one fixed matrix.
 
@@ -382,13 +412,21 @@ class PreparedSolver:
         rref = _back_substitute(pivots, F)
         self.rank = len(rref)
         self.pivots = list(rref)
-        self.transform = [{k - n: v for k, v in row.items() if k >= n}
-                          for row in list(rref.values()) + rest]
+        rows = list(rref.values()) + rest
+        self._ntransform = len(rows)
+        self._columns = _by_column(
+            [{k - n: v for k, v in row.items() if k >= n} for row in rows], matrix.nrows)
 
-    def solve(self, b) -> Optional[list]:
+    @property
+    def transform(self) -> list:
+        """The transform as {b index: scalar} rows, rebuilt from its columns."""
+        return _by_column(self._columns, self._ntransform)
+
+    def solve(self, b: Sequence) -> Optional[list]:
+        """Accumulates the transform over the nonzeros of b only."""
         F = self.field
-        y = [F(sum(v * b[i] for i, v in trow.items() if b[i] != 0))
-             for trow in self.transform]
+        y = [F.zero] * self._ntransform
+        _accumulate(y, self._columns, b, F)
         if any(y[self.rank:]):
             return None
         x = [F.zero] * self.ncols

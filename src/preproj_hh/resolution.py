@@ -249,6 +249,15 @@ class ExactnessReport:
 # rational ranks to the same values: rank_Q >= rank_p for integer matrices,
 # while rank_Q(d_i) + rank_Q(d_{i+1}) <= dim because consecutive images are
 # orthogonal.  Equality mod p therefore certifies the rational ranks.
+#
+# Ranks along a twist class: tau(d) multiplies each value term x (x) y by
+# (-1)^deg(y), and expanding on a source basis element x' (x) y' yields terms
+# (x'x) (x) (y y') whose right factor has degree deg(y) + deg(y') (the
+# monomial basis is graded).  Hence flat(tau d) = S flat(d) S', with S and S'
+# the +-1 diagonals (-1)^deg of the right factor on the target and source
+# bases.  Invertible diagonal factors keep the rank over any field, the
+# sandwich prime included, so where d_m equals tau(d_{m-3}) exactly,
+# rank(d_m) = rank(d_{m-3}); where it does not, d_m is ranked directly.
 _SANDWICH_PRIME = 97
 
 
@@ -297,7 +306,10 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
         f"mod {p} ranks pinned by exact d.d = 0 and dimension counts")
     ranks = [0]  # index m holds rank of d_m
     for m in range(1, w.depth + 1):
-        ranks.append(_blocked_rank(t, w.diffs[m], p))
+        if m >= 4 and w.diffs[m].equals(tau_twist(w.diffs[m - 3])):
+            ranks.append(ranks[m - 3])
+        else:
+            ranks.append(_blocked_rank(t, w.diffs[m], p))
     dims = [flat_dim(t, term) for term in w.terms]
     if t.field.characteristic == 0 and any(
             ranks[m] + ranks[m + 1] != dims[m] for m in range(1, w.depth)):

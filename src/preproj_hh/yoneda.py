@@ -7,7 +7,9 @@ resolution is graded with degree-0 differentials once each term's
 generators are assigned their internal degree, so a homogeneous cocycle
 lifts within a single graded piece of each Hom space; the solver exploits
 this and additionally splits by source summand, which keeps every system
-small.  Products of classes are compositions of a cochain with a lift of
+small.  A system does not depend on the cocycle, so each distinct one is
+eliminated once per engine and reused for every later right-hand side.
+Products of classes are compositions of a cochain with a lift of
 the other factor, identified in the canonical cohomology bases afterwards.
 """
 
@@ -63,6 +65,16 @@ class ChainMapSegment:
     maps: List[BimoduleMap]   # maps[k]: P^-(base_degree+k) -> P^-k
 
 
+@dataclass(frozen=True)
+class _LiftSystem:
+    """A graded lifting system: unknown value terms, equation keys, solver."""
+
+    solver: PreparedSolver
+    unknowns: list    # (target summand, x, y) per column
+    eq_keys: list     # monomial ids (step 0) or (summand, x, y) per row
+    eq_pos: dict      # equation key -> row
+
+
 class YonedaEngine:
     """Caches lifts of cocycles and computes products in canonical coordinates."""
 
@@ -73,6 +85,7 @@ class YonedaEngine:
         self._canonical: Dict[int, CanonicalBasis] = {}
         self._identify_solvers: Dict[int, PreparedSolver] = {}
         self._lift_cache: Dict[tuple, ChainMapSegment] = {}
+        self._lift_systems: Dict[tuple, _LiftSystem] = {}
         self._gens: Optional[List[Tuple[str, int, list]]] = None
 
     # -- canonical bases ----------------------------------------------------
@@ -178,42 +191,58 @@ class YonedaEngine:
     def _solve_block(self, degree, k, ks, s, tt, rhs_value_degree, rhs_terms,
                      variable_order):
         """One graded linear solve for the values at a single source summand."""
+        F = self.table.field
+        system = self._lift_system(k, s, tt, rhs_value_degree, variable_order)
+        if k == 0:
+            rhs_vec = {mid: c for _, c, mid, _ in rhs_terms}
+        else:
+            rhs_vec = {}
+            for kn, c, x, y in rhs_terms:
+                rhs_vec[(kn, x, y)] = F.add(rhs_vec.get((kn, x, y), F.zero), F(c))
+        for key in rhs_vec:
+            if key not in system.eq_pos and rhs_vec[key] != 0:
+                raise LiftFailedError("right-hand side outside the graded piece")
+        sol = system.solver.solve([rhs_vec.get(key, F.zero) for key in system.eq_keys])
+        if sol is None:
+            raise LiftFailedError(
+                f"lifting system inconsistent at step {k}, summand {ks}")
+        return [(kt, c, x, y) for (kt, x, y), c in zip(system.unknowns, sol) if c != 0]
+
+    # Soundness of the cache: the system matrix, its unknowns and its
+    # equations are read off (k, s, tt, rhs value degree, variable order)
+    # and the window alone, never off the cocycle, so the key determines the
+    # matrix.  The prepared solution of every later right-hand side is
+    # echelon-canonical and identical to what `ExactMatrix.solve(b)` returns
+    # for a freshly assembled matrix, so lifts do not depend on the cache.
+    def _lift_system(self, k, s, tt, rhs_value_degree, variable_order) -> _LiftSystem:
+        """The prepared graded lifting system for one (step, summand, degree)."""
+        key = (k, s, tt, rhs_value_degree, variable_order)
+        system = self._lift_systems.get(key)
+        if system is not None:
+            return system
         w, t, F = self.window, self.table, self.table.field
-        tgt_term = w.terms[k]
         # the differential raises value degree by g(k) - g(k-1), so the
         # unknown lives that much below the right-hand side
         if k == 0:
             unknown_degree = rhs_value_degree
+            mid = t.by_ijd.get((s, tt, rhs_value_degree))
+            eq_keys = [] if mid is None else [mid]
         else:
             unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
-        unknowns = _graded_triples(t, tgt_term, s, tt, unknown_degree)
-        if k == 0:
-            eq_keys = [m.mid for m in t.basis
-                       if m.source == s and m.target == tt
-                       and m.degree == rhs_value_degree]
-            rhs_vec = {mid: c for _, c, mid, _ in rhs_terms}
-        else:
             eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
-            rhs_vec = {}
-            for kn, c, x, y in rhs_terms:
-                rhs_vec[(kn, x, y)] = F.add(rhs_vec.get((kn, x, y), F.zero), F(c))
+        unknowns = _graded_triples(t, w.terms[k], s, tt, unknown_degree)
+        if variable_order == "reversed":
+            # eliminating the columns in reverse picks a different, equally
+            # valid particular solution
+            unknowns = unknowns[::-1]
         eq_pos = {key: r for r, key in enumerate(eq_keys)}
-        for key in rhs_vec:
-            if key not in eq_pos and rhs_vec[key] != 0:
-                raise LiftFailedError("right-hand side outside the graded piece")
         mat = ExactMatrix.from_entries(
             F, len(eq_keys), len(unknowns),
             ((eq_pos[key], col, c) for col, (kt, x, y) in enumerate(unknowns)
              for key, c in self._composed_column(k, kt, x, y)))
-        b = [rhs_vec.get(key, F.zero) for key in eq_keys]
-        order = None
-        if variable_order == "reversed":
-            order = list(range(len(unknowns)))[::-1]
-        sol = mat.solve(b, variable_order=order)
-        if sol is None:
-            raise LiftFailedError(
-                f"lifting system inconsistent at step {k}, summand {ks}")
-        return [(kt, c, x, y) for (kt, x, y), c in zip(unknowns, sol) if c != 0]
+        system = _LiftSystem(PreparedSolver(mat), unknowns, eq_keys, eq_pos)
+        self._lift_systems[key] = system
+        return system
 
     def _composed_column(self, k, kt, x, y):
         """Image of the elementary hom with value x (x) y at summand kt."""
@@ -327,11 +356,13 @@ class YonedaEngine:
 
 def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list:
     """Keys (summand, x, y) of the value terms x (x) y in `term`, of total
-    degree `degree`, that a map from the elementary bimodule at (s, tt) takes."""
-    return [(k, x.mid, y.mid) for k, (u, v) in enumerate(term.summands)
-            for x in t.basis if x.source == s and x.target == u
-            for y in t.basis if y.source == v and y.target == tt
-            and x.degree + y.degree == degree]
+    degree `degree`, that a map from the elementary bimodule at (s, tt) takes.
+
+    Each graded piece e_v L_d e_tt is at most one-dimensional, so x fixes y.
+    """
+    return [(k, x.mid, y) for k, (u, v) in enumerate(term.summands)
+            for x in t.by_ends.get((s, u), ())
+            if (y := t.by_ijd.get((v, tt, degree - x.degree))) is not None]
 
 
 @dataclass

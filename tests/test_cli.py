@@ -151,6 +151,23 @@ def test_report_on_json_that_is_no_certificate_is_a_usage_error(tmp_path, capsys
     assert err.count("\n") == 1 and "not a certificate" in err
 
 
+def test_run_into_an_unusable_out_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--n", "1", "--char", "3", "--out", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # found before any grid point was computed
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["missing/x.json", "."])
+def test_build_into_an_unusable_out_is_a_usage_error(tmp_path, capsys, name):
+    assert main(["build", "--n", "1", "--out", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
 def test_certifies_without_numpy():
     # the package has no third-party runtime dependency; a blocked numpy
     # import must not matter

@@ -168,6 +168,35 @@ small_ints = st.integers(min_value=-4, max_value=4)
 
 
 @given(rows=matrix_strategy, char=field_strategy, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_prepared_solve_matches_solve_in_either_variable_order(rows, char, data):
+    F = FieldSpec(char)
+    m = ExactMatrix(F, rows)
+    # an arbitrary right-hand side is often inconsistent, and then both must
+    # say None; an image m @ x never is
+    b = [F(x) for x in data.draw(st.lists(small_ints, min_size=m.nrows,
+                                          max_size=m.nrows))]
+    x = [F(x) for x in data.draw(st.lists(small_ints, min_size=m.ncols,
+                                          max_size=m.ncols))]
+    forward = PreparedSolver(m)
+    # reversed order is prepared the way the lifting systems do it: on the
+    # matrix with its columns reversed, reading the solution back reversed
+    backward = PreparedSolver(ExactMatrix(F, [row[::-1] for row in rows]))
+    reverse = list(range(m.ncols))[::-1]
+    for rhs in (b, m.matvec(x)):
+        want = m.solve(rhs)
+        assert forward.solve(rhs) == want
+        if want is not None:
+            assert m.matvec(want) == rhs
+        want = m.solve(rhs, variable_order=reverse)
+        got = backward.solve(rhs)
+        assert (got if got is None else got[::-1]) == want
+        if want is not None:
+            assert m.matvec(want) == rhs
+    assert forward.solve(m.matvec(x)) is not None
+
+
+@given(rows=matrix_strategy, char=field_strategy, data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_sparse_storage_matches_dense_reference(rows, char, data):
     F = FieldSpec(char)

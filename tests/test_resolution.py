@@ -168,3 +168,62 @@ def test_certify_exact_over_a_prime_above_two_to_the_32():
     rep = certify_exact(build_resolution(t, associated_form(t), 13))
     assert rep.ok, rep.failures
     assert rep.ranks[:6] == [0, 42, 42, 10, 42, 42]
+
+
+# -- one rank per twist class: negative controls -------------------------------
+
+
+def _counted_certify(monkeypatch, w):
+    """certify_exact(w) and the number of differentials it ranked directly."""
+    import preproj_hh.resolution as R
+    calls = []
+
+    def counting_blocked_rank(t, f, p):
+        calls.append(f)
+        return true_blocked_rank(t, f, p)
+
+    true_blocked_rank = R._blocked_rank
+    monkeypatch.setattr(R, "_blocked_rank", counting_blocked_rank)
+    return R.certify_exact(w), len(calls)
+
+
+def _tampered_window(replace):
+    """A fresh n=2, depth-13 window over F3 with d5 and d11 replaced."""
+    from preproj_hh.resolution import BimoduleMap
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    for m in (5, 11):
+        f = w.diffs[m]
+        w.diffs[m] = BimoduleMap(f.table, f.source, f.target,
+                                 [replace(terms) for terms in f.values])
+    return w
+
+
+def test_untampered_window_ranks_three_differentials(monkeypatch):
+    ctx = context(2, 3)
+    rep, direct = _counted_certify(monkeypatch, build_resolution(ctx.table, ctx.form, 13))
+    assert rep.ok, rep.failures
+    assert direct == 3
+    assert rep.ranks[:7] == [0, 42, 42, 10, 42, 42, 10]
+
+
+def test_broken_twist_identity_ranks_directly(monkeypatch):
+    # negating d5 and d11 keeps d.d = 0, periodicity and exactness, but d5,
+    # d8 and d11 are no longer the twists of d2, d5 and d8
+    ctx = context(2, 3)
+    w = _tampered_window(lambda terms: [(k, -c, x, y) for k, c, x, y in terms])
+    rep, direct = _counted_certify(monkeypatch, w)
+    assert direct == 6
+    assert rep.ok, rep.failures
+    assert rep.ranks == certify_exact(ctx.window).ranks
+
+
+def test_copied_ranks_are_never_trusted_blindly(monkeypatch):
+    # zero d5 and d11: their ranks read 0, d8 keeps its true rank, and
+    # exactness fails on both sides of each zero map
+    w = _tampered_window(lambda terms: [])
+    rep, direct = _counted_certify(monkeypatch, w)
+    assert direct == 6
+    assert not rep.ok
+    assert (rep.ranks[5], rep.ranks[8], rep.ranks[11]) == (0, 42, 0)
+    assert [m for m, ok in enumerate(rep.exact_at) if not ok] == [4, 5, 10, 11]

@@ -7,7 +7,7 @@ from preproj_hh.exactla import ExactMatrix, FieldSpec
 from preproj_hh.yoneda import (CMatrixMismatchError, NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
-                               stable_structure_check)
+                               stable_structure_check, _graded_triples)
 from conftest import context
 
 
@@ -66,6 +66,34 @@ def test_lift_segments_verify(n, char):
         d, v = gen(ctx, name)
         seg = ctx.engine.lift(v, d, min(6, 12 - d))
         assert ctx.engine.verify_segment(seg, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_cached_lifts_stay_honest(n, char):
+    # every segment the product table lifted through the prepared systems
+    # satisfies the chain-map identities, checked symbolically
+    engine = context(n, char).engine
+    engine.product_table()
+    assert engine._lift_cache and engine._lift_systems
+    for (degree, vec, _), seg in engine._lift_cache.items():
+        assert engine.verify_segment(seg, list(vec))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graded_triples_match_a_scan_of_the_basis(n):
+    # the endpoint index walks the same pairs, in the same order, as
+    # filtering the whole basis twice
+    t = context(n).table
+    w = context(n).window
+    for term in w.terms[:3]:
+        for s, tt in {*term.summands, *w.terms[1].summands}:
+            for degree in range(0, 2 * t.top_degree + 1):
+                scan = [(k, x.mid, y.mid) for k, (u, v) in enumerate(term.summands)
+                        for x in t.basis if x.source == s and x.target == u
+                        for y in t.basis if y.source == v and y.target == tt
+                        and x.degree + y.degree == degree]
+                assert _graded_triples(t, term, s, tt, degree) == scan
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
