@@ -26,7 +26,7 @@ from .cochain import (build_complex, canonical_cocycles, commutator_quotient_dim
                       cyclic_dims, hh_dims, homology_dims, zmodule_checks)
 from .exactla import FieldSpec, UnsupportedCharacteristicError
 from .nakayama import associated_form, certify_dualizable
-from .oracle import BudgetExceededError, compare
+from .oracle import BudgetExceededError, budget_upto, compare
 from .presentation import stable_check, theorem_spec, verify
 from .resolution import build_resolution, certify_exact
 from .yoneda import YonedaEngine, c_matrix
@@ -144,10 +144,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     if with_oracle:
         t0 = clock()
         try:
-            upto = maxdeg - 1
-            dim_bar = len(table.basis) - 1
-            while upto > 0 and dim_bar ** upto * table.dim > oracle_budget:
-                upto -= 1
+            upto = budget_upto(table, maxdeg - 1, oracle_budget)
             if upto == 0:
                 oracle_section = {"skipped": "budget admits no positive degree"}
             else:
@@ -407,6 +404,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # an unusable --out is found before anything is computed
     if args.command == "build" and args.out is not None:
+        if len(n_values) * len(chars) > 1:
+            print("error: build --out takes a single (n, char) point; "
+                  "every point of a grid would overwrite the same file",
+                  file=sys.stderr)
+            return 2
         directory = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(directory) or os.path.isdir(args.out):
             print(f"error: --out {args.out} is not a file path in an existing "

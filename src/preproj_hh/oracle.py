@@ -1,17 +1,23 @@
-"""Resolution-free cross-check: cohomology of the reduced bar complex.
+"""Resolution-free cross-check: cohomology of the normalized bar complex.
 
-C^k is Hom of the k-fold tensor power of L/(K.1) into L, with the standard
-Hochschild differential; the quotient basis drops the idempotent of the
-last vertex, whose class is minus the sum of the remaining ones.  Ranks are
-taken by sparse elimination: over the prime field of the table, or, in
-characteristic 0, first over a screening prime and then over the rationals
-(the rational ranks are the ones reported).
+The bar complex is taken relative to E = K.e_1 + ... + K.e_n, the span of
+the vertex idempotents.  C^k is Hom_{E^e}(rad^{(x)_E k}, L): a basis
+cochain (T, w) sends the composable chain T = (x_1, ..., x_k) of radical
+monomials to the monomial w running from the source of x_1 to the target
+of x_k (for k = 0, w runs over e_v L e_v), and every other chain to 0.
+The differential is the standard Hochschild one.  Ranks are taken by
+sparse elimination: over the prime field of the table, or, in
+characteristic 0, first over a screening prime and then over the
+rationals (the rational ranks are the ones reported).
+
+The budget counts the coordinates of the bar complex relative to K,
+(dim - 1)^k * dim in degree k, which bounds the relative C^k from above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import AlgebraTable
 from .exactla import FieldSpec, sparse_rank
@@ -27,82 +33,123 @@ class BudgetExceededError(RuntimeError):
         self.degree = degree
 
 
+def space_dim(t: AlgebraTable, k: int) -> int:
+    """Budget measure of C^k: its coordinate count relative to K."""
+    return (t.dim - 1) ** k * t.dim
+
+
+def budget_upto(t: AlgebraTable, top: int, budget: int) -> int:
+    """Highest degree up to `top` whose C^k fits the budget (0 if none does)."""
+    upto = top
+    while upto > 0 and space_dim(t, upto) > budget:
+        upto -= 1
+    return upto
+
+
 class BarComplex:
-    """Reduced bar cochain data for one algebra table."""
+    """Bar cochain data for one algebra table, relative to the vertex idempotents.
+
+    Soundness: E is a product of copies of K, so E^e = E (x)_K E^op is
+    semisimple in every characteristic and every E-bimodule is projective
+    over it.  Hence L (x)_E rad^{(x)_E k} (x)_E L, k >= 0, with the bar
+    differential is a projective resolution of L by L-bimodules, and
+    applying Hom_{L^e}(-, L) gives HH^*(L) from the complex above (Happel
+    1989, "Hochschild cohomology of finite-dimensional algebras"; Cibils
+    2000, "Tensor Hochschild homology and cohomology").  L is graded with
+    L_0 = E and rad = L_{>0}, so products of radical monomials stay radical
+    and no idempotent ever needs rewriting.
+    """
 
     def __init__(self, t: AlgebraTable):
         self.table = t
-        drop = t.e_ids[t.n]
-        self.reduced_basis = [m.mid for m in t.basis if m.mid != drop]
-        self.drop = drop
-        self.other_vertices = [t.e_ids[i] for i in range(1, t.n)]
-        # reduced product expansions: (x, y) -> {mid: coeff} in the quotient
+        self.radical = [m for m in t.basis if m.degree > 0]
+        self.ending_at: Dict[int, List[int]] = {}
+        self.starting_at: Dict[int, List[int]] = {}
+        for m in self.radical:
+            self.ending_at.setdefault(m.target, []).append(m.mid)
+            self.starting_at.setdefault(m.source, []).append(m.mid)
+        # factorizations: m -> [((x, y), c)] with x * y = c * m, x, y radical
         self.pair_hits: Dict[int, List[Tuple[Tuple[int, int], int]]] = {
-            m: [] for m in self.reduced_basis}
-        for x in self.reduced_basis:
-            for y in self.reduced_basis:
-                hit = t.mono_mul(x, y)
-                if hit is None:
-                    continue
-                c, m = hit
-                for mid, cc in self._reduce(m, c):
-                    self.pair_hits[mid].append(((x, y), cc))
+            m.mid: [] for m in self.radical}
+        for x in self.radical:
+            for y in self.starting_at.get(x.target, ()):
+                hit = t.mono_mul(x.mid, y)
+                if hit is not None:
+                    self.pair_hits[hit[1]].append(((x.mid, y), hit[0]))
 
-    def _reduce(self, mid: int, coeff: int):
-        if mid != self.drop:
-            return [(mid, coeff)]
-        return [(m, -coeff) for m in self.other_vertices]
+    def chains(self, k: int) -> Iterator[Tuple[int, ...]]:
+        """Composable k-chains of radical monomials, k >= 1."""
+        basis = self.table.basis
+        if k == 1:
+            for m in self.radical:
+                yield (m.mid,)
+            return
+        for T in self.chains(k - 1):
+            for x in self.starting_at.get(basis[T[-1]].target, ()):
+                yield T + (x,)
 
-    def space_dim(self, k: int) -> int:
-        return len(self.reduced_basis) ** k * self.table.dim
+    def cochains(self, k: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        """The basis (T, w) of C^k."""
+        t = self.table
+        if k == 0:
+            for v in t.quiver.vertices:
+                for w in t.by_ends[(v, v)]:
+                    yield (), w.mid
+            return
+        for T in self.chains(k):
+            ends = (t.basis[T[0]].source, t.basis[T[-1]].target)
+            for w in t.by_ends[ends]:
+                yield T, w.mid
+
+    def dim(self, k: int) -> int:
+        return sum(1 for _ in self.cochains(k))
 
     def differential_rows(self, k: int, perturb: bool = False):
         """Image rows of the degree-k differential, one per C^k basis cochain.
 
-        Keys of the row dicts are (argument tuple, output monomial) pairs in
-        C^(k+1).  `perturb` is a test hook that corrupts one entry.
+        Keys of the row dicts are C^(k+1) basis cochains.  `perturb` is a
+        test hook that adds 1 at the first C^(k+1) basis cochain in the
+        first row.
         """
         t = self.table
-        from itertools import product as iproduct
-        first = True
+        basis = t.basis
         sign_last = (-1) ** (k + 1)
-        for T in iproduct(self.reduced_basis, repeat=k):
-            for w in range(t.dim):
-                row: dict = {}
-                for b in self.reduced_basis:
-                    hit = t.mono_mul(b, w)
-                    if hit is not None:
-                        key = ((b,) + T, hit[1])
-                        row[key] = row.get(key, 0) + hit[0]
-                for i in range(1, k + 1):
-                    for (x, y), c in self.pair_hits[T[i - 1]]:
-                        key = (T[: i - 1] + (x, y) + T[i:], w)
-                        row[key] = row.get(key, 0) + (-1) ** i * c
-                for b in self.reduced_basis:
-                    hit = t.mono_mul(w, b)
-                    if hit is not None:
-                        key = (T + (b,), hit[1])
-                        row[key] = row.get(key, 0) + sign_last * hit[0]
-                if perturb and first:
-                    key = ((self.reduced_basis[0],) * (k + 1), 0)
-                    row[key] = row.get(key, 0) + 1
-                    first = False
-                yield {kk: v for kk, v in row.items() if v != 0}
+        corrupt = next(self.cochains(k + 1), None) if perturb else None
+        for T, w in self.cochains(k):
+            row: dict = {}
+            for b in self.ending_at.get(basis[w].source, ()):
+                hit = t.mono_mul(b, w)
+                if hit is not None:
+                    key = ((b,) + T, hit[1])
+                    row[key] = row.get(key, 0) + hit[0]
+            for i in range(1, k + 1):
+                for (x, y), c in self.pair_hits[T[i - 1]]:
+                    key = (T[: i - 1] + (x, y) + T[i:], w)
+                    row[key] = row.get(key, 0) + (-1) ** i * c
+            for b in self.starting_at.get(basis[w].target, ()):
+                hit = t.mono_mul(w, b)
+                if hit is not None:
+                    key = (T + (b,), hit[1])
+                    row[key] = row.get(key, 0) + sign_last * hit[0]
+            if corrupt is not None:
+                row[corrupt] = row.get(corrupt, 0) + 1
+                corrupt = None
+            yield {kk: v for kk, v in row.items() if v != 0}
 
 
 def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000,
              field: Optional[FieldSpec] = None,
              perturb_degree: Optional[int] = None) -> List[int]:
-    """dim HH^i for i = 0..upto from reduced bar cochain ranks.
+    """dim HH^i for i = 0..upto from relative bar cochain ranks.
 
     `field` overrides the rank field (used for the characteristic-0
     screening pass); `perturb_degree` is the negative-control hook.
     """
-    bc = BarComplex(t)
     for k in range(upto + 1):
-        cost = bc.space_dim(k)
+        cost = space_dim(t, k)
         if cost > budget:
             raise BudgetExceededError(k, cost, budget)
+    bc = BarComplex(t)
     F = field or t.field
     ranks = []
     for k in range(upto + 1):
@@ -110,7 +157,7 @@ def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000,
         ranks.append(sparse_rank(rows, F))
     dims = []
     for i in range(upto + 1):
-        dims.append(bc.space_dim(i) - ranks[i] - (ranks[i - 1] if i else 0))
+        dims.append(bc.dim(i) - ranks[i] - (ranks[i - 1] if i else 0))
     return dims
 
 

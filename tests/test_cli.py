@@ -168,6 +168,16 @@ def test_build_into_an_unusable_out_is_a_usage_error(tmp_path, capsys, name):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("n,char", [("1..2", "0"), ("1", "0,3")])
+def test_build_out_over_a_grid_is_a_usage_error(tmp_path, capsys, n, char):
+    out = tmp_path / "table.json"
+    assert main(["build", "--n", n, "--char", char, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # found before any table was built
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert not out.exists()
+
+
 def test_certifies_without_numpy():
     # the package has no third-party runtime dependency; a blocked numpy
     # import must not matter

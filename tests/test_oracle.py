@@ -1,9 +1,63 @@
+from itertools import product as iproduct
+
 import pytest
 
 from preproj_hh.cochain import hh_dims
-from preproj_hh.exactla import FieldSpec
+from preproj_hh.exactla import FieldSpec, sparse_rank
 from preproj_hh.oracle import BarComplex, BudgetExceededError, bar_dims, compare
 from conftest import context
+
+
+def _reference_bar_dims(t, upto, field):
+    """dim HH^i from the bar complex relative to K, rank by rank.
+
+    C^k = Hom(rad_K^(x)k, L) with rad_K = L/(K.1), based by every monomial
+    except the last vertex idempotent, whose class is minus the sum of the
+    other idempotents.
+    """
+    drop = t.e_ids[t.n]
+    reduced = [m.mid for m in t.basis if m.mid != drop]
+    others = [t.e_ids[i] for i in range(1, t.n)]
+    pair_hits = {m: [] for m in reduced}
+    for x in reduced:
+        for y in reduced:
+            hit = t.mono_mul(x, y)
+            if hit is None:
+                continue
+            c, m = hit
+            for mid, cc in ([(m, c)] if m != drop else [(o, -c) for o in others]):
+                pair_hits[mid].append(((x, y), cc))
+
+    def rows(k):
+        for T in iproduct(reduced, repeat=k):
+            for w in range(t.dim):
+                row = {}
+                for b in reduced:
+                    hit = t.mono_mul(b, w)
+                    if hit is not None:
+                        key = ((b,) + T, hit[1])
+                        row[key] = row.get(key, 0) + hit[0]
+                for i in range(1, k + 1):
+                    for (x, y), c in pair_hits[T[i - 1]]:
+                        key = (T[: i - 1] + (x, y) + T[i:], w)
+                        row[key] = row.get(key, 0) + (-1) ** i * c
+                for b in reduced:
+                    hit = t.mono_mul(w, b)
+                    if hit is not None:
+                        key = (T + (b,), hit[1])
+                        row[key] = row.get(key, 0) + (-1) ** (k + 1) * hit[0]
+                yield {kk: v for kk, v in row.items() if v != 0}
+
+    ranks = [sparse_rank(rows(k), field) for k in range(upto + 1)]
+    return [len(reduced) ** i * t.dim - ranks[i] - (ranks[i - 1] if i else 0)
+            for i in range(upto + 1)]
+
+
+@pytest.mark.parametrize("n,char,upto", [(1, 0, 6), (1, 3, 6), (2, 3, 3),
+                                         (2, 0, 2), (3, 0, 1)])
+def test_relative_bar_dims_match_the_complex_relative_to_k(n, char, upto):
+    t = context(n, char).table
+    assert bar_dims(t, upto) == _reference_bar_dims(t, upto, t.field)
 
 
 def test_bar_dims_single_vertex_through_degree_six():
@@ -46,25 +100,31 @@ def test_compare_matches_resolution():
     assert rep.screen == rep.bar
 
 
-def test_negative_control_perturbation_detected():
-    t = context(1).table
-    clean = bar_dims(t, 4)
-    perturbed = bar_dims(t, 4, perturb_degree=2)
+@pytest.mark.parametrize("n,char,upto", [(1, 0, 4), (2, 3, 3)])
+def test_negative_control_perturbation_detected(n, char, upto):
+    t = context(n, char).table
+    clean = bar_dims(t, upto)
+    perturbed = bar_dims(t, upto, perturb_degree=2)
     assert perturbed != clean
     diff = [i for i, (a, b) in enumerate(zip(clean, perturbed)) if a != b]
     assert diff and min(diff) in (2, 3)
 
 
-@pytest.mark.parametrize("n,degrees", [(1, (0, 1, 2, 3)), (2, (0, 1))])
+def test_perturbation_lands_on_a_relative_cochain():
+    bc = BarComplex(context(2, 3).table)
+    basis = set(bc.cochains(3))
+    row = next(bc.differential_rows(2, perturb=True))
+    clean = next(bc.differential_rows(2))
+    assert row != clean and set(row) <= basis
+
+
+@pytest.mark.parametrize("n,degrees", [(1, (0, 1, 2, 3)), (2, (0, 1)), (3, (0, 1))])
 def test_bar_differentials_compose_to_zero(n, degrees):
-    from itertools import product as iproduct
     t = context(n).table
     bc = BarComplex(t)
     for k in degrees:
         rows_k = list(bc.differential_rows(k))
-        next_keys = [(T, w) for T in iproduct(bc.reduced_basis, repeat=k + 1)
-                     for w in range(t.dim)]
-        next_rows = dict(zip(next_keys, bc.differential_rows(k + 1)))
+        next_rows = dict(zip(bc.cochains(k + 1), bc.differential_rows(k + 1)))
         for row in rows_k:
             acc = {}
             for key, c in row.items():
