@@ -97,6 +97,10 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     timings["algebra"] = clock() - t0
 
     t0 = clock()
+    commutator_dim = commutator_quotient_dim(table)
+    timings["commutator"] = clock() - t0
+
+    t0 = clock()
     form = associated_form(table)
     dual_report = certify_dualizable(form)
     timings["nakayama"] = clock() - t0
@@ -123,7 +127,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
         space = cx.spaces[degree]
         canonical[str(degree)] = {
             "labels": cb.labels,
-            "vectors": [[[comp, mid, v] for (comp, mid), v in
+            "vectors": [[[comp, mid, field.export(v)] for (comp, mid), v in
                          zip(space.basis, vec) if v != 0] for vec in cb.vectors]}
     zmod = zmodule_checks(cx)
     timings["canonical"] = clock() - t0
@@ -182,7 +186,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
             "cartan": cart,
             "cartan_det": det,
             "center_dimension": len(center),
-            "commutator_quotient_dim": commutator_quotient_dim(table),
+            "commutator_quotient_dim": commutator_dim,
         },
         "nakayama": form.serialize(),
         "dualizability": dual_report.serialize(),
@@ -322,6 +326,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: PREPROJ_HH_JOBS must be an integer, got {jobs_env!r}",
               file=sys.stderr)
         return 2
+    if default_jobs < 1:
+        print(f"error: PREPROJ_HH_JOBS must be at least 1, got {default_jobs}",
+              file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="preproj-hh",
         description="exact Hochschild cohomology of type-L preprojective algebras")
@@ -401,6 +409,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if upto is not None and not 0 <= upto < MIN_MAXDEG:
         print(f"error: --upto must lie in 0..{MIN_MAXDEG - 1}", file=sys.stderr)
         return 2
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 0:
+        print(f"error: --budget must be non-negative, got {budget}", file=sys.stderr)
+        return 2
 
     # an unusable --out is found before anything is computed
     if args.command == "build" and args.out is not None:
@@ -418,6 +430,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         if args.maxdeg < MIN_MAXDEG:
             print(f"error: --maxdeg must be at least {MIN_MAXDEG}", file=sys.stderr)
+            return 2
+        if args.jobs < 1:
+            print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
             return 2
         try:
             os.makedirs(args.out, exist_ok=True)

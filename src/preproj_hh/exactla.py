@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals and over odd prime fields.
 
-Scalars are `fractions.Fraction` in characteristic 0 and plain ints in the
-range 0..p-1 over the p-element field.  No floating point is used anywhere.
+Scalars over the rationals are plain ints while they are integral and
+`fractions.Fraction` otherwise; over the p-element field they are ints in the
+range 0..p-1.  No floating point is used anywhere: `FieldSpec` rejects every
+other input, and `FieldSpec.inv` is the only division.
 Every rank, kernel, solve and determinant goes through one sparse forward
 elimination, `_reduce`, over {column: scalar} rows, followed by
 `_back_substitute` where the reduced row echelon form is needed.
@@ -37,9 +39,22 @@ class FieldSpec:
     Characteristic 2 is rejected outright: every construction in this package
     is built under the standing hypothesis that 2 is invertible in the ground
     field, and several of them divide by 2.
+
+    Soundness of int scalars over Q: an integral rational is held as a plain
+    int, any other as a Fraction.  Python's mixed int/Fraction arithmetic is
+    exact, and `inv` is the only division; it builds `Fraction(1, a)`, never
+    `1 / a`, which would be a float for an int a.  So every value stays
+    exact, and since `Fraction(k) == k` with equal hashes, every rank, pivot,
+    solve and comparison is what all-Fraction arithmetic gives.  Only the
+    serialized form tells the two apart, so certificates write scalars
+    through `export`.
     """
 
     characteristic: int = 0
+
+    # the same ints in every characteristic; class attributes, not fields
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         c = self.characteristic
@@ -58,24 +73,26 @@ class FieldSpec:
     # -- scalar arithmetic ------------------------------------------------
 
     def __call__(self, x) -> Scalar:
-        """Coerce an int / Fraction into a canonical scalar of this field."""
+        """Coerce an int or Fraction into a canonical scalar of this field.
+
+        Any other input raises TypeError: a float may not be exact, and an int
+        subclass such as bool is taken for a slip rather than a scalar.
+        """
         p = self.characteristic
-        if p == 0:
-            return x if isinstance(x, Fraction) else Fraction(x)
+        if type(x) is int:
+            return x % p if p else x
         if isinstance(x, Fraction):
             num, den = x.numerator, x.denominator
+            if not p:
+                return num if den == 1 else x
             if den % p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {p}")
             return num * pow(den, -1, p) % p
-        return x % p
+        raise TypeError(f"{type(x).__name__} {x!r} is not an exact scalar")
 
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.characteristic == 0 else 1
+    def export(self, x) -> Scalar:
+        """x as a certificate writes it: a Fraction over Q, an int over F_p."""
+        return x if self.characteristic else Fraction(x)
 
     def add(self, a, b):
         return a + b if self.characteristic == 0 else (a + b) % self.characteristic
@@ -90,9 +107,10 @@ class FieldSpec:
         return -a if self.characteristic == 0 else (-a) % self.characteristic
 
     def inv(self, a):
-        if self.characteristic == 0:
-            return 1 / a
-        return pow(a, -1, self.characteristic)
+        if self.characteristic:
+            return pow(a, -1, self.characteristic)
+        q = Fraction(1, a)
+        return q.numerator if q.denominator == 1 else q
 
     def __str__(self):
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"

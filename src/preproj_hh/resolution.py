@@ -53,7 +53,9 @@ class BimoduleMap:
         return self.normalized().values == other.normalized().values
 
     def serialize(self) -> list:
-        return [[list(term) for term in terms] for terms in self.normalized().values]
+        export = self.table.field.export
+        return [[[k, export(c), x, y] for k, c, x, y in terms]
+                for terms in self.normalized().values]
 
 
 def projective_p(t: AlgebraTable) -> ProjectiveBimodule:

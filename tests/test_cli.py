@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,10 @@ import pytest
 
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
                             parse_int_list, render_csv, render_markdown,
-                            run_grid, RunConfig)
+                            run_grid, RunConfig, write_certificate)
+
+DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "digests.json")
 
 
 def test_parse_int_list():
@@ -127,6 +131,47 @@ def test_malformed_jobs_environment_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("PREPROJ_HH_JOBS", "x")
     assert main(["dims", "--n", "1"]) == 2
     assert "PREPROJ_HH_JOBS" in capsys.readouterr().err
+
+
+def _assert_one_error_line(capsys, needle):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert needle in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_environment_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
+    monkeypatch.setenv("PREPROJ_HH_JOBS", jobs)
+    assert main(["run", "--n", "1", "--char", "3", "--no-oracle"]) == 2
+    _assert_one_error_line(capsys, "PREPROJ_HH_JOBS")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_option_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    assert main(["run", "--n", "1", "--char", "3", "--no-oracle",
+                 "--out", str(tmp_path), "--jobs", jobs]) == 2
+    _assert_one_error_line(capsys, "--jobs")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_oracle_budget_is_a_usage_error(capsys):
+    # a usage error (2), not "budget exceeded" (3)
+    assert main(["oracle", "--n", "1", "--budget", "-5"]) == 2
+    _assert_one_error_line(capsys, "--budget")
+
+
+@pytest.mark.parametrize("n,char", [(1, 0), (2, 0), (1, 3), (2, 3)])
+def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char):
+    # every scalar a body serializes goes through FieldSpec.export; a site
+    # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes
+    key = f"n{n}_char{char}_oracle1"
+    with open(DIGESTS) as fh:
+        want = json.load(fh)[key]
+    path = tmp_path / f"{key}.json"
+    write_certificate(compute_certificate(n, char, 13, 10000, True), str(path))
+    body = path.read_bytes().split(b"\n", 2)[2]
+    assert hashlib.sha256(body).hexdigest() == want
 
 
 def test_report_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.exactla import (ExactMatrix, FieldSpec, PreparedSolver,
-                                UnsupportedCharacteristicError, det,
+                                UnsupportedCharacteristicError, _reduce, det,
                                 rank_mod_p, sparse_rank)
 
 QQ = FieldSpec(0)
@@ -69,6 +69,29 @@ def test_scalar_coercion():
     assert F5(Fraction(1, 2)) == 3  # 2 * 3 = 6 = 1 mod 5
     with pytest.raises(ZeroDivisionError):
         F5(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("x", [1.5, 0.1, 2.0, "1", None, complex(1, 0), True])
+def test_scalar_coercion_rejects_inexact_input(char, x):
+    with pytest.raises(TypeError):
+        FieldSpec(char)(x)
+
+
+def test_rational_inverse_is_exact_and_integral_where_it_can_be():
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(2)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_export_writes_rationals_as_fractions():
+    assert type(QQ.export(1)) is Fraction and QQ.export(1) == 1
+    assert QQ.export(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(F5.export(3)) is int and F5.export(3) == 3
 
 
 def test_echelonize_identity_and_zero():
@@ -263,3 +286,45 @@ def test_det_matches_cofactor_expansion(rows, char):
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det([[1, 2]], QQ)
+
+
+rationals = st.one_of(small_ints, st.fractions(min_value=-4, max_value=4,
+                                               max_denominator=4))
+
+
+def _exact_scalars(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+@given(x=rationals)
+def test_rational_coercion_is_int_exactly_when_integral(x):
+    y = QQ(x)
+    assert y == x
+    assert (type(y) is int) == (Fraction(x).denominator == 1)
+    assert type(y) in (int, Fraction)
+
+
+@given(rows=st.integers(min_value=1, max_value=4).flatmap(
+           lambda nr: st.integers(min_value=1, max_value=4).flatmap(
+               lambda nc: st.lists(st.lists(rationals, min_size=nc, max_size=nc),
+                                   min_size=nr, max_size=nr))),
+       data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_rational_results_hold_only_ints_and_fractions(rows, data):
+    # int scalars over Q are sound only while no float creeps in: every
+    # result is an int or a Fraction, never a float
+    m = ExactMatrix(QQ, rows)
+    pivots, _ = _reduce(m.rows, QQ)
+    for scale, row in pivots.values():
+        assert _exact_scalars([scale, *row.values()])
+    x = data.draw(st.lists(rationals, min_size=m.ncols, max_size=m.ncols))
+    b = m.matvec(x)
+    assert _exact_scalars(b)
+    for solution in (m.solve(b), PreparedSolver(m).solve(b)):
+        assert solution is not None and _exact_scalars(solution)
+        assert m.matvec(solution) == b
+    for v in m.kernel_basis():
+        assert _exact_scalars(v)
+    k = min(m.nrows, m.ncols)
+    square = [row[:k] for row in rows[:k]]
+    assert _exact_scalars([det(square, QQ)])
