@@ -166,7 +166,8 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
         "zmodule": zmod.ok,
         "dimensions": hh[0] == 2 * n and all(
             hh[i] == n for i in range(1, len(hh))),
-        "homology_duality": hh_low == hh[: len(hh_low)],
+        "homology_duality": (hh_low == hh[: len(hh_low)]
+                             and commutator_dim == hh_low[0]),
         "cartan_det": det == 2 ** n,
         "cyclic": (characteristic != 0) or all(
             hc[i] == (2 * n if i % 2 == 0 else 0) for i in range(len(hc))),

@@ -6,8 +6,13 @@ each value a list of (target summand, coefficient, left monomial, right
 monomial) terms.  The initial differentials delta, R, k are the explicit
 ones; everything deeper is produced by the tau-twist, which multiplies the
 right tensor factor of every value term by (-1)^deg since tau negates
-arrows.  The window is certified exact by composing maps symbolically and
-by exact rank bookkeeping on the flattened terms.
+arrows.  The window is certified by composing maps symbolically (d.d = 0,
+periodicity) and by exact rank bookkeeping on the one-sided complexes
+X (x)_L S_v, X the augmented window and S_v the simple left modules: they
+are exact wherever X is, and at n=7 have 280 to 546 columns where the
+flattened terms have 12,656 to 24,752.  The flattened ranks the
+report carries then follow from the dimensions; the flattened maps are
+ranked only as the witness of a window that fails.
 """
 
 from __future__ import annotations
@@ -200,21 +205,72 @@ def flat_dim(t: AlgebraTable, term: ProjectiveBimodule) -> int:
 
 
 def _blocked_rank(t: AlgebraTable, f: BimoduleMap, p: int) -> int:
-    """Rank mod p of the flattened map.
+    """Rank of the flattened map over F_p, or over Q when p is 0.
 
     The flattening preserves (source vertex of the left factor, target vertex
     of the right factor), so the matrix is block diagonal over those pairs;
     sparse elimination never combines rows of different blocks, so one call
     ranks all blocks at once.
     """
-    columns = flatten_map(f)
-    return exactla.rank_mod_p(list(columns.values()), p)
+    return _rank(list(flatten_map(f).values()), p)
 
 
 def flatten_map(f: BimoduleMap):
     """Integer column dict per source basis triple, keyed by target triple."""
     return {(k, x, y): {key: v for key, v in expand(f, k, x, y).items() if v != 0}
             for (k, x, y) in _term_basis(f.table, f.source)}
+
+
+def _one_sided_basis(t: AlgebraTable, term: ProjectiveBimodule):
+    """Basis (k, x, e_t) of the term tensored with every simple S_v at once.
+
+    L e_s (x) e_t L (x)_L S_v is L e_s when t = v and zero otherwise, so each
+    summand k = (s, t) contributes x (x) e_t for the x in L e_s, in the block
+    of the vertex t.
+    """
+    return [(k, m.mid, t.e_ids[v]) for k, (s, v) in enumerate(term.summands)
+            for m in t.basis if m.target == s]
+
+
+def one_sided_columns(f: BimoduleMap) -> List[dict]:
+    """Columns of f (x)_L S_v over every vertex v, keyed by (summand, left monomial).
+
+    f sends x (x) e_t to the sum of c (x x') (x) (y' e_t) over its value terms
+    (k2, c, x', y').  Only the terms with y' = e_t survive: a right factor of
+    positive degree acts as zero on S_v, and e_t e_t = e_t.
+    """
+    t = f.table
+    kept = [[(k2, c, xd) for k2, c, xd, yd in terms if yd == t.e_ids[v]]
+            for terms, (_, v) in zip(f.values, f.source.summands)]
+    columns = []
+    for k, x, _ in _one_sided_basis(t, f.source):
+        col: dict = {}
+        for k2, c, xd in kept[k]:
+            hit = t.mono_mul(x, xd)
+            if hit is not None:
+                key = (k2, hit[1])
+                col[key] = col.get(key, 0) + c * hit[0]
+        columns.append({key: c for key, c in col.items() if c != 0})
+    return columns
+
+
+def _augmentation_columns(t: AlgebraTable, term: ProjectiveBimodule) -> List[dict]:
+    """Columns of P_0 (x)_L S_v -> L (x)_L S_v = S_v over every vertex v.
+
+    x (x) e_v goes to x e_v, which survives in S_v only when it is e_v.
+    """
+    columns = []
+    for _, x, e in _one_sided_basis(t, term):
+        hit = t.mono_mul(x, e)
+        columns.append({e: hit[0]} if hit is not None and hit[1] == e else {})
+    return columns
+
+
+def _rank(columns: List[dict], p: int) -> int:
+    """Rank over F_p, or over Q when p is 0."""
+    if p:
+        return exactla.rank_mod_p(columns, p)
+    return exactla.sparse_rank(columns, exactla.FieldSpec(0))
 
 
 @dataclass
@@ -246,20 +302,30 @@ class ExactnessReport:
                 "ok": self.ok}
 
 
-# Prime used to pin rational ranks.  With d.d = 0 verified exactly, mod-p
-# ranks satisfying rank(d_i) + rank(d_{i+1}) = dim at every term force the
-# rational ranks to the same values: rank_Q >= rank_p for integer matrices,
-# while rank_Q(d_i) + rank_Q(d_{i+1}) <= dim because consecutive images are
-# orthogonal.  Equality mod p therefore certifies the rational ranks.
+# Exactness is certified one-sidedly, on X (x)_L S_v for the simple left
+# modules S_v, where X is the augmented window P_depth -> ... -> P_0 -> L.
+# Every term of X (each L e_s (x) e_t L, and L) is projective as a right
+# L-module, so X (x)_L - takes a short exact sequence of left modules to a
+# short exact sequence of complexes.  Along a composition series of the left
+# regular module L, whose factors are the S_v, the long exact homology
+# sequence then gives: if X (x)_L S_v is exact at position m for every v,
+# so is X (x)_L L = X (Butler-King 1999; Happel 1989).  This needs X to be a
+# complex, so it is used only once d.d = 0 and u o d1 = 0 hold exactly.  All
+# vertices are ranked at once: the one-sided maps are block diagonal over v.
+# Exactness of X then fixes the flattened ranks by the dimensions alone:
+# rank u = dim L and rank d_(m+1) = dim P_m - rank d_m.
 #
-# Ranks along a twist class: tau(d) multiplies each value term x (x) y by
-# (-1)^deg(y), and expanding on a source basis element x' (x) y' yields terms
-# (x'x) (x) (y y') whose right factor has degree deg(y) + deg(y') (the
-# monomial basis is graded).  Hence flat(tau d) = S flat(d) S', with S and S'
-# the +-1 diagonals (-1)^deg of the right factor on the target and source
-# bases.  Invertible diagonal factors keep the rank over any field, the
-# sandwich prime included, so where d_m equals tau(d_{m-3}) exactly,
-# rank(d_m) = rank(d_{m-3}); where it does not, d_m is ranked directly.
+# Prime used to pin rational ranks.  The one-sided maps are integer matrices
+# and (d (x) S)(d' (x) S) = (d d') (x) S = 0 by the exact d.d = 0 and
+# u o d1 = 0 checks, so mod-p ranks satisfying rank(d_i) + rank(d_{i+1}) =
+# dim at every term force the rational ranks to the same values: rank_Q >=
+# rank_p for integer matrices, while rank_Q(d_i) + rank_Q(d_{i+1}) <= dim
+# because the image of d_{i+1} lies in the kernel of d_i.  Equality mod p
+# therefore certifies the rational ranks.  When it fails, the one-sided maps
+# are eliminated over Q instead.
+#
+# Only where one-sided exactness cannot be certified are the flattened maps
+# ranked, every d_m directly, as the failure witness.
 _SANDWICH_PRIME = 97
 
 
@@ -306,29 +372,39 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
     p = t.field.characteristic or _SANDWICH_PRIME
     method = f"native mod {p}" if t.field.characteristic else (
         f"mod {p} ranks pinned by exact d.d = 0 and dimension counts")
-    ranks = [0]  # index m holds rank of d_m
-    for m in range(1, w.depth + 1):
-        if m >= 4 and w.diffs[m].equals(tau_twist(w.diffs[m - 3])):
-            ranks.append(ranks[m - 3])
-        else:
-            ranks.append(_blocked_rank(t, w.diffs[m], p))
-    dims = [flat_dim(t, term) for term in w.terms]
-    if t.field.characteristic == 0 and any(
-            ranks[m] + ranks[m + 1] != dims[m] for m in range(1, w.depth)):
+    # maps[m] is d_m (x) S over every vertex and maps[0] the augmentation;
+    # the columns of maps[m] are the basis of P_m (x) S
+    maps = [_augmentation_columns(t, w.terms[0])]
+    maps += [one_sided_columns(w.diffs[m]) for m in range(1, w.depth + 1)]
+
+    def one_sided_exact(q: int) -> bool:
+        r = [_rank(columns, q) for columns in maps]
+        return r[0] == t.n and all(r[m] + r[m + 1] == len(maps[m])
+                                   for m in range(w.depth))
+
+    exact = one_sided_exact(p)
+    if not exact and t.field.characteristic == 0:
         # the pinning prime failed to exhibit exactness; fall back to honest
         # rational elimination before reporting anything
         method = "rational sparse elimination (mod-p pinning failed)"
-        ranks = [0]
-        for m in range(1, w.depth + 1):
-            cols = flatten_map(w.diffs[m])
-            ranks.append(exactla.sparse_rank(cols.values(), exactla.FieldSpec(0)))
+        p = 0
+        exact = one_sided_exact(p)
 
-    # augmentation: rank of x (x) y -> xy
-    u_rows = []
-    for (k, x, y) in _term_basis(t, w.terms[0]):
-        hit = t.mono_mul(x, y)
-        u_rows.append({} if hit is None else {hit[1]: hit[0]})
-    u_rank = exactla.rank_mod_p(u_rows, p)
+    dims = [flat_dim(t, term) for term in w.terms]
+    if exact and dd and aug:
+        u_rank = t.dim
+        ranks = [0, dims[0] - u_rank]  # index m holds rank of d_m
+        for m in range(1, w.depth):
+            ranks.append(dims[m] - ranks[m])
+    else:
+        # failure witness: the flattened ranks, every d_m ranked directly
+        ranks = [0] + [_blocked_rank(t, w.diffs[m], p) for m in range(1, w.depth + 1)]
+        # augmentation: rank of x (x) y -> xy
+        u_rows = []
+        for (k, x, y) in _term_basis(t, w.terms[0]):
+            hit = t.mono_mul(x, y)
+            u_rows.append({} if hit is None else {hit[1]: hit[0]})
+        u_rank = _rank(u_rows, p)
 
     exact_at = []
     ok0 = (u_rank == t.dim) and (ranks[1] + u_rank == dims[0])

@@ -161,15 +161,20 @@ def test_negative_oracle_budget_is_a_usage_error(capsys):
     _assert_one_error_line(capsys, "--budget")
 
 
-@pytest.mark.parametrize("n,char", [(1, 0), (2, 0), (1, 3), (2, 3)])
-def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char):
+@pytest.mark.parametrize("n,char,oracle", [
+    pytest.param(1, 0, True, id="1-0"), pytest.param(2, 0, True, id="2-0"),
+    pytest.param(1, 3, True, id="1-3"), pytest.param(2, 3, True, id="2-3"),
+    pytest.param(7, 3, False, id="7-3-no-oracle")])
+def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # every scalar a body serializes goes through FieldSpec.export; a site
-    # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes
-    key = f"n{n}_char{char}_oracle1"
+    # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes.
+    # At n=7 the exactness ranks are derived from one-sided exactness and
+    # the dimensions, and must serialize as the flattened ranks did
+    key = f"n{n}_char{char}_oracle{int(oracle)}"
     with open(DIGESTS) as fh:
         want = json.load(fh)[key]
     path = tmp_path / f"{key}.json"
-    write_certificate(compute_certificate(n, char, 13, 10000, True), str(path))
+    write_certificate(compute_certificate(n, char, 13, 10000, oracle), str(path))
     body = path.read_bytes().split(b"\n", 2)[2]
     assert hashlib.sha256(body).hexdigest() == want
 
@@ -238,3 +243,20 @@ def test_certifies_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commutator_quotient_joins_the_homology_duality_verdict(tmp_path, monkeypatch):
+    # HH_0 = L/[L, L]: a commutator quotient one off must flip the verdict,
+    # the body's pass and the exit code of run
+    import preproj_hh.cli as cli
+
+    def run():
+        rc = main(["run", "--n", "1", "--char", "3", "--no-oracle",
+                   "--out", str(tmp_path)])
+        body = json.loads((tmp_path / "cert_n1_char3.json").read_text())["body"]
+        return body["verdicts"]["homology_duality"], body["pass"], rc
+
+    assert run() == (True, True, 0)
+    true_dim = cli.commutator_quotient_dim
+    monkeypatch.setattr(cli, "commutator_quotient_dim", lambda t: true_dim(t) + 1)
+    assert run() == (False, False, 1)

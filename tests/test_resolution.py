@@ -130,19 +130,23 @@ def test_minimality(n):
 
 
 def test_rational_fallback_when_mod_p_ranks_misbehave(monkeypatch):
-    # if the pinning prime ever under-reported a rank, the certification must
-    # recompute over the rationals instead of reporting a false failure
+    # if the pinning prime ever under-reported a one-sided rank, the
+    # certification must recompute over the rationals instead of reporting a
+    # false failure
     import preproj_hh.resolution as R
 
-    def lying_blocked_rank(t, f, p):
-        return max(0, _true_blocked_rank(t, f, p) - 1)
+    def lying_rank(columns, p):
+        rank = true_rank(columns, p)
+        return max(0, rank - 1) if p else rank
 
-    _true_blocked_rank = R._blocked_rank
-    monkeypatch.setattr(R, "_blocked_rank", lying_blocked_rank)
+    true_rank = R._rank
+    monkeypatch.setattr(R, "_rank", lying_rank)
     ctx = context(2)
-    rep = R.certify_exact(R.build_resolution(ctx.table, ctx.form, 7))
+    rep, direct = _counted_certify(monkeypatch, R.build_resolution(ctx.table, ctx.form, 7))
     assert rep.ok
     assert "rational" in rep.rank_method
+    # the rational one-sided elimination certifies the window by itself
+    assert direct == 0
 
 
 def test_rational_vs_prime_ranks_spot_check():
@@ -170,11 +174,11 @@ def test_certify_exact_over_a_prime_above_two_to_the_32():
     assert rep.ranks[:6] == [0, 42, 42, 10, 42, 42]
 
 
-# -- one rank per twist class: negative controls -------------------------------
+# -- one-sided exactness: negative controls -------------------------------------
 
 
 def _counted_certify(monkeypatch, w):
-    """certify_exact(w) and the number of differentials it ranked directly."""
+    """certify_exact(w) and the number of flattened differentials it ranked."""
     import preproj_hh.resolution as R
     calls = []
 
@@ -187,10 +191,10 @@ def _counted_certify(monkeypatch, w):
     return R.certify_exact(w), len(calls)
 
 
-def _tampered_window(replace):
-    """A fresh n=2, depth-13 window over F3 with d5 and d11 replaced."""
+def _tampered_window(replace, char=3):
+    """A fresh n=2, depth-13 window over F3 (or `char`) with d5 and d11 replaced."""
     from preproj_hh.resolution import BimoduleMap
-    ctx = context(2, 3)
+    ctx = context(2, char)
     w = build_resolution(ctx.table, ctx.form, 13)
     for m in (5, 11):
         f = w.diffs[m]
@@ -199,31 +203,128 @@ def _tampered_window(replace):
     return w
 
 
-def test_untampered_window_ranks_three_differentials(monkeypatch):
+def test_untampered_window_ranks_no_flattened_differential(monkeypatch):
     ctx = context(2, 3)
     rep, direct = _counted_certify(monkeypatch, build_resolution(ctx.table, ctx.form, 13))
     assert rep.ok, rep.failures
-    assert direct == 3
+    assert direct == 0
     assert rep.ranks[:7] == [0, 42, 42, 10, 42, 42, 10]
 
 
 def test_broken_twist_identity_ranks_directly(monkeypatch):
     # negating d5 and d11 keeps d.d = 0, periodicity and exactness, but d5,
-    # d8 and d11 are no longer the twists of d2, d5 and d8
+    # d8 and d11 are no longer the twists of d2, d5 and d8; the one-sided
+    # complexes stay exact, so no flattened map is ranked
     ctx = context(2, 3)
     w = _tampered_window(lambda terms: [(k, -c, x, y) for k, c, x, y in terms])
     rep, direct = _counted_certify(monkeypatch, w)
-    assert direct == 6
+    assert direct == 0
     assert rep.ok, rep.failures
     assert rep.ranks == certify_exact(ctx.window).ranks
 
 
 def test_copied_ranks_are_never_trusted_blindly(monkeypatch):
     # zero d5 and d11: their ranks read 0, d8 keeps its true rank, and
-    # exactness fails on both sides of each zero map
+    # exactness fails on both sides of each zero map; the one-sided check
+    # fails, so every flattened d_m is ranked as the witness
     w = _tampered_window(lambda terms: [])
     rep, direct = _counted_certify(monkeypatch, w)
-    assert direct == 6
+    assert direct == 13
     assert not rep.ok
     assert (rep.ranks[5], rep.ranks[8], rep.ranks[11]) == (0, 42, 0)
     assert [m for m, ok in enumerate(rep.exact_at) if not ok] == [4, 5, 10, 11]
+
+
+def test_failing_window_over_q_is_witnessed_by_rational_ranks(monkeypatch):
+    # over Q a failing window first fails the mod-97 pinning, then the
+    # rational one-sided elimination, and its witness ranks are rational
+    w = _tampered_window(lambda terms: [], char=0)
+    rep, direct = _counted_certify(monkeypatch, w)
+    assert direct == 13
+    assert not rep.ok
+    assert "rational" in rep.rank_method
+    assert (rep.ranks[5], rep.ranks[8], rep.ranks[11]) == (0, 42, 0)
+    assert [m for m, ok in enumerate(rep.exact_at) if not ok] == [4, 5, 10, 11]
+
+
+def _one_sided_block(w, m, vertex):
+    """(rank over F3, dimension of the source) of d_m (x) S_vertex alone."""
+    from preproj_hh.exactla import rank_mod_p
+    from preproj_hh.resolution import _one_sided_basis, one_sided_columns
+    f, e = w.diffs[m], w.table.e_ids[vertex]
+    columns = [col for (_, _, right), col in
+               zip(_one_sided_basis(w.table, f.source), one_sided_columns(f))
+               if right == e]
+    return rank_mod_p(columns, 3), len(columns)
+
+
+def test_window_inexact_at_one_vertex_only_fails_with_the_flattened_witness(monkeypatch):
+    # zero d13 on its loop summand, whose right vertex is 1.  The summand is
+    # a source summand of the top map, so d.d = 0 still holds (zeroing a
+    # summand of a lower map such as d2 would break d2 o d3 = 0 first), and
+    # only the image of d13 (x) S_1 shrinks
+    from preproj_hh.resolution import BimoduleMap
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    f = w.diffs[13]
+    assert f.source.summands[0] == (1, 1)
+    w.diffs[13] = BimoduleMap(f.table, f.source, f.target, [[]] + f.values[1:])
+    for vertex, exact in ((1, False), (2, True)):
+        r12, dim12 = _one_sided_block(w, 12, vertex)
+        r13, _ = _one_sided_block(w, 13, vertex)
+        assert (r12 + r13 == dim12) is exact
+    rep, direct = _counted_certify(monkeypatch, w)
+    assert rep.dd_zero and rep.augmentation_zero
+    assert not rep.ok
+    assert direct == 13
+    untampered = certify_exact(ctx.window)
+    assert rep.ranks[:13] == untampered.ranks[:13]
+    assert rep.ranks[13] < untampered.ranks[13]
+    assert [m for m, ok in enumerate(rep.exact_at) if not ok] == [12]
+    assert "exactness fails at index 12" in rep.failures
+
+
+def test_window_that_is_no_complex_is_ranked_directly(monkeypatch):
+    # negating d2 on one summand keeps every one-sided rank, but d2 o d3 no
+    # longer vanishes, so one-sided exactness proves nothing about the window
+    # and the flattened maps are ranked instead of derived
+    from preproj_hh.resolution import BimoduleMap, _blocked_rank
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    f = w.diffs[2]
+    negated = [[(k, -c, x, y) for k, c, x, y in f.values[0]]] + f.values[1:]
+    w.diffs[2] = BimoduleMap(f.table, f.source, f.target, negated)
+    rep, direct = _counted_certify(monkeypatch, w)
+    assert not rep.dd_zero and not rep.ok
+    assert direct == 13
+    assert rep.ranks == [0] + [_blocked_rank(w.table, w.diffs[m], 3)
+                               for m in range(1, 14)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_derived_ranks_match_the_flattened_ranks(n, char):
+    # the ranks a passing window serializes come from the dimensions; rank
+    # every flattened differential directly (over Q when char is 0)
+    from preproj_hh.resolution import _blocked_rank
+    w = context(n, char).window
+    rep = certify_exact(w)
+    assert rep.ok, rep.failures
+    assert rep.ranks == [0] + [_blocked_rank(w.table, w.diffs[m], char)
+                               for m in range(1, w.depth + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_sided_columns_read_off_the_flattened_columns(n):
+    # d (x) S_v is the flattened map on x (x) e_v, read off the basis
+    # elements whose right factor has degree 0
+    from preproj_hh.resolution import _one_sided_basis, flatten_map, one_sided_columns
+    w = context(n).window
+    t = w.table
+    for m in range(1, 7):
+        f = w.diffs[m]
+        flat = flatten_map(f)
+        for key, col in zip(_one_sided_basis(t, f.source), one_sided_columns(f)):
+            want = {(k2, x): c for (k2, x, y), c in flat[key].items()
+                    if t.basis[y].degree == 0}
+            assert col == want
