@@ -27,9 +27,9 @@ from .cochain import (build_complex, canonical_cocycles, commutator_quotient_dim
 from .exactla import FieldSpec, UnsupportedCharacteristicError
 from .nakayama import associated_form, certify_dualizable
 from .oracle import BudgetExceededError, budget_upto, compare
-from .presentation import stable_check, theorem_spec, verify
+from .presentation import theorem_spec, verify
 from .resolution import build_resolution, certify_exact
-from .yoneda import YonedaEngine, c_matrix
+from .yoneda import YonedaEngine, c_matrix, stable_structure_check
 
 SCHEMA_VERSION = 1
 
@@ -141,7 +141,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     t0 = clock()
     pres = theorem_spec(n, field)
     pres_report = verify(pres, engine, audit_to=min(12, maxdeg - 1))
-    stable = stable_check(engine)
+    stable = stable_structure_check(engine)
     timings["presentation"] = clock() - t0
 
     oracle_section: dict
@@ -518,17 +518,18 @@ def _run_single(command: str, n: int, field: FieldSpec, args) -> int:
     if command == "verify":
         spec = theorem_spec(n, field)
         rep = verify(spec, engine)
-        stable = stable_check(engine)
+        stable = stable_structure_check(engine)
         ok = rep.ok and stable.ok
         print(f"n={n} char={field.characteristic} regime={spec.regime}: "
               f"{'PASS' if ok else 'FAIL'}")
-        if not rep.ok:
-            for r in rep.relation_results + rep.derived_results:
-                if not r.ok:
-                    print(f"  {r.label}: residual {r.residual}")
-            for d, (got, want) in sorted(rep.audit.items()):
-                if got != want:
-                    print(f"  audit degree {d}: spanned {got}, expected {want}")
+        for r in rep.relation_results + rep.derived_results:
+            if not r.ok:
+                print(f"  {r.label}: residual {r.residual}")
+        for d, (got, want) in sorted(rep.audit.items()):
+            if got != want:
+                print(f"  audit degree {d}: spanned {got}, expected {want}")
+        for failure in stable.failures:
+            print(f"  stable: {failure}")
         return 0 if ok else 1
     raise AssertionError(command)
 

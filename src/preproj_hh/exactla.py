@@ -365,25 +365,20 @@ class ExactMatrix:
             basis.append(v)
         return basis
 
-    def solve(self, b: Sequence, variable_order: Optional[Sequence[int]] = None) -> Optional[list]:
+    def solve(self, b: Sequence) -> Optional[list]:
         """Echelon-canonical solution of self @ x = b, or None if inconsistent.
 
-        Free variables are set to zero.  `variable_order` permutes the columns
-        before elimination; a different order yields a different (equally
-        valid) particular solution, which the lifting property tests use.
+        Free variables are set to zero.
         """
         F = self.field
         n = self.ncols
-        order = list(range(n)) if variable_order is None else list(variable_order)
-        pos = {j: c for c, j in enumerate(order)}
-        aug = [{**{pos[j]: x for j, x in row.items()}, n: b[i]}
-               for i, row in enumerate(self.rows)]
+        aug = [{**row, n: b[i]} for i, row in enumerate(self.rows)]
         pivots, rest = _reduce(aug, F, n)
         if rest:
             return None
         x = [F.zero] * n
         for pc, row in _back_substitute(pivots, F).items():
-            x[order[pc]] = row.get(n, F.zero)
+            x[pc] = row.get(n, F.zero)
         return x
 
 

@@ -6,7 +6,10 @@ their relations.  `verify` evaluates every relation through the product
 engine as an identity of canonical coordinates, then runs the dimension
 audit: products of generators must span HH^i with the right dimension for
 every degree through 12, mirroring the surjectivity-plus-dimension-count
-closing argument.
+closing argument.  The audit keeps one basis per degree, modulo
+coboundaries, and closes it under the degree-0 generators, so HH^* is
+checked as a module over HH^0 = Z(L).  The h-localized structure is checked
+by `yoneda.stable_structure_check`.
 """
 
 from __future__ import annotations
@@ -180,9 +183,6 @@ class _Evaluator:
             self.gen_vectors.setdefault(f"t{k}", engine.generator_vector(f"t{k}"))
 
     def vector(self, mono: Monomial) -> Tuple[int, list]:
-        if not mono:
-            basis0 = self.engine.canonical(0)
-            return (0, basis0.vectors[0])
         if mono in self.cache:
             return self.cache[mono]
         deg, vec = self.gen_vectors[mono[0]]
@@ -227,86 +227,55 @@ def verify(spec: PresentationSpec, engine: YonedaEngine,
     return VerificationReport(spec.regime, relation_results, derived_results, audit)
 
 
+# Soundness of closing one basis per degree.  HH^* is a module over
+# HH^0 = Z(L), and a central z commutes with the cochain differentials:
+# (z.phi) o d = z.(phi o d), so z times a coboundary is a coboundary.  If v
+# depends on the kept basis modulo coboundaries, z.v therefore depends on z
+# times that basis, and multiplying only the vectors a round adds reaches
+# the same Z(L)-stable span as multiplying every candidate.  That span is
+# the smallest Z(L)-stable subspace containing the products, whichever
+# spanning set reaches it, and a cup product depends only on classes, so
+# later degrees may build their candidates from any basis of it.  The audit
+# records ranks only, which are therefore independent of the basis kept.
 def _span_audit(spec, engine, ev, audit_to):
     """Products of generators must span each HH^i with the expected dimension.
 
-    Degree i candidates are (basis of the degree i-d span) * (degree-d
-    generator); the span is closed under the degree-0 generators.  Every
-    candidate is evaluated honestly through the engine (the lift of the
-    right-hand generator is cached) and identified in canonical coordinates.
+    Degree i keeps one list of cochains independent modulo coboundaries.  It
+    is seeded by the products (kept degree i-d basis) * (degree-d
+    generator) and closed by multiplying the newly kept vectors by the
+    degree-0 generators until a round keeps nothing.  Every product is
+    evaluated honestly through the engine (the lift of the right-hand
+    generator is cached) and identified in canonical coordinates.
     """
-    F = engine.table.field
     n = spec.n
-    pos_gens = [(name, d) for name, d in spec.generators if d > 0]
-    zero_gens = [name for name, d in spec.generators if d == 0]
-    audit: Dict[int, Tuple[int, int]] = {}
-
-    basis0 = engine.canonical(0)
-    span_vecs: Dict[int, List[list]] = {0: [list(v) for v in basis0.vectors]}
-    audit[0] = (ExactMatrix.from_columns(
-        F, [[c for c in engine.identify(v, 0).coords] for v in span_vecs[0]]).rank(),
-        2 * n)
-
+    pos_gens = [ev.gen_vectors[name] for name, d in spec.generators if d > 0]
+    central = [engine.central_from_v0(ev.gen_vectors[name][1])
+               for name, d in spec.generators if d == 0]
+    kept: Dict[int, list] = {0: []}
+    _keep_independent(engine, 0, kept[0], engine.canonical(0).vectors)
+    audit: Dict[int, Tuple[int, int]] = {0: (len(kept[0]), 2 * n)}
     for i in range(1, audit_to + 1):
-        expected = n
-        candidates: List[list] = []
-        for name, d in pos_gens:
-            if d > i or (i - d) not in span_vecs:
-                continue
-            gd, gvec = ev.gen_vectors[name]
-            for w in span_vecs[i - d]:
-                candidates.append(engine.cup_vec(w, i - d, gvec, gd))
-        # close under the degree-0 generators; each candidate is identified
-        # once, its coordinates kept alongside it
-        coords = [list(engine.identify(v, i).coords) for v in candidates]
-        rank = ExactMatrix.from_columns(F, coords).rank()
-        frontier = list(candidates)
-        while frontier:
-            new_frontier = []
-            for name in zero_gens:
-                _, zv = ev.gen_vectors[name]
-                z = engine.central_from_v0(zv)
-                for v in frontier:
-                    new_frontier.append(engine.cx.scale_vector(i, z, v))
-            new_coords = [list(engine.identify(v, i).coords) for v in new_frontier]
-            rank_after = ExactMatrix.from_columns(F, coords + new_coords).rank()
-            if rank_after == rank:
-                break
-            candidates.extend(new_frontier)
-            coords.extend(new_coords)
-            rank = rank_after
-            frontier = new_frontier
-        audit[i] = (rank, expected)
-        # keep an independent subset as the span basis for later degrees
-        span_vecs[i] = _independent_subset(F, candidates, coords)
+        kept[i] = []
+        new = _keep_independent(engine, i, kept[i], [
+            engine.cup_vec(w, i - d, gvec, d)
+            for d, gvec in pos_gens if d <= i for w, _ in kept[i - d]])
+        while new:
+            new = _keep_independent(engine, i, kept[i], [
+                engine.cx.scale_vector(i, z, v) for z in central for v in new])
+        audit[i] = (len(kept[i]), n)
     return audit
 
 
-def _independent_subset(F, vectors, coords):
-    # pivot columns select the candidates independent of those before them
-    pivots = ExactMatrix.from_columns(F, coords).echelonize().pivot_columns
-    return [vectors[c] for c in pivots]
+def _keep_independent(engine, degree, kept, vectors):
+    """Append to `kept` the vectors independent of it and of those before them.
 
-
-@dataclass
-class StableCheckReport:
-    h_bijective: Dict[int, bool]
-    degree0_kernel_is_socle: bool
-    ok: bool
-
-    def serialize(self):
-        return {"h_bijective": {str(k): v for k, v in self.h_bijective.items()},
-                "degree0_kernel_is_socle": self.degree0_kernel_is_socle,
-                "ok": self.ok}
-
-
-def stable_check(engine: YonedaEngine) -> StableCheckReport:
-    """Concrete content of the h-localized presentation.
-
-    Multiplication by the periodicity class h must be bijective from HH^i to
-    HH^(i+6) for i = 1..6, and on degree 0 its kernel must be exactly the
-    span of the socle classes.
+    `kept` holds (cochain, canonical coordinates) pairs independent modulo
+    coboundaries; each vector is identified once and the pivot columns of one
+    elimination pick the ones to keep.  Returns the cochains appended.
     """
-    from .yoneda import stable_structure_check
-    rep = stable_structure_check(engine)
-    return StableCheckReport(rep.h_bijective, rep.degree0_kernel_is_socle, rep.ok)
+    coords = [c for _, c in kept] + [
+        list(engine.identify(v, degree).coords) for v in vectors]
+    pivots = ExactMatrix.from_columns(engine.table.field, coords).echelonize().pivot_columns
+    new = [(vectors[c - len(kept)], coords[c]) for c in pivots if c >= len(kept)]
+    kept.extend(new)
+    return [v for v, _ in new]

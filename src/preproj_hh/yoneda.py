@@ -82,7 +82,6 @@ class YonedaEngine:
         self.cx = cx
         self.table: AlgebraTable = cx.table
         self.window: ResolutionWindow = cx.window
-        self._canonical: Dict[int, CanonicalBasis] = {}
         self._identify_solvers: Dict[int, PreparedSolver] = {}
         self._lift_cache: Dict[tuple, ChainMapSegment] = {}
         self._lift_systems: Dict[tuple, _LiftSystem] = {}
@@ -91,9 +90,7 @@ class YonedaEngine:
     # -- canonical bases ----------------------------------------------------
 
     def canonical(self, degree: int) -> CanonicalBasis:
-        if degree not in self._canonical:
-            self._canonical[degree] = canonical_cocycles(self.cx, degree)
-        return self._canonical[degree]
+        return canonical_cocycles(self.cx, degree)
 
     def generators(self) -> List[Tuple[str, int, list]]:
         """Named cocycle representatives of the ring generators.
@@ -119,21 +116,20 @@ class YonedaEngine:
 
     # -- lifting ------------------------------------------------------------
 
-    def lift(self, vec: list, degree: int, steps: int,
-             variable_order: str = "forward") -> ChainMapSegment:
+    def lift(self, vec: list, degree: int, steps: int) -> ChainMapSegment:
         """Chain-map segment over the given cocycle, solving step by step."""
         cx = self.cx
         if not cx.is_cocycle(degree, vec):
             raise NotACocycleError(f"input of degree {degree} is not a cocycle")
-        key = (degree, tuple(vec), variable_order)
+        key = (degree, tuple(vec))
         seg = self._lift_cache.get(key)
         if seg is None:
             seg = ChainMapSegment(degree, [])
             self._lift_cache[key] = seg
-        self._extend(seg, vec, steps, variable_order)
+        self._extend(seg, vec, steps)
         return seg
 
-    def _extend(self, seg: ChainMapSegment, vec: list, steps: int, variable_order: str):
+    def _extend(self, seg: ChainMapSegment, vec: list, steps: int):
         w = self.window
         degree = seg.base_degree
         if degree + steps > w.depth:
@@ -145,7 +141,7 @@ class YonedaEngine:
             else:
                 comp = compose(seg.maps[k - 1], w.diffs[degree + k]).normalized()
                 rhs_by_summand = comp.values
-            seg.maps.append(self._solve_step(degree, k, rhs_by_summand, variable_order))
+            seg.maps.append(self._solve_step(degree, k, rhs_by_summand))
 
     def _cochain_rhs(self, degree: int, vec: list):
         """Cochain components reshaped as value-term lists per source summand."""
@@ -159,8 +155,7 @@ class YonedaEngine:
             values.append([(0, c, mid, None) for mid, c in sorted(elem.items())])
         return values
 
-    def _solve_step(self, degree: int, k: int, rhs_by_summand,
-                    variable_order: str) -> BimoduleMap:
+    def _solve_step(self, degree: int, k: int, rhs_by_summand) -> BimoduleMap:
         """Solve d_k o f = rhs (k >= 1) or u o f = cochain (k = 0)."""
         w, t, F = self.window, self.table, self.table.field
         src_term = w.terms[degree + k]
@@ -183,16 +178,14 @@ class YonedaEngine:
             degrees = sorted(parts) if parts else []
             for dv in degrees:
                 out_terms.extend(
-                    self._solve_block(degree, k, ks, s, tt, dv, parts[dv],
-                                      variable_order))
+                    self._solve_block(degree, k, ks, s, tt, dv, parts[dv]))
             values.append(out_terms)
         return BimoduleMap(t, src_term, tgt_term, values).normalized()
 
-    def _solve_block(self, degree, k, ks, s, tt, rhs_value_degree, rhs_terms,
-                     variable_order):
+    def _solve_block(self, degree, k, ks, s, tt, rhs_value_degree, rhs_terms):
         """One graded linear solve for the values at a single source summand."""
         F = self.table.field
-        system = self._lift_system(k, s, tt, rhs_value_degree, variable_order)
+        system = self._lift_system(k, s, tt, rhs_value_degree)
         if k == 0:
             rhs_vec = {mid: c for _, c, mid, _ in rhs_terms}
         else:
@@ -209,14 +202,14 @@ class YonedaEngine:
         return [(kt, c, x, y) for (kt, x, y), c in zip(system.unknowns, sol) if c != 0]
 
     # Soundness of the cache: the system matrix, its unknowns and its
-    # equations are read off (k, s, tt, rhs value degree, variable order)
-    # and the window alone, never off the cocycle, so the key determines the
-    # matrix.  The prepared solution of every later right-hand side is
-    # echelon-canonical and identical to what `ExactMatrix.solve(b)` returns
-    # for a freshly assembled matrix, so lifts do not depend on the cache.
-    def _lift_system(self, k, s, tt, rhs_value_degree, variable_order) -> _LiftSystem:
+    # equations are read off (k, s, tt, rhs value degree) and the window
+    # alone, never off the cocycle, so the key determines the matrix.  The
+    # prepared solution of every later right-hand side is echelon-canonical
+    # and identical to what `ExactMatrix.solve(b)` returns for a freshly
+    # assembled matrix, so lifts do not depend on the cache.
+    def _lift_system(self, k, s, tt, rhs_value_degree) -> _LiftSystem:
         """The prepared graded lifting system for one (step, summand, degree)."""
-        key = (k, s, tt, rhs_value_degree, variable_order)
+        key = (k, s, tt, rhs_value_degree)
         system = self._lift_systems.get(key)
         if system is not None:
             return system
@@ -231,10 +224,6 @@ class YonedaEngine:
             unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
             eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
         unknowns = _graded_triples(t, w.terms[k], s, tt, unknown_degree)
-        if variable_order == "reversed":
-            # eliminating the columns in reverse picks a different, equally
-            # valid particular solution
-            unknowns = unknowns[::-1]
         eq_pos = {key: r for r, key in enumerate(eq_keys)}
         mat = ExactMatrix.from_entries(
             F, len(eq_keys), len(unknowns),
@@ -283,8 +272,7 @@ class YonedaEngine:
             out = elem_add(self.table, out, elem)
         return out
 
-    def cup_vec(self, xvec: list, dx: int, yvec: list, dy: int,
-                variable_order: str = "forward") -> list:
+    def cup_vec(self, xvec: list, dx: int, yvec: list, dy: int) -> list:
         """Cochain representative of the product of two cocycles."""
         cx, t = self.cx, self.table
         if dx + dy > cx.maxdeg - 1:
@@ -293,7 +281,7 @@ class YonedaEngine:
             return cx.scale_vector(dy, self.central_from_v0(xvec), yvec)
         if dy == 0:
             return cx.scale_vector(dx, self.central_from_v0(yvec), xvec)
-        seg = self.lift(yvec, dy, dx, variable_order)
+        seg = self.lift(yvec, dy, dx)
         f = seg.maps[dx]
         xcomps = cx.component_values(dx, xvec)
         src_kind = cx.spaces[dx].kind
@@ -347,11 +335,6 @@ class YonedaEngine:
                     continue
                 out[(name1, name2)] = self.cup(v1, d1, v2, d2)
         return out
-
-    # -- the C matrix ----------------------------------------------------------
-
-    def c_matrix(self) -> "CMatrix":
-        return c_matrix(self.table, engine=self)
 
 
 def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list:
@@ -453,9 +436,13 @@ class StableReport:
         return all(self.h_bijective.values()) and self.degree0_kernel_is_socle
 
     def serialize(self):
-        return {"h_bijective": {str(k): v for k, v in self.h_bijective.items()},
-                "degree0_kernel_is_socle": self.degree0_kernel_is_socle,
-                "failures": self.failures, "ok": self.ok}
+        # written only when non-empty, so a passing body keeps its bytes
+        doc = {"h_bijective": {str(k): v for k, v in self.h_bijective.items()},
+               "degree0_kernel_is_socle": self.degree0_kernel_is_socle,
+               "ok": self.ok}
+        if self.failures:
+            doc["failures"] = self.failures
+        return doc
 
 
 def stable_structure_check(engine: YonedaEngine) -> StableReport:

@@ -14,10 +14,11 @@ from preproj_hh.cochain import cyclic_dims, hh_dims, homology_dims
 from preproj_hh.exactla import ExactMatrix, FieldSpec
 from preproj_hh.nakayama import associated_form, certify_dualizable
 from preproj_hh.oracle import bar_dims, compare
-from preproj_hh.presentation import stable_check, theorem_spec, verify
+from preproj_hh.presentation import theorem_spec, verify
 from preproj_hh.resolution import certify_exact
 from preproj_hh.yoneda import (c_matrix, closed_form_c_matrix,
-                               combinatorial_c_matrix, adjacency_matrix)
+                               combinatorial_c_matrix, adjacency_matrix,
+                               stable_structure_check)
 from conftest import context, variant_socle_table
 
 GRID_N = range(1, 7)
@@ -254,7 +255,7 @@ def test_09_presentations():
 def test_10_stable_ring():
     ok = True
     for n, ch in THM11_PAIRS + THM12_PAIRS:
-        rep = stable_check(context(n, ch).engine)
+        rep = stable_structure_check(context(n, ch).engine)
         ok = ok and rep.ok
     _report(10, "h-multiplication bijective, degree-0 kernel is the socle", ok)
 

@@ -164,12 +164,14 @@ def test_negative_oracle_budget_is_a_usage_error(capsys):
 @pytest.mark.parametrize("n,char,oracle", [
     pytest.param(1, 0, True, id="1-0"), pytest.param(2, 0, True, id="2-0"),
     pytest.param(1, 3, True, id="1-3"), pytest.param(2, 3, True, id="2-3"),
-    pytest.param(7, 3, False, id="7-3-no-oracle")])
+    pytest.param(7, 3, False, id="7-3-no-oracle"),
+    pytest.param(6, 0, False, id="6-0-no-oracle")])
 def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # every scalar a body serializes goes through FieldSpec.export; a site
     # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes.
     # At n=7 the exactness ranks are derived from one-sided exactness and
-    # the dimensions, and must serialize as the flattened ranks did
+    # the dimensions, and must serialize as the flattened ranks did; n=6 over
+    # Q guards a generic-regime span audit in characteristic 0
     key = f"n{n}_char{char}_oracle{int(oracle)}"
     with open(DIGESTS) as fh:
         want = json.load(fh)[key]
@@ -260,3 +262,38 @@ def test_commutator_quotient_joins_the_homology_duality_verdict(tmp_path, monkey
     true_dim = cli.commutator_quotient_dim
     monkeypatch.setattr(cli, "commutator_quotient_dim", lambda t: true_dim(t) + 1)
     assert run() == (False, False, 1)
+
+
+def test_stable_failures_reach_the_body_and_the_verify_output(tmp_path, monkeypatch, capsys):
+    # multiplying by the class x0*h instead of h drops rank in every degree
+    # (x0 kills HH^2, for one): the stable verdict, pass and the run exit
+    # code flip, and the body carries the failing degrees as its witness
+    from preproj_hh.yoneda import YonedaEngine
+
+    def run():
+        rc = main(["run", "--n", "2", "--char", "3", "--no-oracle",
+                   "--out", str(tmp_path)])
+        body = json.loads((tmp_path / "cert_n2_char3.json").read_text())["body"]
+        return body, rc
+
+    body, rc = run()
+    assert (body["verdicts"]["stable"], body["pass"], rc) == (True, True, 0)
+    assert "failures" not in body["stable"]
+    true_vector = YonedaEngine.generator_vector
+
+    def x0_h_for_h(self, name):
+        if name == "h":
+            return 6, self.canonical(6).vectors[1]
+        return true_vector(self, name)
+
+    monkeypatch.setattr(YonedaEngine, "generator_vector", x0_h_for_h)
+    body, rc = run()
+    assert (body["verdicts"]["stable"], body["pass"], rc) == (False, False, 1)
+    failures = body["stable"]["failures"]
+    assert [f"h-multiplication drops rank in degree {i}" for i in range(1, 7)] == [
+        f for f in failures if "drops rank" in f]
+    capsys.readouterr()
+    assert main(["verify", "--n", "2", "--char", "3"]) == 1
+    out = capsys.readouterr().out
+    for failure in failures:
+        assert f"  stable: {failure}\n" in out

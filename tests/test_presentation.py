@@ -1,7 +1,9 @@
 import pytest
 
-from preproj_hh.exactla import FieldSpec, UnsupportedCharacteristicError
-from preproj_hh.presentation import stable_check, theorem_spec, verify
+from preproj_hh.algebra import center_basis
+from preproj_hh.exactla import ExactMatrix, FieldSpec, UnsupportedCharacteristicError
+from preproj_hh.presentation import _Evaluator, theorem_spec, verify
+from preproj_hh.yoneda import stable_structure_check
 from conftest import context
 
 
@@ -71,7 +73,7 @@ def test_derived_identities_hold_in_both_regimes(n, char):
 
 @pytest.mark.parametrize("n,char", [(2, 0), (2, 5), (3, 0)])
 def test_stable_check(n, char):
-    rep = stable_check(context(n, char).engine)
+    rep = stable_structure_check(context(n, char).engine)
     assert rep.ok
     assert all(rep.h_bijective.values())
     assert rep.degree0_kernel_is_socle
@@ -87,3 +89,73 @@ def test_report_serialization():
     assert set(doc.keys()) == {"regime", "relations", "derived", "audit",
                                "failures", "ok"}
     assert doc["audit"]["0"] == [4, 4]
+
+
+def _reference_span_audit(spec, engine, audit_to=12):
+    # the frontier closure: every candidate, dependent ones included, is
+    # multiplied by every degree-0 generator until a round adds no rank
+    F = engine.table.field
+    ev = _Evaluator(engine, spec)
+    n = spec.n
+    pos_gens = [(name, d) for name, d in spec.generators if d > 0]
+    zero_gens = [name for name, d in spec.generators if d == 0]
+    basis0 = engine.canonical(0)
+    span_vecs = {0: [list(v) for v in basis0.vectors]}
+    audit = {0: (ExactMatrix.from_columns(
+        F, [list(engine.identify(v, 0).coords) for v in span_vecs[0]]).rank(), 2 * n)}
+    for i in range(1, audit_to + 1):
+        candidates = []
+        for name, d in pos_gens:
+            if d > i:
+                continue
+            gd, gvec = ev.gen_vectors[name]
+            for w in span_vecs[i - d]:
+                candidates.append(engine.cup_vec(w, i - d, gvec, gd))
+        coords = [list(engine.identify(v, i).coords) for v in candidates]
+        rank = ExactMatrix.from_columns(F, coords).rank()
+        frontier = list(candidates)
+        while frontier:
+            new_frontier = []
+            for name in zero_gens:
+                z = engine.central_from_v0(ev.gen_vectors[name][1])
+                for v in frontier:
+                    new_frontier.append(engine.cx.scale_vector(i, z, v))
+            new_coords = [list(engine.identify(v, i).coords) for v in new_frontier]
+            rank_after = ExactMatrix.from_columns(F, coords + new_coords).rank()
+            if rank_after == rank:
+                break
+            candidates.extend(new_frontier)
+            coords.extend(new_coords)
+            rank = rank_after
+            frontier = new_frontier
+        audit[i] = (rank, n)
+        pivots = ExactMatrix.from_columns(F, coords).echelonize().pivot_columns
+        span_vecs[i] = [candidates[c] for c in pivots]
+    return audit
+
+
+@pytest.mark.parametrize("char", [0, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_span_audit_matches_the_frontier_closure(n, char):
+    # closing one basis per degree reaches the span that closing every
+    # candidate does; (1, 3), (2, 5) and (3, 7) are modular
+    spec = theorem_spec(n, FieldSpec(char))
+    engine = context(n, char).engine
+    assert verify(spec, engine).audit == _reference_span_audit(spec, engine)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_central_elements_commute_with_the_cochain_differentials(n, char):
+    # the premise of the span audit: z times a coboundary is a coboundary
+    ctx = context(n, char)
+    cx, F = ctx.cx, ctx.field
+    center = center_basis(ctx.table)
+    for i in range(13):
+        for j in range(cx.spaces[i].dim):
+            e = [F.zero] * cx.spaces[i].dim
+            e[j] = F.one
+            de = cx.diffs[i].matvec(e)
+            for z in center:
+                assert (cx.diffs[i].matvec(cx.scale_vector(i, z, e))
+                        == cx.scale_vector(i + 1, z, de)), (i, j, z)
