@@ -522,12 +522,8 @@ def _run_single(command: str, n: int, field: FieldSpec, args) -> int:
         ok = rep.ok and stable.ok
         print(f"n={n} char={field.characteristic} regime={spec.regime}: "
               f"{'PASS' if ok else 'FAIL'}")
-        for r in rep.relation_results + rep.derived_results:
-            if not r.ok:
-                print(f"  {r.label}: residual {r.residual}")
-        for d, (got, want) in sorted(rep.audit.items()):
-            if got != want:
-                print(f"  audit degree {d}: spanned {got}, expected {want}")
+        for failure in rep.failures:
+            print(f"  {failure}")
         for failure in stable.failures:
             print(f"  stable: {failure}")
         return 0 if ok else 1

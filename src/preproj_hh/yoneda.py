@@ -9,8 +9,14 @@ lifts within a single graded piece of each Hom space; the solver exploits
 this and additionally splits by source summand, which keeps every system
 small.  A system does not depend on the cocycle, so each distinct one is
 eliminated once per engine and reused for every later right-hand side.
+Deeper steps share systems too: where the engine checks d_k = tau(d_(k-3))
+on the same terms, the step-k system is the step-(k-3) system conjugated
+by the signs (-1)^deg of the right tensor factors, so each twist class of
+steps (k, k+3, k+6, ...) is eliminated once, at its base step in 1..3.
 Products of classes are compositions of a cochain with a lift of
-the other factor, identified in the canonical cohomology bases afterwards.
+the other factor, identified in the canonical cohomology bases afterwards;
+both chain-map kernels (`resolution.compose` and `cup_vec`) sum plain
+numbers and coerce each entry into the field once.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraTable, elem_add, elem_scale, multiply
+from .algebra import AlgebraTable, elem_add
 from .cochain import CanonicalBasis, CochainComplex, PARALLELS, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, PreparedSolver, det
-from .resolution import BimoduleMap, ResolutionWindow, compose, expand
+from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
 
 
 class NotACocycleError(RuntimeError):
@@ -85,6 +91,7 @@ class YonedaEngine:
         self._identify_solvers: Dict[int, PreparedSolver] = {}
         self._lift_cache: Dict[tuple, ChainMapSegment] = {}
         self._lift_systems: Dict[tuple, _LiftSystem] = {}
+        self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, list]]] = None
 
     # -- canonical bases ----------------------------------------------------
@@ -139,8 +146,7 @@ class YonedaEngine:
             if k == 0:
                 rhs_by_summand = self._cochain_rhs(degree, vec)
             else:
-                comp = compose(seg.maps[k - 1], w.diffs[degree + k]).normalized()
-                rhs_by_summand = comp.values
+                rhs_by_summand = compose(seg.maps[k - 1], w.diffs[degree + k]).values
             seg.maps.append(self._solve_step(degree, k, rhs_by_summand))
 
     def _cochain_rhs(self, degree: int, vec: list):
@@ -184,35 +190,64 @@ class YonedaEngine:
 
     def _solve_block(self, degree, k, ks, s, tt, rhs_value_degree, rhs_terms):
         """One graded linear solve for the values at a single source summand."""
-        F = self.table.field
-        system = self._lift_system(k, s, tt, rhs_value_degree)
+        t, F = self.table, self.table.field
+        base, odd = self._twist[k]
+        system = self._lift_system(base, s, tt, rhs_value_degree)
+        # the terms come from the cochain or from `compose`: one per key,
+        # each a nonzero field scalar
         if k == 0:
             rhs_vec = {mid: c for _, c, mid, _ in rhs_terms}
         else:
-            rhs_vec = {}
-            for kn, c, x, y in rhs_terms:
-                rhs_vec[(kn, x, y)] = F.add(rhs_vec.get((kn, x, y), F.zero), F(c))
-        for key in rhs_vec:
-            if key not in system.eq_pos and rhs_vec[key] != 0:
-                raise LiftFailedError("right-hand side outside the graded piece")
-        sol = system.solver.solve([rhs_vec.get(key, F.zero) for key in system.eq_keys])
+            rhs_vec = {(kn, x, y): c for kn, c, x, y in rhs_terms}
+        if any(key not in system.eq_pos for key in rhs_vec):
+            raise LiftFailedError("right-hand side outside the graded piece")
+        b = [rhs_vec.get(key, F.zero) for key in system.eq_keys]
+        if odd:
+            b = _sign_flip(t, b, system.eq_keys)
+        sol = system.solver.solve(b)
         if sol is None:
             raise LiftFailedError(
                 f"lifting system inconsistent at step {k}, summand {ks}")
+        if odd:
+            sol = _sign_flip(t, sol, system.unknowns)
         return [(kt, c, x, y) for (kt, x, y), c in zip(system.unknowns, sol) if c != 0]
 
-    # Soundness of the cache: the system matrix, its unknowns and its
-    # equations are read off (k, s, tt, rhs value degree) and the window
-    # alone, never off the cocycle, so the key determines the matrix.  The
-    # prepared solution of every later right-hand side is echelon-canonical
-    # and identical to what `ExactMatrix.solve(b)` returns for a freshly
-    # assembled matrix, so lifts do not depend on the cache.
+    # Soundness of the cache.  The system matrix, its unknowns and its
+    # equations are read off (step, s, tt, rhs value degree) and the window
+    # alone, never off the cocycle, so that key determines the matrix, and
+    # the prepared solution of every later right-hand side is
+    # echelon-canonical: identical to what `ExactMatrix.solve(b)` returns for
+    # a freshly assembled matrix.
+    #
+    # Steps of one twist class share a key.  `_twist_classes` maps k >= 4 to
+    # the class of k-3 only where it checks, exactly, that d_k equals
+    # tau(d_(k-3)) term for term, that P_k, P_(k-1) equal P_(k-3), P_(k-4),
+    # and that the generator-degree steps g(k)-g(k-1) and g(k-3)-g(k-4)
+    # agree.  Then step k has the same unknowns and equations as step k-3,
+    # and since tau multiplies the right factor y' of each value term by
+    # (-1)^deg y', the entry of M_k at row (k2, x x', y' y) and column
+    # (kt, x, y) is (-1)^(deg y' y) M_(k-3) (-1)^deg y: M_k = E M_(k-3) E
+    # with E = diag((-1)^deg(right factor)) on rows and on columns, and
+    # E^2 = 1 leaves only the parity of the number of twists.  So M_k x = b
+    # is solved as M_base x' = E b, x = E x'.  E is invertible and diagonal,
+    # so column j of M_k depends on the columns before it exactly when
+    # column j of M_base does: both have the same pivot columns, E x' is
+    # zero at the free ones, and x is the echelon-canonical solution of the
+    # step-k system, byte for byte.  A step whose check fails keeps its own
+    # key.
     def _lift_system(self, k, s, tt, rhs_value_degree) -> _LiftSystem:
         """The prepared graded lifting system for one (step, summand, degree)."""
         key = (k, s, tt, rhs_value_degree)
         system = self._lift_systems.get(key)
-        if system is not None:
-            return system
+        if system is None:
+            mat, unknowns, eq_keys = self._assemble(k, s, tt, rhs_value_degree)
+            system = _LiftSystem(PreparedSolver(mat), unknowns, eq_keys,
+                                 {key: r for r, key in enumerate(eq_keys)})
+            self._lift_systems[key] = system
+        return system
+
+    def _assemble(self, k, s, tt, rhs_value_degree):
+        """The matrix, unknowns and equation keys of one step's system."""
         w, t, F = self.window, self.table, self.table.field
         # the differential raises value degree by g(k) - g(k-1), so the
         # unknown lives that much below the right-hand side
@@ -229,9 +264,7 @@ class YonedaEngine:
             F, len(eq_keys), len(unknowns),
             ((eq_pos[key], col, c) for col, (kt, x, y) in enumerate(unknowns)
              for key, c in self._composed_column(k, kt, x, y)))
-        system = _LiftSystem(PreparedSolver(mat), unknowns, eq_keys, eq_pos)
-        self._lift_systems[key] = system
-        return system
+        return mat, unknowns, eq_keys
 
     def _composed_column(self, k, kt, x, y):
         """Image of the elementary hom with value x (x) y at summand kt."""
@@ -288,7 +321,9 @@ class YonedaEngine:
         result: Dict[int, dict] = {}
         out_term = self.window.terms[dx + dy]
         out_kind = cx.spaces[dx + dy].kind
+        product, F = t.product, t.field
         for ks in range(len(out_term.summands)):
+            # x.val.y summed as plain numbers, coerced once per monomial
             acc: dict = {}
             for kt, c, x, y in f.values[ks]:
                 comp_key = (t.quiver.arrows[kt].index if src_kind == PARALLELS
@@ -296,13 +331,19 @@ class YonedaEngine:
                 val = xcomps.get(comp_key)
                 if not val:
                     continue
-                prod = multiply(t, multiply(t, t.monomial_element(x), val),
-                                t.monomial_element(y))
-                acc = elem_add(t, acc, elem_scale(t, c, prod))
-            if acc:
+                left = product[x]
+                for m, v in val.items():
+                    hit = left.get(m)
+                    if hit is None:
+                        continue
+                    hit2 = product[hit[1]].get(y)
+                    if hit2 is not None:
+                        acc[hit2[1]] = acc.get(hit2[1], 0) + c * v * hit[0] * hit2[0]
+            elem = {m: fs for m, s in acc.items() if (fs := F(s)) != 0}
+            if elem:
                 out_key = (t.quiver.arrows[ks].index if out_kind == PARALLELS
                            else ks + 1)
-                result[out_key] = acc
+                result[out_key] = elem
         return cx.vector_from_components(dx + dy, result)
 
     def identify(self, vec: list, degree: int) -> CohomologyClass:
@@ -335,6 +376,33 @@ class YonedaEngine:
                     continue
                 out[(name1, name2)] = self.cup(v1, d1, v2, d2)
         return out
+
+
+def _twist_classes(w: ResolutionWindow) -> List[Tuple[int, bool]]:
+    """(base step, odd number of twists) for every step 0..depth.
+
+    Step k >= 4 joins the class of k-3, one more twist, where d_k equals
+    tau(d_(k-3)) on the same source and target terms and with the same
+    generator-degree step; every other step is its own base.  See the
+    soundness note at `YonedaEngine._lift_system`.
+    """
+    g = w.gen_degrees
+    classes = [(k, False) for k in range(min(w.depth, 3) + 1)]
+    for k in range(4, w.depth + 1):
+        if (w.terms[k] == w.terms[k - 3] and w.terms[k - 1] == w.terms[k - 4]
+                and g[k] - g[k - 1] == g[k - 3] - g[k - 4]
+                and w.diffs[k].equals(tau_twist(w.diffs[k - 3]))):
+            base, odd = classes[k - 3]
+            classes.append((base, not odd))
+        else:
+            classes.append((k, False))
+    return classes
+
+
+def _sign_flip(t: AlgebraTable, values: list, keys: list) -> list:
+    """E applied to a vector: each value times (-1)^deg of its key's right factor."""
+    return [t.field.neg(c) if t.basis[y].degree % 2 else c
+            for c, (_, _, y) in zip(values, keys)]
 
 
 def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list:

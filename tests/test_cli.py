@@ -165,13 +165,16 @@ def test_negative_oracle_budget_is_a_usage_error(capsys):
     pytest.param(1, 0, True, id="1-0"), pytest.param(2, 0, True, id="2-0"),
     pytest.param(1, 3, True, id="1-3"), pytest.param(2, 3, True, id="2-3"),
     pytest.param(7, 3, False, id="7-3-no-oracle"),
-    pytest.param(6, 0, False, id="6-0-no-oracle")])
+    pytest.param(6, 0, False, id="6-0-no-oracle"),
+    pytest.param(7, 5, False, id="7-5-no-oracle")])
 def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # every scalar a body serializes goes through FieldSpec.export; a site
     # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes.
     # At n=7 the exactness ranks are derived from one-sided exactness and
     # the dimensions, and must serialize as the flattened ranks did; n=6 over
-    # Q guards a generic-regime span audit in characteristic 0
+    # Q guards a generic-regime span audit in characteristic 0.  Lifts reuse
+    # the base system of their twist class up to signs, which are -1 = 2 over
+    # F3 and -1 = 4 over F5
     key = f"n{n}_char{char}_oracle{int(oracle)}"
     with open(DIGESTS) as fh:
         want = json.load(fh)[key]
@@ -297,3 +300,38 @@ def test_stable_failures_reach_the_body_and_the_verify_output(tmp_path, monkeypa
     out = capsys.readouterr().out
     for failure in failures:
         assert f"  stable: {failure}\n" in out
+
+
+def test_presentation_failures_reach_the_body_and_the_verify_output(tmp_path, monkeypatch, capsys):
+    # gamma^2 = 2*z1*h instead of z1*h leaves the residual -z1*h: the
+    # presentation verdict, pass and the run exit code flip, and the body's
+    # presentation failures name the relation with its residual
+    import preproj_hh.cli as cli
+    from preproj_hh.presentation import Relation
+
+    def run():
+        rc = main(["run", "--n", "2", "--char", "3", "--no-oracle",
+                   "--out", str(tmp_path)])
+        body = json.loads((tmp_path / "cert_n2_char3.json").read_text())["body"]
+        return body, rc
+
+    body, rc = run()
+    assert (body["verdicts"]["presentation"], body["pass"], rc) == (True, True, 0)
+    assert body["presentation"]["failures"] == []
+    true_spec = cli.theorem_spec
+
+    def corrupted_spec(n, field):
+        spec = true_spec(n, field)
+        spec.relations = [
+            Relation(r.label, ((1, ("gamma", "gamma")), (-2, ("z1", "h"))))
+            if r.label == "gamma^2=z1*h" else r for r in spec.relations]
+        return spec
+
+    monkeypatch.setattr(cli, "theorem_spec", corrupted_spec)
+    body, rc = run()
+    assert (body["verdicts"]["presentation"], body["pass"], rc) == (False, False, 1)
+    assert not body["presentation"]["ok"]
+    assert body["presentation"]["failures"] == ["gamma^2=z1*h: residual 2*z1*h"]
+    capsys.readouterr()
+    assert main(["verify", "--n", "2", "--char", "3"]) == 1
+    assert "  gamma^2=z1*h: residual 2*z1*h\n" in capsys.readouterr().out

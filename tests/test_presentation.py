@@ -159,3 +159,45 @@ def test_central_elements_commute_with_the_cochain_differentials(n, char):
             for z in center:
                 assert (cx.diffs[i].matvec(cx.scale_vector(i, z, e))
                         == cx.scale_vector(i + 1, z, de)), (i, j, z)
+
+
+@pytest.mark.parametrize("char", [0, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kept_bases_are_already_closed_under_the_center(n, char, monkeypatch):
+    # the audit has no closure step: multiplying each degree's kept basis by
+    # every degree-0 generator keeps nothing new
+    import preproj_hh.presentation as P
+    spec = theorem_spec(n, FieldSpec(char))
+    engine = context(n, char).engine
+    kept_by_degree = {}
+    true_keep = P._keep_independent
+
+    def recording_keep(engine, degree, kept, vectors):
+        kept_by_degree[degree] = kept
+        true_keep(engine, degree, kept, vectors)
+
+    monkeypatch.setattr(P, "_keep_independent", recording_keep)
+    verify(spec, engine)
+    ev = _Evaluator(engine, spec)
+    central = [engine.central_from_v0(ev.gen_vectors[name][1])
+               for name, d in spec.generators if d == 0]
+    assert sorted(kept_by_degree) == list(range(13))
+    for degree, kept in kept_by_degree.items():
+        closed = list(kept)
+        true_keep(engine, degree, closed, [engine.cx.scale_vector(degree, z, v)
+                                           for z in central for v, _ in kept])
+        assert len(closed) == len(kept), degree
+
+
+def test_audit_shortfall_is_witnessed():
+    # without h the products reach only x0*h in degree 6: each short degree
+    # leaves one line in the report's failures
+    spec = theorem_spec(2, FieldSpec(3))
+    spec.generators = [g for g in spec.generators if g[0] != "h"]
+    spec.relations, spec.derived = [], []
+    rep = verify(spec, context(2, 3).engine)
+    short = [(d, got, want) for d, (got, want) in sorted(rep.audit.items()) if got != want]
+    assert short[0] == (6, 1, 2)
+    assert rep.failures == [f"audit degree {d}: spanned {got}, expected {want}"
+                            for d, got, want in short]
+    assert not rep.ok

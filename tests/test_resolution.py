@@ -328,3 +328,69 @@ def test_one_sided_columns_read_off_the_flattened_columns(n):
             want = {(k2, x): c for (k2, x, y), c in flat[key].items()
                     if t.basis[y].degree == 0}
             assert col == want
+
+
+# -- d.d = 0 once per period -----------------------------------------------------
+
+
+def _counted_compose_certify(monkeypatch, w):
+    """certify_exact(w) and the number of compositions it made."""
+    import preproj_hh.resolution as R
+    calls = []
+
+    def counting_compose(f, g):
+        calls.append((f, g))
+        return true_compose(f, g)
+
+    true_compose = R.compose
+    monkeypatch.setattr(R, "compose", counting_compose)
+    return R.certify_exact(w), len(calls)
+
+
+def _dd_failures_by_brute_force(w):
+    # reference: every consecutive pair composed
+    return [f"d{m} o d{m + 1} != 0" for m in range(1, w.depth)
+            if not compose(w.diffs[m], w.diffs[m + 1]).is_zero()]
+
+
+def test_periodic_window_composes_one_period(monkeypatch):
+    ctx = context(2, 3)
+    rep, composed = _counted_compose_certify(
+        monkeypatch, build_resolution(ctx.table, ctx.form, 13))
+    assert rep.ok and rep.periodic
+    assert composed == 6
+
+
+def test_failing_pair_of_a_periodic_window_keeps_its_partners_lines(monkeypatch):
+    # d2 and d8 negated on one summand: the window stays periodic, so only
+    # six pairs are composed, but d2 o d3 and d8 o d9 both fail and the
+    # report names each, as composing every pair does
+    from preproj_hh.resolution import BimoduleMap
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    for m in (2, 8):
+        f = w.diffs[m]
+        negated = [[(k, -c, x, y) for k, c, x, y in f.values[0]]] + f.values[1:]
+        w.diffs[m] = BimoduleMap(f.table, f.source, f.target, negated)
+    rep, composed = _counted_compose_certify(monkeypatch, w)
+    assert rep.periodic and not rep.dd_zero and not rep.ok
+    assert composed == 6
+    brute = _dd_failures_by_brute_force(w)
+    assert brute == ["d2 o d3 != 0", "d8 o d9 != 0"]
+    assert [f for f in rep.failures if " o " in f] == brute
+
+
+def test_window_that_is_not_periodic_composes_every_pair(monkeypatch):
+    # d2 alone negated on one summand breaks d2 = d8, so every pair is
+    # composed and only d2 o d3 fails
+    from preproj_hh.resolution import BimoduleMap
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    f = w.diffs[2]
+    negated = [[(k, -c, x, y) for k, c, x, y in f.values[0]]] + f.values[1:]
+    w.diffs[2] = BimoduleMap(f.table, f.source, f.target, negated)
+    rep, composed = _counted_compose_certify(monkeypatch, w)
+    assert not rep.periodic and not rep.dd_zero
+    assert composed == 12
+    assert [f for f in rep.failures if " o " in f] == _dd_failures_by_brute_force(w)
+    assert "d2 != d8" in rep.failures

@@ -4,6 +4,7 @@ import pytest
 
 from preproj_hh.algebra import x0_element
 from preproj_hh.exactla import ExactMatrix, FieldSpec
+from preproj_hh.resolution import build_resolution
 from preproj_hh.yoneda import (CMatrixMismatchError, NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
@@ -307,3 +308,107 @@ def test_c_matrix_mismatch_detection(monkeypatch):
                         lambda table: [[-2, 1], [1, -2]])
     with pytest.raises(CMatrixMismatchError):
         ymod.c_matrix(ctx.table)
+
+
+# -- twist classes of lifting systems -------------------------------------------
+
+
+def _sign(t, key):
+    """(-1)^deg of the right tensor factor of a (summand, left, right) key."""
+    return -1 if t.basis[key[2]].degree % 2 else 1
+
+
+def _system_shapes(t, w):
+    """Every (s, tt, rhs value degree) a lifting system can be keyed on."""
+    summands = {pair for term in w.terms for pair in term.summands}
+    return [(s, tt, dv) for s, tt in sorted(summands)
+            for dv in range(0, 2 * t.top_degree + 2)]
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_twisted_systems_are_sign_conjugates_of_their_base(n, char):
+    # reference: the step-k system assembled afresh equals E M_(k-3) E, E
+    # the diagonal of signs (-1)^deg(right factor), on the same unknowns
+    # and equations
+    ctx = context(n, char)
+    eng, t, w, F = ctx.engine, ctx.table, ctx.window, ctx.field
+    for k in range(4, w.depth + 1):
+        base, odd = eng._twist[k]
+        assert (base, odd) == ((k - 1) % 3 + 1, (k - 1) // 3 % 2 == 1)
+        for s, tt, dv in _system_shapes(t, w):
+            mat, unknowns, eq_keys = eng._assemble(k, s, tt, dv)
+            prev, prev_unknowns, prev_eq_keys = eng._assemble(k - 3, s, tt, dv)
+            assert (unknowns, eq_keys) == (prev_unknowns, prev_eq_keys)
+            conj = ExactMatrix.from_entries(
+                F, prev.nrows, prev.ncols,
+                ((i, j, _sign(t, eq_keys[i]) * _sign(t, unknowns[j]) * x)
+                 for i, j, x in prev.entries()))
+            assert mat == conj, (k, s, tt, dv)
+
+
+@pytest.mark.parametrize("n,char", [(1, 0), (2, 0), (2, 3), (3, 5), (4, 7)])
+def test_twist_class_lifts_match_per_step_lifts(n, char, monkeypatch):
+    # reference: an engine whose class map is the identity eliminates every
+    # step's own system; every generator's lift through the whole window
+    # must come out identical, map for map
+    import preproj_hh.yoneda as ymod
+    cx = context(n, char).cx
+    eng = YonedaEngine(cx)
+    monkeypatch.setattr(ymod, "_twist_classes",
+                        lambda w: [(k, False) for k in range(w.depth + 1)])
+    per_step = YonedaEngine(cx)
+    for name, d, v in eng.generators():
+        steps = cx.window.depth - d
+        mine, ref = eng.lift(v, d, steps), per_step.lift(v, d, steps)
+        assert len(mine.maps) == len(ref.maps) == steps + 1
+        for k, (f, g) in enumerate(zip(mine.maps, ref.maps)):
+            assert f.values == g.values, (name, k)
+            assert f.equals(g)
+    assert len(eng._lift_systems) < len(per_step._lift_systems)
+
+
+def test_a_step_that_is_no_twist_keeps_its_own_system():
+    # d5 negated: d5 is no longer tau(d2), nor d8 tau(d5); both become bases,
+    # and d11 = tau(d8) joins the class of 8.  The negated window is still a
+    # resolution with the same cocycles (negating d5 keeps every kernel), so
+    # every lift along it must satisfy the chain-map identities
+    import copy
+    from preproj_hh.resolution import BimoduleMap
+    from preproj_hh.yoneda import _twist_classes
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    f = w.diffs[5]
+    w.diffs[5] = BimoduleMap(f.table, f.source, f.target,
+                             [[(k, -c, x, y) for k, c, x, y in terms] for terms in f.values])
+    classes = _twist_classes(w)
+    assert classes[5] == (5, False) and classes[8] == (8, False)
+    assert classes[11] == (8, True)
+    assert classes[4] == (1, True) and classes[7] == (1, False)
+    assert classes[6] == (3, True) and classes[12] == (3, True)
+    cx = copy.copy(ctx.cx)
+    cx.window = w
+    eng = YonedaEngine(cx)
+    assert eng._twist == classes
+    for name, d, v in eng.generators():
+        seg = eng.lift(v, d, w.depth - d)
+        assert eng.verify_segment(seg, v), name
+    assert {key[0] for key in eng._lift_systems} >= {5, 8}
+
+
+@pytest.mark.parametrize("n,char,systems", [(6, 0, 103), (7, 3, 121)])
+def test_distinct_lifting_systems_per_certificate(n, char, systems, monkeypatch):
+    # pinned: the twist classes leave 103 systems at n=6 over Q and 121 at
+    # n=7 over F3 (248 and 309 keyed by step)
+    import preproj_hh.cli as cli
+    engines = []
+
+    class Recorded(YonedaEngine):
+        def __init__(self, cx):
+            super().__init__(cx)
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "YonedaEngine", Recorded)
+    assert cli.compute_certificate(n, char, 13, 10000, False)["body"]["pass"]
+    assert len(engines) == 1
+    assert len(engines[0]._lift_systems) == systems
