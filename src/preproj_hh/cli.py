@@ -44,8 +44,6 @@ class RunConfig:
     characteristics: List[int]
     maxdeg: int = 13
     oracle_budget: int = 10000
-    output_format: str = "json"
-    output_dir: Optional[str] = None
     jobs: int = 1
     with_oracle: bool = True
 
@@ -115,7 +113,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     hh = hh_dims(cx, maxdeg - 1)
     hh_low = homology_dims(cx, maxdeg - 1)
     if characteristic == 0:
-        hc, connes = cyclic_dims(cx, maxdeg - 1)
+        hc, connes = cyclic_dims(cx, hh_low)
     else:
         hc, connes = None, None
     timings["cochain"] = clock() - t0
@@ -441,8 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: cannot create --out directory {args.out}: {exc.strerror}",
                   file=sys.stderr)
             return 2
-        config = RunConfig(n_values, chars, args.maxdeg, args.budget,
-                           args.format, args.out, args.jobs,
+        config = RunConfig(n_values, chars, args.maxdeg, args.budget, args.jobs,
                            with_oracle=not args.no_oracle)
         certs = run_grid(config)
         failed = []

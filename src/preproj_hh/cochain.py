@@ -15,7 +15,9 @@ apart).
 
 The homology dimensions come from an independently assembled tensor
 complex, and the cyclic homology dimensions from the Connes-image
-bookkeeping over it.
+bookkeeping over it.  The canonical basis of each degree holds that
+degree's one class solver: `CanonicalBasis.coords` reads the class of a
+cocycle off [canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (AlgebraTable, center_basis, elem_add, elem_scale,
-                      multiply, socle_basis, x0_element)
-from .exactla import (ExactMatrix, FieldSpec, PreparedSolver,
-                      UnsupportedCharacteristicError, sparse_rank)
+from .algebra import AlgebraTable, multiply, socle_basis, x0_element
+from .exactla import (ExactMatrix, PreparedSolver, UnsupportedCharacteristicError,
+                      sparse_rank)
 from .nakayama import NakayamaForm
 from .resolution import ResolutionWindow, build_resolution
 
@@ -94,7 +95,6 @@ class CochainComplex:
             if not self.diffs[i + 1].matmul(self.diffs[i]).is_zero():
                 raise ComplexMismatchError(f"d{i + 1} o d{i} != 0")
         self._hh_ranks: Dict[int, int] = {}
-        self._cob_solvers: Dict[int, PreparedSolver] = {}
         self._canonical_cache: Dict[int, "CanonicalBasis"] = {}
 
     # -- vectors -------------------------------------------------------------
@@ -143,16 +143,6 @@ class CochainComplex:
         if degree >= self.maxdeg:
             raise ValueError("degree beyond the built window")
         return not any(self.diffs[degree].matvec(vec))
-
-    def coboundary_solve(self, degree: int, vec: list) -> Optional[list]:
-        """A preimage under d^(degree-1), or None (degree 0: only zero)."""
-        if degree == 0:
-            return [] if all(x == 0 for x in vec) else None
-        solver = self._cob_solvers.get(degree)
-        if solver is None:
-            solver = PreparedSolver(self.diffs[degree - 1])
-            self._cob_solvers[degree] = solver
-        return solver.solve(vec)
 
     def span_with_coboundaries(self, degree: int, vectors: List[list]) -> ExactMatrix:
         """Columns: the given vectors of V^degree, then the columns of d^(degree-1).
@@ -332,10 +322,11 @@ def commutator_quotient_dim(t: AlgebraTable) -> int:
     return t.dim - sparse_rank(rows, t.field)
 
 
-def cyclic_dims(c: CochainComplex, upto: int) -> Tuple[List[int], List[int]]:
+def cyclic_dims(c: CochainComplex, hh: List[int]) -> Tuple[List[int], List[int]]:
     """Cyclic homology dimensions (characteristic zero only).
 
-    Returns (HC dims, Connes image dims B^i).  B^0 = dim HH_0 - n and
+    `hh` is dim HH_0..HH_upto as `homology_dims` returns it.  Returns
+    (HC dims, Connes image dims B^i).  B^0 = dim HH_0 - n and
     B^i = dim HH_i - B^(i-1) by exactness of the Connes sequence; then
     HC_i = HC_i(semisimple part) + B^i.  The computed B^i are verified to
     be n for even i and 0 for odd i.
@@ -345,16 +336,15 @@ def cyclic_dims(c: CochainComplex, upto: int) -> Tuple[List[int], List[int]]:
         raise UnsupportedCharacteristicError(
             "cyclic homology dimensions are computed in characteristic 0 only")
     n = t.n
-    hh = homology_dims(c, upto)
     b = [hh[0] - n]
-    for i in range(1, upto + 1):
+    for i in range(1, len(hh)):
         b.append(hh[i] - b[i - 1])
-    for i, bi in enumerate(b[: upto + 1]):
+    for i, bi in enumerate(b):
         expected = n if i % 2 == 0 else 0
         if bi != expected:
             raise CanonicalBasisError(f"Connes image bookkeeping fails at {i}")
-    hc = [(n if i % 2 == 0 else 0) + b[i] for i in range(upto + 1)]
-    return hc, b[: upto + 1]
+    hc = [(n if i % 2 == 0 else 0) + bi for i, bi in enumerate(b)]
+    return hc, b
 
 
 # -- canonical cocycles ---------------------------------------------------------
@@ -362,36 +352,50 @@ def cyclic_dims(c: CochainComplex, upto: int) -> Tuple[List[int], List[int]]:
 
 @dataclass
 class CanonicalBasis:
+    """Canonical cocycles of one degree and the solver over [vectors | d^(degree-1)]."""
+
     degree: int
     labels: List[str]
     vectors: List[list]
+    solver: PreparedSolver
+
+    # Soundness.  (a) `canonical_cocycles` checks each canonical vector to be
+    # a cocycle and `CochainComplex.__init__` checks d o d = 0 exactly, so
+    # the span holds cocycles only and a successful solve certifies one.
+    # (b) The canonical columns come first and are independent modulo im d
+    # (the solver's rank is checked), so each is a pivot column and the
+    # canonical part of any solution is unique: two solutions differ by a
+    # kernel vector, whose canonical part vanishes by that independence.  So
+    # the coordinates are zero exactly when `vec` is a coboundary.
+    def coords(self, vec: list) -> Optional[tuple]:
+        """Coordinates of the class of `vec`, or None outside the span."""
+        sol = self.solver.solve(vec)
+        return None if sol is None else tuple(sol[: len(self.vectors)])
 
 
 def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
-    """The canonical representative cocycles in V^degree.
+    """The canonical representative cocycles in V^degree, with their solver.
 
     Degrees 0..6 carry the fundamental families
       0: 1, x0^k, w_i          1: x0^k y        2: z_k = e_k
       3: t_k = w_k             4: x0^k gamma    5: x0^k y.gamma
       6: x0^k h
     and beyond 6 the same vectors are reused with an h-power label, the
-    complex being literally six-periodic.  Each family is verified to
-    consist of cocycles independent modulo coboundaries.
+    complex being literally six-periodic.  In every degree the family is
+    verified to consist of cocycles independent modulo coboundaries.
     """
     t = c.table
     n = t.n
     if degree in c._canonical_cache:
         return c._canonical_cache[degree]
+
+    powers = [x0_element(t, k) for k in range(n)]
     if degree > 6:
         m = (degree - 1) // 6
         base = canonical_cocycles(c, degree - 6 * m)
         labels = [f"{lab}*h^{m}" if m > 1 else f"{lab}*h" for lab in base.labels]
-        out = CanonicalBasis(degree, labels, base.vectors)
-        c._canonical_cache[degree] = out
-        return out
-
-    powers = [x0_element(t, k) for k in range(n)]
-    if degree == 0:
+        vectors = base.vectors
+    elif degree == 0:
         labels = ["1"] + [f"x0^{k}" if k > 1 else "x0" for k in range(1, n)] + \
                  [f"x{i}" for i in range(1, n + 1)]
         elems = [t.unit()] + powers[1:] + socle_basis(t)
@@ -435,9 +439,12 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
     for lab, v in zip(labels, vectors):
         if not c.is_cocycle(degree, v):
             raise CanonicalBasisError(f"{lab} is not a cocycle in degree {degree}")
-    _check_independent_mod_coboundaries(c, degree, vectors, labels)
-    out = CanonicalBasis(degree, labels, vectors)
-    c._canonical_cache[degree] = out
+    solver = PreparedSolver(c.span_with_coboundaries(degree, vectors))
+    if solver.rank != len(vectors) + c.diff_rank(degree - 1):
+        raise CanonicalBasisError(
+            f"canonical cocycles of degree {degree} ({labels}) are dependent "
+            f"modulo coboundaries")
+    out = c._canonical_cache[degree] = CanonicalBasis(degree, labels, vectors, solver)
     return out
 
 
@@ -447,14 +454,6 @@ def _x0_label(k: int, gen: str) -> str:
     if k == 1:
         return f"x0*{gen}"
     return f"x0^{k}*{gen}"
-
-
-def _check_independent_mod_coboundaries(c, degree, vectors, labels):
-    total = c.span_with_coboundaries(degree, vectors).rank()
-    if total != len(vectors) + c.diff_rank(degree - 1):
-        raise CanonicalBasisError(
-            f"canonical cocycles of degree {degree} ({labels}) are dependent "
-            f"modulo coboundaries")
 
 
 @dataclass
@@ -488,13 +487,17 @@ def zmodule_checks(c: CochainComplex) -> ZModuleReport:
     socle = socle_basis(t)
     degrees = range(1, min(c.maxdeg - 1, 12) + 1)
 
+    def coboundary(j, vec):
+        coords = canonical_cocycles(c, j).coords(vec)
+        return coords is not None and not any(coords)
+
     socle_ok = True
     for j in degrees:
         basis = canonical_cocycles(c, j)
         for lab, v in zip(basis.labels, basis.vectors):
             for i, w in enumerate(socle, start=1):
                 prod = c.scale_vector(j, w, v)
-                if c.coboundary_solve(j, prod) is None:
+                if not coboundary(j, prod):
                     socle_ok = False
                     failures.append(f"x{i}*{lab} not a coboundary in degree {j}")
 
@@ -506,7 +509,7 @@ def zmodule_checks(c: CochainComplex) -> ZModuleReport:
         basis = canonical_cocycles(c, j)
         for lab, v in zip(basis.labels, basis.vectors):
             prod = c.scale_vector(j, x0, v)
-            if c.coboundary_solve(j, prod) is None:
+            if not coboundary(j, prod):
                 x0_23_ok = False
                 failures.append(f"x0*{lab} not a coboundary in degree {j}")
 
@@ -517,7 +520,7 @@ def zmodule_checks(c: CochainComplex) -> ZModuleReport:
             continue
         gen = canonical_cocycles(c, j).vectors[0]
         prod = c.scale_vector(j, top, gen)
-        if c.coboundary_solve(j, prod) is not None:
+        if coboundary(j, prod):
             survive_ok = False
             failures.append(f"x0^{n - 1} * generator is a coboundary in degree {j}")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Tuple
 
+from .cochain import canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, UnsupportedCharacteristicError
 from .yoneda import YonedaEngine, closed_form_c_matrix
 
@@ -216,11 +217,11 @@ def verify(spec: PresentationSpec, engine: YonedaEngine,
                 results.append(RelationResult(r.label, False, "inhomogeneous"))
                 continue
             deg = degs.pop()
-            total = engine.cx.zero_vector(deg)
+            # summed as plain numbers, coerced once per entry
+            total = [0] * engine.cx.spaces[deg].dim
             for coeff, v in vecs:
-                c = F(coeff)
-                total = [F.add(a, F.mul(c, b)) for a, b in zip(total, v)]
-            cls = engine.identify(total, deg)
+                total = [a + coeff * b for a, b in zip(total, v)]
+            cls = engine.identify([F(a) for a in total], deg)
             results.append(RelationResult(r.label, cls.is_zero(), str(cls)))
         return results
 
@@ -261,7 +262,8 @@ def _span_audit(spec, engine, ev, audit_to):
     n = spec.n
     pos_gens = [ev.gen_vectors[name] for name, d in spec.generators if d > 0]
     kept: Dict[int, list] = {0: []}
-    _keep_independent(engine, 0, kept[0], engine.canonical(0).vectors)
+    _keep_independent(engine, 0, kept[0],
+                      canonical_cocycles(engine.cx, 0).vectors)
     audit: Dict[int, Tuple[int, int]] = {0: (len(kept[0]), 2 * n)}
     for i in range(1, audit_to + 1):
         kept[i] = []

@@ -14,7 +14,8 @@ on the same terms, the step-k system is the step-(k-3) system conjugated
 by the signs (-1)^deg of the right tensor factors, so each twist class of
 steps (k, k+3, k+6, ...) is eliminated once, at its base step in 1..3.
 Products of classes are compositions of a cochain with a lift of
-the other factor, identified in the canonical cohomology bases afterwards;
+the other factor, identified afterwards by the class solver that the
+canonical basis of the product degree holds (`CanonicalBasis.coords`);
 both chain-map kernels (`resolution.compose` and `cup_vec`) sum plain
 numbers and coerce each entry into the field once.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_add
-from .cochain import CanonicalBasis, CochainComplex, PARALLELS, canonical_cocycles
+from .cochain import CochainComplex, PARALLELS, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, PreparedSolver, det
 from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
 
@@ -88,16 +89,10 @@ class YonedaEngine:
         self.cx = cx
         self.table: AlgebraTable = cx.table
         self.window: ResolutionWindow = cx.window
-        self._identify_solvers: Dict[int, PreparedSolver] = {}
         self._lift_cache: Dict[tuple, ChainMapSegment] = {}
         self._lift_systems: Dict[tuple, _LiftSystem] = {}
         self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, list]]] = None
-
-    # -- canonical bases ----------------------------------------------------
-
-    def canonical(self, degree: int) -> CanonicalBasis:
-        return canonical_cocycles(self.cx, degree)
 
     def generators(self) -> List[Tuple[str, int, list]]:
         """Named cocycle representatives of the ring generators.
@@ -107,11 +102,12 @@ class YonedaEngine:
         """
         if self._gens is None:
             n = self.table.n
-            gens = [("y", 1, self.canonical(1).vectors[0])]
-            gens += [(f"z{k}", 2, self.canonical(2).vectors[k - 1]) for k in range(1, n + 1)]
-            gens += [(f"t{k}", 3, self.canonical(3).vectors[k - 1]) for k in range(1, n + 1)]
-            gens += [("gamma", 4, self.canonical(4).vectors[0])]
-            gens += [("h", 6, self.canonical(6).vectors[0])]
+            v = {i: canonical_cocycles(self.cx, i).vectors for i in (1, 2, 3, 4, 6)}
+            gens = [("y", 1, v[1][0])]
+            gens += [(f"z{k}", 2, v[2][k - 1]) for k in range(1, n + 1)]
+            gens += [(f"t{k}", 3, v[3][k - 1]) for k in range(1, n + 1)]
+            gens += [("gamma", 4, v[4][0])]
+            gens += [("h", 6, v[6][0])]
             self._gens = gens
         return self._gens
 
@@ -125,12 +121,13 @@ class YonedaEngine:
 
     def lift(self, vec: list, degree: int, steps: int) -> ChainMapSegment:
         """Chain-map segment over the given cocycle, solving step by step."""
-        cx = self.cx
-        if not cx.is_cocycle(degree, vec):
-            raise NotACocycleError(f"input of degree {degree} is not a cocycle")
         key = (degree, tuple(vec))
         seg = self._lift_cache.get(key)
         if seg is None:
+            # a key enters the cache only after its vector passed this check,
+            # so a cache hit is a cocycle already
+            if not self.cx.is_cocycle(degree, vec):
+                raise NotACocycleError(f"input of degree {degree} is not a cocycle")
             seg = ChainMapSegment(degree, [])
             self._lift_cache[key] = seg
         self._extend(seg, vec, steps)
@@ -347,20 +344,18 @@ class YonedaEngine:
         return cx.vector_from_components(dx + dy, result)
 
     def identify(self, vec: list, degree: int) -> CohomologyClass:
-        """Coordinates over the canonical basis, modulo coboundaries."""
-        cx = self.cx
-        if not cx.is_cocycle(degree, vec):
-            raise NotACocycleError(f"identify: input of degree {degree} is not a cocycle")
-        basis = self.canonical(degree)
-        solver = self._identify_solvers.get(degree)
-        if solver is None:
-            solver = PreparedSolver(cx.span_with_coboundaries(degree, basis.vectors))
-            self._identify_solvers[degree] = solver
-        sol = solver.solve(vec)
-        if sol is None:
+        """Coordinates over the canonical basis, modulo coboundaries.
+
+        `coords` succeeds only on cocycles, so `is_cocycle` only names the error.
+        """
+        basis = canonical_cocycles(self.cx, degree)
+        coords = basis.coords(vec)
+        if coords is None:
+            if not self.cx.is_cocycle(degree, vec):
+                raise NotACocycleError(
+                    f"identify: input of degree {degree} is not a cocycle")
             raise IdentificationError(
                 f"cocycle of degree {degree} not in the canonical span")
-        coords = tuple(sol[: len(basis.vectors)])
         return CohomologyClass(degree, coords, tuple(basis.labels))
 
     def cup(self, xvec: list, dx: int, yvec: list, dy: int) -> CohomologyClass:
@@ -521,7 +516,7 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
     failures: List[str] = []
     bij: Dict[int, bool] = {}
     for i in range(1, 7):
-        basis = engine.canonical(i)
+        basis = canonical_cocycles(engine.cx, i)
         cols = []
         for vec in basis.vectors:
             cls = engine.cup(vec, i, hvec, hdeg)
@@ -530,7 +525,7 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
         bij[i] = rank == len(basis.vectors)
         if not bij[i]:
             failures.append(f"h-multiplication drops rank in degree {i}")
-    basis0 = engine.canonical(0)
+    basis0 = canonical_cocycles(engine.cx, 0)
     cols = []
     for vec in basis0.vectors:
         cls = engine.cup(vec, 0, hvec, hdeg)

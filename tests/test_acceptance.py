@@ -10,7 +10,8 @@ import time
 import pytest
 
 from preproj_hh.algebra import build_algebra, cartan_matrix
-from preproj_hh.cochain import cyclic_dims, hh_dims, homology_dims
+from preproj_hh.cochain import (canonical_cocycles, cyclic_dims, hh_dims,
+                                homology_dims)
 from preproj_hh.exactla import ExactMatrix, FieldSpec
 from preproj_hh.nakayama import associated_form, certify_dualizable
 from preproj_hh.oracle import bar_dims, compare
@@ -226,7 +227,7 @@ def _product_lemma_failures(n, char):
                 failures.append("t*t")
         # degree-3 against the degree-5 generators x0^k y gamma vanishes too
         for kpow in range(n):
-            v5 = eng.canonical(5).vectors[kpow]
+            v5 = canonical_cocycles(eng.cx, 5).vectors[kpow]
             d, tv = eng.generator_vector(f"t{j}")
             if not eng.identify(eng.cup_vec(tv, d, v5, 5), 8).is_zero():
                 failures.append("t*(x0^k y gamma)")
@@ -278,7 +279,8 @@ def test_11_oracle():
 def test_12_cyclic_homology():
     ok = True
     for n in GRID_N:
-        hc, b = cyclic_dims(context(n).cx, 10)
+        cx = context(n).cx
+        hc, b = cyclic_dims(cx, homology_dims(cx, 10))
         ok = ok and hc == [2 * n if i % 2 == 0 else 0 for i in range(11)]
         ok = ok and b == [n if i % 2 == 0 else 0 for i in range(11)]
     _report(12, "cyclic homology dimensions and Connes images", ok)

@@ -271,6 +271,7 @@ def test_stable_failures_reach_the_body_and_the_verify_output(tmp_path, monkeypa
     # multiplying by the class x0*h instead of h drops rank in every degree
     # (x0 kills HH^2, for one): the stable verdict, pass and the run exit
     # code flip, and the body carries the failing degrees as its witness
+    from preproj_hh.cochain import canonical_cocycles
     from preproj_hh.yoneda import YonedaEngine
 
     def run():
@@ -286,7 +287,7 @@ def test_stable_failures_reach_the_body_and_the_verify_output(tmp_path, monkeypa
 
     def x0_h_for_h(self, name):
         if name == "h":
-            return 6, self.canonical(6).vectors[1]
+            return 6, canonical_cocycles(self.cx, 6).vectors[1]
         return true_vector(self, name)
 
     monkeypatch.setattr(YonedaEngine, "generator_vector", x0_h_for_h)

@@ -1,6 +1,7 @@
 import pytest
 
 from preproj_hh.algebra import center_basis
+from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec, UnsupportedCharacteristicError
 from preproj_hh.presentation import _Evaluator, theorem_spec, verify
 from preproj_hh.yoneda import stable_structure_check
@@ -99,7 +100,7 @@ def _reference_span_audit(spec, engine, audit_to=12):
     n = spec.n
     pos_gens = [(name, d) for name, d in spec.generators if d > 0]
     zero_gens = [name for name, d in spec.generators if d == 0]
-    basis0 = engine.canonical(0)
+    basis0 = canonical_cocycles(engine.cx, 0)
     span_vecs = {0: [list(v) for v in basis0.vectors]}
     audit = {0: (ExactMatrix.from_columns(
         F, [list(engine.identify(v, 0).coords) for v in span_vecs[0]]).rank(), 2 * n)}
