@@ -3,8 +3,9 @@
 Each grid point produces one certificate: a JSON document whose body is
 byte-reproducible (exact values only, canonical key order) and whose
 nondeterministic parts (timestamp, timings) are isolated in a header
-object.  Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage
-error, 3 oracle budget exceeded.
+object, together with the lifting work of the product engine.  Exit codes:
+0 all verdicts pass, 1 verification failure, 2 usage error, 3 oracle budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     }
     return {
         "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                   "timings": {k: round(v, 3) for k, v in timings.items()}},
+                   "timings": {k: round(v, 3) for k, v in timings.items()},
+                   "work": engine.work()},
         "body": _exact(body),
     }
 

@@ -18,6 +18,8 @@ complex, and the cyclic homology dimensions from the Connes-image
 bookkeeping over it.  The canonical basis of each degree holds that
 degree's one class solver: `CanonicalBasis.coords` reads the class of a
 cocycle off [canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
+Degrees 7..12 reuse the vectors of degree i-6, and its solver too wherever
+d^(i-1) is checked equal to d^(i-7).
 """
 
 from __future__ import annotations
@@ -390,6 +392,7 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
         return c._canonical_cache[degree]
 
     powers = [x0_element(t, k) for k in range(n)]
+    base = None
     if degree > 6:
         m = (degree - 1) // 6
         base = canonical_cocycles(c, degree - 6 * m)
@@ -439,7 +442,14 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
     for lab, v in zip(labels, vectors):
         if not c.is_cocycle(degree, v):
             raise CanonicalBasisError(f"{lab} is not a cocycle in degree {degree}")
-    solver = PreparedSolver(c.span_with_coboundaries(degree, vectors))
+    # `span_with_coboundaries` reads only the vectors and d^(degree-1): where
+    # both are checked to be the base degree's, the matrix is the base's and
+    # so is its solver
+    if (base is not None and vectors is base.vectors
+            and c.diffs[degree - 1] == c.diffs[base.degree - 1]):
+        solver = base.solver
+    else:
+        solver = PreparedSolver(c.span_with_coboundaries(degree, vectors))
     if solver.rank != len(vectors) + c.diff_rank(degree - 1):
         raise CanonicalBasisError(
             f"canonical cocycles of degree {degree} ({labels}) are dependent "

@@ -13,6 +13,11 @@ Deeper steps share systems too: where the engine checks d_k = tau(d_(k-3))
 on the same terms, the step-k system is the step-(k-3) system conjugated
 by the signs (-1)^deg of the right tensor factors, so each twist class of
 steps (k, k+3, k+6, ...) is eliminated once, at its base step in 1..3.
+The lifts repeat with the same twisted period: where steps k and
+degree+k both join the classes of k-3 and degree+k-3, and f_(k-1) is
+checked to equal eps tau(f_(k-4)) for eps = +1 or -1, step k is appended as
+eps tau(f_(k-3)) with no composition and no solve; every other step is
+solved.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`);
@@ -93,6 +98,9 @@ class YonedaEngine:
         self._lift_systems: Dict[tuple, _LiftSystem] = {}
         self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, list]]] = None
+        # lift steps solved and steps appended as twists of an earlier step
+        self.steps_solved = 0
+        self.steps_twisted = 0
 
     def generators(self) -> List[Tuple[str, int, list]]:
         """Named cocycle representatives of the ring generators.
@@ -117,6 +125,12 @@ class YonedaEngine:
                 return deg, vec
         raise KeyError(name)
 
+    def work(self) -> Dict[str, int]:
+        """Lifting work so far: steps solved, steps twisted, systems eliminated."""
+        return {"lift_steps_solved": self.steps_solved,
+                "lift_steps_twisted": self.steps_twisted,
+                "lifting_systems": len(self._lift_systems)}
+
     # -- lifting ------------------------------------------------------------
 
     def lift(self, vec: list, degree: int, steps: int) -> ChainMapSegment:
@@ -140,11 +154,46 @@ class YonedaEngine:
             raise ValueError("window too shallow for the requested lift")
         while len(seg.maps) <= steps:
             k = len(seg.maps)
+            twisted = self._twisted_step(seg, k) if k >= 4 else None
+            if twisted is not None:
+                seg.maps.append(twisted)
+                self.steps_twisted += 1
+                continue
             if k == 0:
                 rhs_by_summand = self._cochain_rhs(degree, vec)
             else:
                 rhs_by_summand = compose(seg.maps[k - 1], w.diffs[degree + k]).values
             seg.maps.append(self._solve_step(degree, k, rhs_by_summand))
+            self.steps_solved += 1
+
+    # Soundness of the period shortcut.  Suppose `_twist_classes` put step k
+    # in the class of k-3 and step degree+k in the class of degree+k-3: so
+    # d_k = tau(d_(k-3)) and d_(degree+k) = tau(d_(degree+k-3)), on equal
+    # terms.  Suppose also that f_(k-1) = eps tau(f_(k-4)) holds exactly.
+    # tau multiplies the right factor of each value term by (-1)^its degree,
+    # and degrees add under composition, so tau(f o g) = tau(f) o tau(g).
+    # The step-k right-hand side b_k = f_(k-1) o d_(degree+k) is then
+    # eps tau(f_(k-4) o d_(degree+k-3)) = eps E b_(k-3), with E the sign
+    # diagonal of the note at `_lift_system`; tau keeps value degrees, so
+    # b_k splits into the same graded blocks as b_(k-3).  By that note, step
+    # j of the class is solved as f_j = E^(odd_j) S(E^(odd_j) b_j), S the
+    # canonical solution of the shared base system, and odd_k = 1 - odd_(k-3).
+    # S is linear in b (pivot entries T b, free entries 0), so
+    #   f_k = eps E^(odd_k) S(E^(odd_k) E b_(k-3))
+    #       = eps E E^(odd_(k-3)) S(E^(odd_(k-3)) b_(k-3)) = eps tau(f_(k-3)),
+    # and, normalized, that is the map `_solve_step` would return, byte for
+    # byte (by induction every earlier step is the solved one too).  Where a
+    # check fails, the step is solved.
+    def _twisted_step(self, seg: ChainMapSegment, k: int) -> Optional[BimoduleMap]:
+        """eps tau(f_(k-3)) where the period argument above applies, else None."""
+        tw, j = self._twist, seg.base_degree + k
+        if tw[k][0] != tw[k - 3][0] or tw[j][0] != tw[j - 3][0]:
+            return None
+        prev = seg.maps[k - 1].values
+        for eps in (1, -1):
+            if prev == _signed_twist(seg.maps[k - 4], eps).values:
+                return _signed_twist(seg.maps[k - 3], eps)
+        return None
 
     def _cochain_rhs(self, degree: int, vec: list):
         """Cochain components reshaped as value-term lists per source summand."""
@@ -160,7 +209,7 @@ class YonedaEngine:
 
     def _solve_step(self, degree: int, k: int, rhs_by_summand) -> BimoduleMap:
         """Solve d_k o f = rhs (k >= 1) or u o f = cochain (k = 0)."""
-        w, t, F = self.window, self.table, self.table.field
+        w, t = self.window, self.table
         src_term = w.terms[degree + k]
         tgt_term = w.terms[k]
         values: List[list] = []
@@ -231,7 +280,8 @@ class YonedaEngine:
     # column j of M_base does: both have the same pivot columns, E x' is
     # zero at the free ones, and x is the echelon-canonical solution of the
     # step-k system, byte for byte.  A step whose check fails keeps its own
-    # key.
+    # key.  The same conjugation lets `_extend` skip a step's solve entirely
+    # where the lift itself repeats; see the note at `_twisted_step`.
     def _lift_system(self, k, s, tt, rhs_value_degree) -> _LiftSystem:
         """The prepared graded lifting system for one (step, summand, degree)."""
         key = (k, s, tt, rhs_value_degree)
@@ -392,6 +442,14 @@ def _twist_classes(w: ResolutionWindow) -> List[Tuple[int, bool]]:
         else:
             classes.append((k, False))
     return classes
+
+
+def _signed_twist(m: BimoduleMap, eps: int) -> BimoduleMap:
+    """eps tau(m), normalized."""
+    twisted = tau_twist(m)
+    return BimoduleMap(m.table, m.source, m.target,
+                       [[(k, eps * c, x, y) for k, c, x, y in terms]
+                        for terms in twisted.values]).normalized()
 
 
 def _sign_flip(t: AlgebraTable, values: list, keys: list) -> list:

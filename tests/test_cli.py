@@ -336,3 +336,47 @@ def test_presentation_failures_reach_the_body_and_the_verify_output(tmp_path, mo
     capsys.readouterr()
     assert main(["verify", "--n", "2", "--char", "3"]) == 1
     assert "  gamma^2=z1*h: residual 2*z1*h\n" in capsys.readouterr().out
+
+
+def test_header_records_the_lifting_work():
+    # header only: the body keeps its bytes (see the digest test)
+    cert = compute_certificate(7, 3, with_oracle=False)
+    header = cert["header"]
+    assert set(header) == {"timestamp", "timings", "work"}
+    assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 101,
+                              "lifting_systems": 121}
+    assert "work" not in cert["body"]
+
+
+def test_run_exit_code_is_zero_exactly_when_every_body_passes(tmp_path, monkeypatch):
+    # a Cartan determinant one off at n=2 flips that point's cartan_det
+    # verdict and pass, and only that point's; run exits 1 once any point fails
+    import preproj_hh.cli as cli
+
+    def run(out, n, chars):
+        rc = main(["run", "--n", n, "--char", chars, "--no-oracle", "--jobs", "1",
+                   "--out", str(out)])
+        bodies = {}
+        for path in sorted(out.glob("cert_*.json")):
+            body = json.loads(path.read_text())["body"]
+            cfg = body["config"]
+            bodies[cfg["n"], cfg["characteristic"]] = body
+        return rc, bodies
+
+    rc, bodies = run(tmp_path / "good", "1..3", "0,3,5")
+    assert len(bodies) == 9
+    assert all(body["pass"] is True for body in bodies.values())
+    assert rc == 0
+    true_cartan = cli.cartan_matrix
+
+    def cartan_one_off(table):
+        cart, det = true_cartan(table)
+        return cart, det + 1 if table.n == 2 else det
+
+    monkeypatch.setattr(cli, "cartan_matrix", cartan_one_off)
+    rc, bodies = run(tmp_path / "bad", "1..3", "3")
+    assert {key: body["pass"] for key, body in bodies.items()} == {
+        (1, 3): True, (2, 3): False, (3, 3): True}
+    failed = bodies[2, 3]["verdicts"]
+    assert [v for v, ok in failed.items() if not ok] == ["cartan_det"]
+    assert rc == 1

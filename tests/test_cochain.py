@@ -174,6 +174,32 @@ def test_independence_is_checked_above_degree_six(monkeypatch):
         canonical_cocycles(cx, 8)
 
 
+@pytest.mark.parametrize("n,char", [(1, 0), (2, 3), (3, 5)])
+def test_degrees_above_six_share_the_class_solver_of_degree_i_minus_6(n, char):
+    cx = context(n, char).cx
+    for i in range(7, 13):
+        assert cx.diffs[i - 1] == cx.diffs[i - 7]
+        assert canonical_cocycles(cx, i).solver is canonical_cocycles(cx, i - 6).solver
+
+
+def test_a_differential_that_differs_gets_its_own_class_solver(monkeypatch):
+    # -d7 has the image of d7, so degree 8 keeps its classes and its rank,
+    # but [vectors | -d7] is not the degree-2 matrix: degree 8 eliminates it
+    from preproj_hh.exactla import ExactMatrix
+    cx = context(2, 3).cx
+    d = cx.diffs[7]
+    negated = ExactMatrix.from_entries(cx.table.field, d.nrows, d.ncols,
+                                       ((i, j, -x) for i, j, x in d.entries()))
+    assert negated != cx.diffs[1]
+    monkeypatch.setattr(cx, "diffs", cx.diffs[:7] + [negated] + cx.diffs[8:])
+    monkeypatch.delitem(cx._canonical_cache, 8, raising=False)
+    own, base = canonical_cocycles(cx, 8), canonical_cocycles(cx, 2)
+    assert own.solver is not base.solver
+    assert own.solver.rank == base.solver.rank
+    for k, vec in enumerate(own.vectors):
+        assert own.coords(vec) == base.coords(vec) == tuple(int(j == k) for j in range(2))
+
+
 def test_degree_one_representative_is_arrow_sum():
     ctx = context(2)
     t, cx = ctx.table, ctx.cx

@@ -326,6 +326,30 @@ def _system_shapes(t, w):
             for dv in range(0, 2 * t.top_degree + 2)]
 
 
+class _SolvedEveryStep(YonedaEngine):
+    """Reference engine: the period shortcut off, every step solved."""
+
+    def _twisted_step(self, seg, k):
+        return None
+
+
+class _RecordedSteps(YonedaEngine):
+    """Records (base degree, step) of every solved step."""
+
+    def __init__(self, cx):
+        super().__init__(cx)
+        self.solved = []
+
+    def _solve_step(self, degree, k, rhs_by_summand):
+        self.solved.append((degree, k))
+        return super()._solve_step(degree, k, rhs_by_summand)
+
+
+def _lift_generators(eng):
+    depth = eng.window.depth
+    return [(name, d, v, eng.lift(v, d, depth - d)) for name, d, v in eng.generators()]
+
+
 @pytest.mark.parametrize("char", [0, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_twisted_systems_are_sign_conjugates_of_their_base(n, char):
@@ -373,7 +397,9 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
     # d5 negated: d5 is no longer tau(d2), nor d8 tau(d5); both become bases,
     # and d11 = tau(d8) joins the class of 8.  The negated window is still a
     # resolution with the same cocycles (negating d5 keeps every kernel), so
-    # every lift along it must satisfy the chain-map identities
+    # every lift along it must satisfy the chain-map identities.  No step k
+    # or degree+k in {5, 8} may be a twist of an earlier step: those steps
+    # are solved, and the lifts match an engine that solves every step
     import copy
     from preproj_hh.resolution import BimoduleMap
     from preproj_hh.yoneda import _twist_classes
@@ -389,12 +415,17 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
     assert classes[6] == (3, True) and classes[12] == (3, True)
     cx = copy.copy(ctx.cx)
     cx.window = w
-    eng = YonedaEngine(cx)
+    eng, ref = _RecordedSteps(cx), _SolvedEveryStep(cx)
     assert eng._twist == classes
     for name, d, v in eng.generators():
         seg = eng.lift(v, d, w.depth - d)
         assert eng.verify_segment(seg, v), name
+        assert [m.values for m in seg.maps] == [
+            m.values for m in ref.lift(v, d, w.depth - d).maps], name
+        solved = {k for dd, k in eng.solved if dd == d}
+        assert {k for k in range(len(seg.maps)) if k in (5, 8) or d + k in (5, 8)} <= solved
     assert {key[0] for key in eng._lift_systems} >= {5, 8}
+    assert eng.steps_twisted > 0
 
 
 @pytest.mark.parametrize("n,char,systems", [(6, 0, 103), (7, 3, 121)])
@@ -413,3 +444,71 @@ def test_distinct_lifting_systems_per_certificate(n, char, systems, monkeypatch)
     assert cli.compute_certificate(n, char, 13, 10000, False)["body"]["pass"]
     assert len(engines) == 1
     assert len(engines[0]._lift_systems) == systems
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_twisted_steps_match_solved_steps(n, char):
+    # every generator's lift through the whole window, map for map, against
+    # an engine that solves every step; each lift verifies
+    cx = context(n, char).cx
+    eng, ref = YonedaEngine(cx), _SolvedEveryStep(cx)
+    for (name, d, v, mine), (_, _, _, theirs) in zip(_lift_generators(eng),
+                                                     _lift_generators(ref)):
+        assert eng.verify_segment(mine, v), name
+        assert len(mine.maps) == len(theirs.maps) == cx.window.depth - d + 1
+        for k, (f, g) in enumerate(zip(mine.maps, theirs.maps)):
+            assert f.values == g.values, (name, k)
+    assert eng.steps_twisted > 0 and ref.steps_twisted == 0
+    assert eng.steps_solved + eng.steps_twisted == ref.steps_solved
+    assert eng.work()["lifting_systems"] == ref.work()["lifting_systems"]
+
+
+def test_a_lift_that_breaks_its_period_is_solved():
+    # f_4 + d_5 o i, i the identity pattern P^-8 -> P^-5, still satisfies the
+    # identity at step 4 (d_4 o d_5 = 0) but is no longer +-tau(f_1): step 5
+    # is solved, from that f_4, and the segment still verifies
+    from preproj_hh.resolution import BimoduleMap, compose
+    from preproj_hh.yoneda import ChainMapSegment
+    ctx = context(2, 3)
+    t, w = ctx.table, ctx.window
+    eng = _RecordedSteps(ctx.cx)
+    d, v = eng.generator_vector("gamma")
+    clean = ChainMapSegment(d, list(eng.lift(v, d, 4).maps))
+    assert eng._twisted_step(clean, 5) is not None
+    assert w.terms[8].summands == w.terms[5].summands
+    ident = BimoduleMap(t, w.terms[8], w.terms[5],
+                        [[(ks, 1, t.e_ids[s], t.e_ids[tt])]
+                         for ks, (s, tt) in enumerate(w.terms[8].summands)])
+    f4, shift = clean.maps[4], compose(w.diffs[5], ident)
+    corrupted = BimoduleMap(t, f4.source, f4.target,
+                            [a + b for a, b in zip(f4.values, shift.values)]).normalized()
+    assert not corrupted.equals(f4)
+    seg = ChainMapSegment(d, clean.maps[:4] + [corrupted])
+    assert eng._twisted_step(seg, 5) is None
+    eng.solved.clear()
+    twisted = eng.steps_twisted
+    eng._extend(seg, v, 5)
+    assert eng.solved == [(d, 5)] and eng.steps_twisted == twisted
+    assert eng.verify_segment(seg, v)
+
+
+@pytest.mark.parametrize("n,char,solved", [(6, 0, 63), (7, 3, 71)])
+def test_lift_steps_solved_per_certificate(n, char, solved, monkeypatch):
+    # pinned: the period shortcut leaves 63 solved steps at n=6 over Q and
+    # 71 at n=7 over F3 (136 and 172 without it); past step 3 only the
+    # degree-1 lifts, whose period starts at step 6, solve, and only through 6
+    import preproj_hh.cli as cli
+    engines = []
+
+    class Recorded(_RecordedSteps):
+        def __init__(self, cx):
+            super().__init__(cx)
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "YonedaEngine", Recorded)
+    cert = cli.compute_certificate(n, char, 13, 10000, False)
+    assert cert["body"]["pass"]
+    assert len(engines) == 1
+    assert len(engines[0].solved) == solved
+    assert {(d, k) for d, k in engines[0].solved if k > 3} == {(1, 4), (1, 5), (1, 6)}
