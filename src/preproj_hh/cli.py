@@ -490,7 +490,7 @@ def _run_single(command: str, n: int, field: FieldSpec, args) -> int:
         return 0
     if command == "cartan":
         cart, det = cartan_matrix(table)
-        print(f"n={n}: {cart} det={det}")
+        print(f"n={n} char={field.characteristic}: {cart} det={det}")
         return 0 if det == 2 ** n else 1
     if command == "cmatrix":
         cm = c_matrix(table)

@@ -3,17 +3,22 @@
 Scalars over the rationals are plain ints while they are integral and
 `fractions.Fraction` otherwise; over the p-element field they are ints in the
 range 0..p-1.  No floating point is used anywhere: `FieldSpec` rejects every
-other input, and `FieldSpec.inv` is the only division.
+other input, and every division builds a Fraction or floor-divides by an
+exact divisor, never `/` on ints.
 Every rank, kernel, solve and determinant goes through one sparse forward
-elimination, `_reduce`, over {column: scalar} rows, followed by
-`_back_substitute` where the reduced row echelon form is needed.
+elimination, `_reduce`, over {column: scalar} rows.  Over the rationals it
+is fraction-free: a row is an int row times the rational it was scaled by,
+so a rank costs int arithmetic only.  `_divided` divides its result out
+into the normalized pivot rows and scales of an all-Fraction elimination,
+and `_back_substitute` turns those into the reduced row echelon form where
+it is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -42,8 +47,9 @@ class FieldSpec:
 
     Soundness of int scalars over Q: an integral rational is held as a plain
     int, any other as a Fraction.  Python's mixed int/Fraction arithmetic is
-    exact, and `inv` is the only division; it builds `Fraction(1, a)`, never
-    `1 / a`, which would be a float for an int a.  So every value stays
+    exact, and every division builds a Fraction, as `inv` builds
+    `Fraction(1, a)`, never `1 / a`, which would be a float for an int a
+    (`_reduce` floor-divides only by exact divisors).  So every value stays
     exact, and since `Fraction(k) == k` with equal hashes, every rank, pivot,
     solve and comparison is what all-Fraction arithmetic gives.  Only the
     serialized form tells the two apart, so certificates write scalars
@@ -141,40 +147,120 @@ def _axpy(row: dict, f, prow: dict, lead, p: int):
 
 
 def _reduce(rows: Iterable[dict], F: FieldSpec, ncols: Optional[int] = None):
-    """Forward elimination of {column: scalar} rows over F.
+    """Fraction-free forward elimination of {column: scalar} rows over F.
 
     Each incoming row is coerced into F, reduced against the pivot rows found
     so far (keyed by leading column) and kept as a new pivot row if anything
     is left.  Only columns below `ncols` (any column when None) may carry a
     pivot; a row whose part below `ncols` vanishes while entries remain
-    beyond it goes to `rest`.  Returns (pivots, rest): pivots maps each pivot
-    column, in the order found, to (scale, row), where row is the reduced row
-    divided by its leading entry `scale`.
+    beyond it goes to `rest`.
+
+    Over Q every row is held as an int row times a rational: a row with
+    fractions is cleared of its denominators on arrival, and `mult` records
+    the factor the row has been scaled by since.  A new pivot row is made
+    primitive with a positive lead a.  Reducing a row whose entry at that
+    column is b replaces it by (a/g)*row - (b/g)*pivot, g = gcd(a, b), and
+    multiplies its mult by a/g.  Over F_p pivot rows are normalized to lead
+    1 on arrival, so there, as for every pivot of lead 1 over Q, the step is
+    row -= b*pivot.  A row of ints is taken as it comes, and a lead of +-1
+    needs no gcd, so unit-lead eliminations pay no bookkeeping per row.
+
+    Returns (pivots, rest) in that form: pivots maps each pivot column, in
+    the order found, to (lead, row, num, den), where row has leading entry
+    lead and the reduced row it stands for has leading entry num/den; rest
+    holds (mult, row) pairs.  Ranks read the pivots off directly, with no
+    division; `_divided` turns both into what an all-Fraction elimination
+    returns.
+
+    Soundness: scaling a row by a nonzero rational keeps its support, so it
+    meets the same pivots in the same order, and it keeps the row space of
+    the rows processed so far, so the rank and the pivot columns are those
+    of the all-Fraction elimination.  At every step a row is a nonzero
+    rational multiple of the row that elimination holds (mult while it is
+    reduced), so dividing each pivot row by its lead gives that
+    elimination's normalized rows, dividing each `rest` row by its mult
+    gives its `rest` rows, and num/den is its scale: `det` multiplies the
+    same exact scales.  The reduced row echelon form is unique besides, so
+    every row built on these comes out byte-identical.
     """
     p = F.characteristic
     pivots: dict = {}
     rest = []
     for row in rows:
-        row = {c: fv for c, v in row.items() if (fv := F(v)) != 0}
+        mult = 1
+        if p:
+            row = {c: x for c, v in row.items()
+                   if (x := v % p if type(v) is int else F(v))}
+        elif all(type(v) is int for v in row.values()):
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {c: x for c, v in row.items() if (x := F(v))}
+            mult = lcm(*(x.denominator for x in row.values() if type(x) is not int))
+            row = {c: x * mult if type(x) is int else x.numerator * (mult // x.denominator)
+                   for c, x in row.items()}
         while row:
             c = min(row)
             if ncols is not None and c >= ncols:
-                rest.append(row)
+                rest.append((mult, row))
                 break
             hit = pivots.get(c)
             if hit is None:
-                scale = row[c]
-                if scale != 1:
-                    inv = F.inv(scale)
-                    row = {k: F.mul(inv, v) for k, v in row.items()}
-                pivots[c] = (scale, row)
+                lead = num = row[c]
+                if p:
+                    if lead != 1:
+                        inv = pow(lead, -1, p)
+                        row = {k: inv * v % p for k, v in row.items()}
+                        lead = 1
+                elif lead != 1:
+                    # the content divides the lead: a lead of -1 needs no gcd
+                    g = 1 if lead == -1 else gcd(*row.values())
+                    if lead < 0:
+                        g = -g
+                    if g != 1:
+                        row = {k: v // g for k, v in row.items()}
+                        lead //= g
+                pivots[c] = (lead, row, num, mult)
                 break
-            _axpy(row, row.pop(c), hit[1], c, p)
+            a = hit[0]
+            b = row.pop(c)
+            if a != 1:
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                if a != 1:
+                    row = {k: a * v for k, v in row.items()}
+                    mult *= a
+            _axpy(row, b, hit[1], c, p)
     return pivots, rest
 
 
+def _quotient(x: int, d: int) -> Scalar:
+    """x / d over Q for ints x and d != 0; an int when d divides x."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
+def _divide(row: dict, d: int) -> dict:
+    """row / d over Q for an int row and an int d != 0; ints stay ints."""
+    if d == 1:
+        return row
+    return {k: v // d if v % d == 0 else Fraction(v, d) for k, v in row.items()}
+
+
+def _divided(pivots: dict, rest: list):
+    """`_reduce`'s output divided out, as an all-Fraction elimination has it.
+
+    Returns (pivots, rest): pivots maps each pivot column, in the order
+    found, to (scale, row), where row is the reduced row divided by its
+    leading entry `scale`; rest lists the reduced rows left beyond `ncols`.
+    Over F_p every lead and mult is 1 and den is 1, so nothing is divided.
+    """
+    return ({c: (_quotient(num, den), _divide(row, lead))
+             for c, (lead, row, num, den) in pivots.items()},
+            [_divide(row, mult) for mult, row in rest])
+
+
 def _back_substitute(pivots: dict, F: FieldSpec) -> dict:
-    """Reduced row echelon form from `_reduce`'s pivots.
+    """Reduced row echelon form from `_divided` pivots.
 
     Consumes the pivot rows and returns {pivot column: row} in ascending
     column order.  Rows are cleared at the later pivot columns from the last
@@ -193,15 +279,17 @@ def _back_substitute(pivots: dict, F: FieldSpec) -> dict:
 def det(rows: Sequence[Sequence], field: FieldSpec) -> Scalar:
     """Exact determinant of a square matrix given as dense rows.
 
-    `_reduce` only adds multiples of earlier rows to later ones, which keeps
-    the determinant, and leaves row i with leading entry scale_i in pivot
-    column c_i.  Sorted by pivot column those rows are triangular, so the
+    The all-Fraction elimination only adds multiples of earlier rows to
+    later ones, which keeps the determinant, and leaves row i with leading
+    entry scale_i in pivot column c_i.  `_divided` reads those scales off
+    `_reduce` as num/den, which undoes the scaling of its fraction-free
+    rows.  Sorted by pivot column the rows are triangular, so the
     determinant is the product of the scales times the sign of i -> c_i.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    pivots, _ = _reduce((dict(enumerate(row)) for row in rows), field)
+    pivots, _ = _divided(*_reduce((dict(enumerate(row)) for row in rows), field))
     if len(pivots) < n:
         return field.zero
     d = field.one
@@ -340,7 +428,7 @@ class ExactMatrix:
     def echelonize(self) -> EchelonForm:
         """Reduced row echelon form; the zero rows come last."""
         F = self.field
-        rref = _back_substitute(_reduce(self.rows, F)[0], F)
+        rref = _back_substitute(_divided(*_reduce(self.rows, F))[0], F)
         rows = list(rref.values()) + [{} for _ in range(self.nrows - len(rref))]
         return EchelonForm(rank=len(rref), pivot_columns=tuple(rref),
                            reduced=ExactMatrix._wrap(F, self.nrows, self.ncols, rows))
@@ -377,7 +465,7 @@ class ExactMatrix:
         if rest:
             return None
         x = [F.zero] * n
-        for pc, row in _back_substitute(pivots, F).items():
+        for pc, row in _back_substitute(_divided(pivots, rest)[0], F).items():
             x[pc] = row.get(n, F.zero)
         return x
 
@@ -420,8 +508,8 @@ class PreparedSolver:
         n = matrix.ncols
         self.field = F
         self.ncols = n
-        pivots, rest = _reduce(({**row, n + i: F.one} for i, row in enumerate(matrix.rows)),
-                               F, n)
+        pivots, rest = _divided(*_reduce(
+            ({**row, n + i: F.one} for i, row in enumerate(matrix.rows)), F, n))
         rref = _back_substitute(pivots, F)
         self.rank = len(rref)
         self.pivots = list(rref)

@@ -33,6 +33,10 @@ def test_cartan_subcommand(capsys):
     assert main(["cartan", "--n", "1..3"]) == 0
     out = capsys.readouterr().out
     assert "det=2" in out and "det=8" in out
+    # over a characteristic list every line names its point, as build does
+    assert main(["cartan", "--n", "1", "--char", "0,3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=1 char=0: [[2]] det=2", "n=1 char=3: [[2]] det=2"]
 
 
 def test_characteristic_two_rejected(capsys):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.exactla import (ExactMatrix, FieldSpec, PreparedSolver,
-                                UnsupportedCharacteristicError, _reduce, det,
-                                rank_mod_p, sparse_rank)
+                                UnsupportedCharacteristicError, _divided, _reduce,
+                                det, rank_mod_p, sparse_rank)
 
 QQ = FieldSpec(0)
 F5 = FieldSpec(5)
@@ -299,7 +299,7 @@ def test_rational_results_hold_only_ints_and_fractions(rows, data):
     # int scalars over Q are sound only while no float creeps in: every
     # result is an int or a Fraction, never a float
     m = ExactMatrix(QQ, rows)
-    pivots, _ = _reduce(m.rows, QQ)
+    pivots, _ = _divided(*_reduce(m.rows, QQ))
     for scale, row in pivots.values():
         assert _exact_scalars([scale, *row.values()])
     x = data.draw(st.lists(rationals, min_size=m.ncols, max_size=m.ncols))
@@ -313,3 +313,139 @@ def test_rational_results_hold_only_ints_and_fractions(rows, data):
     k = min(m.nrows, m.ncols)
     square = [row[:k] for row in rows[:k]]
     assert _exact_scalars([det(square, QQ)])
+
+
+def _reference_reduce(rows, ncols=None):
+    """`_reduce` and `_divided` over Q the textbook way, in Fractions only.
+
+    Same pivot order as the package's: each row in turn is reduced against
+    the normalized pivot rows found so far and, if a leading entry below
+    `ncols` remains, divided by it and kept.
+    """
+    pivots, rest = {}, []
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v != 0}
+        while row:
+            c = min(row)
+            if ncols is not None and c >= ncols:
+                rest.append(row)
+                break
+            if c not in pivots:
+                pivots[c] = (row[c], {k: v / row[c] for k, v in row.items()})
+                break
+            f, prow = row[c], pivots[c][1]
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+    return pivots, rest
+
+
+# leads of every size and sign, and fractions of several denominators
+lead_heavy = st.one_of(st.integers(min_value=-9, max_value=9),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+rational_matrix = st.integers(min_value=1, max_value=6).flatmap(
+    lambda nr: st.integers(min_value=1, max_value=6).flatmap(
+        lambda nc: st.lists(st.lists(lead_heavy, min_size=nc, max_size=nc),
+                            min_size=nr, max_size=nr)))
+
+
+@given(rows=rational_matrix, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_reduce_matches_all_fraction_elimination(rows, data):
+    nc = len(rows[0])
+    ncols = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=nc)))
+    dicts = [dict(enumerate(row)) for row in rows]
+    raw_pivots, raw_rest = _reduce(dicts, QQ, ncols)
+    # the elimination itself runs in ints: int rows, positive int leads
+    for lead, row, num, den in raw_pivots.values():
+        assert type(lead) is int and lead > 0 and row[min(row)] == lead
+        assert all(type(v) is int for v in row.values())
+        assert type(num) is int and type(den) is int and den > 0
+    for mult, row in raw_rest:
+        assert type(mult) is int and all(type(v) is int for v in row.values())
+    pivots, rest = _divided(raw_pivots, raw_rest)
+    want_pivots, want_rest = _reference_reduce(dicts, ncols)
+    # pivot order, scales and normalized rows, compared as ordered items
+    assert list(pivots.items()) == list(want_pivots.items())
+    assert rest == want_rest
+    # integral values come out as ints, as FieldSpec holds them
+    for scale, row in pivots.values():
+        for x in [scale, *row.values()]:
+            assert type(x) is int or x.denominator != 1
+    # the input rows are left as they were
+    assert dicts == [dict(enumerate(row)) for row in rows]
+
+
+rational_square = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(lead_heavy, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(rows=rational_square)
+@settings(max_examples=100, deadline=None)
+def test_rational_det_matches_cofactor_expansion(rows):
+    assert det(rows, QQ) == _cofactor_det(rows, QQ)
+    ints = [[int(x) for x in row] for row in rows]
+    assert det(ints, QQ) == _cofactor_det(ints, QQ)
+
+
+def _count_fractions(monkeypatch):
+    """Count every Fraction constructed from now on, arithmetic results too."""
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return made
+
+
+NON_UNIT_PIVOTS = [[2, 3, 5, 7], [3, 2, 7, 5], [5, 7, 2, 3], [4, 6, 10, 14]]
+
+
+def test_integer_ranks_over_q_construct_no_fraction(monkeypatch):
+    # the elimination takes pivots of lead 2, 5 and 52, whose normalized rows
+    # would hold fractions: a rank must not build any of them
+    leads = sorted(lead for lead, *_ in _reduce(
+        [dict(enumerate(row)) for row in NON_UNIT_PIVOTS], QQ)[0].values())
+    assert leads[-1] > 1
+    m = ExactMatrix(QQ, NON_UNIT_PIVOTS)
+    rows = [dict(enumerate(row)) for row in NON_UNIT_PIVOTS]
+    made = _count_fractions(monkeypatch)
+    assert sparse_rank(rows, QQ) == m.rank() == 3
+    assert made == []
+    # the count sees a rational rank
+    assert sparse_rank([{0: Fraction(1, 2)}], QQ) == 1 and made
+
+
+@given(rows=matrix_strategy)
+@settings(max_examples=80, deadline=None)
+def test_random_integer_ranks_over_q_construct_no_fraction(rows):
+    want = _reference_rank(rows, QQ)
+    dicts = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        made = _count_fractions(mp)
+        assert sparse_rank(dicts, QQ) == want
+        assert made == []
+
+
+@pytest.mark.parametrize("char", [0, 3])
+@pytest.mark.parametrize("bad", [1.5, 2.0, 0.0, True, False])
+def test_inexact_entries_still_raise_in_every_elimination(char, bad):
+    # entries reach `_reduce` uncoerced: ints are taken inline, anything
+    # else goes through FieldSpec, which refuses floats and bools
+    F = FieldSpec(char)
+    rows = [{0: 1, 1: 2}, {0: Fraction(1, 2), 1: bad}]
+    with pytest.raises(TypeError):
+        sparse_rank(rows, F)
+    raw = ExactMatrix._wrap(F, 2, 2, rows)
+    with pytest.raises(TypeError):
+        raw.rank()
+    with pytest.raises(TypeError):
+        PreparedSolver(raw)

@@ -1,10 +1,13 @@
+import json
 from itertools import product as iproduct
 
 import pytest
 
+from preproj_hh.cli import main
 from preproj_hh.cochain import hh_dims
 from preproj_hh.exactla import FieldSpec, sparse_rank
-from preproj_hh.oracle import BarComplex, BudgetExceededError, bar_dims, compare
+from preproj_hh.oracle import (_SCREEN_PRIME, BarComplex, BudgetExceededError, bar_dims,
+                               compare)
 from conftest import context
 
 
@@ -98,6 +101,50 @@ def test_compare_matches_resolution():
     assert rep.bar == rep.resolution == [4, 2, 2, 2]
     assert rep.rank_field == "Q"
     assert rep.screen == rep.bar
+
+
+def screen_blind_d2(monkeypatch):
+    """Add the screening prime to the first entry of the first row of d_2.
+
+    Over F_p for that prime the complex is unchanged; over Q it is not.
+    """
+    real = BarComplex.differential_rows
+
+    def shifted(self, k, perturb=False):
+        rows = real(self, k, perturb)
+        for i, row in enumerate(rows):
+            if k == 2 and i == 0:
+                key = next(iter(row))
+                row = {**row, key: row[key] + _SCREEN_PRIME}
+            yield row
+
+    monkeypatch.setattr(BarComplex, "differential_rows", shifted)
+
+
+def test_rational_pass_sees_what_the_screen_cannot(monkeypatch):
+    # the rational ranks are computed on their own, not copied from the screen
+    ctx = context(2)
+    screen_blind_d2(monkeypatch)
+    assert bar_dims(ctx.table, 3, field=FieldSpec(_SCREEN_PRIME)) == [4, 2, 2, 2]
+    assert bar_dims(ctx.table, 3) == [4, 2, 1, 1]
+    rep = compare(ctx.table, hh_dims(ctx.cx, 3), 3)
+    assert not rep.ok
+    assert rep.screen == rep.resolution == [4, 2, 2, 2]
+    assert rep.bar == [4, 2, 1, 1] and rep.rank_field == "Q"
+
+
+def test_screen_blind_failure_fails_the_certificate(monkeypatch, tmp_path):
+    # the rational pass decides the verdict, and its dims are the witness
+    screen_blind_d2(monkeypatch)
+    assert main(["run", "--n", "2", "--char", "0", "--jobs", "1",
+                 "--out", str(tmp_path)]) == 1
+    body = json.loads((tmp_path / "cert_n2_char0.json").read_text())["body"]
+    oracle = body["oracle"]
+    assert oracle["rank_field"] == "Q" and oracle["ok"] is False
+    assert oracle["bar_dims"] == [4, 2, 1, 1]
+    assert oracle["resolution_dims"] == oracle["screen_dims"] == [4, 2, 2, 2]
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["oracle"]
+    assert body["pass"] is False
 
 
 @pytest.mark.parametrize("n,char,upto", [(1, 0, 4), (2, 3, 3)])
