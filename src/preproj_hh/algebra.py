@@ -12,6 +12,12 @@ one-dimensional, which the build certifies together with the fact that the
 canonical signed monomials form a basis.  All structure constants are
 integers (in fact 0, 1 or -1); they are computed once over the rationals
 and reduced into the requested field on demand.
+
+The product table holds only the nonzero products and is filled by a
+graded walk: in increasing degree, the row of a monomial a * tail is the
+row of the basis monomial its tail evaluates to, pushed through the arrow
+action of a, one lookup per entry.  No pair of monomials is visited whose
+product vanishes for composability or degree.
 """
 
 from __future__ import annotations
@@ -144,6 +150,13 @@ class AlgebraTable:
         self.by_ends: Dict[Tuple[int, int], List[BasisMonomial]] = {}
         for m in basis:
             self.by_ends.setdefault((m.source, m.target), []).append(m)
+        # the monomials of e_v L and of L e_v, each in basis order
+        self.starting_at = {v: [m for u in self.quiver.vertices
+                                for m in self.by_ends.get((v, u), ())]
+                            for v in self.quiver.vertices}
+        self.ending_at = {v: [m for u in self.quiver.vertices
+                              for m in self.by_ends.get((u, v), ())]
+                          for v in self.quiver.vertices}
         self.e_ids = {i: self.by_ijd[(i, i, 0)] for i in self.quiver.vertices}
         self.socle_ids = {i: self.by_ijd[(i, i, 2 * n - 1)] for i in self.quiver.vertices}
         self.arrow_ids = {a.index: self.by_ijd[(a.source, a.target, 1)]
@@ -359,26 +372,43 @@ def _evaluate_path(path, sign, by_ijd, act, quiver):
 
 
 def _full_product(basis, act, quiver):
-    """All pairwise products, by iterating the arrow action along paths."""
+    """All nonzero pairwise products, one `act` lookup per table entry.
+
+    A monomial m of positive degree is sign * a * tail, a its first arrow.
+    Its tail is evaluated once, through the act table, as c * m' with m' the
+    basis monomial of e_t(a) L_(deg m - 1) e_t(m): graded pieces are at most
+    one-dimensional, and the tail is nonzero because m is.  Since act is
+    left multiplication by an arrow, m * m2 = sign * c * a * (m' * m2), so
+    row m is row m' pushed through act[(a, .)], and rows are filled in
+    increasing degree.  Products of degree above the top vanish and are
+    skipped before their lookup; zero products are never stored.
+    """
     top = 2 * quiver.n - 1
     product = [dict() for _ in basis]
-    for m1 in basis:
-        for m2 in basis:
-            if m1.target != m2.source or m1.degree + m2.degree > top:
+    by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
+    degree = [m.degree for m in basis]
+    for m in sorted(basis, key=lambda m: (m.degree, m.mid)):
+        if m.degree == 0:
+            product[m.mid] = {m2.mid: (1, m2.mid) for m2 in basis
+                              if m2.source == m.source}
+            continue
+        a = m.path[0]
+        coeff, mid = m.sign, by_ijd[(m.target, m.target, 0)]
+        for b in reversed(m.path[1:]):
+            step = act[(b, mid)]
+            if step is None:
+                raise BasisMismatchError(f"the tail of monomial {m.mid} vanishes")
+            coeff *= step[0]
+            mid = step[1]
+        if mid != by_ijd[(quiver.arrows[a].target, m.target, m.degree - 1)]:
+            raise BasisMismatchError(f"the tail of monomial {m.mid} left its graded piece")
+        row, room = product[m.mid], top - m.degree
+        for m2, (c2, m3) in product[mid].items():
+            if degree[m2] > room:
                 continue
-            if m1.degree == 0:
-                product[m1.mid][m2.mid] = (1, m2.mid)
-                continue
-            coeff, mid = m1.sign, m2.mid
-            for a in reversed(m1.path):
-                step = act[(a, mid)]
-                if step is None:
-                    coeff = 0
-                    break
-                c, mid = step
-                coeff *= c
-            if coeff:
-                product[m1.mid][m2.mid] = (coeff, mid)
+            hit = act[(a, m3)]
+            if hit is not None:
+                row[m2] = (coeff * c2 * hit[0], hit[1])
     return product
 
 
@@ -460,7 +490,7 @@ def center_basis(t: AlgebraTable) -> List[dict]:
     if t._center is not None:
         return t._center
     F = t.field
-    diag = [m.mid for m in t.basis if m.source == m.target]
+    diag = [m.mid for i in t.quiver.vertices for m in t.by_ends[(i, i)]]
     entries = []  # (arrow, monomial) row key, column, value
     for j, mid in enumerate(diag):
         for a in t.quiver.arrows:

@@ -15,8 +15,12 @@ apart).
 
 The homology dimensions come from an independently assembled tensor
 complex, and the cyclic homology dimensions from the Connes-image
-bookkeeping over it.  The canonical basis of each degree holds that
-degree's one class solver: `CanonicalBasis.coords` reads the class of a
+bookkeeping over it; dim L/[L, L], checked against HH_0, is ranked from the
+brackets of the generators (idempotents and arrows) with the basis
+monomials, which span [L, L].  Spaces are read off the table's `by_ends`
+lists, and the dualized differential off the resolution's value terms
+indexed once by the summand they read.  The canonical basis of each degree
+holds that degree's one class solver: `CanonicalBasis.coords` reads the class of a
 cocycle off [canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
 Degrees 7..12 reuse the vectors of degree i-6, and its solver too wherever
 d^(i-1) is checked equal to d^(i-7).
@@ -63,12 +67,10 @@ def _make_space(t: AlgebraTable, degree: int) -> CochainSpace:
     basis: List[Tuple[int, int]] = []
     if kind == LOOPS:
         for i in t.quiver.vertices:
-            basis.extend((i, m.mid) for m in t.basis
-                         if m.source == i and m.target == i)
+            basis.extend((i, m.mid) for m in t.by_ends.get((i, i), ()))
     else:
         for a in t.quiver.arrows:
-            basis.extend((a.index, m.mid) for m in t.basis
-                         if m.source == a.source and m.target == a.target)
+            basis.extend((a.index, m.mid) for m in t.by_ends.get((a.source, a.target), ()))
     return CochainSpace(degree, kind, basis, {k: r for r, k in enumerate(basis)})
 
 
@@ -211,22 +213,24 @@ class CochainComplex:
         t = self.table
         d = self.window.diffs[i + 1]
         src, tgt = self.spaces[i], self.spaces[i + 1]
+        # the value terms of d, indexed once by the summand they land in,
+        # which is the component of the cochain they read
+        by_summand: Dict[int, list] = {}
+        for k, terms in enumerate(d.values):
+            tkey = t.quiver.arrows[k].index if tgt.kind == PARALLELS else k + 1
+            for k2, c, x, y in terms:
+                by_summand.setdefault(k2, []).append((tkey, c, x, y))
         entries = []
         for col, (comp, mid) in enumerate(src.basis):
             comp_pos = comp if src.kind == PARALLELS else comp - 1
-            for k, terms in enumerate(d.values):
-                tkey = (t.quiver.arrows[k].index if tgt.kind == PARALLELS
-                        else k + 1)
-                for k2, c, x, y in terms:
-                    if k2 != comp_pos:
-                        continue
-                    lhs = t.mono_mul(x, mid)
-                    if lhs is None:
-                        continue
-                    rhs = t.mono_mul(lhs[1], y)
-                    if rhs is None:
-                        continue
-                    entries.append((tgt.pos[(tkey, rhs[1])], col, c * lhs[0] * rhs[0]))
+            for tkey, c, x, y in by_summand.get(comp_pos, ()):
+                lhs = t.mono_mul(x, mid)
+                if lhs is None:
+                    continue
+                rhs = t.mono_mul(lhs[1], y)
+                if rhs is None:
+                    continue
+                entries.append((tgt.pos[(tkey, rhs[1])], col, c * lhs[0] * rhs[0]))
         return ExactMatrix.from_entries(t.field, tgt.dim, src.dim, entries)
 
     # -- ranks and dimensions ----------------------------------------------------
@@ -261,8 +265,7 @@ def hh_dims(c: CochainComplex, upto: int) -> List[int]:
 def _tensor_space(t: AlgebraTable, term) -> List[Tuple[int, int]]:
     basis = []
     for k, (s, tt) in enumerate(term.summands):
-        basis.extend((k, m.mid) for m in t.basis
-                     if m.source == tt and m.target == s)
+        basis.extend((k, m.mid) for m in t.by_ends.get((tt, s), ()))
     return basis
 
 
@@ -303,24 +306,37 @@ def homology_dims(c: CochainComplex, upto: int) -> List[int]:
 def commutator_quotient_dim(t: AlgebraTable) -> int:
     """dim L/[L,L], an independent cross-check of the homology degree 0.
 
-    [L, L] is spanned by m1 m2 - m2 m1 over pairs of basis monomials.  Such a
-    row vanishes unless m1 m2 or m2 m1 is composable, and swapping the pair
-    only negates it, so the pairs where m1 ends at the start of m2 span it.
+    [L, L] is spanned by the rows [g, m] = gm - mg with g an idempotent or an
+    arrow and m a basis monomial.  For paths x, y and any z,
+        [xy, z] = [x, yz] + [y, zx],
+    so, by induction on the length of a path p = g p' with g an arrow,
+    [p, z] = [g, p'z] + [p', zg] lies in the span of the rows [g, m] and
+    [p', m'] with p' shorter; paths of length 0 and 1 are the generators
+    themselves.  Every basis monomial is a signed path, so these rows span
+    all of [L, L].  [e_v, m] is m, -m or 0, so one row m per monomial with
+    distinct ends stands for them; [a, m] is nonzero only when a ends where
+    m starts or starts where m ends.
     """
     rows = []
-    for m1 in t.basis:
-        for u in t.quiver.vertices:
-            for m2 in t.by_ends.get((m1.target, u), ()):
-                ab = t.mono_mul(m1.mid, m2.mid)
-                ba = t.mono_mul(m2.mid, m1.mid)
-                row: dict = {}
-                if ab is not None:
-                    row[ab[1]] = ab[0]
-                if ba is not None:
-                    row[ba[1]] = row.get(ba[1], 0) - ba[0]
-                row = {k: v for k, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
+    quiver = t.quiver
+    for m in t.basis:
+        if m.source != m.target:
+            rows.append({m.mid: 1})
+        # the arrows ending where m starts, then those only starting where it ends
+        arrows = quiver.arrows_into[m.source] + [
+            a for a in quiver.arrows_from[m.target] if a.target != m.source]
+        for a in arrows:
+            am = t.arrow_ids[a.index]
+            ab = t.mono_mul(am, m.mid)
+            ba = t.mono_mul(m.mid, am)
+            row: dict = {}
+            if ab is not None:
+                row[ab[1]] = ab[0]
+            if ba is not None:
+                row[ba[1]] = row.get(ba[1], 0) - ba[0]
+            row = {k: v for k, v in row.items() if v != 0}
+            if row:
+                rows.append(row)
     return t.dim - sparse_rank(rows, t.field)
 
 

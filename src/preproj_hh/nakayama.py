@@ -1,11 +1,13 @@
 """Nakayama bilinear form of the canonical basis, dual basis, dualizability.
 
 The form is (x, y) = sum over vertices of the coefficient of w_i in x*y.
-On the canonical basis the associated gram matrix has exactly one nonzero
-entry per row, the partner map is an involution, and the matrix is
-symmetric; `certify_dualizable` checks the three equivalent conditions of
-the dualizable-basis criterion independently and reports witnesses for any
-failure.
+Its gram matrix on the basis is read off the grading, one product per row:
+only the monomial of e_t(b) L_(top - deg b) e_s(b) can pair with b (see the
+note at `associated_form`).  On the canonical basis the gram matrix has
+exactly one nonzero entry per row, the partner map is an involution, and
+the matrix is symmetric; `certify_dualizable` checks the three equivalent
+conditions of the dualizable-basis criterion independently and reports
+witnesses for any failure.
 """
 
 from __future__ import annotations
@@ -44,25 +46,37 @@ class NakayamaForm:
         return {"dual": [[mid, str(s), m] for mid, (s, m) in sorted(self.dual.items())]}
 
 
+# Soundness of the graded gram walk.  Every product-table entry
+# m1 * m2 = c * m3 has m3 in e_s(m1) L_(deg m1 + deg m2) e_t(m2): the
+# product is homogeneous and keeps the outer vertices.  The socle element
+# w_i spans e_i L_top e_i, top = 2n - 1, so b * c reaches the socle only if
+# c runs from t(b) to s(b) in degree top - deg b.  That graded piece is at
+# most one-dimensional, so `by_ijd` names the one candidate partner of b,
+# and every other entry of row b is zero.  So the rows assembled this way
+# are those of a walk over all of B x B, one `mono_mul` per row, and the
+# structural check and the rank fallback below judge them as they stand.
+# tests/test_algebra.py checks the premise on every product table entry.
 def associated_form(t: AlgebraTable) -> NakayamaForm:
     """Assemble the gram matrix on B x B and extract the dual basis.
 
-    Nondegeneracy is certified structurally: every row must carry exactly one
-    nonzero entry and the partner assignment must be a bijection.  If that
-    structure ever failed, the fallback is an honest rank computation.
+    Each row is read off the one product that can reach the socle (see the
+    note above).  Nondegeneracy is certified structurally: every row must
+    carry exactly one nonzero entry and the partner assignment must be a
+    bijection.  If that structure ever failed, the fallback is an honest
+    rank computation.
     """
     F = t.field
+    top = t.top_degree
+    socle = set(t.socle_ids.values())
     gram: dict = {}
-    for b in range(t.dim):
+    for m in t.basis:
         row = {}
-        for c in range(t.dim):
-            hit = t.mono_mul(b, c)
-            if hit is None:
-                continue
-            coeff, m = hit
-            if m in t.socle_ids.values():
-                row[c] = F(coeff)
-        gram[b] = row
+        c = t.by_ijd.get((m.target, m.source, top - m.degree))
+        if c is not None:
+            hit = t.mono_mul(m.mid, c)
+            if hit is not None and hit[1] in socle:
+                row[c] = F(hit[0])
+        gram[m.mid] = row
 
     partner = {}
     structural = all(len(row) == 1 for row in gram.values())

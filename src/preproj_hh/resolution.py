@@ -150,9 +150,7 @@ def k_map(t: AlgebraTable, form: NakayamaForm) -> BimoduleMap:
     values = []
     for i in t.quiver.vertices:
         terms = []
-        for m in t.basis:
-            if m.source != i:
-                continue
+        for m in t.starting_at[i]:
             s, dual_mid = form.dual[m.mid]
             s_int = 1 if s == F.one else -1 if s == F(-1) else None
             if s_int is None:
@@ -191,18 +189,12 @@ def build_resolution(t: AlgebraTable, form: NakayamaForm, depth: int) -> Resolut
 
 
 def _term_basis(t: AlgebraTable, term: ProjectiveBimodule):
-    basis = []
-    for k, (s, tt) in enumerate(term.summands):
-        for x in (m.mid for m in t.basis if m.target == s):
-            for y in (m.mid for m in t.basis if m.source == tt):
-                basis.append((k, x, y))
-    return basis
+    return [(k, x.mid, y.mid) for k, (s, tt) in enumerate(term.summands)
+            for x in t.ending_at[s] for y in t.starting_at[tt]]
 
 
 def flat_dim(t: AlgebraTable, term: ProjectiveBimodule) -> int:
-    left = {i: sum(1 for m in t.basis if m.target == i) for i in t.quiver.vertices}
-    right = {i: sum(1 for m in t.basis if m.source == i) for i in t.quiver.vertices}
-    return sum(left[s] * right[tt] for (s, tt) in term.summands)
+    return sum(len(t.ending_at[s]) * len(t.starting_at[tt]) for (s, tt) in term.summands)
 
 
 def _blocked_rank(t: AlgebraTable, f: BimoduleMap, p: int) -> int:
@@ -230,7 +222,7 @@ def _one_sided_basis(t: AlgebraTable, term: ProjectiveBimodule):
     of the vertex t.
     """
     return [(k, m.mid, t.e_ids[v]) for k, (s, v) in enumerate(term.summands)
-            for m in t.basis if m.target == s]
+            for m in t.ending_at[s]]
 
 
 def one_sided_columns(f: BimoduleMap) -> List[dict]:

@@ -183,17 +183,18 @@ class YonedaEngine:
     #       = eps E E^(odd_(k-3)) S(E^(odd_(k-3)) b_(k-3)) = eps tau(f_(k-3)),
     # and, normalized, that is the map `_solve_step` would return, byte for
     # byte (by induction every earlier step is the solved one too).  Where a
-    # check fails, the step is solved.
+    # check fails, the step is solved.  Every map `_extend` appends is
+    # normalized, and eps tau of a normalized map, normalized, keeps its keys
+    # in their order and only negates some coefficients.  So the check
+    # f_(k-1) = eps tau(f_(k-4)) is one pass over paired terms (`_twist_sign`),
+    # and eps tau(f_(k-3)) is built by one pass too (`_signed_twist`).
     def _twisted_step(self, seg: ChainMapSegment, k: int) -> Optional[BimoduleMap]:
         """eps tau(f_(k-3)) where the period argument above applies, else None."""
         tw, j = self._twist, seg.base_degree + k
         if tw[k][0] != tw[k - 3][0] or tw[j][0] != tw[j - 3][0]:
             return None
-        prev = seg.maps[k - 1].values
-        for eps in (1, -1):
-            if prev == _signed_twist(seg.maps[k - 4], eps).values:
-                return _signed_twist(seg.maps[k - 3], eps)
-        return None
+        eps = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
+        return None if eps is None else _signed_twist(seg.maps[k - 3], eps)
 
     def _cochain_rhs(self, degree: int, vec: list):
         """Cochain components reshaped as value-term lists per source summand."""
@@ -444,12 +445,49 @@ def _twist_classes(w: ResolutionWindow) -> List[Tuple[int, bool]]:
     return classes
 
 
+def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:
+    """The eps in {1, -1} with later = eps tau(earlier), both normalized, or None.
+
+    One pass over the paired terms: the keys must agree in order, and each
+    coefficient of `later` must be that of `earlier` times eps (-1)^deg y.
+    Normalized coefficients are nonzero and the characteristic is odd, so a
+    term that matches fixes eps; maps without terms take eps = 1.
+    """
+    if len(later.values) != len(earlier.values):
+        return None
+    basis, neg = earlier.table.basis, earlier.table.field.neg
+    eps = None
+    for new, old in zip(later.values, earlier.values):
+        if len(new) != len(old):
+            return None
+        for (k1, c1, x1, y1), (k0, c0, x0, y0) in zip(new, old):
+            if k1 != k0 or x1 != x0 or y1 != y0:
+                return None
+            sign = -1 if basis[y0].degree % 2 else 1
+            if c1 == c0:
+                s = sign
+            elif c1 == neg(c0):
+                s = -sign
+            else:
+                return None
+            if eps is None:
+                eps = s
+            elif s != eps:
+                return None
+    return 1 if eps is None else eps
+
+
 def _signed_twist(m: BimoduleMap, eps: int) -> BimoduleMap:
-    """eps tau(m), normalized."""
-    twisted = tau_twist(m)
-    return BimoduleMap(m.table, m.source, m.target,
-                       [[(k, eps * c, x, y) for k, c, x, y in terms]
-                        for terms in twisted.values]).normalized()
+    """eps tau(m), normalized, for a normalized m.
+
+    tau only multiplies each coefficient by (-1)^deg y, so eps tau(m) has the
+    keys of m in their order, each coefficient kept or negated: no key merges
+    or cancels, and that is already the normalized map.
+    """
+    basis, neg = m.table.basis, m.table.field.neg
+    values = [[(k, c if (basis[y].degree % 2 == 0) == (eps == 1) else neg(c), x, y)
+               for k, c, x, y in terms] for terms in m.values]
+    return BimoduleMap(m.table, m.source, m.target, values)
 
 
 def _sign_flip(t: AlgebraTable, values: list, keys: list) -> list:

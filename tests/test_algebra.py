@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from preproj_hh.algebra import (cartan_matrix, center_basis, elem_eq, elem_scale,
-                                multiply, socle_basis, x0_element)
+from preproj_hh.algebra import (Quiver, _integral_tables, cartan_matrix,
+                                center_basis, elem_eq, elem_scale, multiply,
+                                socle_basis, x0_element)
 from conftest import context
 
 
@@ -247,3 +248,52 @@ def test_serialization_deterministic():
         dict(b, characteristic=0), sort_keys=True)
     assert a["dimension"] == 10
     assert len(a["products"]) > 0
+
+
+def _reference_full_product(basis, act, quiver):
+    """Brute force: every composable pair, its first factor walked arrow by arrow."""
+    top = 2 * quiver.n - 1
+    product = [dict() for _ in basis]
+    for m1 in basis:
+        for m2 in basis:
+            if m1.target != m2.source or m1.degree + m2.degree > top:
+                continue
+            if m1.degree == 0:
+                product[m1.mid][m2.mid] = (1, m2.mid)
+                continue
+            coeff, mid = m1.sign, m2.mid
+            for a in reversed(m1.path):
+                step = act[(a, mid)]
+                if step is None:
+                    coeff = 0
+                    break
+                c, mid = step
+                coeff *= c
+            if coeff:
+                product[m1.mid][m2.mid] = (coeff, mid)
+    return product
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_table_matches_all_pairs_walk(n):
+    basis, product, act = _integral_tables(n)
+    reference = _reference_full_product(basis, act, Quiver(n))
+    assert product == reference
+    # same rows, filled in the same column order
+    assert [list(row) for row in product] == [list(row) for row in reference]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_products_are_homogeneous_and_keep_their_ends(n):
+    # the premise of the graded gram walk in nakayama.associated_form:
+    # m1 * m2 = c * m3 puts m3 in e_s(m1) L_(deg m1 + deg m2) e_t(m2)
+    basis, product, _ = _integral_tables(n)
+    entries = 0
+    for m1, row in zip(basis, product):
+        for m2, (c, m3) in row.items():
+            got = basis[m3]
+            assert (got.source, got.target, got.degree) == (
+                m1.source, basis[m2].target, m1.degree + basis[m2].degree)
+            assert c in (1, -1)
+            entries += 1
+    assert entries > 0

@@ -384,3 +384,32 @@ def test_run_exit_code_is_zero_exactly_when_every_body_passes(tmp_path, monkeypa
     failed = bodies[2, 3]["verdicts"]
     assert [v for v, ok in failed.items() if not ok] == ["cartan_det"]
     assert rc == 1
+
+
+def test_an_asymmetric_gram_entry_fails_dualizable_with_its_witness(tmp_path, monkeypatch):
+    # one gram entry negated at n=2 over F3 makes the form asymmetric: only
+    # dualizable and pass flip, run exits 1, and the witness names the entry
+    import preproj_hh.cli as cli
+    true_form = cli.associated_form
+    tampered = []
+
+    def asymmetric_form(table):
+        form = true_form(table)
+        b, c = next((b, c) for b, row in form.gram.items() for c in row if c > b)
+        form.gram[b][c] = table.field.neg(form.gram[b][c])
+        tampered.append((b, c))
+        return form
+
+    monkeypatch.setattr(cli, "associated_form", asymmetric_form)
+    rc = main(["run", "--n", "2", "--char", "3", "--no-oracle", "--jobs", "1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    (path,) = tmp_path.glob("cert_*.json")
+    body = json.loads(path.read_text())["body"]
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["dualizable"]
+    assert body["pass"] is False
+    (b, c), = tampered
+    dual = body["dualizability"]
+    assert dual["symmetry_condition"] is False
+    assert dual["arrow_condition"] and dual["double_dual_condition"]
+    assert dual["witnesses"] == [f"({b},{c}) asymmetric"]

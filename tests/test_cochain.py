@@ -8,7 +8,9 @@ from preproj_hh.cochain import (CanonicalBasisError, CochainComplex,
                                 build_complex, canonical_cocycles,
                                 commutator_quotient_dim, cyclic_dims, hh_dims,
                                 homology_dims, zmodule_checks)
-from preproj_hh.exactla import UnsupportedCharacteristicError
+from preproj_hh.algebra import build_algebra
+from preproj_hh.exactla import (ExactMatrix, FieldSpec, UnsupportedCharacteristicError,
+                                sparse_rank)
 from conftest import context
 
 
@@ -236,3 +238,99 @@ def test_degree_three_kernel_is_socle_span():
 def test_zmodule_checks(n, char):
     rep = zmodule_checks(context(n, char).cx)
     assert rep.ok, rep.failures
+
+
+def _reference_commutator_quotient_dim(t):
+    """Brute force: a row m1 m2 - m2 m1 for every pair with m1 ending where m2 starts."""
+    rows = []
+    for m1 in t.basis:
+        for u in t.quiver.vertices:
+            for m2 in t.by_ends.get((m1.target, u), ()):
+                ab = t.mono_mul(m1.mid, m2.mid)
+                ba = t.mono_mul(m2.mid, m1.mid)
+                row = {}
+                if ab is not None:
+                    row[ab[1]] = ab[0]
+                if ba is not None:
+                    row[ba[1]] = row.get(ba[1], 0) - ba[0]
+                row = {k: v for k, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    return t.dim - sparse_rank(rows, t.field)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("char", [0, 3, 5, 7])
+def test_commutator_quotient_matches_all_pairs_rows(n, char):
+    t = build_algebra(n, FieldSpec(char))
+    assert commutator_quotient_dim(t) == _reference_commutator_quotient_dim(t)
+
+
+def test_commutator_rows_are_generator_brackets(monkeypatch):
+    # pinned at n=18 over F3: the rows [g, m], g an idempotent or an arrow,
+    # number at most 25,000 (the pairs of composable monomials gave 328,776)
+    import preproj_hh.cochain as cochain
+    sizes = []
+    true_rank = cochain.sparse_rank
+
+    def counted(rows, field):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return true_rank(rows, field)
+
+    monkeypatch.setattr(cochain, "sparse_rank", counted)
+    assert commutator_quotient_dim(build_algebra(18, FieldSpec(3))) == 36
+    assert len(sizes) == 1 and sizes[0] <= 25000
+
+
+def _reference_dual_matrix(cx, i):
+    """Brute force: every term of the resolution differential, for every column."""
+    t = cx.table
+    d = cx.window.diffs[i + 1]
+    src, tgt = cx.spaces[i], cx.spaces[i + 1]
+    entries = []
+    for col, (comp, mid) in enumerate(src.basis):
+        comp_pos = comp if src.kind == PARALLELS else comp - 1
+        for k, terms in enumerate(d.values):
+            tkey = t.quiver.arrows[k].index if tgt.kind == PARALLELS else k + 1
+            for k2, c, x, y in terms:
+                if k2 != comp_pos:
+                    continue
+                lhs = t.mono_mul(x, mid)
+                if lhs is None:
+                    continue
+                rhs = t.mono_mul(lhs[1], y)
+                if rhs is None:
+                    continue
+                entries.append((tgt.pos[(tkey, rhs[1])], col, c * lhs[0] * rhs[0]))
+    return ExactMatrix.from_entries(t.field, tgt.dim, src.dim, entries)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("char", [0, 3])
+def test_dual_matrix_matches_scan_of_every_term(n, char):
+    cx = context(n, char).cx
+    for i in range(cx.maxdeg):
+        got, want = cx._dual_matrix(i), _reference_dual_matrix(cx, i)
+        assert got == want
+        assert [list(row.items()) for row in got.rows] == \
+            [list(row.items()) for row in want.rows]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_spaces_match_filtering_the_whole_basis(n):
+    from preproj_hh.cochain import _make_space, _tensor_space
+    t = context(n).table
+    for degree in range(6):
+        space = _make_space(t, degree)
+        if space.kind == LOOPS:
+            want = [(i, m.mid) for i in t.quiver.vertices for m in t.basis
+                    if m.source == i and m.target == i]
+        else:
+            want = [(a.index, m.mid) for a in t.quiver.arrows for m in t.basis
+                    if m.source == a.source and m.target == a.target]
+        assert space.basis == want
+    for term in context(n).window.terms[:3]:
+        assert _tensor_space(t, term) == [
+            (k, m.mid) for k, (s, tt) in enumerate(term.summands)
+            for m in t.basis if m.source == tt and m.target == s]

@@ -1,7 +1,10 @@
 import pytest
 
-from preproj_hh.algebra import elem_eq, elem_scale, multiply, socle_basis
-from preproj_hh.nakayama import associated_form, certify_dualizable
+from preproj_hh.algebra import (AlgebraTable, build_algebra, elem_eq, elem_scale,
+                                multiply, socle_basis)
+from preproj_hh.exactla import FieldSpec
+from preproj_hh.nakayama import (DegenerateFormError, associated_form,
+                                 certify_dualizable)
 from conftest import context, variant_socle_table
 
 
@@ -126,3 +129,67 @@ def test_variant_equals_canonical_for_single_vertex():
     # with one vertex there is no sign to flip; the variant still passes
     t = variant_socle_table(1)
     assert certify_dualizable(associated_form(t)).ok
+
+
+def _reference_gram_and_dual(t):
+    """Brute force: the socle coefficient of b * c for every pair (b, c)."""
+    F = t.field
+    socle = set(t.socle_ids.values())
+    gram = {}
+    for b in range(t.dim):
+        row = {}
+        for c in range(t.dim):
+            hit = t.mono_mul(b, c)
+            if hit is not None and hit[1] in socle:
+                row[c] = F(hit[0])
+        gram[b] = row
+    dual = {b: (F.inv(v), c) for b, row in gram.items() for c, v in row.items()}
+    return gram, dual
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_gram_and_dual_match_all_pairs_walk(n, char):
+    t = build_algebra(n, FieldSpec(char))
+    form = associated_form(t)
+    gram, dual = _reference_gram_and_dual(t)
+    assert form.gram == gram
+    assert list(form.gram) == list(gram)
+    assert form.dual == dual
+
+
+@pytest.mark.parametrize("n,char", [(1, 0), (2, 3), (3, 0), (4, 5)])
+@pytest.mark.parametrize("off_socle", [False, True])
+def test_a_missing_partner_product_is_degenerate(n, char, off_socle):
+    # drop b * b' for one basis element b and its partner b', or send it to a
+    # monomial outside the socle: row b of the gram matrix is then zero, and
+    # the form must be refused
+    base = build_algebra(n, FieldSpec(char))
+    partners = {b: c for b, (_, c) in associated_form(base).dual.items()}
+    for b in sorted({0, base.dim // 2, base.dim - 1}):
+        product = [dict(row) for row in base.product]
+        if off_socle:
+            product[b][partners[b]] = (1, base.e_ids[1])
+        else:
+            del product[b][partners[b]]
+        t = AlgebraTable(n, base.field, base.basis, product, base.act)
+        with pytest.raises(DegenerateFormError, match="singular"):
+            associated_form(t)
+
+
+def test_gram_walk_makes_one_product_per_row(monkeypatch):
+    # pinned at n=18 over F3: one mono_mul per basis element (the all-pairs
+    # walk made t.dim ** 2 = 17,791,524)
+    t = build_algebra(18, FieldSpec(3))
+    calls = []
+    true_mul = t.mono_mul
+
+    def counted(m1, m2):
+        calls.append((m1, m2))
+        return true_mul(m1, m2)
+
+    monkeypatch.setattr(t, "mono_mul", counted)
+    form = associated_form(t)
+    assert t.dim == 4218
+    assert len(calls) == t.dim
+    assert certify_dualizable(form).ok

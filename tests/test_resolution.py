@@ -394,3 +394,22 @@ def test_window_that_is_not_periodic_composes_every_pair(monkeypatch):
     assert composed == 12
     assert [f for f in rep.failures if " o " in f] == _dd_failures_by_brute_force(w)
     assert "d2 != d8" in rep.failures
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_basis_helpers_match_filtering_the_whole_basis(n):
+    from preproj_hh.resolution import _one_sided_basis, _term_basis, flat_dim
+    ctx = context(n)
+    t = ctx.table
+    for term in ctx.window.terms[:3]:
+        want = [(k, x.mid, y.mid) for k, (s, tt) in enumerate(term.summands)
+                for x in t.basis if x.target == s
+                for y in t.basis if y.source == tt]
+        assert _term_basis(t, term) == want
+        assert flat_dim(t, term) == len(want)
+        assert _one_sided_basis(t, term) == [
+            (k, m.mid, t.e_ids[v]) for k, (s, v) in enumerate(term.summands)
+            for m in t.basis if m.target == s]
+    # k: one value term per monomial of e_i L, in basis order
+    for i, terms in zip(t.quiver.vertices, ctx.window.diffs[3].values):
+        assert [x for _, _, x, _ in terms] == [m.mid for m in t.basis if m.source == i]

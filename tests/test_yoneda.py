@@ -512,3 +512,51 @@ def test_lift_steps_solved_per_certificate(n, char, solved, monkeypatch):
     assert len(engines) == 1
     assert len(engines[0].solved) == solved
     assert {(d, k) for d, k in engines[0].solved if k > 3} == {(1, 4), (1, 5), (1, 6)}
+
+
+def _reference_twist_sign(later, earlier):
+    """Brute force: build eps tau(earlier), normalized, for both signs."""
+    from preproj_hh.resolution import BimoduleMap, tau_twist
+    for eps in (1, -1):
+        twisted = tau_twist(earlier)
+        signed = BimoduleMap(earlier.table, earlier.source, earlier.target,
+                             [[(k, eps * c, x, y) for k, c, x, y in terms]
+                              for terms in twisted.values]).normalized()
+        if later.values == signed.values:
+            return eps
+    return None
+
+
+@pytest.mark.parametrize("n,char", [(2, 0), (2, 3), (3, 5)])
+def test_twist_sign_matches_both_full_twists(n, char):
+    # _twist_sign against both normalized twists, on every map of every
+    # generator's lift and on variants: each sign, one coefficient negated,
+    # one term dropped, one summand dropped
+    from preproj_hh.resolution import BimoduleMap
+    from preproj_hh.yoneda import _signed_twist, _twist_sign
+    ctx = context(n, char)
+    t, F = ctx.table, ctx.field
+    eng = YonedaEngine(ctx.cx)
+    seen = {None: 0, 1: 0, -1: 0}
+    for _, _, _, seg in _lift_generators(eng):
+        for f in seg.maps:
+            variants = [f, _signed_twist(f, 1), _signed_twist(f, -1)]
+            for base in variants[1:]:
+                for ks, terms in enumerate(base.values):
+                    for i, (k, c, x, y) in enumerate(terms[:2]):
+                        flipped = [list(ts) for ts in base.values]
+                        flipped[ks][i] = (k, F.neg(c), x, y)
+                        dropped = [list(ts) for ts in base.values]
+                        del dropped[ks][i]
+                        variants += [BimoduleMap(t, f.source, f.target, vals)
+                                     for vals in (flipped, dropped)]
+                variants.append(BimoduleMap(t, f.source, f.target, base.values[:-1]))
+            zero = BimoduleMap(t, f.source, f.target, [[] for _ in f.values])
+            assert _twist_sign(zero, zero) == _reference_twist_sign(zero, zero) == 1
+            for later in variants:
+                want = _reference_twist_sign(later, f)
+                assert _twist_sign(later, f) == want
+                seen[want] += 1
+                if want is not None:
+                    assert _signed_twist(f, want).values == later.values
+    assert all(seen.values())
