@@ -11,7 +11,10 @@ is fraction-free: a row is an int row times the rational it was scaled by,
 so a rank costs int arithmetic only.  `_divided` divides its result out
 into the normalized pivot rows and scales of an all-Fraction elimination,
 and `_back_substitute` turns those into the reduced row echelon form where
-it is needed.
+it is needed.  There is one solve, `ExactMatrix.solve_many`: it eliminates
+[A | b_1 ... b_m] once for all its right-hand sides, and `ExactMatrix.solve`
+is its one-column case.  `PreparedSolver` keeps the reduction of [A | I] for
+a matrix that meets many right-hand sides one at a time.
 """
 
 from __future__ import annotations
@@ -456,18 +459,49 @@ class ExactMatrix:
     def solve(self, b: Sequence) -> Optional[list]:
         """Echelon-canonical solution of self @ x = b, or None if inconsistent.
 
-        Free variables are set to zero.
+        Free variables are set to zero.  The one-column case of `solve_many`.
+        """
+        sol = self.solve_many([{i: x for i, x in enumerate(b) if x}])[0]
+        if sol is None:
+            return None
+        x = [self.field.zero] * self.ncols
+        for c, v in sol.items():
+            x[c] = v
+        return x
+
+    def solve_many(self, columns: Sequence[dict]) -> list:
+        """Echelon-canonical solutions of self @ x = b for sparse columns b.
+
+        Each b is a {row: scalar} dict; each solution is a {column: scalar}
+        dict of its nonzero entries (free variables zero), or None where that
+        b is inconsistent.  One elimination of [A | b_1 ... b_m] serves every
+        column.  Its leftover rows, those whose A part vanished, span the
+        values y.b_j over the left kernel y of A, so b_j is inconsistent
+        exactly when one of them is nonzero at n+j.  For a consistent b_j = A x
+        a reduced row r = y A of the reduced row echelon form carries
+        y.b_j = r.x there, which does not depend on y: so column n+j of that
+        form is the pivot part of the echelon-canonical solution, the same
+        whatever the other columns are.  Values come out field-canonical (an
+        integral rational as an int), as `FieldSpec.__call__` makes them.
         """
         F = self.field
         n = self.ncols
-        aug = [{**row, n: b[i]} for i, row in enumerate(self.rows)]
+        aug = [dict(row) for row in self.rows]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                aug[i][n + j] = x
         pivots, rest = _reduce(aug, F, n)
-        if rest:
-            return None
-        x = [F.zero] * n
-        for pc, row in _back_substitute(_divided(pivots, rest)[0], F).items():
-            x[pc] = row.get(n, F.zero)
-        return x
+        bad = {k - n for _, row in rest for k in row}
+        rref = _back_substitute(_divided(pivots, [])[0], F)
+        out = []
+        for j in range(len(columns)):
+            if j in bad:
+                out.append(None)
+                continue
+            key = n + j
+            out.append({c: v if type(v) is int else F(v)
+                        for c, row in rref.items() if (v := row.get(key))})
+        return out
 
 
 def _by_column(rows: Sequence[dict], ncols: int) -> list:

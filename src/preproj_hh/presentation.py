@@ -9,7 +9,9 @@ every degree through 12, mirroring the surjectivity-plus-dimension-count
 closing argument.  The audit keeps one basis per degree, modulo
 coboundaries, built from the kept bases of lower degrees times the
 positive-degree generators; that span is already stable under HH^0 = Z(L),
-so HH^* is checked as a module over Z(L) without a closure step.  Each
+so HH^* is checked as a module over Z(L) without a closure step.  The
+products are evaluated lazily, highest generator degree first, and a degree
+stops at the first product that completes its canonical span.  Each
 failing relation, derived identity and audit degree leaves one line in the
 report's `failures`.  The h-localized structure is checked by
 `yoneda.stable_structure_check`.
@@ -251,25 +253,47 @@ def verify(spec: PresentationSpec, engine: YonedaEngine,
 # be lower, never higher, so a degree the products fail to span still
 # fails.  A cup product depends only on classes, so later degrees may build
 # their candidates from any basis of S_i, and the audit records ranks only.
+#
+# Soundness of stopping at full rank.  The canonical coordinates of degree i
+# live in F^c, c the number of canonical classes, so once c candidates are
+# kept no later one can be independent of them: S_i is the whole canonical
+# span, whatever the order, and the candidates left are not evaluated.
+# Where the rank stays below c every candidate is evaluated, and the span of
+# all of them does not depend on their order either; so the audit ranks are
+# those of the generator-major order with every product identified.  An
+# identification of a skipped product would add no check: w o f is a
+# cocycle by construction (w a cocycle, f a chain map), and the `dimensions`
+# verdict together with the rank check of `canonical_cocycles` guarantees
+# that every cocycle of degree i is a combination of the c canonical classes
+# plus a coboundary, so its identification cannot fail.  The candidates come
+# highest generator degree first, and within one degree the kept vectors of
+# the lower degree are the outer loop: from degree 7 on, the products of the
+# kept basis of degree i-6 with h, which `stable_structure_check` finds
+# bijective, fill the span first.
 def _span_audit(spec, engine, ev, audit_to):
     """Products of generators must span each HH^i with the expected dimension.
 
     Degree i keeps one list of cochains independent modulo coboundaries,
     chosen from the products (kept degree i-d basis) * (degree-d generator).
-    Every product is evaluated honestly through the engine (the lift of the
-    right-hand generator is cached) and identified in canonical coordinates.
+    Each product is evaluated honestly through the engine and identified in
+    canonical coordinates when its turn comes, and the products after the
+    one that completes the canonical span are never evaluated.
     """
     n = spec.n
-    pos_gens = [ev.gen_vectors[name] for name, d in spec.generators if d > 0]
+    by_degree: Dict[int, list] = {}
+    for name, d in spec.generators:
+        if d > 0:
+            by_degree.setdefault(d, []).append(ev.gen_vectors[name][1])
     kept: Dict[int, list] = {0: []}
     _keep_independent(engine, 0, kept[0],
                       canonical_cocycles(engine.cx, 0).vectors)
     audit: Dict[int, Tuple[int, int]] = {0: (len(kept[0]), 2 * n)}
     for i in range(1, audit_to + 1):
         kept[i] = []
-        _keep_independent(engine, i, kept[i], [
+        _keep_independent(engine, i, kept[i], (
             engine.cup_vec(w, i - d, gvec, d)
-            for d, gvec in pos_gens if d <= i for w, _ in kept[i - d]])
+            for d in sorted(by_degree, reverse=True) if d <= i
+            for w, _ in kept[i - d] for gvec in by_degree[d]))
         audit[i] = (len(kept[i]), n)
     return audit
 
@@ -278,11 +302,18 @@ def _keep_independent(engine, degree, kept, vectors):
     """Append to `kept` the vectors independent of it and of those before them.
 
     `kept` holds (cochain, canonical coordinates) pairs independent modulo
-    coboundaries; each vector is identified once and the pivot columns of one
-    elimination pick the ones to keep.
+    coboundaries.  `vectors` may be lazy: each is drawn and identified only
+    while `kept` is short of the canonical dimension, and kept where it
+    raises the rank, the greedy choice that the pivot columns of one
+    elimination over all of them make.
     """
-    coords = [c for _, c in kept] + [
-        list(engine.identify(v, degree).coords) for v in vectors]
-    pivots = ExactMatrix.from_columns(engine.table.field, coords).echelonize().pivot_columns
-    old = len(kept)
-    kept.extend([(vectors[c - old], coords[c]) for c in pivots if c >= old])
+    F = engine.table.field
+    cap = len(canonical_cocycles(engine.cx, degree).vectors)
+    coords = [c for _, c in kept]
+    for v in vectors:
+        if len(coords) >= cap:
+            break
+        c = list(engine.identify(v, degree).coords)
+        if ExactMatrix.from_columns(F, coords + [c]).rank() > len(coords):
+            kept.append((v, c))
+            coords.append(c)

@@ -8,11 +8,15 @@ generators are assigned their internal degree, so a homogeneous cocycle
 lifts within a single graded piece of each Hom space; the solver exploits
 this and additionally splits by source summand, which keeps every system
 small.  A system does not depend on the cocycle, so each distinct one is
-eliminated once per engine and reused for every later right-hand side.
+assembled once per engine.  `lift_many` extends several segments together,
+step by step, and each step eliminates [A | b_1 ... b_m] once per system A
+for all the right-hand sides b_j that meet it (`ExactMatrix.solve_many`);
+the first product that needs a lift lifts every ring generator in one such
+batch, as deep as any product reads it.
 Deeper steps share systems too: where the engine checks d_k = tau(d_(k-3))
 on the same terms, the step-k system is the step-(k-3) system conjugated
 by the signs (-1)^deg of the right tensor factors, so each twist class of
-steps (k, k+3, k+6, ...) is eliminated once, at its base step in 1..3.
+steps (k, k+3, k+6, ...) is assembled once, at its base step in 1..3.
 The lifts repeat with the same twisted period: where steps k and
 degree+k both join the classes of k-3 and degree+k-3, and f_(k-1) is
 checked to equal eps tau(f_(k-4)) for eps = +1 or -1, step k is appended as
@@ -32,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_add
 from .cochain import CochainComplex, PARALLELS, canonical_cocycles
-from .exactla import ExactMatrix, FieldSpec, PreparedSolver, det
+from .exactla import ExactMatrix, FieldSpec, det
 from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
 
 
@@ -79,9 +83,9 @@ class ChainMapSegment:
 
 @dataclass(frozen=True)
 class _LiftSystem:
-    """A graded lifting system: unknown value terms, equation keys, solver."""
+    """A graded lifting system: matrix, unknown value terms, equation keys."""
 
-    solver: PreparedSolver
+    matrix: ExactMatrix
     unknowns: list    # (target summand, x, y) per column
     eq_keys: list     # monomial ids (step 0) or (summand, x, y) per row
     eq_pos: dict      # equation key -> row
@@ -98,9 +102,13 @@ class YonedaEngine:
         self._lift_systems: Dict[tuple, _LiftSystem] = {}
         self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, list]]] = None
-        # lift steps solved and steps appended as twists of an earlier step
+        self._generators_lifted = False
+        # lift steps solved and steps appended as twists of an earlier step,
+        # eliminations of a lifting system, `cup_vec` calls
         self.steps_solved = 0
         self.steps_twisted = 0
+        self.lift_eliminations = 0
+        self.products = 0
 
     def generators(self) -> List[Tuple[str, int, list]]:
         """Named cocycle representatives of the ring generators.
@@ -126,45 +134,77 @@ class YonedaEngine:
         raise KeyError(name)
 
     def work(self) -> Dict[str, int]:
-        """Lifting work so far: steps solved, steps twisted, systems eliminated."""
+        """Work so far: lift steps solved and twisted, distinct lifting systems,
+        their eliminations, and products evaluated."""
         return {"lift_steps_solved": self.steps_solved,
                 "lift_steps_twisted": self.steps_twisted,
-                "lifting_systems": len(self._lift_systems)}
+                "lifting_systems": len(self._lift_systems),
+                "lifting_eliminations": self.lift_eliminations,
+                "products": self.products}
 
     # -- lifting ------------------------------------------------------------
 
     def lift(self, vec: list, degree: int, steps: int) -> ChainMapSegment:
         """Chain-map segment over the given cocycle, solving step by step."""
-        key = (degree, tuple(vec))
-        seg = self._lift_cache.get(key)
-        if seg is None:
-            # a key enters the cache only after its vector passed this check,
-            # so a cache hit is a cocycle already
-            if not self.cx.is_cocycle(degree, vec):
-                raise NotACocycleError(f"input of degree {degree} is not a cocycle")
-            seg = ChainMapSegment(degree, [])
-            self._lift_cache[key] = seg
-        self._extend(seg, vec, steps)
-        return seg
+        return self.lift_many([(vec, degree, steps)])[0]
 
-    def _extend(self, seg: ChainMapSegment, vec: list, steps: int):
-        w = self.window
-        degree = seg.base_degree
-        if degree + steps > w.depth:
-            raise ValueError("window too shallow for the requested lift")
-        while len(seg.maps) <= steps:
-            k = len(seg.maps)
-            twisted = self._twisted_step(seg, k) if k >= 4 else None
-            if twisted is not None:
-                seg.maps.append(twisted)
-                self.steps_twisted += 1
-                continue
-            if k == 0:
-                rhs_by_summand = self._cochain_rhs(degree, vec)
-            else:
-                rhs_by_summand = compose(seg.maps[k - 1], w.diffs[degree + k]).values
-            seg.maps.append(self._solve_step(degree, k, rhs_by_summand))
-            self.steps_solved += 1
+    def lift_many(self, requests) -> List[ChainMapSegment]:
+        """Segments over several (cocycle, degree, steps) requests, extended together.
+
+        Step by step, every segment that still needs that step gets it, and
+        each lifting system meets all of its right-hand sides of the step in
+        one elimination (`_solve_steps`).
+        """
+        jobs: Dict[int, list] = {}
+        segs = []
+        for vec, degree, steps in requests:
+            key = (degree, tuple(vec))
+            seg = self._lift_cache.get(key)
+            if seg is None:
+                # a key enters the cache only after its vector passed this
+                # check, so a cache hit is a cocycle already
+                if not self.cx.is_cocycle(degree, vec):
+                    raise NotACocycleError(f"input of degree {degree} is not a cocycle")
+                seg = ChainMapSegment(degree, [])
+                self._lift_cache[key] = seg
+            if degree + steps > self.window.depth:
+                raise ValueError("window too shallow for the requested lift")
+            segs.append(seg)
+            job = jobs.setdefault(id(seg), [seg, vec, steps])
+            job[2] = max(job[2], steps)
+        self._extend_many(list(jobs.values()))
+        return segs
+
+    def _lift_generators(self):
+        """Lift every ring generator in one batch, as deep as a product reads it."""
+        top = self.cx.maxdeg - 1
+        self.lift_many([(vec, d, top - d) for _, d, vec in self.generators()])
+        self._generators_lifted = True
+
+    def _extend_many(self, jobs):
+        """Extend the segment of each (segment, cocycle, steps) job through `steps`.
+
+        Each step is appended to all the segments that need it once every
+        one of them has it, so a step that fails leaves them all without it.
+        """
+        pending = [job for job in jobs if len(job[0].maps) <= job[2]]
+        k = min((len(seg.maps) for seg, _, _ in pending), default=0)
+        while pending:
+            twisted, solve = [], []
+            for seg, vec, _ in pending:
+                if len(seg.maps) == k:
+                    f = self._twisted_step(seg, k) if k >= 4 else None
+                    if f is None:
+                        solve.append((seg, vec))
+                    else:
+                        twisted.append((seg, f))
+            solved = self._solve_steps(k, solve) if solve else []
+            for seg, f in twisted + [(seg, f) for (seg, _), f in zip(solve, solved)]:
+                seg.maps.append(f)
+            self.steps_solved += len(solve)
+            self.steps_twisted += len(twisted)
+            k += 1
+            pending = [job for job in pending if len(job[0].maps) <= job[2]]
 
     # Soundness of the period shortcut.  Suppose `_twist_classes` put step k
     # in the class of k-3 and step degree+k in the class of degree+k-3: so
@@ -181,9 +221,9 @@ class YonedaEngine:
     # S is linear in b (pivot entries T b, free entries 0), so
     #   f_k = eps E^(odd_k) S(E^(odd_k) E b_(k-3))
     #       = eps E E^(odd_(k-3)) S(E^(odd_(k-3)) b_(k-3)) = eps tau(f_(k-3)),
-    # and, normalized, that is the map `_solve_step` would return, byte for
+    # and, normalized, that is the map `_solve_steps` would return, byte for
     # byte (by induction every earlier step is the solved one too).  Where a
-    # check fails, the step is solved.  Every map `_extend` appends is
+    # check fails, the step is solved.  Every map `_extend_many` appends is
     # normalized, and eps tau of a normalized map, normalized, keeps its keys
     # in their order and only negates some coefficients.  So the check
     # f_(k-1) = eps tau(f_(k-4)) is one pass over paired terms (`_twist_sign`),
@@ -208,63 +248,86 @@ class YonedaEngine:
             values.append([(0, c, mid, None) for mid, c in sorted(elem.items())])
         return values
 
-    def _solve_step(self, degree: int, k: int, rhs_by_summand) -> BimoduleMap:
-        """Solve d_k o f = rhs (k >= 1) or u o f = cochain (k = 0)."""
-        w, t = self.window, self.table
-        src_term = w.terms[degree + k]
-        tgt_term = w.terms[k]
-        values: List[list] = []
-        for ks, (s, tt) in enumerate(src_term.summands):
-            rhs_terms = rhs_by_summand[ks]
-            # group by value degree; a graded cocycle lifts within one piece,
-            # a mixed one is handled additively
-            parts: Dict[int, list] = {}
-            for term in rhs_terms:
-                if k == 0:
-                    _, c, mid, _ = term
-                    dv = t.basis[mid].degree
-                else:
-                    _, c, x, y = term
-                    dv = t.basis[x].degree + t.basis[y].degree
-                parts.setdefault(dv, []).append(term)
-            out_terms: list = []
-            degrees = sorted(parts) if parts else []
-            for dv in degrees:
-                out_terms.extend(
-                    self._solve_block(degree, k, ks, s, tt, dv, parts[dv]))
-            values.append(out_terms)
-        return BimoduleMap(t, src_term, tgt_term, values).normalized()
-
-    def _solve_block(self, degree, k, ks, s, tt, rhs_value_degree, rhs_terms):
-        """One graded linear solve for the values at a single source summand."""
-        t, F = self.table, self.table.field
-        base, odd = self._twist[k]
-        system = self._lift_system(base, s, tt, rhs_value_degree)
-        # the terms come from the cochain or from `compose`: one per key,
-        # each a nonzero field scalar
+    def _step_rhs(self, seg: ChainMapSegment, vec: list, k: int):
+        """Right-hand side of step k as value-term lists per source summand."""
         if k == 0:
-            rhs_vec = {mid: c for _, c, mid, _ in rhs_terms}
-        else:
-            rhs_vec = {(kn, x, y): c for kn, c, x, y in rhs_terms}
-        if any(key not in system.eq_pos for key in rhs_vec):
-            raise LiftFailedError("right-hand side outside the graded piece")
-        b = [rhs_vec.get(key, F.zero) for key in system.eq_keys]
-        if odd:
-            b = _sign_flip(t, b, system.eq_keys)
-        sol = system.solver.solve(b)
-        if sol is None:
-            raise LiftFailedError(
-                f"lifting system inconsistent at step {k}, summand {ks}")
-        if odd:
-            sol = _sign_flip(t, sol, system.unknowns)
-        return [(kt, c, x, y) for (kt, x, y), c in zip(system.unknowns, sol) if c != 0]
+            return self._cochain_rhs(seg.base_degree, vec)
+        return compose(seg.maps[k - 1], self.window.diffs[seg.base_degree + k]).values
 
-    # Soundness of the cache.  The system matrix, its unknowns and its
-    # equations are read off (step, s, tt, rhs value degree) and the window
-    # alone, never off the cocycle, so that key determines the matrix, and
-    # the prepared solution of every later right-hand side is
-    # echelon-canonical: identical to what `ExactMatrix.solve(b)` returns for
-    # a freshly assembled matrix.
+    def _solve_steps(self, k: int, batch) -> List[BimoduleMap]:
+        """Step k of each (segment, cocycle) in the batch, solved together.
+
+        Solves d_k o f = rhs (k >= 1) or u o f = cochain (k = 0) for every
+        segment.  Each right-hand side splits by source summand and by value
+        degree: a graded cocycle lifts within one piece, a mixed one is
+        handled additively.  The blocks of the whole batch are grouped by
+        lifting system, and each system eliminates all of its blocks at once
+        (`ExactMatrix.solve_many`).
+        """
+        w, t = self.window, self.table
+        base, odd = self._twist[k]
+        blocks: Dict[tuple, list] = {}    # (s, tt, value degree) -> (job, ks, terms)
+        values: List[List[list]] = []
+        for job, (seg, vec) in enumerate(batch):
+            rhs = self._step_rhs(seg, vec, k)
+            summands = w.terms[seg.base_degree + k].summands
+            values.append([[] for _ in summands])
+            for ks, (s, tt) in enumerate(summands):
+                parts: Dict[int, list] = {}
+                for term in rhs[ks]:
+                    if k == 0:
+                        dv = t.basis[term[2]].degree
+                    else:
+                        dv = t.basis[term[2]].degree + t.basis[term[3]].degree
+                    parts.setdefault(dv, []).append(term)
+                for dv, terms in parts.items():
+                    blocks.setdefault((s, tt, dv), []).append((job, ks, terms))
+        neg, basis = t.field.neg, t.basis
+        for (s, tt, dv), group in blocks.items():
+            system = self._lift_system(base, s, tt, dv)
+            columns = [self._rhs_column(system, k, ks, terms, odd)
+                       for _, ks, terms in group]
+            self.lift_eliminations += 1
+            for (job, ks, _), sol in zip(group, system.matrix.solve_many(columns)):
+                if sol is None:
+                    raise LiftFailedError(
+                        f"lifting system inconsistent at step {k}, summand {ks}")
+                out = values[job][ks]
+                for j, c in sol.items():
+                    kt, x, y = system.unknowns[j]
+                    out.append((kt, neg(c) if odd and basis[y].degree % 2 else c, x, y))
+        return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k], v).normalized()
+                for (seg, _), v in zip(batch, values)]
+
+    def _rhs_column(self, system: "_LiftSystem", k: int, ks: int, rhs_terms,
+                    odd: bool) -> dict:
+        """One graded block as a sparse column of its system, sign-flipped if odd.
+
+        The terms come from the cochain or from `compose`: one per key, each
+        a nonzero field scalar.
+        """
+        t, pos = self.table, system.eq_pos
+        keys = ([mid for _, _, mid, _ in rhs_terms] if k == 0
+                else [(kn, x, y) for kn, _, x, y in rhs_terms])
+        if any(key not in pos for key in keys):
+            raise LiftFailedError(
+                f"right-hand side outside the graded piece at step {k}, summand {ks}")
+        col = {pos[key]: term[1] for key, term in zip(keys, rhs_terms)}
+        if odd:
+            neg, basis, eq_keys = t.field.neg, t.basis, system.eq_keys
+            col = {r: neg(c) if basis[eq_keys[r][2]].degree % 2 else c
+                   for r, c in col.items()}
+        return col
+
+    # Soundness of the cache and of the batch.  The system matrix, its
+    # unknowns and its equations are read off (step, s, tt, rhs value degree)
+    # and the window alone, never off the cocycle, so that key determines the
+    # matrix, and it is assembled once per engine.  `_solve_steps` hands it
+    # every right-hand side of one step at once, and `ExactMatrix.solve_many`
+    # gives each column the echelon-canonical solution of its own system,
+    # which depends neither on the other columns nor on how many there are
+    # (see its docstring): byte for byte what `ExactMatrix.solve(b)` returns
+    # for that column alone.
     #
     # Steps of one twist class share a key.  `_twist_classes` maps k >= 4 to
     # the class of k-3 only where it checks, exactly, that d_k equals
@@ -281,15 +344,15 @@ class YonedaEngine:
     # column j of M_base does: both have the same pivot columns, E x' is
     # zero at the free ones, and x is the echelon-canonical solution of the
     # step-k system, byte for byte.  A step whose check fails keeps its own
-    # key.  The same conjugation lets `_extend` skip a step's solve entirely
+    # key.  The same conjugation lets `_extend_many` skip a step's solve entirely
     # where the lift itself repeats; see the note at `_twisted_step`.
     def _lift_system(self, k, s, tt, rhs_value_degree) -> _LiftSystem:
-        """The prepared graded lifting system for one (step, summand, degree)."""
+        """The assembled graded lifting system for one (step, summand, degree)."""
         key = (k, s, tt, rhs_value_degree)
         system = self._lift_systems.get(key)
         if system is None:
             mat, unknowns, eq_keys = self._assemble(k, s, tt, rhs_value_degree)
-            system = _LiftSystem(PreparedSolver(mat), unknowns, eq_keys,
+            system = _LiftSystem(mat, unknowns, eq_keys,
                                  {key: r for r, key in enumerate(eq_keys)})
             self._lift_systems[key] = system
         return system
@@ -358,10 +421,13 @@ class YonedaEngine:
         cx, t = self.cx, self.table
         if dx + dy > cx.maxdeg - 1:
             raise ValueError("product degree exceeds the window")
+        self.products += 1
         if dx == 0:
             return cx.scale_vector(dy, self.central_from_v0(xvec), yvec)
         if dy == 0:
             return cx.scale_vector(dx, self.central_from_v0(yvec), xvec)
+        if not self._generators_lifted:
+            self._lift_generators()
         seg = self.lift(yvec, dy, dx)
         f = seg.maps[dx]
         xcomps = cx.component_values(dx, xvec)
@@ -488,12 +554,6 @@ def _signed_twist(m: BimoduleMap, eps: int) -> BimoduleMap:
     values = [[(k, c if (basis[y].degree % 2 == 0) == (eps == 1) else neg(c), x, y)
                for k, c, x, y in terms] for terms in m.values]
     return BimoduleMap(m.table, m.source, m.target, values)
-
-
-def _sign_flip(t: AlgebraTable, values: list, keys: list) -> list:
-    """E applied to a vector: each value times (-1)^deg of its key's right factor."""
-    return [t.field.neg(c) if t.basis[y].degree % 2 else c
-            for c, (_, _, y) in zip(values, keys)]
 
 
 def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list:

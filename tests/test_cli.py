@@ -347,8 +347,9 @@ def test_header_records_the_lifting_work():
     cert = compute_certificate(7, 3, with_oracle=False)
     header = cert["header"]
     assert set(header) == {"timestamp", "timings", "work"}
-    assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 101,
-                              "lifting_systems": 121}
+    assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
+                              "lifting_systems": 121, "lifting_eliminations": 142,
+                              "products": 882}
     assert "work" not in cert["body"]
 
 

@@ -449,3 +449,88 @@ def test_inexact_entries_still_raise_in_every_elimination(char, bad):
         raw.rank()
     with pytest.raises(TypeError):
         PreparedSolver(raw)
+
+
+# -- the multi-column solve ------------------------------------------------------
+
+
+def _reference_solve(rows, b, F):
+    """Textbook dense Gauss-Jordan on [A | b], kept apart from the package's.
+
+    The solution with every free variable zero, or None if b is inconsistent.
+    """
+    ncols = len(rows[0])
+    m = [[F(x) for x in row] + [F(y)] for row, y in zip(rows, b)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = F.inv(m[r][c])
+        m[r] = [F.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(m[i][ncols] != 0 for i in range(len(pivots), len(m))):
+        return None
+    x = [F.zero] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = m[i][ncols]
+    return x
+
+
+def _canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       char=field_strategy, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_many_matches_dense_per_column_reference(shape, char, data):
+    # over Q the entries are fractions; some rows are zeroed, and the
+    # right-hand sides mix images (consistent), arbitrary vectors (often
+    # inconsistent) and zero columns
+    nr, nc = shape
+    F = FieldSpec(char)
+    entries = rationals if char == 0 else small_ints
+    rows = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                              min_size=nr, max_size=nr))
+    zero_rows = data.draw(st.sets(st.integers(0, nr - 1)))
+    rows = [[0] * nc if i in zero_rows else row for i, row in enumerate(rows)]
+    m = ExactMatrix(F, rows)
+    dense = []
+    for kind in data.draw(st.lists(st.sampled_from(["image", "any", "zero"]),
+                                   min_size=1, max_size=5)):
+        if kind == "zero":
+            dense.append([F.zero] * nr)
+        elif kind == "image":
+            x = data.draw(st.lists(entries, min_size=nc, max_size=nc))
+            dense.append(m.matvec([F(v) for v in x]))
+        else:
+            dense.append([F(v) for v in data.draw(
+                st.lists(entries, min_size=nr, max_size=nr))])
+    got = m.solve_many([{i: v for i, v in enumerate(b) if v != 0} for b in dense])
+    assert len(got) == len(dense)
+    for b, sol in zip(dense, got):
+        want = _reference_solve(rows, b, F)
+        if want is None:
+            assert sol is None
+            continue
+        assert sol == {c: v for c, v in enumerate(want) if v != 0}
+        assert all(v != 0 and _canonical(v) for v in sol.values())
+        assert m.solve(b) == want
+
+
+def test_solve_many_examples():
+    # a zero row, a zero column, an inconsistent column and a free variable
+    m = ExactMatrix(QQ, [[1, 2, 0], [0, 0, 0], [2, 4, 3]])
+    got = m.solve_many([{}, {0: 1, 2: 2}, {1: 1}, {0: 1, 2: 5}, {0: 3}])
+    assert got == [{}, {0: 1}, None, {0: 1, 2: 1}, {0: 3, 2: -2}]
+    assert all(type(v) is int for sol in got if sol for v in sol.values())
+    assert ExactMatrix(QQ, [[2]]).solve_many([{0: 1}]) == [{0: Fraction(1, 2)}]
+    assert ExactMatrix.zero(F5, 2, 2).solve_many([{}, {1: 3}]) == [{}, None]
+    assert m.solve_many([]) == []

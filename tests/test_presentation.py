@@ -3,7 +3,7 @@ import pytest
 from preproj_hh.algebra import center_basis
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec, UnsupportedCharacteristicError
-from preproj_hh.presentation import _Evaluator, theorem_spec, verify
+from preproj_hh.presentation import _Evaluator, _span_audit, theorem_spec, verify
 from preproj_hh.yoneda import stable_structure_check
 from conftest import context
 
@@ -202,3 +202,73 @@ def test_audit_shortfall_is_witnessed():
     assert rep.failures == [f"audit degree {d}: spanned {got}, expected {want}"
                             for d, got, want in short]
     assert not rep.ok
+
+
+def _generator_major_span_audit(spec, engine, audit_to=12):
+    # the audit before it stopped at full rank: every product, generator by
+    # generator, identified, and one elimination per degree picks the kept
+    # ones
+    F = engine.table.field
+    ev = _Evaluator(engine, spec)
+    n = spec.n
+    pos_gens = [ev.gen_vectors[name] for name, d in spec.generators if d > 0]
+
+    def keep(degree, kept, vectors):
+        coords = [c for _, c in kept] + [
+            list(engine.identify(v, degree).coords) for v in vectors]
+        pivots = ExactMatrix.from_columns(F, coords).echelonize().pivot_columns
+        old = len(kept)
+        kept.extend([(vectors[c - old], coords[c]) for c in pivots if c >= old])
+
+    kept = {0: []}
+    keep(0, kept[0], canonical_cocycles(engine.cx, 0).vectors)
+    audit = {0: (len(kept[0]), 2 * n)}
+    for i in range(1, audit_to + 1):
+        kept[i] = []
+        keep(i, kept[i], [engine.cup_vec(w, i - d, gvec, d)
+                          for d, gvec in pos_gens if d <= i for w, _ in kept[i - d]])
+        audit[i] = (len(kept[i]), n)
+    return audit, kept
+
+
+@pytest.mark.parametrize("n,char", [(n, c) for n in range(1, 7) for c in (0, 3, 5, 7)]
+                         + [(7, 3), (7, 5)])
+def test_capped_audit_matches_the_generator_major_audit(n, char, monkeypatch):
+    # the audit that stops at full rank gives the same ranks and the same
+    # kept spans as evaluating every product, and never keeps more vectors
+    # than the canonical dimension
+    import preproj_hh.presentation as P
+    spec = theorem_spec(n, FieldSpec(char))
+    engine = context(n, char).engine
+    F = engine.table.field
+    kept_by_degree = {}
+    true_keep = P._keep_independent
+
+    def recording_keep(engine, degree, kept, vectors):
+        kept_by_degree[degree] = kept
+        true_keep(engine, degree, kept, vectors)
+
+    monkeypatch.setattr(P, "_keep_independent", recording_keep)
+    audit = P._span_audit(spec, engine, _Evaluator(engine, spec), 12)
+    ref_audit, ref_kept = _generator_major_span_audit(spec, engine)
+    assert audit == ref_audit
+    assert sorted(kept_by_degree) == sorted(ref_kept)
+    for degree, kept in kept_by_degree.items():
+        dim = len(canonical_cocycles(engine.cx, degree).vectors)
+        assert len(kept) == len(ref_kept[degree]) <= dim
+        union = [c for _, c in kept] + [c for _, c in ref_kept[degree]]
+        assert ExactMatrix.from_columns(F, union).rank() == len(kept), degree
+
+
+def test_audit_stops_evaluating_at_full_rank():
+    # pinned at n=7 over F3: the audit evaluates 174 products, where the
+    # generator-major audit evaluates all 1,267
+    spec = theorem_spec(7, FieldSpec(3))
+    engine = context(7, 3).engine
+    before = engine.products
+    audit = _span_audit(spec, engine, _Evaluator(engine, spec), 12)
+    assert all(got == want for got, want in audit.values())
+    assert engine.products - before == 174
+    before = engine.products
+    assert _generator_major_span_audit(spec, engine)[0] == audit
+    assert engine.products - before == 1267

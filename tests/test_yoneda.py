@@ -6,7 +6,7 @@ from preproj_hh.algebra import x0_element
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec
 from preproj_hh.resolution import build_resolution
-from preproj_hh.yoneda import (CMatrixMismatchError, NotACocycleError,
+from preproj_hh.yoneda import (CMatrixMismatchError, LiftFailedError, NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
                                stable_structure_check, YonedaEngine,
@@ -340,9 +340,9 @@ class _RecordedSteps(YonedaEngine):
         super().__init__(cx)
         self.solved = []
 
-    def _solve_step(self, degree, k, rhs_by_summand):
-        self.solved.append((degree, k))
-        return super()._solve_step(degree, k, rhs_by_summand)
+    def _solve_steps(self, k, batch):
+        self.solved.extend((seg.base_degree, k) for seg, _ in batch)
+        return super()._solve_steps(k, batch)
 
 
 def _lift_generators(eng):
@@ -488,7 +488,7 @@ def test_a_lift_that_breaks_its_period_is_solved():
     assert eng._twisted_step(seg, 5) is None
     eng.solved.clear()
     twisted = eng.steps_twisted
-    eng._extend(seg, v, 5)
+    eng._extend_many([(seg, v, 5)])
     assert eng.solved == [(d, 5)] and eng.steps_twisted == twisted
     assert eng.verify_segment(seg, v)
 
@@ -560,3 +560,113 @@ def test_twist_sign_matches_both_full_twists(n, char):
                 if want is not None:
                     assert _signed_twist(f, want).values == later.values
     assert all(seen.values())
+
+
+# -- batched lifts ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_lifts_match_lone_lifts(n, char):
+    # every generator lifted in one batch, as deep as a product reads it,
+    # equals map for map its lift by a fresh engine lifting it alone, and
+    # satisfies the chain-map identities
+    cx = context(n, char).cx
+    eng = YonedaEngine(cx)
+    top = cx.maxdeg - 1
+    gens = eng.generators()
+    segs = eng.lift_many([(v, d, top - d) for _, d, v in gens])
+    lone_eliminations = 0
+    for (name, d, v), seg in zip(gens, segs):
+        lone = YonedaEngine(cx)
+        alone = lone.lift(v, d, top - d)
+        lone_eliminations += lone.lift_eliminations
+        assert len(seg.maps) == len(alone.maps) == top - d + 1
+        assert [f.values for f in seg.maps] == [f.values for f in alone.maps], name
+        assert eng.verify_segment(seg, v), name
+    # a system shared by several generators at one step is eliminated once
+    assert eng.lift_eliminations < lone_eliminations
+
+
+def test_a_batch_extends_each_cocycle_to_its_deepest_request():
+    # one cocycle asked for twice, and one already lifted part of the way:
+    # each segment is shared and reaches the deepest step asked of it
+    cx = context(2, 3).cx
+    eng = YonedaEngine(cx)
+    (_, dy, y), (_, dz, z) = eng.generators()[:2]
+    assert len(eng.lift(z, dz, 1).maps) == 2
+    segs = eng.lift_many([(y, dy, 2), (z, dz, 4), (y, dy, 5), (y, dy, 1)])
+    assert segs[0] is segs[2] is segs[3] and len(segs[0].maps) == 6
+    assert len(segs[1].maps) == 5
+    assert all(eng.verify_segment(seg, v) for seg, v in zip(segs, (y, z)))
+    assert [f.values for f in segs[0].maps] == [
+        f.values for f in YonedaEngine(cx).lift(y, dy, 5).maps]
+
+
+class _CorruptedRhs(YonedaEngine):
+    """Adds the value term `key` to one summand of one cocycle's step-k rhs."""
+
+    def __init__(self, cx, vec, k, ks, key):
+        super().__init__(cx)
+        self.target, self.k, self.ks, self.key = vec, k, ks, key
+
+    def _step_rhs(self, seg, vec, k):
+        rhs = super()._step_rhs(seg, vec, k)
+        if k != self.k or vec is not self.target:
+            return rhs
+        F = self.table.field
+        terms = {(kn, x, y): c for kn, c, x, y in rhs[self.ks]}
+        terms[self.key] = F.add(terms.get(self.key, F.zero), F.one)
+        rhs = list(rhs)
+        rhs[self.ks] = [(kn, c, x, y) for (kn, x, y), c in sorted(terms.items()) if c]
+        return rhs
+
+
+def _inconsistent_key(eng, k, s, tt):
+    """A step-k equation key whose unit right-hand side has no solution."""
+    for dv in range(0, 2 * eng.table.top_degree + 2):
+        mat, _, eq_keys = eng._assemble(k, s, tt, dv)
+        for r, key in enumerate(eq_keys):
+            if mat.solve_many([{r: 1}])[0] is None:
+                return key
+    return None
+
+
+@pytest.mark.parametrize("n,char", [(2, 0), (3, 3), (3, 5)])
+def test_an_inconsistent_block_fails_the_whole_batch_step(n, char):
+    # one corrupted right-hand side in a batch: LiftFailedError names the
+    # step and the summand, and no segment of the batch gains that step
+    cx = context(n, char).cx
+    gens = YonedaEngine(cx).generators()
+    _, d, vec = gens[len(gens) // 2]
+    ks = len(cx.window.terms[d + 1].summands) - 1
+    s, tt = cx.window.terms[d + 1].summands[ks]
+    key = _inconsistent_key(YonedaEngine(cx), 1, s, tt)
+    assert key is not None
+    eng = _CorruptedRhs(cx, vec, 1, ks, key)
+    with pytest.raises(LiftFailedError, match=f"at step 1, summand {ks}$"):
+        eng.lift_many([(v, dd, 3) for _, dd, v in gens])
+    assert len(eng._lift_cache) == len(gens)
+    assert all(len(seg.maps) == 1 for seg in eng._lift_cache.values())
+    assert eng.steps_solved == len(gens)
+    # the same batch without the corruption lifts
+    clean = YonedaEngine(cx)
+    assert all(len(seg.maps) == 4
+               for seg in clean.lift_many([(v, dd, 3) for _, dd, v in gens]))
+
+
+def test_lifting_prepares_no_solver(monkeypatch):
+    # at n=7 over F3 the only prepared solvers are the canonical class
+    # solvers, one per degree 0..6
+    import preproj_hh.cli as cli
+    import preproj_hh.exactla as exactla
+    prepared = []
+    true_init = exactla.PreparedSolver.__init__
+
+    def counting_init(self, matrix):
+        prepared.append(matrix.nrows)
+        true_init(self, matrix)
+
+    monkeypatch.setattr(exactla.PreparedSolver, "__init__", counting_init)
+    assert cli.compute_certificate(7, 3, 13, 10000, False)["body"]["pass"]
+    assert len(prepared) == 7
