@@ -216,7 +216,9 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     return {
         "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                    "timings": {k: round(v, 3) for k, v in timings.items()},
-                   "work": engine.work()},
+                   "work": {**engine.work(),
+                            "cochain_differentials_built": cx.differentials_built,
+                            "one_sided_maps_ranked": exact_report.one_sided_ranked}},
         "body": _exact(body),
     }
 

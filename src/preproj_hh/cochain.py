@@ -5,6 +5,10 @@ pieces e_{i(a)} L e_{t(a)}, with six-periodic differentials.  Every explicit
 differential matrix is cross-checked, entry for entry, against the map
 obtained by dualizing the corresponding resolution differential through
 Hom(L e_s (x) e_t L, L) = e_s L e_t; a mismatch raises ComplexMismatchError.
+This is done once per period: where `repeats_period` finds d_(i+1) equal to
+d_(i-5), d^i is the matrix of d^(i-6) itself, not rebuilt, compared,
+composed or ranked again, and the tensor complex reuses its ranks the same
+way.  A differential that breaks the period is built and checked on its own.
 
 One deliberate deviation from the printed formula set: the parallels-to-
 loops differential at the twisted spot is abar*p - p*abar, which is what
@@ -35,7 +39,7 @@ from .algebra import AlgebraTable, multiply, socle_basis, x0_element
 from .exactla import (ExactMatrix, PreparedSolver, UnsupportedCharacteristicError,
                       sparse_rank)
 from .nakayama import NakayamaForm
-from .resolution import ResolutionWindow, build_resolution
+from .resolution import ResolutionWindow, build_resolution, repeats_period
 
 LOOPS = "loops"
 PARALLELS = "parallels"
@@ -87,7 +91,23 @@ class CochainComplex:
         self.window = window or build_resolution(table, form, maxdeg)
         self.spaces = [_make_space(table, i) for i in range(maxdeg + 1)]
         self.diffs: List[ExactMatrix] = []
+        self.differentials_built = 0
+        # Soundness of building d^i once per period.  The explicit matrix of
+        # d^i reads only i mod 6 and the spaces V^i, V^(i+1), and `_make_space`
+        # reads only the degree mod 3: so the explicit d^i is the explicit
+        # d^(i-6) for every i >= 6.  The dual matrix reads the value terms of
+        # d_(i+1) and the spaces, and sums each entry in the field, so it is
+        # linear in the normalized map.  Where `repeats_period` finds d_(i+1)
+        # equal to d_(i-5) between equal terms, the dual d^i is the dual
+        # d^(i-6) as well, and both were compared when d^(i-6) was built: d^i
+        # is that matrix, the same object.  Where both factors of d^(i+1) d^i
+        # are such repeats, the product is d^(i-5) d^(i-6), checked already.
+        # A differential that does not repeat is built and cross-checked on
+        # its own.
         for i in range(maxdeg):
+            if i >= 6 and repeats_period(self.window, i + 1):
+                self.diffs.append(self.diffs[i - 6])
+                continue
             explicit = self._explicit_matrix(i)
             dual = self._dual_matrix(i)
             if explicit != dual:
@@ -95,7 +115,11 @@ class CochainComplex:
                     f"differential {i}: explicit formula disagrees with the "
                     f"dualized resolution differential")
             self.diffs.append(explicit)
+            self.differentials_built += 1
         for i in range(maxdeg - 1):
+            if i >= 6 and self.diffs[i] is self.diffs[i - 6] \
+                    and self.diffs[i + 1] is self.diffs[i - 5]:
+                continue
             if not self.diffs[i + 1].matmul(self.diffs[i]).is_zero():
                 raise ComplexMismatchError(f"d{i + 1} o d{i} != 0")
         self._hh_ranks: Dict[int, int] = {}
@@ -236,10 +260,14 @@ class CochainComplex:
     # -- ranks and dimensions ----------------------------------------------------
 
     def diff_rank(self, i: int) -> int:
+        """Rank of d^i; a matrix repeated from degree i-6 is ranked there."""
         if i < 0:
             return 0
         if i not in self._hh_ranks:
-            self._hh_ranks[i] = self.diffs[i].rank()
+            if i >= 6 and self.diffs[i] is self.diffs[i - 6]:
+                self._hh_ranks[i] = self.diff_rank(i - 6)
+            else:
+                self._hh_ranks[i] = self.diffs[i].rank()
         return self._hh_ranks[i]
 
 
@@ -289,13 +317,20 @@ def _tensor_matrix(t: AlgebraTable, w: ResolutionWindow, m: int) -> ExactMatrix:
 
 
 def homology_dims(c: CochainComplex, upto: int) -> List[int]:
-    """dim HH_i for i = 0..upto, from the tensor complex over the window."""
+    """dim HH_i for i = 0..upto, from the tensor complex over the window.
+
+    `_tensor_matrix` reads the terms m, m-1 and the value terms of d_m,
+    summed in the field, so it is linear in the normalized map: where
+    `repeats_period` finds d_m equal to d_(m-6) between equal terms, the
+    matrix and its rank are those of m-6, and only the others are ranked.
+    """
     t, w = c.table, c.window
     if upto + 1 > w.depth:
         raise ValueError("window too shallow")
     ranks = [0]
     for m in range(1, upto + 2):
-        ranks.append(_tensor_matrix(t, w, m).rank())
+        ranks.append(ranks[m - 6] if repeats_period(w, m)
+                     else _tensor_matrix(t, w, m).rank())
     dims = []
     for i in range(upto + 1):
         total = len(_tensor_space(t, w.terms[i]))

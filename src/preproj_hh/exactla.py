@@ -11,10 +11,12 @@ is fraction-free: a row is an int row times the rational it was scaled by,
 so a rank costs int arithmetic only.  `_divided` divides its result out
 into the normalized pivot rows and scales of an all-Fraction elimination,
 and `_back_substitute` turns those into the reduced row echelon form where
-it is needed.  There is one solve, `ExactMatrix.solve_many`: it eliminates
-[A | b_1 ... b_m] once for all its right-hand sides, and `ExactMatrix.solve`
-is its one-column case.  `PreparedSolver` keeps the reduction of [A | I] for
-a matrix that meets many right-hand sides one at a time.
+an echelon form or a prepared solver reads it.  There is one solve,
+`ExactMatrix.solve_many`: it eliminates [A | b_1 ... b_m] once for all its
+right-hand sides and back-substitutes the right-hand-side columns alone
+(`_solutions`), never the A part of that form; `ExactMatrix.solve` is its
+one-column case.  `PreparedSolver` keeps the reduction of [A | I] for a
+matrix that meets many right-hand sides one at a time.
 """
 
 from __future__ import annotations
@@ -481,7 +483,10 @@ class ExactMatrix:
         a reduced row r = y A of the reduced row echelon form carries
         y.b_j = r.x there, which does not depend on y: so column n+j of that
         form is the pivot part of the echelon-canonical solution, the same
-        whatever the other columns are.  Values come out field-canonical (an
+        whatever the other columns are.
+
+        Only those columns are back-substituted (`_solutions`): the A part of
+        the form is never built.  Values come out field-canonical (an
         integral rational as an int), as `FieldSpec.__call__` makes them.
         """
         F = self.field
@@ -492,16 +497,49 @@ class ExactMatrix:
                 aug[i][n + j] = x
         pivots, rest = _reduce(aug, F, n)
         bad = {k - n for _, row in rest for k in row}
-        rref = _back_substitute(_divided(pivots, [])[0], F)
-        out = []
-        for j in range(len(columns)):
-            if j in bad:
-                out.append(None)
-                continue
-            key = n + j
-            out.append({c: v if type(v) is int else F(v)
-                        for c, row in rref.items() if (v := row.get(key))})
+        x = _solutions(pivots, n, F)
+        out = [{} if j not in bad else None for j in range(len(columns))]
+        for c in sorted(x):
+            for j, v in x[c].items():
+                if j not in bad:
+                    out[j][c] = v if type(v) is int else F(v)
         return out
+
+
+def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
+    """Back substitution of the right-hand sides alone, from `_reduce` pivots.
+
+    The pivot rows come from eliminating [A | b_1 ... b_m] with pivots below
+    `n`.  Returns {pivot column c: {j: x_c for b_j}} over the nonzero values,
+    free variables zero.  Soundness: the pivot row of c, divided by its lead,
+    is e_c + (entries at later columns of A) + (entries at the b_j).  The
+    later pivot columns are solved first (descending order), the free ones
+    are zero, so x_c = (b part - sum over the later pivot columns k of
+    a_k x_k) / lead is the value the reduced row echelon form carries at
+    column n+j of the row of c: that form is unique, and its row of c is
+    this row with the later pivot rows subtracted out.  Over Q the row is
+    held fraction-free, so the one division by its lead comes last.
+    """
+    p = F.characteristic
+    x: dict = {}
+    for c in sorted(pivots, reverse=True):
+        lead, row, _, _ = pivots[c]
+        acc: dict = {}
+        for k, a in row.items():
+            if k >= n:
+                acc[k - n] = acc.get(k - n, 0) + a
+            elif (xk := x.get(k)) is not None:
+                for j, v in xk.items():
+                    acc[j] = acc.get(j, 0) - a * v
+        if p:
+            # every pivot row over F_p has lead 1
+            vals = {j: r for j, s in acc.items() if (r := s % p)}
+        else:
+            vals = {j: _quotient(s, lead) if type(s) is int else s / lead
+                    for j, s in acc.items() if s}
+        if vals:
+            x[c] = vals
+    return x
 
 
 def _by_column(rows: Sequence[dict], ncols: int) -> list:

@@ -12,7 +12,12 @@ X (x)_L S_v, X the augmented window and S_v the simple left modules: they
 are exact wherever X is, and at n=7 have 280 to 546 columns where the
 flattened terms have 12,656 to 24,752.  The flattened ranks the
 report carries then follow from the dimensions; the flattened maps are
-ranked only as the witness of a window that fails.
+ranked only as the witness of a window that fails.  The window repeats
+with period 6: `repeats_period` checks d_m = d_(m-6) between equal terms,
+map by map, and wherever it holds the certification (and the cochain and
+tensor complexes built over the window) reuse the work done for d_(m-6):
+d.d = 0 is composed and the one-sided maps are built and ranked once per
+period.
 """
 
 from __future__ import annotations
@@ -55,7 +60,9 @@ class BimoduleMap:
         return all(not terms for terms in self.normalized().values)
 
     def equals(self, other: "BimoduleMap") -> bool:
-        return self.normalized().values == other.normalized().values
+        """The same map: equal source and target terms and equal normalized values."""
+        return (self.source == other.source and self.target == other.target
+                and self.normalized().values == other.normalized().values)
 
     def serialize(self) -> list:
         export = self.table.field.export
@@ -78,13 +85,14 @@ def expand(f: BimoduleMap, k: int, x: int, y: int) -> dict:
     the coefficients summed as stored in f (not reduced into the field), so
     some may be zero.
     """
-    t = f.table
+    product = f.table.product
+    left = product[x]
     out: dict = {}
     for k2, c, xd, yd in f.values[k]:
-        lhs = t.mono_mul(x, xd)
+        lhs = left.get(xd)
         if lhs is None:
             continue
-        rhs = t.mono_mul(yd, y)
+        rhs = product[yd].get(y)
         if rhs is None:
             continue
         key = (k2, lhs[1], rhs[1])
@@ -188,6 +196,20 @@ def build_resolution(t: AlgebraTable, form: NakayamaForm, depth: int) -> Resolut
     return ResolutionWindow(t, form, depth, terms, diffs, gen_degrees)
 
 
+def repeats_period(w: ResolutionWindow, m: int) -> bool:
+    """Whether d_m equals d_(m-6) between equal terms: P_m = P_(m-6),
+    P_(m-1) = P_(m-7), and the two maps equal as normalized value lists on
+    those terms (`BimoduleMap.equals`).
+
+    Every layer that reuses the work of d_(m-6) for d_m asks this at the time
+    it reads the maps; no verdict is kept on the window, whose maps may be
+    replaced after it is built.
+    """
+    return (m > 6 and w.terms[m] == w.terms[m - 6]
+            and w.terms[m - 1] == w.terms[m - 7]
+            and w.diffs[m].equals(w.diffs[m - 6]))
+
+
 def _term_basis(t: AlgebraTable, term: ProjectiveBimodule):
     return [(k, x.mid, y.mid) for k, (s, tt) in enumerate(term.summands)
             for x in t.ending_at[s] for y in t.starting_at[tt]]
@@ -279,6 +301,7 @@ class ExactnessReport:
     syzygy6_dim: Optional[int]
     rank_method: str
     failures: List[str] = dc_field(default_factory=list)
+    one_sided_ranked: int = 0      # one-sided maps ranked; not serialized
 
     @property
     def ok(self) -> bool:
@@ -329,17 +352,18 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
     t = w.table
     failures: List[str] = []
 
-    periodic_failures = [f"d{m} != d{m + 6}" for m in range(1, w.depth - 5)
-                         if not w.diffs[m].equals(w.diffs[m + 6])]
+    repeats = [repeats_period(w, m) for m in range(w.depth + 1)]
+    periodic_failures = [f"d{m - 6} != d{m}" for m in range(7, w.depth + 1)
+                         if not repeats[m]]
     periodic = not periodic_failures
 
     # d.d = 0 once per period.  `compose` is linear in each factor's value
-    # list and reads nothing else but their shapes, which the window's terms
-    # fix with period 3.  So where d_(m+6) = d_m, checked exactly just above
-    # (as normalized value lists), the pair d_m o d_(m+1) for m > 6 is the
-    # pair m-6 term for term and vanishes exactly when that one does.  Such
-    # a pair takes its verdict, and its failure line, from its partner; a
-    # window that is not periodic composes every pair.
+    # list and reads nothing else but their terms.  So where every d_(m+6)
+    # repeats d_m, checked exactly just above (`repeats_period`), the pair
+    # d_m o d_(m+1) for m > 6 is the pair m-6 term for term and vanishes
+    # exactly when that one does.  Such a pair takes its verdict, and its
+    # failure line, from its partner; a window that is not periodic
+    # composes every pair.
     dd = True
     pair_zero = {}
     for m in range(1, w.depth):
@@ -377,12 +401,28 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
     method = f"native mod {p}" if t.field.characteristic else (
         f"mod {p} ranks pinned by exact d.d = 0 and dimension counts")
     # maps[m] is d_m (x) S over every vertex and maps[0] the augmentation;
-    # the columns of maps[m] are the basis of P_m (x) S
+    # the columns of maps[m] are the basis of P_m (x) S.  Once per period:
+    # where d_m repeats d_(m-6) (`repeats_period`: equal terms, equal
+    # normalized values), maps[m] is maps[m-6] and so is its rank.  The
+    # columns read only the value terms and the source summands of d_m, and
+    # they sum the terms of each key as plain numbers, so they are linear in
+    # the normalized map: the two matrices agree over Q, hence modulo every
+    # prime too, and have one rank.  A map that does not repeat is built and
+    # ranked on its own.
     maps = [_augmentation_columns(t, w.terms[0])]
-    maps += [one_sided_columns(w.diffs[m]) for m in range(1, w.depth + 1)]
+    for m in range(1, w.depth + 1):
+        maps.append(maps[m - 6] if repeats[m] else one_sided_columns(w.diffs[m]))
+    ranked = 0
 
     def one_sided_exact(q: int) -> bool:
-        r = [_rank(columns, q) for columns in maps]
+        nonlocal ranked
+        r = []
+        for m, columns in enumerate(maps):
+            if repeats[m]:
+                r.append(r[m - 6])
+            else:
+                r.append(_rank(columns, q))
+                ranked += 1
         return r[0] == t.n and all(r[m] + r[m + 1] == len(maps[m])
                                    for m in range(w.depth))
 
@@ -426,4 +466,4 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
         failures.append(f"image of d6 has dimension {syz6}, expected {t.dim}")
 
     return ExactnessReport(w.depth, dd, aug, minimal, periodic, ranks, dims,
-                           exact_at, syz6, method, failures)
+                           exact_at, syz6, method, failures, ranked)

@@ -371,11 +371,14 @@ class YonedaEngine:
             eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
         unknowns = _graded_triples(t, w.terms[k], s, tt, unknown_degree)
         eq_pos = {key: r for r, key in enumerate(eq_keys)}
-        mat = ExactMatrix.from_entries(
-            F, len(eq_keys), len(unknowns),
-            ((eq_pos[key], col, c) for col, (kt, x, y) in enumerate(unknowns)
-             for key, c in self._composed_column(k, kt, x, y)))
-        return mat, unknowns, eq_keys
+        # a column names each equation key at most once (`expand` sums its
+        # terms by key), so every entry is written once, in column order
+        rows: list = [{} for _ in eq_keys]
+        for col, (kt, x, y) in enumerate(unknowns):
+            for key, c in self._composed_column(k, kt, x, y):
+                if (fc := F(c)) != 0:
+                    rows[eq_pos[key]][col] = fc
+        return ExactMatrix._wrap(F, len(eq_keys), len(unknowns), rows), unknowns, eq_keys
 
     def _composed_column(self, k, kt, x, y):
         """Image of the elementary hom with value x (x) y at summand kt."""

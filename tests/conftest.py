@@ -8,6 +8,7 @@ from preproj_hh.algebra import AlgebraTable, build_algebra
 from preproj_hh.cochain import build_complex
 from preproj_hh.exactla import FieldSpec
 from preproj_hh.nakayama import associated_form
+from preproj_hh.resolution import BimoduleMap
 from preproj_hh.yoneda import YonedaEngine
 
 sys.setrecursionlimit(10000)
@@ -59,3 +60,23 @@ def variant_socle_table(n: int, char: int = 0) -> AlgebraTable:
             c, m3 = hit
             act[(a, mid)] = (c * s(mid) * s(m3), m3)
     return AlgebraTable(n, base.field, basis, product, act)
+
+
+def summand_negated(f, summand=0):
+    """f with the value terms of one source summand negated."""
+    values = [[(k, -c, x, y) for k, c, x, y in terms] if i == summand else terms
+              for i, terms in enumerate(f.values)]
+    return BimoduleMap(f.table, f.source, f.target, values)
+
+
+def relisted(f):
+    """f with every term list reversed and each first term split in two:
+    another listing of the same normalized map."""
+    values = []
+    for terms in f.values:
+        terms = list(reversed(terms))
+        if terms:
+            k, c, x, y = terms[0]
+            terms[:1] = [(k, c + 1, x, y), (k, -1, x, y)]
+        values.append(terms)
+    return BimoduleMap(f.table, f.source, f.target, values)

@@ -349,7 +349,8 @@ def test_header_records_the_lifting_work():
     assert set(header) == {"timestamp", "timings", "work"}
     assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
                               "lifting_systems": 121, "lifting_eliminations": 142,
-                              "products": 882}
+                              "products": 882, "cochain_differentials_built": 6,
+                              "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]
 
 

@@ -334,3 +334,188 @@ def test_spaces_match_filtering_the_whole_basis(n):
         assert _tensor_space(t, term) == [
             (k, m.mid) for k, (s, tt) in enumerate(term.summands)
             for m in t.basis if m.source == tt and m.target == s]
+
+
+# -- once per period: brute-force reference, counts and negative controls -----------
+
+
+def _brute_force(cx):
+    """Every explicit and dual matrix built and compared, every d o d composed,
+    every tensor rank and every one-sided rank taken, with no reuse.
+
+    Returns (cochain differentials, HH^* dims, HH_* dims, exactness report
+    as serialized); the exactness part is for a window that passes.
+    """
+    from preproj_hh.cochain import _tensor_matrix, _tensor_space
+    from preproj_hh.resolution import (_SANDWICH_PRIME, _augmentation_columns, _rank,
+                                       compose, flat_dim, one_sided_columns)
+    t, w, top = cx.table, cx.window, cx.maxdeg - 1
+    diffs = []
+    for i in range(cx.maxdeg):
+        explicit, dual = cx._explicit_matrix(i), cx._dual_matrix(i)
+        assert explicit == dual
+        diffs.append(explicit)
+    for i in range(cx.maxdeg - 1):
+        assert diffs[i + 1].matmul(diffs[i]).is_zero()
+    ranks = [0] + [d.rank() for d in diffs]           # ranks[i + 1] is rank d^i
+    hh = [cx.spaces[i].dim - ranks[i + 1] - ranks[i] for i in range(top + 1)]
+    tensor = [0] + [_tensor_matrix(t, w, m).rank() for m in range(1, top + 2)]
+    homology = [len(_tensor_space(t, w.terms[i])) - tensor[i] - tensor[i + 1]
+                for i in range(top + 1)]
+
+    periodic = all(w.diffs[m].equals(w.diffs[m + 6]) for m in range(1, w.depth - 5))
+    dd = all(compose(w.diffs[m], w.diffs[m + 1]).is_zero() for m in range(1, w.depth))
+    aug = True
+    for terms in w.diffs[1].values:
+        acc = {}
+        for _, c, x, y in terms:
+            if (hit := t.mono_mul(x, y)) is not None:
+                acc[hit[1]] = acc.get(hit[1], 0) + c * hit[0]
+        aug = aug and not any(acc.values())
+    minimal = not any(t.basis[x].degree == 0 and t.basis[y].degree == 0
+                      for m in range(1, w.depth + 1)
+                      for terms in w.diffs[m].values for _, _, x, y in terms)
+    p = t.field.characteristic or _SANDWICH_PRIME
+    maps = [_augmentation_columns(t, w.terms[0])]
+    maps += [one_sided_columns(w.diffs[m]) for m in range(1, w.depth + 1)]
+    r = [_rank(columns, p) for columns in maps]
+    assert periodic and dd and aug and minimal
+    assert r[0] == t.n and all(r[m] + r[m + 1] == len(maps[m]) for m in range(w.depth))
+    dims = [flat_dim(t, term) for term in w.terms]
+    flat = [0, dims[0] - t.dim]
+    for m in range(1, w.depth):
+        flat.append(dims[m] - flat[m])
+    assert flat[6] == t.dim
+    method = (f"native mod {p}" if t.field.characteristic else
+              f"mod {p} ranks pinned by exact d.d = 0 and dimension counts")
+    exactness = {"depth": w.depth, "dd_zero": dd, "augmentation_zero": aug,
+                 "minimal": minimal, "periodic": periodic, "ranks": flat,
+                 "flat_dims": dims, "exact_at": [True] * w.depth,
+                 "syzygy6_dim": flat[6], "rank_method": method, "failures": [],
+                 "ok": True}
+    return diffs, hh, homology, exactness
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_period_reuse_matches_the_brute_force_reference(n, char):
+    from preproj_hh.resolution import certify_exact
+    cx = context(n, char).cx
+    diffs, hh, homology, exactness = _brute_force(cx)
+    assert cx.diffs == diffs
+    assert hh_dims(cx, cx.maxdeg - 1) == hh
+    assert homology_dims(cx, cx.maxdeg - 1) == homology
+    assert certify_exact(cx.window).serialize() == exactness
+
+
+def _count_period_work(monkeypatch):
+    """Counters of the matrices built, composed and ranked per layer."""
+    import collections
+    import preproj_hh.cochain as C
+    import preproj_hh.resolution as R
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_explicit_matrix", "_dual_matrix"):
+        monkeypatch.setattr(C.CochainComplex, name,
+                            counted(name, getattr(C.CochainComplex, name)))
+    monkeypatch.setattr(C, "_tensor_matrix", counted("_tensor_matrix", C._tensor_matrix))
+    monkeypatch.setattr(ExactMatrix, "matmul", counted("matmul", ExactMatrix.matmul))
+    monkeypatch.setattr(ExactMatrix, "rank", counted("rank", ExactMatrix.rank))
+    monkeypatch.setattr(R, "_rank", counted("_rank", R._rank))
+    return counts
+
+
+def test_period_work_is_done_once_per_distinct_map_at_n7(monkeypatch):
+    # 13 explicit, dual and tensor matrices, 12 products and 14 one-sided
+    # ranks without the reuse; the cochain ranks count d^i and the tensor maps
+    from preproj_hh.nakayama import associated_form
+    from preproj_hh.resolution import build_resolution, certify_exact
+    t = build_algebra(7, FieldSpec(3))
+    form = associated_form(t)
+    counts = _count_period_work(monkeypatch)
+    w = build_resolution(t, form, 13)
+    rep = certify_exact(w)
+    cx = CochainComplex(t, form, 13, w)
+    hh_dims(cx, 12)
+    homology_dims(cx, 12)
+    assert dict(counts) == {"_explicit_matrix": 6, "_dual_matrix": 6, "_tensor_matrix": 6,
+                            "matmul": 6, "_rank": 7, "rank": 12}
+    assert cx.differentials_built == 6 and rep.one_sided_ranked == 7
+    assert all(cx.diffs[i] is cx.diffs[i - 6] for i in range(6, 13))
+
+
+def test_a_differential_that_breaks_the_period_is_built_and_cross_checked(monkeypatch):
+    # d8 negated on one summand: d^7 dualizes d8, which is no longer d2, so
+    # d^7 is built and compared with its own dual, and the two disagree.  d9
+    # would not do: its dual is the zero map, which no sign change can move
+    from preproj_hh.resolution import build_resolution
+    from conftest import summand_negated
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[8] = summand_negated(w.diffs[8])
+    counts = _count_period_work(monkeypatch)
+    with pytest.raises(ComplexMismatchError, match="differential 7:"):
+        CochainComplex(ctx.table, ctx.form, 13, w)
+    assert counts["_dual_matrix"] == 7
+
+
+def test_homology_over_a_window_that_breaks_the_period_ranks_that_map(monkeypatch):
+    # the complex is built over the true window, then the window is swapped
+    # for one with d8 negated on one summand: m = 8 takes its own tensor rank
+    import copy
+    from preproj_hh.cochain import _tensor_matrix, _tensor_space
+    from preproj_hh.resolution import build_resolution
+    from conftest import summand_negated
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[8] = summand_negated(w.diffs[8])
+    cx = copy.copy(ctx.cx)
+    cx.window = w
+    t = cx.table
+    tensor = [0] + [_tensor_matrix(t, w, m).rank() for m in range(1, 14)]
+    brute = [len(_tensor_space(t, w.terms[i])) - tensor[i] - tensor[i + 1]
+             for i in range(13)]
+    assert _tensor_matrix(t, w, 8) != _tensor_matrix(t, w, 2)
+    counts = _count_period_work(monkeypatch)
+    assert homology_dims(cx, 12) == brute
+    assert counts["_tensor_matrix"] == 7
+
+
+def test_a_differential_listed_differently_is_still_reused(monkeypatch):
+    from preproj_hh.resolution import build_resolution
+    from conftest import relisted
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[8] = relisted(w.diffs[8])
+    want = homology_dims(ctx.cx, 12)
+    counts = _count_period_work(monkeypatch)
+    cx = CochainComplex(ctx.table, ctx.form, 13, w)
+    assert homology_dims(cx, 12) == want
+    assert cx.diffs == ctx.cx.diffs and cx.diffs[7] is cx.diffs[1]
+    assert counts["_dual_matrix"] == counts["_tensor_matrix"] == 6
+
+
+def test_a_product_with_a_differential_of_its_own_is_composed(monkeypatch):
+    # d8 negated on the terms that land in target summand 1: d7 o d8 no
+    # longer vanishes.  The explicit d^7 is made to agree with its dual, so
+    # only the d o d check can see it: d^7 is no repeat, so d^7 d^6 is
+    # composed although d^6 repeats d^0
+    from preproj_hh.resolution import BimoduleMap, build_resolution, compose
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    f = w.diffs[8]
+    w.diffs[8] = BimoduleMap(f.table, f.source, f.target,
+                             [[(k, -c if k == 1 else c, x, y) for k, c, x, y in terms]
+                              for terms in f.values])
+    assert not compose(w.diffs[7], w.diffs[8]).is_zero()
+    original = CochainComplex._explicit_matrix
+    monkeypatch.setattr(CochainComplex, "_explicit_matrix",
+                        lambda self, i: self._dual_matrix(i) if i == 7 else original(self, i))
+    with pytest.raises(ComplexMismatchError, match="d7 o d6 != 0"):
+        CochainComplex(ctx.table, ctx.form, 13, w)

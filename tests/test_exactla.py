@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.exactla import (ExactMatrix, FieldSpec, PreparedSolver,
-                                UnsupportedCharacteristicError, _divided, _reduce,
-                                det, rank_mod_p, sparse_rank)
+                                UnsupportedCharacteristicError, _back_substitute,
+                                _divided, _reduce, det, rank_mod_p, sparse_rank)
 
 QQ = FieldSpec(0)
 F5 = FieldSpec(5)
@@ -534,3 +534,73 @@ def test_solve_many_examples():
     assert ExactMatrix(QQ, [[2]]).solve_many([{0: 1}]) == [{0: Fraction(1, 2)}]
     assert ExactMatrix.zero(F5, 2, 2).solve_many([{}, {1: 3}]) == [{}, None]
     assert m.solve_many([]) == []
+
+
+def _full_rref_solve_many(m, columns):
+    """The solve that back-substitutes all of [A | b_1 ... b_m] into its
+    reduced row echelon form and reads each solution off column n+j."""
+    F, n = m.field, m.ncols
+    aug = [dict(row) for row in m.rows]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            aug[i][n + j] = x
+    pivots, rest = _reduce(aug, F, n)
+    bad = {k - n for _, row in rest for k in row}
+    rref = _back_substitute(_divided(pivots, [])[0], F)
+    return [None if j in bad else
+            {c: v if type(v) is int else F(v)
+             for c, row in rref.items() if (v := row.get(n + j))}
+            for j in range(len(columns))]
+
+
+non_unit = st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6])
+
+
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 7)),
+       char=field_strategy, data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_solve_many_back_substitutes_only_the_right_hand_sides(shape, char, data):
+    # columns that are combinations of earlier ones put free columns between
+    # the pivots; over Q the entries are fractions and non-unit leads.  The
+    # right-hand sides mix images, zero columns, arbitrary vectors and
+    # vectors that meet a zero row (inconsistent)
+    nr, nc = shape
+    F = FieldSpec(char)
+    entries = st.one_of(rationals, non_unit) if char == 0 else st.one_of(small_ints, non_unit)
+    cols = []
+    for _ in range(nc):
+        if cols and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
+            cols.append([sum(a * col[i] for a, col in zip(coeffs, cols))
+                         for i in range(nr)])
+        else:
+            cols.append(data.draw(st.lists(entries, min_size=nr, max_size=nr)))
+    zero_rows = data.draw(st.sets(st.integers(0, nr - 1)))
+    rows = [[0] * nc if i in zero_rows else [F(col[i]) for col in cols]
+            for i in range(nr)]
+    m = ExactMatrix(F, rows)
+    columns = []
+    for kind in data.draw(st.lists(st.sampled_from(["image", "any", "zero", "off"]),
+                                   min_size=1, max_size=6)):
+        if kind == "image":
+            x = data.draw(st.lists(entries, min_size=nc, max_size=nc))
+            b = m.matvec([F(v) for v in x])
+        elif kind == "any":
+            b = [F(v) for v in data.draw(st.lists(entries, min_size=nr, max_size=nr))]
+        else:
+            b = [F.zero] * nr
+            if kind == "off" and zero_rows:
+                b[min(zero_rows)] = F.one
+        columns.append({i: v for i, v in enumerate(b) if v != 0})
+    rows_before = [dict(row) for row in m.rows]
+    columns_before = [dict(col) for col in columns]
+    got = m.solve_many(columns)
+    want = _full_rref_solve_many(m, columns)
+    assert m.rows == rows_before and columns == columns_before
+    assert len(got) == len(want)
+    for sol, ref in zip(got, want):
+        if ref is None:
+            assert sol is None
+            continue
+        assert [(c, type(v), v) for c, v in sol.items()] == \
+            [(c, type(v), v) for c, v in ref.items()]

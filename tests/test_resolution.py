@@ -2,7 +2,7 @@ import pytest
 
 from preproj_hh.resolution import (build_resolution, certify_exact, compose,
                                    tau_twist)
-from conftest import context
+from conftest import context, relisted, summand_negated
 
 
 def norm(bm):
@@ -413,3 +413,84 @@ def test_basis_helpers_match_filtering_the_whole_basis(n):
     # k: one value term per monomial of e_i L, in basis order
     for i, terms in zip(t.quiver.vertices, ctx.window.diffs[3].values):
         assert [x for _, _, x, _ in terms] == [m.mid for m in t.basis if m.source == i]
+
+
+# -- equality and the period -------------------------------------------------------
+
+
+def test_maps_with_equal_values_on_different_terms_are_not_equal():
+    from dataclasses import replace
+    from preproj_hh.resolution import BimoduleMap
+    f = context(2).window.diffs[1]
+    other_source = replace(f.source, kind="P")
+    assert other_source != f.source
+    for g in (BimoduleMap(f.table, f.source, f.source, f.values),
+              BimoduleMap(f.table, other_source, f.target, f.values)):
+        assert norm(g) == norm(f)
+        assert not f.equals(g) and not g.equals(f)
+    relisted = [list(reversed(terms)) for terms in f.values]
+    assert f.equals(BimoduleMap(f.table, f.source, f.target, relisted))
+
+
+def test_repeats_period_reads_the_maps_as_they_are():
+    # no verdict is kept on the window: replacing d8 after the build is seen
+    from preproj_hh.resolution import repeats_period
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    assert [m for m in range(14) if repeats_period(w, m)] == list(range(7, 14))
+    w.diffs[8] = summand_negated(w.diffs[8])
+    assert [m for m in range(14) if repeats_period(w, m)] == [7, 9, 10, 11, 12, 13]
+    w.diffs[8] = relisted(w.diffs[2])
+    assert w.diffs[8].values != w.diffs[2].values
+    assert [m for m in range(14) if repeats_period(w, m)] == list(range(7, 14))
+
+
+def _counted_rank_certify(monkeypatch, w):
+    """certify_exact(w) and the one-sided column lists it ranked."""
+    import preproj_hh.resolution as R
+    ranked = []
+
+    def counting_rank(columns, p):
+        ranked.append(columns)
+        return true_rank(columns, p)
+
+    true_rank = R._rank
+    monkeypatch.setattr(R, "_rank", counting_rank)
+    return R.certify_exact(w), ranked
+
+
+def test_periodic_window_ranks_each_one_sided_map_once(monkeypatch):
+    ctx = context(2, 3)
+    rep, ranked = _counted_rank_certify(monkeypatch, build_resolution(ctx.table, ctx.form, 13))
+    assert rep.ok, rep.failures
+    assert len(ranked) == rep.one_sided_ranked == 7
+
+
+def test_a_map_that_breaks_the_period_is_ranked_on_its_own(monkeypatch):
+    # d8 negated on one summand: d8 is no longer d2, so its own one-sided
+    # complex is built and ranked, and the report names the broken period
+    # (d8 o d9 no longer vanishes either, so the window fails)
+    from preproj_hh.resolution import one_sided_columns
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[8] = summand_negated(w.diffs[8])
+    own = one_sided_columns(w.diffs[8])
+    assert own != one_sided_columns(w.diffs[2])
+    rep, ranked = _counted_rank_certify(monkeypatch, w)
+    # eight one-sided maps, then the witness: 13 flattened maps and u
+    assert rep.one_sided_ranked == 8 and len(ranked) == 8 + 14
+    assert own in ranked[:8]
+    assert not rep.periodic and not rep.ok
+    assert "d2 != d8" in rep.failures
+    assert [f for f in rep.failures if " != d" in f] == ["d2 != d8"]
+
+
+def test_a_map_listed_differently_is_still_reused(monkeypatch):
+    # d8 replaced by another listing of the same normalized map: the window
+    # is periodic, one rank per period, and the report is unchanged
+    ctx = context(2, 3)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[8] = relisted(w.diffs[8])
+    rep, ranked = _counted_rank_certify(monkeypatch, w)
+    assert len(ranked) == 7
+    assert rep.serialize() == certify_exact(ctx.window).serialize()
