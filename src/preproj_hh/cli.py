@@ -404,6 +404,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not n_values or any(n < 1 for n in n_values):
         print("error: --n must list positive integers", file=sys.stderr)
         return 2
+    if not chars:
+        print("error: --char must list at least one characteristic", file=sys.stderr)
+        return 2
     fields = _parse_fields(chars)
     if fields is None:
         return 2

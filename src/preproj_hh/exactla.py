@@ -8,15 +8,17 @@ exact divisor, never `/` on ints.
 Every rank, kernel, solve and determinant goes through one sparse forward
 elimination, `_reduce`, over {column: scalar} rows.  Over the rationals it
 is fraction-free: a row is an int row times the rational it was scaled by,
-so a rank costs int arithmetic only.  `_divided` divides its result out
-into the normalized pivot rows and scales of an all-Fraction elimination,
-and `_back_substitute` turns those into the reduced row echelon form where
-an echelon form or a prepared solver reads it.  There is one solve,
+so a rank costs int arithmetic only.  There is one back substitution,
+`_solutions`, which reads the reduced row echelon form off `_reduce`'s
+fraction-free pivot rows one column set at a time, dividing each value by
+its row's lead once, at the end.  There is one solve,
 `ExactMatrix.solve_many`: it eliminates [A | b_1 ... b_m] once for all its
-right-hand sides and back-substitutes the right-hand-side columns alone
-(`_solutions`), never the A part of that form; `ExactMatrix.solve` is its
-one-column case.  `PreparedSolver` keeps the reduction of [A | I] for a
-matrix that meets many right-hand sides one at a time.
+right-hand sides and back-substitutes the right-hand-side columns alone,
+never the A part of that form; `ExactMatrix.solve` is its one-column case.
+`ExactMatrix.echelonize` back-substitutes the free columns of A the same
+way, and `PreparedSolver` the I part of [A | I], for a matrix that meets
+many right-hand sides one at a time.  `det` multiplies the pivot scales
+`_reduce` records and needs no back substitution.
 """
 
 from __future__ import annotations
@@ -174,8 +176,8 @@ def _reduce(rows: Iterable[dict], F: FieldSpec, ncols: Optional[int] = None):
     the order found, to (lead, row, num, den), where row has leading entry
     lead and the reduced row it stands for has leading entry num/den; rest
     holds (mult, row) pairs.  Ranks read the pivots off directly, with no
-    division; `_divided` turns both into what an all-Fraction elimination
-    returns.
+    division; `_solutions` divides only the values it returns, and `det`
+    only the scales num/den.
 
     Soundness: scaling a row by a nonzero rational keeps its support, so it
     meets the same pivots in the same order, and it keeps the row space of
@@ -244,62 +246,25 @@ def _quotient(x: int, d: int) -> Scalar:
     return x // d if x % d == 0 else Fraction(x, d)
 
 
-def _divide(row: dict, d: int) -> dict:
-    """row / d over Q for an int row and an int d != 0; ints stay ints."""
-    if d == 1:
-        return row
-    return {k: v // d if v % d == 0 else Fraction(v, d) for k, v in row.items()}
-
-
-def _divided(pivots: dict, rest: list):
-    """`_reduce`'s output divided out, as an all-Fraction elimination has it.
-
-    Returns (pivots, rest): pivots maps each pivot column, in the order
-    found, to (scale, row), where row is the reduced row divided by its
-    leading entry `scale`; rest lists the reduced rows left beyond `ncols`.
-    Over F_p every lead and mult is 1 and den is 1, so nothing is divided.
-    """
-    return ({c: (_quotient(num, den), _divide(row, lead))
-             for c, (lead, row, num, den) in pivots.items()},
-            [_divide(row, mult) for mult, row in rest])
-
-
-def _back_substitute(pivots: dict, F: FieldSpec) -> dict:
-    """Reduced row echelon form from `_divided` pivots.
-
-    Consumes the pivot rows and returns {pivot column: row} in ascending
-    column order.  Rows are cleared at the later pivot columns from the last
-    pivot back, so every row subtracted is already final and has no entry at
-    another pivot column.
-    """
-    rref: dict = {}
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c][1]
-        for k in [k for k in row if k in rref]:
-            _axpy(row, row.pop(k), rref[k], k, F.characteristic)
-        rref[c] = row
-    return dict(reversed(rref.items()))
-
-
 def det(rows: Sequence[Sequence], field: FieldSpec) -> Scalar:
     """Exact determinant of a square matrix given as dense rows.
 
     The all-Fraction elimination only adds multiples of earlier rows to
     later ones, which keeps the determinant, and leaves row i with leading
-    entry scale_i in pivot column c_i.  `_divided` reads those scales off
-    `_reduce` as num/den, which undoes the scaling of its fraction-free
-    rows.  Sorted by pivot column the rows are triangular, so the
-    determinant is the product of the scales times the sign of i -> c_i.
+    entry scale_i in pivot column c_i.  `_reduce` records that scale as
+    num/den, which undoes the scaling of its fraction-free rows.  Sorted by
+    pivot column the rows are triangular, so the determinant is the product
+    of the scales times the sign of i -> c_i.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    pivots, _ = _divided(*_reduce((dict(enumerate(row)) for row in rows), field))
+    pivots, _ = _reduce((dict(enumerate(row)) for row in rows), field)
     if len(pivots) < n:
         return field.zero
     d = field.one
-    for scale, _ in pivots.values():
-        d = field.mul(d, scale)
+    for _, _, num, den in pivots.values():
+        d = field.mul(d, _quotient(num, den))
     cols = list(pivots)  # every row gave a pivot, so this is row order
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
     return field.neg(d) if inversions % 2 else d
@@ -405,10 +370,6 @@ class ExactMatrix:
             and self.rows == other.rows
         )
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_entries(self.field, self.ncols, self.nrows,
-                                        ((j, i, x) for i, j, x in self.entries()))
-
     def matvec(self, v: Sequence) -> list:
         """self @ v, accumulated over the nonzeros of v only."""
         if self._columns is None:
@@ -433,9 +394,12 @@ class ExactMatrix:
     def echelonize(self) -> EchelonForm:
         """Reduced row echelon form; the zero rows come last."""
         F = self.field
-        rref = _back_substitute(_divided(*_reduce(self.rows, F))[0], F)
-        rows = list(rref.values()) + [{} for _ in range(self.nrows - len(rref))]
-        return EchelonForm(rank=len(rref), pivot_columns=tuple(rref),
+        pivots, _ = _reduce(self.rows, F)
+        x = _solutions(pivots, 0, F)
+        cols = sorted(pivots)
+        rows = [{c: F.one, **x.get(c, {})} for c in cols]
+        rows += [{} for _ in range(self.nrows - len(cols))]
+        return EchelonForm(rank=len(cols), pivot_columns=tuple(cols),
                            reduced=ExactMatrix._wrap(F, self.nrows, self.ncols, rows))
 
     def rank(self) -> int:
@@ -486,8 +450,7 @@ class ExactMatrix:
         whatever the other columns are.
 
         Only those columns are back-substituted (`_solutions`): the A part of
-        the form is never built.  Values come out field-canonical (an
-        integral rational as an int), as `FieldSpec.__call__` makes them.
+        the form is never built.
         """
         F = self.field
         n = self.ncols
@@ -502,23 +465,35 @@ class ExactMatrix:
         for c in sorted(x):
             for j, v in x[c].items():
                 if j not in bad:
-                    out[j][c] = v if type(v) is int else F(v)
+                    out[j][c] = v
         return out
 
 
 def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
-    """Back substitution of the right-hand sides alone, from `_reduce` pivots.
+    """The only back substitution: right-hand-side columns from `_reduce` pivots.
 
-    The pivot rows come from eliminating [A | b_1 ... b_m] with pivots below
-    `n`.  Returns {pivot column c: {j: x_c for b_j}} over the nonzero values,
-    free variables zero.  Soundness: the pivot row of c, divided by its lead,
-    is e_c + (entries at later columns of A) + (entries at the b_j).  The
-    later pivot columns are solved first (descending order), the free ones
-    are zero, so x_c = (b part - sum over the later pivot columns k of
-    a_k x_k) / lead is the value the reduced row echelon form carries at
-    column n+j of the row of c: that form is unique, and its row of c is
-    this row with the later pivot rows subtracted out.  Over Q the row is
-    held fraction-free, so the one division by its lead comes last.
+    A right-hand-side column is any column k >= n that carries no pivot;
+    column k is b_j for j = k - n.  Returns {pivot column c: {j: x_c for b_j}}
+    over the nonzero values, free variables zero, each field-canonical (an
+    integral rational as an int), as `FieldSpec.__call__` makes it.
+
+    With n the width of A, as `ExactMatrix.solve_many` eliminates
+    [A | b_1 ... b_m] with pivots below n, every pivot lies in A and x_c is
+    the pivot part of the echelon-canonical solution for b_j.  Soundness:
+    the pivot row of c, divided by its lead, is e_c + (entries at later
+    columns of A) + (entries at the b_j).  The later pivot columns are
+    solved first (descending order), the free ones are zero, so
+    x_c = (b part - sum over the later pivot columns k of a_k x_k) / lead is
+    the value the reduced row echelon form carries at column n+j of the row
+    of c: that form is unique, and its row of c is this row with the later
+    pivot rows subtracted out.  Over Q the row is held fraction-free, so the
+    one division by its lead comes last.
+
+    With n = 0, as `ExactMatrix.echelonize` calls it, every free column k
+    of A is a right-hand side.  The same induction, with the entries at the
+    free columns in place of the b part, makes x[c][k] the entry at column k
+    of the row of c in the reduced row echelon form of A; that row is e_c
+    plus these entries, since it vanishes at every other pivot column.
     """
     p = F.characteristic
     x: dict = {}
@@ -526,7 +501,7 @@ def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
         lead, row, _, _ = pivots[c]
         acc: dict = {}
         for k, a in row.items():
-            if k >= n:
+            if k >= n and k not in pivots:
                 acc[k - n] = acc.get(k - n, 0) + a
             elif (xk := x.get(k)) is not None:
                 for j, v in xk.items():
@@ -535,7 +510,7 @@ def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
             # every pivot row over F_p has lead 1
             vals = {j: r for j, s in acc.items() if (r := s % p)}
         else:
-            vals = {j: _quotient(s, lead) if type(s) is int else s / lead
+            vals = {j: _quotient(s, lead) if type(s) is int else F(s / lead)
                     for j, s in acc.items() if s}
         if vals:
             x[c] = vals
@@ -580,15 +555,17 @@ class PreparedSolver:
         n = matrix.ncols
         self.field = F
         self.ncols = n
-        pivots, rest = _divided(*_reduce(
-            ({**row, n + i: F.one} for i, row in enumerate(matrix.rows)), F, n))
-        rref = _back_substitute(pivots, F)
-        self.rank = len(rref)
-        self.pivots = list(rref)
-        rows = list(rref.values()) + rest
+        pivots, rest = _reduce(
+            ({**row, n + i: F.one} for i, row in enumerate(matrix.rows)), F, n)
+        x = _solutions(pivots, n, F)
+        self.pivots = sorted(pivots)
+        self.rank = len(self.pivots)
+        # a leftover row is read only by its zero test, which scaling by a
+        # nonzero rational keeps, so over Q it is not divided by its mult
+        rows = [x.get(c, {}) for c in self.pivots]
+        rows += [{k - n: v for k, v in row.items()} for _, row in rest]
         self._ntransform = len(rows)
-        self._columns = _by_column(
-            [{k - n: v for k, v in row.items() if k >= n} for row in rows], matrix.nrows)
+        self._columns = _by_column(rows, matrix.nrows)
 
     @property
     def transform(self) -> list:

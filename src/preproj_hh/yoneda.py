@@ -186,10 +186,17 @@ class YonedaEngine:
 
         Each step is appended to all the segments that need it once every
         one of them has it, so a step that fails leaves them all without it.
+        Each pass extends the shortest pending segments.  A pass that leaves
+        one of them short raises, on the spot where a solve returns too few
+        maps and at the next pass otherwise, rather than loop forever.
         """
         pending = [job for job in jobs if len(job[0].maps) <= job[2]]
-        k = min((len(seg.maps) for seg, _, _ in pending), default=0)
+        k = -1
         while pending:
+            shortest = min(len(seg.maps) for seg, _, _ in pending)
+            if shortest <= k:
+                raise LiftFailedError(f"step {k} left a segment without its map")
+            k = shortest
             twisted, solve = [], []
             for seg, vec, _ in pending:
                 if len(seg.maps) == k:
@@ -199,11 +206,11 @@ class YonedaEngine:
                     else:
                         twisted.append((seg, f))
             solved = self._solve_steps(k, solve) if solve else []
-            for seg, f in twisted + [(seg, f) for (seg, _), f in zip(solve, solved)]:
+            for seg, f in twisted + [(seg, f) for (seg, _), f in
+                                     zip(solve, solved, strict=True)]:
                 seg.maps.append(f)
             self.steps_solved += len(solve)
             self.steps_twisted += len(twisted)
-            k += 1
             pending = [job for job in pending if len(job[0].maps) <= job[2]]
 
     # Soundness of the period shortcut.  Suppose `_twist_classes` put step k
@@ -386,29 +393,6 @@ class YonedaEngine:
             hit = self.table.mono_mul(x, y)
             return [] if hit is None else [(hit[1], hit[0])]
         return expand(self.window.diffs[k], kt, x, y).items()
-
-    def verify_segment(self, seg: ChainMapSegment, vec: list) -> bool:
-        """Symbolic check of the chain-map identities for a given segment."""
-        w, t, cx = self.window, self.table, self.cx
-        degree = seg.base_degree
-        rhs0 = self._cochain_rhs(degree, vec)
-        for ks, terms in enumerate(seg.maps[0].values):
-            acc: dict = {}
-            for kt, c, x, y in terms:
-                hit = t.mono_mul(x, y)
-                if hit is not None:
-                    acc[hit[1]] = acc.get(hit[1], 0) + c * hit[0]
-            want = {mid: c for _, c, mid, _ in rhs0[ks]}
-            got = {m: t.field(c) for m, c in acc.items() if c != 0}
-            want = {m: t.field(c) for m, c in want.items() if t.field(c) != 0}
-            if got != want:
-                return False
-        for k in range(1, len(seg.maps)):
-            lhs = compose(w.diffs[k], seg.maps[k])
-            rhs = compose(seg.maps[k - 1], w.diffs[degree + k])
-            if not lhs.equals(rhs):
-                return False
-        return True
 
     # -- products -------------------------------------------------------------
 
@@ -700,7 +684,8 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
     ok = len(kernel) == n
     if ok:
         span = ExactMatrix.from_columns(F, socle_cols)
-        ok = all(span.solve(v) is not None for v in kernel)
+        ok = None not in span.solve_many(
+            [{i: x for i, x in enumerate(v) if x} for v in kernel])
     if not ok:
         failures.append("degree-0 kernel of h-multiplication is not the socle span")
     return StableReport(bij, ok, failures)

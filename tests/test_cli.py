@@ -159,6 +159,16 @@ def test_jobs_option_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run", "dims"])
+@pytest.mark.parametrize("char", ["", ",,"])
+def test_empty_char_list_is_a_usage_error(tmp_path, capsys, command, char):
+    # a grid with no characteristic would certify nothing and exit 0
+    extra = ["--no-oracle", "--out", str(tmp_path)] if command == "run" else []
+    assert main([command, "--n", "1", "--char", char, *extra]) == 2
+    _assert_one_error_line(capsys, "--char")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_oracle_budget_is_a_usage_error(capsys):
     # a usage error (2), not "budget exceeded" (3)
     assert main(["oracle", "--n", "1", "--budget", "-5"]) == 2

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preproj_hh.exactla import (ExactMatrix, FieldSpec, PreparedSolver,
-                                UnsupportedCharacteristicError, _back_substitute,
-                                _divided, _reduce, det, rank_mod_p, sparse_rank)
+from preproj_hh.exactla import (EchelonForm, ExactMatrix, FieldSpec, PreparedSolver,
+                                UnsupportedCharacteristicError, _axpy, _by_column,
+                                _quotient, _reduce, det, rank_mod_p, sparse_rank)
 
 QQ = FieldSpec(0)
 F5 = FieldSpec(5)
@@ -50,6 +50,11 @@ def _reference_matmul(a, b, F):
 def _entries(m):
     """The matrix read back entry by entry, as dense rows."""
     return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def _transpose(m):
+    return ExactMatrix.from_entries(m.field, m.ncols, m.nrows,
+                                    ((j, i, x) for i, j, x in m.entries()))
 
 
 def test_field_validation():
@@ -159,7 +164,7 @@ def test_rank_transpose_and_kernel_count(rows, char):
     F = FieldSpec(char)
     m = ExactMatrix(F, rows)
     r = m.rank()
-    assert r == m.transpose().rank()
+    assert r == _transpose(m).rank()
     kb = m.kernel_basis()
     assert m.ncols == r + len(kb)
     for v in kb:
@@ -213,7 +218,7 @@ def test_sparse_storage_matches_dense_reference(rows, char, data):
     nr, nc = len(rows), len(rows[0])
     assert _entries(m) == dense
     assert m.is_zero() == all(x == 0 for row in dense for x in row)
-    assert _entries(m.transpose()) == [list(col) for col in zip(*dense)]
+    assert _entries(_transpose(m)) == [list(col) for col in zip(*dense)]
     v = [F(x) for x in data.draw(st.lists(small_ints, min_size=nc, max_size=nc))]
     assert m.matvec(v) == [F(sum(a * x for a, x in zip(row, v))) for row in dense]
     width = data.draw(st.integers(min_value=1, max_value=5))
@@ -313,6 +318,96 @@ def test_rational_results_hold_only_ints_and_fractions(rows, data):
     k = min(m.nrows, m.ncols)
     square = [row[:k] for row in rows[:k]]
     assert _exact_scalars([det(square, QQ)])
+
+
+# -- the all-Fraction back substitution, kept as the reference ---------------------
+#
+# `_reduce`'s output divided out into the normalized pivot rows and scales of
+# an all-Fraction elimination (`_divided`), and the reduced row echelon form
+# back-substituted from those over every column (`_back_substitute`).  The
+# echelon forms, prepared solvers and determinants the package reads off
+# `_reduce` through `_solutions` alone must agree with these.
+
+
+def _divide(row, d):
+    """row / d over Q for an int row and an int d != 0; ints stay ints."""
+    if d == 1:
+        return row
+    return {k: v // d if v % d == 0 else Fraction(v, d) for k, v in row.items()}
+
+
+def _divided(pivots, rest):
+    """`_reduce`'s output divided out, as an all-Fraction elimination has it.
+
+    Returns (pivots, rest): pivots maps each pivot column, in the order
+    found, to (scale, row), where row is the reduced row divided by its
+    leading entry `scale`; rest lists the reduced rows left beyond `ncols`.
+    """
+    return ({c: (_quotient(num, den), _divide(row, lead))
+             for c, (lead, row, num, den) in pivots.items()},
+            [_divide(row, mult) for mult, row in rest])
+
+
+def _back_substitute(pivots, F):
+    """Reduced row echelon form, {pivot column: row} ascending, from `_divided` pivots."""
+    rref = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c][1]
+        for k in [k for k in row if k in rref]:
+            _axpy(row, row.pop(k), rref[k], k, F.characteristic)
+        rref[c] = row
+    return dict(reversed(rref.items()))
+
+
+def _reference_echelonize(m):
+    F = m.field
+    rref = _back_substitute(_divided(*_reduce(m.rows, F))[0], F)
+    rows = list(rref.values()) + [{} for _ in range(m.nrows - len(rref))]
+    return EchelonForm(rank=len(rref), pivot_columns=tuple(rref),
+                       reduced=ExactMatrix._wrap(F, m.nrows, m.ncols, rows))
+
+
+def _reference_kernel_basis(m):
+    F, ech = m.field, _reference_echelonize(m)
+    basis = []
+    for fc in range(m.ncols):
+        if fc in ech.pivot_columns:
+            continue
+        v = [F.zero] * m.ncols
+        v[fc] = F.one
+        for pc, row in zip(ech.pivot_columns, ech.reduced.rows):
+            if fc in row:
+                v[pc] = F.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+class _ReferencePreparedSolver(PreparedSolver):
+    """The transform of [A | I] read off its full reduced row echelon form."""
+
+    def __init__(self, matrix):
+        F, n = matrix.field, matrix.ncols
+        self.field, self.ncols = F, n
+        pivots, rest = _divided(*_reduce(
+            ({**row, n + i: F.one} for i, row in enumerate(matrix.rows)), F, n))
+        rref = _back_substitute(pivots, F)
+        self.rank, self.pivots = len(rref), list(rref)
+        rows = list(rref.values()) + rest
+        self._ntransform = len(rows)
+        self._columns = _by_column(
+            [{k - n: v for k, v in row.items() if k >= n} for row in rows], matrix.nrows)
+
+
+def _reference_det(rows, F):
+    pivots, _ = _divided(*_reduce((dict(enumerate(row)) for row in rows), F))
+    if len(pivots) < len(rows):
+        return F.zero
+    d = F.one
+    for scale, _ in pivots.values():
+        d = F.mul(d, scale)
+    cols = list(pivots)
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return F.neg(d) if inversions % 2 else d
 
 
 def _reference_reduce(rows, ncols=None):
@@ -556,17 +651,12 @@ def _full_rref_solve_many(m, columns):
 non_unit = st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6])
 
 
-@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 7)),
-       char=field_strategy, data=st.data())
-@settings(max_examples=250, deadline=None)
-def test_solve_many_back_substitutes_only_the_right_hand_sides(shape, char, data):
-    # columns that are combinations of earlier ones put free columns between
-    # the pivots; over Q the entries are fractions and non-unit leads.  The
-    # right-hand sides mix images, zero columns, arbitrary vectors and
-    # vectors that meet a zero row (inconsistent)
-    nr, nc = shape
-    F = FieldSpec(char)
-    entries = st.one_of(rationals, non_unit) if char == 0 else st.one_of(small_ints, non_unit)
+def _draw_free_column_rows(data, nr, nc, F, entries):
+    """Rows of an nr x nc matrix over F and the set of rows zeroed in it.
+
+    Columns that are combinations of earlier ones put free columns between
+    the pivots.
+    """
     cols = []
     for _ in range(nc):
         if cols and data.draw(st.booleans()):
@@ -578,6 +668,21 @@ def test_solve_many_back_substitutes_only_the_right_hand_sides(shape, char, data
     zero_rows = data.draw(st.sets(st.integers(0, nr - 1)))
     rows = [[0] * nc if i in zero_rows else [F(col[i]) for col in cols]
             for i in range(nr)]
+    return rows, zero_rows
+
+
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 7)),
+       char=field_strategy, data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_solve_many_back_substitutes_only_the_right_hand_sides(shape, char, data):
+    # columns that are combinations of earlier ones put free columns between
+    # the pivots; over Q the entries are fractions and non-unit leads.  The
+    # right-hand sides mix images, zero columns, arbitrary vectors and
+    # vectors that meet a zero row (inconsistent)
+    nr, nc = shape
+    F = FieldSpec(char)
+    entries = st.one_of(rationals, non_unit) if char == 0 else st.one_of(small_ints, non_unit)
+    rows, zero_rows = _draw_free_column_rows(data, nr, nc, F, entries)
     m = ExactMatrix(F, rows)
     columns = []
     for kind in data.draw(st.lists(st.sampled_from(["image", "any", "zero", "off"]),
@@ -604,3 +709,50 @@ def test_solve_many_back_substitutes_only_the_right_hand_sides(shape, char, data
             continue
         assert [(c, type(v), v) for c, v in sol.items()] == \
             [(c, type(v), v) for c, v in ref.items()]
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 7)),
+       char=field_strategy, data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_back_substitution_matches_the_all_fraction_reference(shape, char, data):
+    # echelon forms, kernels, prepared solvers and determinants read off
+    # `_solutions` against the full back substitution of `_divided` rows.  The
+    # reference can hold an integral Fraction where the field holds an int, so
+    # its values are compared coerced into the field; both sides then agree in
+    # value and in type
+    nr, nc = shape
+    F = FieldSpec(char)
+    entries = st.one_of(rationals, non_unit) if char == 0 else st.one_of(small_ints, non_unit)
+    rows, zero_rows = _draw_free_column_rows(data, nr, nc, F, entries)
+    m = ExactMatrix(F, rows)
+
+    got, want = m.echelonize(), _reference_echelonize(m)
+    assert (got.rank, got.pivot_columns) == (want.rank, want.pivot_columns)
+    assert [sorted((k, type(v), v) for k, v in row.items())
+            for row in got.reduced.rows] == \
+        [sorted((k, type(F(v)), v) for k, v in row.items()) for row in want.reduced.rows]
+    assert [_typed(v) for v in m.kernel_basis()] == \
+        [_typed(F(x) for x in v) for v in _reference_kernel_basis(m)]
+
+    solver, reference = PreparedSolver(m), _ReferencePreparedSolver(m)
+    assert (solver.rank, solver.pivots) == (reference.rank, reference.pivots)
+    x = [F(v) for v in data.draw(st.lists(entries, min_size=nc, max_size=nc))]
+    off = [F.zero] * nr
+    if zero_rows:
+        off[min(zero_rows)] = F.one
+    for b in (m.matvec(x), [F(v) for v in data.draw(
+            st.lists(entries, min_size=nr, max_size=nr))], [F.zero] * nr, off):
+        sol, ref = solver.solve(b), reference.solve(b)
+        assert (sol is None) == (ref is None)
+        if ref is not None:
+            assert _typed(sol) == _typed(ref)
+    if zero_rows:
+        assert solver.solve(off) is None
+
+    k = min(nr, nc)
+    for square in ([row[:k] for row in rows[:k]], [row[nc - k:] for row in rows[nr - k:]]):
+        assert _typed([det(square, F)]) == _typed([_reference_det(square, F)])

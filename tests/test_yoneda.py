@@ -5,8 +5,9 @@ import pytest
 from preproj_hh.algebra import x0_element
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec
-from preproj_hh.resolution import build_resolution
-from preproj_hh.yoneda import (CMatrixMismatchError, LiftFailedError, NotACocycleError,
+from preproj_hh.resolution import build_resolution, compose
+from preproj_hh.yoneda import (ChainMapSegment, CMatrixMismatchError, LiftFailedError,
+                               NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
                                stable_structure_check, YonedaEngine,
@@ -20,6 +21,30 @@ def gen(ctx, name):
 
 def classes_equal(c1, c2):
     return c1.degree == c2.degree and c1.coords == c2.coords
+
+
+def verify_segment(engine, seg, vec) -> bool:
+    """Symbolic check of the chain-map identities for a given segment."""
+    w, t = engine.window, engine.table
+    degree = seg.base_degree
+    rhs0 = engine._cochain_rhs(degree, vec)
+    for ks, terms in enumerate(seg.maps[0].values):
+        acc: dict = {}
+        for kt, c, x, y in terms:
+            hit = t.mono_mul(x, y)
+            if hit is not None:
+                acc[hit[1]] = acc.get(hit[1], 0) + c * hit[0]
+        want = {mid: c for _, c, mid, _ in rhs0[ks]}
+        got = {m: t.field(c) for m, c in acc.items() if c != 0}
+        want = {m: t.field(c) for m, c in want.items() if t.field(c) != 0}
+        if got != want:
+            return False
+    for k in range(1, len(seg.maps)):
+        lhs = compose(w.diffs[k], seg.maps[k])
+        rhs = compose(seg.maps[k - 1], w.diffs[degree + k])
+        if not lhs.equals(rhs):
+            return False
+    return True
 
 
 def test_lift_rejects_non_cocycles():
@@ -68,7 +93,7 @@ def test_lift_segments_verify(n, char):
     for name in ["y", "z1", "gamma", "h"]:
         d, v = gen(ctx, name)
         seg = ctx.engine.lift(v, d, min(6, 12 - d))
-        assert ctx.engine.verify_segment(seg, v)
+        assert verify_segment(ctx.engine, seg, v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -80,7 +105,7 @@ def test_cached_lifts_stay_honest(n, char):
     engine.product_table()
     assert engine._lift_cache and engine._lift_systems
     for (degree, vec), seg in engine._lift_cache.items():
-        assert engine.verify_segment(seg, list(vec))
+        assert verify_segment(engine, seg, list(vec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -419,7 +444,7 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
     assert eng._twist == classes
     for name, d, v in eng.generators():
         seg = eng.lift(v, d, w.depth - d)
-        assert eng.verify_segment(seg, v), name
+        assert verify_segment(eng, seg, v), name
         assert [m.values for m in seg.maps] == [
             m.values for m in ref.lift(v, d, w.depth - d).maps], name
         solved = {k for dd, k in eng.solved if dd == d}
@@ -455,7 +480,7 @@ def test_twisted_steps_match_solved_steps(n, char):
     eng, ref = YonedaEngine(cx), _SolvedEveryStep(cx)
     for (name, d, v, mine), (_, _, _, theirs) in zip(_lift_generators(eng),
                                                      _lift_generators(ref)):
-        assert eng.verify_segment(mine, v), name
+        assert verify_segment(eng, mine, v), name
         assert len(mine.maps) == len(theirs.maps) == cx.window.depth - d + 1
         for k, (f, g) in enumerate(zip(mine.maps, theirs.maps)):
             assert f.values == g.values, (name, k)
@@ -490,7 +515,7 @@ def test_a_lift_that_breaks_its_period_is_solved():
     twisted = eng.steps_twisted
     eng._extend_many([(seg, v, 5)])
     assert eng.solved == [(d, 5)] and eng.steps_twisted == twisted
-    assert eng.verify_segment(seg, v)
+    assert verify_segment(eng, seg, v)
 
 
 @pytest.mark.parametrize("n,char,solved", [(6, 0, 63), (7, 3, 71)])
@@ -583,7 +608,7 @@ def test_batched_lifts_match_lone_lifts(n, char):
         lone_eliminations += lone.lift_eliminations
         assert len(seg.maps) == len(alone.maps) == top - d + 1
         assert [f.values for f in seg.maps] == [f.values for f in alone.maps], name
-        assert eng.verify_segment(seg, v), name
+        assert verify_segment(eng, seg, v), name
     # a system shared by several generators at one step is eliminated once
     assert eng.lift_eliminations < lone_eliminations
 
@@ -598,7 +623,7 @@ def test_a_batch_extends_each_cocycle_to_its_deepest_request():
     segs = eng.lift_many([(y, dy, 2), (z, dz, 4), (y, dy, 5), (y, dy, 1)])
     assert segs[0] is segs[2] is segs[3] and len(segs[0].maps) == 6
     assert len(segs[1].maps) == 5
-    assert all(eng.verify_segment(seg, v) for seg, v in zip(segs, (y, z)))
+    assert all(verify_segment(eng, seg, v) for seg, v in zip(segs, (y, z)))
     assert [f.values for f in segs[0].maps] == [
         f.values for f in YonedaEngine(cx).lift(y, dy, 5).maps]
 
@@ -670,3 +695,39 @@ def test_lifting_prepares_no_solver(monkeypatch):
     monkeypatch.setattr(exactla.PreparedSolver, "__init__", counting_init)
     assert cli.compute_certificate(7, 3, 13, 10000, False)["body"]["pass"]
     assert len(prepared) == 7
+
+
+class _Deaf(list):
+    """A map list that drops every append."""
+
+    def append(self, f):
+        pass
+
+
+@pytest.mark.parametrize("fault", ["solve returns no map", "append is lost"])
+def test_a_lifting_pass_that_appends_no_map_raises(monkeypatch, fault):
+    # a pass that leaves a segment short must raise instead of waiting for
+    # its map forever; an alarm turns a hang into a failure
+    import signal
+
+    class Hung(Exception):
+        pass
+
+    def alarm(signum, frame):
+        raise Hung("still lifting after 10 s")
+
+    eng = YonedaEngine(context(2, 3).cx)
+    _, dy, y = eng.generators()[0]
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(10)
+    try:
+        if fault == "solve returns no map":
+            monkeypatch.setattr(eng, "_solve_steps", lambda k, batch: [])
+            with pytest.raises(ValueError):
+                eng.lift_many([(y, dy, 3)])
+        else:
+            with pytest.raises(LiftFailedError, match="step 0"):
+                eng._extend_many([(ChainMapSegment(dy, _Deaf()), y, 3)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
