@@ -14,7 +14,7 @@ fraction-free pivot rows one column set at a time, dividing each value by
 its row's lead once, at the end.  There is one solve,
 `ExactMatrix.solve_many`: it eliminates [A | b_1 ... b_m] once for all its
 right-hand sides and back-substitutes the right-hand-side columns alone,
-never the A part of that form; `ExactMatrix.solve` is its one-column case.
+never the A part of that form.
 `ExactMatrix.echelonize` back-substitutes the free columns of A the same
 way, and `PreparedSolver` the I part of [A | I], for a matrix that meets
 many right-hand sides one at a time.  `det` multiplies the pivot scales
@@ -422,19 +422,6 @@ class ExactMatrix:
             basis.append(v)
         return basis
 
-    def solve(self, b: Sequence) -> Optional[list]:
-        """Echelon-canonical solution of self @ x = b, or None if inconsistent.
-
-        Free variables are set to zero.  The one-column case of `solve_many`.
-        """
-        sol = self.solve_many([{i: x for i, x in enumerate(b) if x}])[0]
-        if sol is None:
-            return None
-        x = [self.field.zero] * self.ncols
-        for c, v in sol.items():
-            x[c] = v
-        return x
-
     def solve_many(self, columns: Sequence[dict]) -> list:
         """Echelon-canonical solutions of self @ x = b for sparse columns b.
 
@@ -547,7 +534,7 @@ class PreparedSolver:
     The reduction of [A | I] is computed once.  Its first `rank` transform
     rows map b to the pivot variables; the rest span the left kernel of A,
     and b is consistent exactly when they all vanish on it.  Solutions are
-    echelon-canonical (free variables zero), identical to ExactMatrix.solve.
+    echelon-canonical (free variables zero), identical to `solve_many`'s.
     """
 
     def __init__(self, matrix: "ExactMatrix"):

@@ -7,20 +7,15 @@ resolution is graded with degree-0 differentials once each term's
 generators are assigned their internal degree, so a homogeneous cocycle
 lifts within a single graded piece of each Hom space; the solver exploits
 this and additionally splits by source summand, which keeps every system
-small.  A system does not depend on the cocycle, so each distinct one is
-assembled once per engine.  `lift_many` extends several segments together,
-step by step, and each step eliminates [A | b_1 ... b_m] once per system A
-for all the right-hand sides b_j that meet it (`ExactMatrix.solve_many`);
-the first product that needs a lift lifts every ring generator in one such
-batch, as deep as any product reads it.
-Deeper steps share systems too: where the engine checks d_k = tau(d_(k-3))
-on the same terms, the step-k system is the step-(k-3) system conjugated
-by the signs (-1)^deg of the right tensor factors, so each twist class of
-steps (k, k+3, k+6, ...) is assembled once, at its base step in 1..3.
-The lifts repeat with the same twisted period: where steps k and
-degree+k both join the classes of k-3 and degree+k-3, and f_(k-1) is
-checked to equal eps tau(f_(k-4)) for eps = +1 or -1, step k is appended as
-eps tau(f_(k-3)) with no composition and no solve; every other step is
+small.  `lift_many` extends several segments together, step by step, and
+each step assembles every system A that its right-hand sides b_j meet and
+eliminates [A | b_1 ... b_m] once (`ExactMatrix.solve_many`); no system is
+kept past its elimination.  The first product that needs a lift lifts every
+ring generator in one such batch, as deep as any product reads it.
+The lifts repeat with the twisted period of the resolution: where the engine
+checks d_k = tau(d_(k-3)) and d_(degree+k) = tau(d_(degree+k-3)) on the same
+terms, and f_(k-1) = eps tau(f_(k-4)) for eps = +1 or -1, step k is appended
+as eps tau(f_(k-3)) with no composition and no solve; every other step is
 solved.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
@@ -81,16 +76,6 @@ class ChainMapSegment:
     maps: List[BimoduleMap]   # maps[k]: P^-(base_degree+k) -> P^-k
 
 
-@dataclass(frozen=True)
-class _LiftSystem:
-    """A graded lifting system: matrix, unknown value terms, equation keys."""
-
-    matrix: ExactMatrix
-    unknowns: list    # (target summand, x, y) per column
-    eq_keys: list     # monomial ids (step 0) or (summand, x, y) per row
-    eq_pos: dict      # equation key -> row
-
-
 class YonedaEngine:
     """Caches lifts of cocycles and computes products in canonical coordinates."""
 
@@ -99,7 +84,6 @@ class YonedaEngine:
         self.table: AlgebraTable = cx.table
         self.window: ResolutionWindow = cx.window
         self._lift_cache: Dict[tuple, ChainMapSegment] = {}
-        self._lift_systems: Dict[tuple, _LiftSystem] = {}
         self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, list]]] = None
         self._generators_lifted = False
@@ -134,11 +118,10 @@ class YonedaEngine:
         raise KeyError(name)
 
     def work(self) -> Dict[str, int]:
-        """Work so far: lift steps solved and twisted, distinct lifting systems,
-        their eliminations, and products evaluated."""
+        """Work so far: lift steps solved and twisted, eliminations of a
+        lifting system, and products evaluated."""
         return {"lift_steps_solved": self.steps_solved,
                 "lift_steps_twisted": self.steps_twisted,
-                "lifting_systems": len(self._lift_systems),
                 "lifting_eliminations": self.lift_eliminations,
                 "products": self.products}
 
@@ -213,21 +196,29 @@ class YonedaEngine:
             self.steps_twisted += len(twisted)
             pending = [job for job in pending if len(job[0].maps) <= job[2]]
 
-    # Soundness of the period shortcut.  Suppose `_twist_classes` put step k
-    # in the class of k-3 and step degree+k in the class of degree+k-3: so
-    # d_k = tau(d_(k-3)) and d_(degree+k) = tau(d_(degree+k-3)), on equal
-    # terms.  Suppose also that f_(k-1) = eps tau(f_(k-4)) holds exactly.
-    # tau multiplies the right factor of each value term by (-1)^its degree,
-    # and degrees add under composition, so tau(f o g) = tau(f) o tau(g).
-    # The step-k right-hand side b_k = f_(k-1) o d_(degree+k) is then
-    # eps tau(f_(k-4) o d_(degree+k-3)) = eps E b_(k-3), with E the sign
-    # diagonal of the note at `_lift_system`; tau keeps value degrees, so
-    # b_k splits into the same graded blocks as b_(k-3).  By that note, step
-    # j of the class is solved as f_j = E^(odd_j) S(E^(odd_j) b_j), S the
-    # canonical solution of the shared base system, and odd_k = 1 - odd_(k-3).
-    # S is linear in b (pivot entries T b, free entries 0), so
-    #   f_k = eps E^(odd_k) S(E^(odd_k) E b_(k-3))
-    #       = eps E E^(odd_(k-3)) S(E^(odd_(k-3)) b_(k-3)) = eps tau(f_(k-3)),
+    # Soundness of the period shortcut.  `_twist_classes` marks step k >= 4
+    # only where it checks, exactly, that d_k equals tau(d_(k-3)) term for
+    # term, that P_k, P_(k-1) equal P_(k-3), P_(k-4), and that the
+    # generator-degree steps g(k)-g(k-1) and g(k-3)-g(k-4) agree.  Then each
+    # step-k system of `_assemble` has the unknowns and equations of the
+    # step-(k-3) system with the same (s, tt, value degree), and since tau
+    # multiplies the right factor y' of each value term by (-1)^deg y', the
+    # entry of M_k at row (k2, x x', y' y) and column (kt, x, y) is
+    # (-1)^(deg y' y) M_(k-3) (-1)^deg y: M_k = E M_(k-3) E with
+    # E = diag((-1)^deg(right factor)) on rows and on columns, and E^2 = 1.
+    # E is invertible and diagonal, so column j of M_k depends on the columns
+    # before it exactly when column j of M_(k-3) does: both have the same
+    # pivot columns, and the echelon-canonical solutions (pivot entries T b,
+    # free entries 0, linear in b) satisfy S_k(b) = E S_(k-3)(E b).
+    #
+    # Suppose steps k and degree+k are both marked, and f_(k-1) =
+    # eps tau(f_(k-4)) holds exactly.  tau multiplies the right factor of
+    # each value term by (-1)^its degree, and degrees add under composition,
+    # so tau(f o g) = tau(f) o tau(g).  The step-k right-hand side
+    # b_k = f_(k-1) o d_(degree+k) is then eps tau(f_(k-4) o d_(degree+k-3))
+    # = eps E b_(k-3); tau keeps value degrees, so b_k splits into the same
+    # graded blocks as b_(k-3).  So
+    #   f_k = S_k(eps E b_(k-3)) = eps E S_(k-3)(b_(k-3)) = eps tau(f_(k-3)),
     # and, normalized, that is the map `_solve_steps` would return, byte for
     # byte (by induction every earlier step is the solved one too).  Where a
     # check fails, the step is solved.  Every map `_extend_many` appends is
@@ -237,8 +228,7 @@ class YonedaEngine:
     # and eps tau(f_(k-3)) is built by one pass too (`_signed_twist`).
     def _twisted_step(self, seg: ChainMapSegment, k: int) -> Optional[BimoduleMap]:
         """eps tau(f_(k-3)) where the period argument above applies, else None."""
-        tw, j = self._twist, seg.base_degree + k
-        if tw[k][0] != tw[k - 3][0] or tw[j][0] != tw[j - 3][0]:
+        if not (self._twist[k] and self._twist[seg.base_degree + k]):
             return None
         eps = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
         return None if eps is None else _signed_twist(seg.maps[k - 3], eps)
@@ -272,7 +262,6 @@ class YonedaEngine:
         (`ExactMatrix.solve_many`).
         """
         w, t = self.window, self.table
-        base, odd = self._twist[k]
         blocks: Dict[tuple, list] = {}    # (s, tt, value degree) -> (job, ks, terms)
         values: List[List[list]] = []
         for job, (seg, vec) in enumerate(batch):
@@ -289,83 +278,31 @@ class YonedaEngine:
                     parts.setdefault(dv, []).append(term)
                 for dv, terms in parts.items():
                     blocks.setdefault((s, tt, dv), []).append((job, ks, terms))
-        neg, basis = t.field.neg, t.basis
         for (s, tt, dv), group in blocks.items():
-            system = self._lift_system(base, s, tt, dv)
-            columns = [self._rhs_column(system, k, ks, terms, odd)
-                       for _, ks, terms in group]
+            matrix, unknowns, eq_pos = self._assemble(k, s, tt, dv)
+            columns = [_rhs_column(eq_pos, k, ks, terms) for _, ks, terms in group]
             self.lift_eliminations += 1
-            for (job, ks, _), sol in zip(group, system.matrix.solve_many(columns)):
+            for (job, ks, _), sol in zip(group, matrix.solve_many(columns)):
                 if sol is None:
                     raise LiftFailedError(
                         f"lifting system inconsistent at step {k}, summand {ks}")
                 out = values[job][ks]
                 for j, c in sol.items():
-                    kt, x, y = system.unknowns[j]
-                    out.append((kt, neg(c) if odd and basis[y].degree % 2 else c, x, y))
+                    kt, x, y = unknowns[j]
+                    out.append((kt, c, x, y))
         return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k], v).normalized()
                 for (seg, _), v in zip(batch, values)]
 
-    def _rhs_column(self, system: "_LiftSystem", k: int, ks: int, rhs_terms,
-                    odd: bool) -> dict:
-        """One graded block as a sparse column of its system, sign-flipped if odd.
-
-        The terms come from the cochain or from `compose`: one per key, each
-        a nonzero field scalar.
-        """
-        t, pos = self.table, system.eq_pos
-        keys = ([mid for _, _, mid, _ in rhs_terms] if k == 0
-                else [(kn, x, y) for kn, _, x, y in rhs_terms])
-        if any(key not in pos for key in keys):
-            raise LiftFailedError(
-                f"right-hand side outside the graded piece at step {k}, summand {ks}")
-        col = {pos[key]: term[1] for key, term in zip(keys, rhs_terms)}
-        if odd:
-            neg, basis, eq_keys = t.field.neg, t.basis, system.eq_keys
-            col = {r: neg(c) if basis[eq_keys[r][2]].degree % 2 else c
-                   for r, c in col.items()}
-        return col
-
-    # Soundness of the cache and of the batch.  The system matrix, its
-    # unknowns and its equations are read off (step, s, tt, rhs value degree)
-    # and the window alone, never off the cocycle, so that key determines the
-    # matrix, and it is assembled once per engine.  `_solve_steps` hands it
-    # every right-hand side of one step at once, and `ExactMatrix.solve_many`
-    # gives each column the echelon-canonical solution of its own system,
-    # which depends neither on the other columns nor on how many there are
-    # (see its docstring): byte for byte what `ExactMatrix.solve(b)` returns
-    # for that column alone.
-    #
-    # Steps of one twist class share a key.  `_twist_classes` maps k >= 4 to
-    # the class of k-3 only where it checks, exactly, that d_k equals
-    # tau(d_(k-3)) term for term, that P_k, P_(k-1) equal P_(k-3), P_(k-4),
-    # and that the generator-degree steps g(k)-g(k-1) and g(k-3)-g(k-4)
-    # agree.  Then step k has the same unknowns and equations as step k-3,
-    # and since tau multiplies the right factor y' of each value term by
-    # (-1)^deg y', the entry of M_k at row (k2, x x', y' y) and column
-    # (kt, x, y) is (-1)^(deg y' y) M_(k-3) (-1)^deg y: M_k = E M_(k-3) E
-    # with E = diag((-1)^deg(right factor)) on rows and on columns, and
-    # E^2 = 1 leaves only the parity of the number of twists.  So M_k x = b
-    # is solved as M_base x' = E b, x = E x'.  E is invertible and diagonal,
-    # so column j of M_k depends on the columns before it exactly when
-    # column j of M_base does: both have the same pivot columns, E x' is
-    # zero at the free ones, and x is the echelon-canonical solution of the
-    # step-k system, byte for byte.  A step whose check fails keeps its own
-    # key.  The same conjugation lets `_extend_many` skip a step's solve entirely
-    # where the lift itself repeats; see the note at `_twisted_step`.
-    def _lift_system(self, k, s, tt, rhs_value_degree) -> _LiftSystem:
-        """The assembled graded lifting system for one (step, summand, degree)."""
-        key = (k, s, tt, rhs_value_degree)
-        system = self._lift_systems.get(key)
-        if system is None:
-            mat, unknowns, eq_keys = self._assemble(k, s, tt, rhs_value_degree)
-            system = _LiftSystem(mat, unknowns, eq_keys,
-                                 {key: r for r, key in enumerate(eq_keys)})
-            self._lift_systems[key] = system
-        return system
-
+    # Soundness of the batch.  The system matrix, its unknowns and its
+    # equations are read off (step, s, tt, rhs value degree) and the window
+    # alone, never off the cocycle, so every block of one step with that key
+    # meets the same matrix.  `_solve_steps` hands it all of them at once,
+    # and `ExactMatrix.solve_many` gives each column the echelon-canonical
+    # solution of its own system, which depends neither on the other columns
+    # nor on how many there are (see its docstring): byte for byte what a
+    # solve of that column alone returns.
     def _assemble(self, k, s, tt, rhs_value_degree):
-        """The matrix, unknowns and equation keys of one step's system."""
+        """The matrix, unknowns and equation rows of one graded lifting system."""
         w, t, F = self.window, self.table, self.table.field
         # the differential raises value degree by g(k) - g(k-1), so the
         # unknown lives that much below the right-hand side
@@ -385,7 +322,7 @@ class YonedaEngine:
             for key, c in self._composed_column(k, kt, x, y):
                 if (fc := F(c)) != 0:
                     rows[eq_pos[key]][col] = fc
-        return ExactMatrix._wrap(F, len(eq_keys), len(unknowns), rows), unknowns, eq_keys
+        return ExactMatrix._wrap(F, len(eq_keys), len(unknowns), rows), unknowns, eq_pos
 
     def _composed_column(self, k, kt, x, y):
         """Image of the elementary hom with value x (x) y at summand kt."""
@@ -477,25 +414,33 @@ class YonedaEngine:
         return out
 
 
-def _twist_classes(w: ResolutionWindow) -> List[Tuple[int, bool]]:
-    """(base step, odd number of twists) for every step 0..depth.
+def _twist_classes(w: ResolutionWindow) -> List[bool]:
+    """For every step 0..depth: is d_k = tau(d_(k-3)) on equal terms?
 
-    Step k >= 4 joins the class of k-3, one more twist, where d_k equals
-    tau(d_(k-3)) on the same source and target terms and with the same
-    generator-degree step; every other step is its own base.  See the
-    soundness note at `YonedaEngine._lift_system`.
+    True for k >= 4 where d_k equals tau(d_(k-3)) on the same source and
+    target terms and with the same generator-degree step.  See the soundness
+    note at `YonedaEngine._twisted_step`.
     """
     g = w.gen_degrees
-    classes = [(k, False) for k in range(min(w.depth, 3) + 1)]
-    for k in range(4, w.depth + 1):
-        if (w.terms[k] == w.terms[k - 3] and w.terms[k - 1] == w.terms[k - 4]
-                and g[k] - g[k - 1] == g[k - 3] - g[k - 4]
-                and w.diffs[k].equals(tau_twist(w.diffs[k - 3]))):
-            base, odd = classes[k - 3]
-            classes.append((base, not odd))
-        else:
-            classes.append((k, False))
-    return classes
+    return [k >= 4 and w.terms[k] == w.terms[k - 3]
+            and w.terms[k - 1] == w.terms[k - 4]
+            and g[k] - g[k - 1] == g[k - 3] - g[k - 4]
+            and w.diffs[k].equals(tau_twist(w.diffs[k - 3]))
+            for k in range(w.depth + 1)]
+
+
+def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms) -> dict:
+    """One graded block of step k as a sparse column of its system.
+
+    The terms come from the cochain or from `compose`: one per key, each
+    a nonzero field scalar.
+    """
+    keys = ([mid for _, _, mid, _ in rhs_terms] if k == 0
+            else [(kn, x, y) for kn, _, x, y in rhs_terms])
+    if any(key not in eq_pos for key in keys):
+        raise LiftFailedError(
+            f"right-hand side outside the graded piece at step {k}, summand {ks}")
+    return {eq_pos[key]: term[1] for key, term in zip(keys, rhs_terms)}
 
 
 def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:
@@ -561,10 +506,29 @@ class CMatrix:
     det: int
     adjacency_identity: bool
 
+    @property
+    def failures(self) -> List[str]:
+        n = len(self.entries)
+        out = []
+        if not self.adjacency_identity:
+            out.append(f"-C (2I + D) is not {2 * n + 1} I")
+        if abs(self.det) != (2 * n + 1) ** (n - 1):
+            out.append(f"|det C| = {abs(self.det)}, expected (2n+1)^(n-1) = "
+                       f"{(2 * n + 1) ** (n - 1)}")
+        return out
+
+    @property
+    def ok(self):
+        return not self.failures
+
     def serialize(self):
-        return {"entries": self.entries, "rank": self.rank, "det": self.det,
-                "det_sign": 0 if self.det == 0 else (1 if self.det > 0 else -1),
-                "adjacency_identity": self.adjacency_identity}
+        doc = {"entries": self.entries, "rank": self.rank, "det": self.det,
+               "det_sign": 0 if self.det == 0 else (1 if self.det > 0 else -1),
+               "adjacency_identity": self.adjacency_identity}
+        # written only when non-empty, so a passing body keeps its bytes
+        if self.failures:
+            doc["failures"] = self.failures
+        return doc
 
 
 def combinatorial_c_matrix(t: AlgebraTable) -> List[List[int]]:

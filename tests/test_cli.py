@@ -264,6 +264,37 @@ def test_certifies_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_traced_points_reach_every_probe_and_match_their_stage_timers(tmp_path):
+    # the benchmark's trace guard on two small points: every probed entry
+    # point a char-0 point must reach is called, and each stage's spans
+    # account for its header timing.  A subprocess keeps the probes'
+    # rebinding of the package out of the other tests
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import json, os, sys\n"
+        "from probes import Tracer\n"
+        "from worker import stage_mismatches\n"
+        "import preproj_hh.cli as cli\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "mismatches = []\n"
+        "for n, char in ((2, 0), (2, 3)):\n"
+        "    tracer.point_stages = {}\n"
+        "    cert = cli.compute_certificate(n, char, 13, 10000, False)\n"
+        "    cli.write_certificate(cert, os.path.join(sys.argv[1], f'{n}_{char}.json'))\n"
+        "    mismatches += stage_mismatches(cert['header']['timings'],\n"
+        "                                   tracer.point_stages)\n"
+        "print(json.dumps({'unreached': tracer.unreached({'char0'}),\n"
+        "                  'mismatches': mismatches}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+        + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"unreached": [], "mismatches": []}
+
+
 def test_commutator_quotient_joins_the_homology_duality_verdict(tmp_path, monkeypatch):
     # HH_0 = L/[L, L]: a commutator quotient one off must flip the verdict,
     # the body's pass and the exit code of run
@@ -358,7 +389,7 @@ def test_header_records_the_lifting_work():
     header = cert["header"]
     assert set(header) == {"timestamp", "timings", "work"}
     assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
-                              "lifting_systems": 121, "lifting_eliminations": 142,
+                              "lifting_eliminations": 142,
                               "products": 882, "cochain_differentials_built": 6,
                               "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]
@@ -396,6 +427,36 @@ def test_run_exit_code_is_zero_exactly_when_every_body_passes(tmp_path, monkeypa
     failed = bodies[2, 3]["verdicts"]
     assert [v for v, ok in failed.items() if not ok] == ["cartan_det"]
     assert rc == 1
+
+
+def test_a_wrong_c_matrix_determinant_fails_c_matrix_with_its_witness(
+        tmp_path, monkeypatch, capsys):
+    # |det C| one off at n=2 over F3 (6 for 5 = (2n+1)^(n-1)) while the
+    # adjacency identity still holds: only c_matrix and pass flip, run exits
+    # 1, the body carries the failure line, and cmatrix exits 1 too
+    import preproj_hh.yoneda as ymod
+
+    def run():
+        rc = main(["run", "--n", "2", "--char", "3", "--no-oracle", "--jobs", "1",
+                   "--out", str(tmp_path)])
+        body = json.loads((tmp_path / "cert_n2_char3.json").read_text())["body"]
+        return body, rc
+
+    body, rc = run()
+    assert (body["verdicts"]["c_matrix"], body["pass"], rc) == (True, True, 0)
+    assert "failures" not in body["c_matrix"]
+    assert main(["cmatrix", "--n", "2", "--char", "3"]) == 0
+    true_det = ymod.det
+    monkeypatch.setattr(ymod, "det", lambda rows, field: true_det(rows, field) + 1)
+    body, rc = run()
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["c_matrix"]
+    assert (body["pass"], rc) == (False, 1)
+    assert body["c_matrix"]["adjacency_identity"] is True
+    assert body["c_matrix"]["failures"] == [
+        "|det C| = 6, expected (2n+1)^(n-1) = 5"]
+    capsys.readouterr()
+    assert main(["cmatrix", "--n", "2", "--char", "3"]) == 1
+    assert "  |det C| = 6, expected (2n+1)^(n-1) = 5\n" in capsys.readouterr().out
 
 
 def test_an_asymmetric_gram_entry_fails_dualizable_with_its_witness(tmp_path, monkeypatch):

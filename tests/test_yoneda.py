@@ -103,7 +103,7 @@ def test_cached_lifts_stay_honest(n, char):
     # satisfies the chain-map identities, checked symbolically
     engine = context(n, char).engine
     engine.product_table()
-    assert engine._lift_cache and engine._lift_systems
+    assert engine._lift_cache
     for (degree, vec), seg in engine._lift_cache.items():
         assert verify_segment(engine, seg, list(vec))
 
@@ -359,15 +359,21 @@ class _SolvedEveryStep(YonedaEngine):
 
 
 class _RecordedSteps(YonedaEngine):
-    """Records (base degree, step) of every solved step."""
+    """Records (base degree, step) of every solved step and the key of every
+    assembled lifting system."""
 
     def __init__(self, cx):
         super().__init__(cx)
         self.solved = []
+        self.assembled = []
 
     def _solve_steps(self, k, batch):
         self.solved.extend((seg.base_degree, k) for seg, _ in batch)
         return super()._solve_steps(k, batch)
+
+    def _assemble(self, k, s, tt, rhs_value_degree):
+        self.assembled.append((k, s, tt, rhs_value_degree))
+        return super()._assemble(k, s, tt, rhs_value_degree)
 
 
 def _lift_generators(eng):
@@ -378,18 +384,18 @@ def _lift_generators(eng):
 @pytest.mark.parametrize("char", [0, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_twisted_systems_are_sign_conjugates_of_their_base(n, char):
-    # reference: the step-k system assembled afresh equals E M_(k-3) E, E
-    # the diagonal of signs (-1)^deg(right factor), on the same unknowns
-    # and equations
+    # every step k >= 4 is marked d_k = tau(d_(k-3)), and the step-k system
+    # equals E M_(k-3) E, E the diagonal of signs (-1)^deg(right factor), on
+    # the same unknowns and equations
     ctx = context(n, char)
     eng, t, w, F = ctx.engine, ctx.table, ctx.window, ctx.field
     for k in range(4, w.depth + 1):
-        base, odd = eng._twist[k]
-        assert (base, odd) == ((k - 1) % 3 + 1, (k - 1) // 3 % 2 == 1)
+        assert eng._twist[k] is True
         for s, tt, dv in _system_shapes(t, w):
-            mat, unknowns, eq_keys = eng._assemble(k, s, tt, dv)
-            prev, prev_unknowns, prev_eq_keys = eng._assemble(k - 3, s, tt, dv)
-            assert (unknowns, eq_keys) == (prev_unknowns, prev_eq_keys)
+            mat, unknowns, eq_pos = eng._assemble(k, s, tt, dv)
+            prev, prev_unknowns, prev_eq_pos = eng._assemble(k - 3, s, tt, dv)
+            eq_keys = list(eq_pos)
+            assert (unknowns, eq_keys) == (prev_unknowns, list(prev_eq_pos))
             conj = ExactMatrix.from_entries(
                 F, prev.nrows, prev.ncols,
                 ((i, j, _sign(t, eq_keys[i]) * _sign(t, unknowns[j]) * x)
@@ -397,30 +403,9 @@ def test_twisted_systems_are_sign_conjugates_of_their_base(n, char):
             assert mat == conj, (k, s, tt, dv)
 
 
-@pytest.mark.parametrize("n,char", [(1, 0), (2, 0), (2, 3), (3, 5), (4, 7)])
-def test_twist_class_lifts_match_per_step_lifts(n, char, monkeypatch):
-    # reference: an engine whose class map is the identity eliminates every
-    # step's own system; every generator's lift through the whole window
-    # must come out identical, map for map
-    import preproj_hh.yoneda as ymod
-    cx = context(n, char).cx
-    eng = YonedaEngine(cx)
-    monkeypatch.setattr(ymod, "_twist_classes",
-                        lambda w: [(k, False) for k in range(w.depth + 1)])
-    per_step = YonedaEngine(cx)
-    for name, d, v in eng.generators():
-        steps = cx.window.depth - d
-        mine, ref = eng.lift(v, d, steps), per_step.lift(v, d, steps)
-        assert len(mine.maps) == len(ref.maps) == steps + 1
-        for k, (f, g) in enumerate(zip(mine.maps, ref.maps)):
-            assert f.values == g.values, (name, k)
-            assert f.equals(g)
-    assert len(eng._lift_systems) < len(per_step._lift_systems)
-
-
 def test_a_step_that_is_no_twist_keeps_its_own_system():
-    # d5 negated: d5 is no longer tau(d2), nor d8 tau(d5); both become bases,
-    # and d11 = tau(d8) joins the class of 8.  The negated window is still a
+    # d5 negated: d5 is no longer tau(d2), nor d8 tau(d5); d11 = tau(d8)
+    # still holds.  The negated window is still a
     # resolution with the same cocycles (negating d5 keeps every kernel), so
     # every lift along it must satisfy the chain-map identities.  No step k
     # or degree+k in {5, 8} may be a twist of an earlier step: those steps
@@ -434,10 +419,10 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
     w.diffs[5] = BimoduleMap(f.table, f.source, f.target,
                              [[(k, -c, x, y) for k, c, x, y in terms] for terms in f.values])
     classes = _twist_classes(w)
-    assert classes[5] == (5, False) and classes[8] == (8, False)
-    assert classes[11] == (8, True)
-    assert classes[4] == (1, True) and classes[7] == (1, False)
-    assert classes[6] == (3, True) and classes[12] == (3, True)
+    assert classes[5] is False and classes[8] is False
+    assert classes[11] is True
+    assert classes[4] is True and classes[7] is True
+    assert classes[6] is True and classes[12] is True
     cx = copy.copy(ctx.cx)
     cx.window = w
     eng, ref = _RecordedSteps(cx), _SolvedEveryStep(cx)
@@ -449,18 +434,19 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
             m.values for m in ref.lift(v, d, w.depth - d).maps], name
         solved = {k for dd, k in eng.solved if dd == d}
         assert {k for k in range(len(seg.maps)) if k in (5, 8) or d + k in (5, 8)} <= solved
-    assert {key[0] for key in eng._lift_systems} >= {5, 8}
+    assert {key[0] for key in eng.assembled} >= {5, 8}
     assert eng.steps_twisted > 0
 
 
-@pytest.mark.parametrize("n,char,systems", [(6, 0, 103), (7, 3, 121)])
-def test_distinct_lifting_systems_per_certificate(n, char, systems, monkeypatch):
-    # pinned: the twist classes leave 103 systems at n=6 over Q and 121 at
-    # n=7 over F3 (248 and 309 keyed by step)
+@pytest.mark.parametrize("n,char,eliminations", [(6, 0, 121), (7, 3, 142)])
+def test_distinct_lifting_systems_per_certificate(n, char, eliminations, monkeypatch):
+    # pinned: 121 eliminations at n=6 over Q and 142 at n=7 over F3, and
+    # each lifting system is assembled once per elimination, where it is
+    # eliminated
     import preproj_hh.cli as cli
     engines = []
 
-    class Recorded(YonedaEngine):
+    class Recorded(_RecordedSteps):
         def __init__(self, cx):
             super().__init__(cx)
             engines.append(self)
@@ -468,7 +454,8 @@ def test_distinct_lifting_systems_per_certificate(n, char, systems, monkeypatch)
     monkeypatch.setattr(cli, "YonedaEngine", Recorded)
     assert cli.compute_certificate(n, char, 13, 10000, False)["body"]["pass"]
     assert len(engines) == 1
-    assert len(engines[0]._lift_systems) == systems
+    assert engines[0].lift_eliminations == eliminations
+    assert len(engines[0].assembled) == eliminations
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
@@ -486,7 +473,6 @@ def test_twisted_steps_match_solved_steps(n, char):
             assert f.values == g.values, (name, k)
     assert eng.steps_twisted > 0 and ref.steps_twisted == 0
     assert eng.steps_solved + eng.steps_twisted == ref.steps_solved
-    assert eng.work()["lifting_systems"] == ref.work()["lifting_systems"]
 
 
 def test_a_lift_that_breaks_its_period_is_solved():
@@ -650,8 +636,8 @@ class _CorruptedRhs(YonedaEngine):
 def _inconsistent_key(eng, k, s, tt):
     """A step-k equation key whose unit right-hand side has no solution."""
     for dv in range(0, 2 * eng.table.top_degree + 2):
-        mat, _, eq_keys = eng._assemble(k, s, tt, dv)
-        for r, key in enumerate(eq_keys):
+        mat, _, eq_pos = eng._assemble(k, s, tt, dv)
+        for key, r in eq_pos.items():
             if mat.solve_many([{r: 1}])[0] is None:
                 return key
     return None
