@@ -381,8 +381,9 @@ def cyclic_dims(c: CochainComplex, hh: List[int]) -> Tuple[List[int], List[int]]
     `hh` is dim HH_0..HH_upto as `homology_dims` returns it.  Returns
     (HC dims, Connes image dims B^i).  B^0 = dim HH_0 - n and
     B^i = dim HH_i - B^(i-1) by exactness of the Connes sequence; then
-    HC_i = HC_i(semisimple part) + B^i.  The computed B^i are verified to
-    be n for even i and 0 for odd i.
+    HC_i = HC_i(semisimple part) + B^i.  The B^i are returned as computed:
+    the certificate's `cyclic` verdict checks HC_i = 2n for even i and 0 for
+    odd i, that is B^i = n and 0, and keeps the B^i as its witness.
     """
     t = c.table
     if t.field.characteristic != 0:
@@ -392,10 +393,6 @@ def cyclic_dims(c: CochainComplex, hh: List[int]) -> Tuple[List[int], List[int]]
     b = [hh[0] - n]
     for i in range(1, len(hh)):
         b.append(hh[i] - b[i - 1])
-    for i, bi in enumerate(b):
-        expected = n if i % 2 == 0 else 0
-        if bi != expected:
-            raise CanonicalBasisError(f"Connes image bookkeeping fails at {i}")
     hc = [(n if i % 2 == 0 else 0) + bi for i, bi in enumerate(b)]
     return hc, b
 
@@ -454,14 +451,6 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
                  [f"x{i}" for i in range(1, n + 1)]
         elems = [t.unit()] + powers[1:] + socle_basis(t)
         vectors = [c.diagonal_vector(0, z) for z in elems]
-    elif degree == 1:
-        yhat = {a.index: t.monomial_element(t.arrow_ids[a.index])
-                for a in t.quiver.arrows}
-        vectors, labels = [], []
-        for k in range(n):
-            comps = {comp: multiply(t, powers[k], val) for comp, val in yhat.items()}
-            vectors.append(c.vector_from_components(1, comps))
-            labels.append(_x0_label(k, "y"))
     elif degree == 2:
         labels = [f"z{k}" for k in range(1, n + 1)]
         vectors = [c.vector_from_terms(2, {(k, t.e_ids[k]): 1})
@@ -470,25 +459,20 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
         labels = [f"t{k}" for k in range(1, n + 1)]
         vectors = [c.vector_from_terms(3, {(k, t.socle_ids[k]): 1})
                    for k in range(1, n + 1)]
-    elif degree == 4:
-        vectors, labels = [], []
-        for k in range(n):
-            val = multiply(t, powers[k], t.monomial_element(t.e_ids[1]))
-            vectors.append(c.vector_from_components(4, {0: val}))
-            labels.append(_x0_label(k, "gamma"))
-    elif degree == 5:
-        eps = t.monomial_element(t.arrow_ids[0])
-        vectors, labels = [], []
-        for k in range(n):
-            val = multiply(t, powers[k], eps)
-            vectors.append(c.vector_from_components(5, {1: val}))
-            labels.append(_x0_label(k, "y.gamma"))
     else:
-        vectors, labels = [], []
-        for k in range(n):
-            z = powers[k] if k else t.unit()
-            vectors.append(c.diagonal_vector(6, z))
-            labels.append(_x0_label(k, "h"))
+        # x0^k times one fixed cocycle, as {component: value}; x0^k is a sum
+        # of cycles, so x0^k h has the components {v: x0^k e_v}
+        mono = t.monomial_element
+        gen, comps = {
+            1: ("y", {a.index: mono(t.arrow_ids[a.index]) for a in t.quiver.arrows}),
+            4: ("gamma", {0: mono(t.e_ids[1])}),
+            5: ("y.gamma", {1: mono(t.arrow_ids[0])}),
+            6: ("h", {v: mono(t.e_ids[v]) for v in range(1, n + 1)}),
+        }[degree]
+        labels = [_x0_label(k, gen) for k in range(n)]
+        vectors = [c.vector_from_components(
+            degree, {comp: multiply(t, powers[k], val) for comp, val in comps.items()})
+            for k in range(n)]
 
     for lab, v in zip(labels, vectors):
         if not c.is_cocycle(degree, v):

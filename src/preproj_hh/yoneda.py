@@ -7,11 +7,14 @@ resolution is graded with degree-0 differentials once each term's
 generators are assigned their internal degree, so a homogeneous cocycle
 lifts within a single graded piece of each Hom space; the solver exploits
 this and additionally splits by source summand, which keeps every system
-small.  `lift_many` extends several segments together, step by step, and
-each step assembles every system A that its right-hand sides b_j meet and
-eliminates [A | b_1 ... b_m] once (`ExactMatrix.solve_many`); no system is
-kept past its elimination.  The first product that needs a lift lifts every
-ring generator in one such batch, as deep as any product reads it.
+small.  A cocycle is lifted once and whole, through step maxdeg - 1 -
+degree, and its segment is cached only then.  `lift_many` lifts several
+cocycles together, step by step, and each step assembles every system A that
+its right-hand sides b_j meet and eliminates [A | b_1 ... b_m] once
+(`ExactMatrix.solve_many`); no system is kept past its elimination.  The
+first product that needs a lift lifts every ring generator in one such
+batch; every product the certificate takes multiplies by a generator, so
+the later ones read cached segments.
 The lifts repeat with the twisted period of the resolution: where the engine
 checks d_k = tau(d_(k-3)) and d_(degree+k) = tau(d_(degree+k-3)) on the same
 terms, and f_(k-1) = eps tau(f_(k-4)) for eps = +1 or -1, step k is appended
@@ -45,10 +48,6 @@ class LiftFailedError(RuntimeError):
 
 class IdentificationError(RuntimeError):
     """A cocycle failed to decompose over the canonical basis plus coboundaries."""
-
-
-class CMatrixMismatchError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -128,73 +127,59 @@ class YonedaEngine:
     # -- lifting ------------------------------------------------------------
 
     def lift(self, vec: list, degree: int, steps: int) -> ChainMapSegment:
-        """Chain-map segment over the given cocycle, solving step by step."""
+        """Chain-map segment over the given cocycle, read through step `steps`."""
         return self.lift_many([(vec, degree, steps)])[0]
 
     def lift_many(self, requests) -> List[ChainMapSegment]:
-        """Segments over several (cocycle, degree, steps) requests, extended together.
+        """Segments over several (cocycle, degree, steps) requests.
 
-        Step by step, every segment that still needs that step gets it, and
-        each lifting system meets all of its right-hand sides of the step in
-        one elimination (`_solve_steps`).
+        `steps` names the deepest step the caller reads.  Every cocycle not
+        lifted before is lifted whole, through step maxdeg - 1 - degree,
+        together with the others: step by step, each lifting system meets
+        all of its right-hand sides of the step in one elimination
+        (`_solve_steps`).  The new segments enter the cache only once whole,
+        so a step that fails leaves none of them behind.
         """
-        jobs: Dict[int, list] = {}
-        segs = []
-        for vec, degree, steps in requests:
-            key = (degree, tuple(vec))
-            seg = self._lift_cache.get(key)
-            if seg is None:
-                # a key enters the cache only after its vector passed this
-                # check, so a cache hit is a cocycle already
-                if not self.cx.is_cocycle(degree, vec):
-                    raise NotACocycleError(f"input of degree {degree} is not a cocycle")
-                seg = ChainMapSegment(degree, [])
-                self._lift_cache[key] = seg
-            if degree + steps > self.window.depth:
-                raise ValueError("window too shallow for the requested lift")
-            segs.append(seg)
-            job = jobs.setdefault(id(seg), [seg, vec, steps])
-            job[2] = max(job[2], steps)
-        self._extend_many(list(jobs.values()))
-        return segs
-
-    def _lift_generators(self):
-        """Lift every ring generator in one batch, as deep as a product reads it."""
         top = self.cx.maxdeg - 1
-        self.lift_many([(vec, d, top - d) for _, d, vec in self.generators()])
-        self._generators_lifted = True
-
-    def _extend_many(self, jobs):
-        """Extend the segment of each (segment, cocycle, steps) job through `steps`.
-
-        Each step is appended to all the segments that need it once every
-        one of them has it, so a step that fails leaves them all without it.
-        Each pass extends the shortest pending segments.  A pass that leaves
-        one of them short raises, on the spot where a solve returns too few
-        maps and at the next pass otherwise, rather than loop forever.
-        """
-        pending = [job for job in jobs if len(job[0].maps) <= job[2]]
-        k = -1
-        while pending:
-            shortest = min(len(seg.maps) for seg, _, _ in pending)
-            if shortest <= k:
-                raise LiftFailedError(f"step {k} left a segment without its map")
-            k = shortest
+        keys, new = [], {}
+        for vec, degree, steps in requests:
+            if degree + steps > top:
+                raise ValueError("window too shallow for the requested lift")
+            key = (degree, tuple(vec))
+            keys.append(key)
+            if key in self._lift_cache or key in new:
+                # a key is lifted only after its vector passed this check,
+                # so a cache hit is a cocycle already
+                continue
+            if not self.cx.is_cocycle(degree, vec):
+                raise NotACocycleError(f"input of degree {degree} is not a cocycle")
+            new[key] = (ChainMapSegment(degree, []), vec)
+        # a batch of cache hits, as nearly every product's is, takes no step
+        for k in range(top + 1 if new else 0):
             twisted, solve = [], []
-            for seg, vec, _ in pending:
-                if len(seg.maps) == k:
-                    f = self._twisted_step(seg, k) if k >= 4 else None
-                    if f is None:
-                        solve.append((seg, vec))
-                    else:
-                        twisted.append((seg, f))
+            for seg, vec in new.values():
+                if seg.base_degree + k > top:
+                    continue
+                f = self._twisted_step(seg, k) if k >= 4 else None
+                if f is None:
+                    solve.append((seg, vec))
+                else:
+                    twisted.append((seg, f))
             solved = self._solve_steps(k, solve) if solve else []
             for seg, f in twisted + [(seg, f) for (seg, _), f in
                                      zip(solve, solved, strict=True)]:
                 seg.maps.append(f)
             self.steps_solved += len(solve)
             self.steps_twisted += len(twisted)
-            pending = [job for job in pending if len(job[0].maps) <= job[2]]
+        for key, (seg, _) in new.items():
+            self._lift_cache[key] = seg
+        return [self._lift_cache[key] for key in keys]
+
+    def _lift_generators(self):
+        """Lift every ring generator in one batch, as deep as a product reads it."""
+        top = self.cx.maxdeg - 1
+        self.lift_many([(vec, d, top - d) for _, d, vec in self.generators()])
+        self._generators_lifted = True
 
     # Soundness of the period shortcut.  `_twist_classes` marks step k >= 4
     # only where it checks, exactly, that d_k equals tau(d_(k-3)) term for
@@ -221,7 +206,7 @@ class YonedaEngine:
     #   f_k = S_k(eps E b_(k-3)) = eps E S_(k-3)(b_(k-3)) = eps tau(f_(k-3)),
     # and, normalized, that is the map `_solve_steps` would return, byte for
     # byte (by induction every earlier step is the solved one too).  Where a
-    # check fails, the step is solved.  Every map `_extend_many` appends is
+    # check fails, the step is solved.  Every map `lift_many` appends is
     # normalized, and eps tau of a normalized map, normalized, keeps its keys
     # in their order and only negates some coefficients.  So the check
     # f_(k-1) = eps tau(f_(k-4)) is one pass over paired terms (`_twist_sign`),
@@ -505,17 +490,7 @@ class CMatrix:
     rank: int                  # over the engine's field
     det: int
     adjacency_identity: bool
-
-    @property
-    def failures(self) -> List[str]:
-        n = len(self.entries)
-        out = []
-        if not self.adjacency_identity:
-            out.append(f"-C (2I + D) is not {2 * n + 1} I")
-        if abs(self.det) != (2 * n + 1) ** (n - 1):
-            out.append(f"|det C| = {abs(self.det)}, expected (2n+1)^(n-1) = "
-                       f"{(2 * n + 1) ** (n - 1)}")
-        return out
+    failures: List[str]
 
     @property
     def ok(self):
@@ -563,13 +538,15 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
 
     The combinatorial basis sum, the closed form, and (when an engine is
     supplied) the cup products y*z_k in the degree-3 canonical basis must
-    agree entry for entry.
+    agree entry for entry; each disagreement is a failure line, as are a
+    failed adjacency identity and |det C| other than (2n+1)^(n-1).
     """
     n = t.n
     comb = combinatorial_c_matrix(t)
     closed = closed_form_c_matrix(n)
+    failures: List[str] = []
     if comb != closed:
-        raise CMatrixMismatchError(
+        failures.append(
             f"combinatorial and closed-form entries disagree: {comb} vs {closed}")
     F = t.field
     if engine is not None:
@@ -579,7 +556,7 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
             cls = engine.cup(yvec, ydeg, zvec, zdeg)
             for j in range(1, n + 1):
                 if cls.coords[j - 1] != F(comb[j - 1][k - 1]):
-                    raise CMatrixMismatchError(
+                    failures.append(
                         f"cup product coordinate ({j},{k}) = {cls.coords[j - 1]}, "
                         f"expected {comb[j - 1][k - 1]}")
     rank = ExactMatrix(F, comb).rank()
@@ -589,7 +566,12 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
         -sum(comb[i][k] * (2 * (k == j) + D[k][j]) for k in range(n))
         == (2 * n + 1) * (i == j)
         for i in range(n) for j in range(n))
-    return CMatrix(comb, rank, comb_det, ident)
+    if not ident:
+        failures.append(f"-C (2I + D) is not {2 * n + 1} I")
+    if abs(comb_det) != (2 * n + 1) ** (n - 1):
+        failures.append(f"|det C| = {abs(comb_det)}, expected (2n+1)^(n-1) = "
+                        f"{(2 * n + 1) ** (n - 1)}")
+    return CMatrix(comb, rank, comb_det, ident, failures)
 
 
 # -- h-periodicity checks ------------------------------------------------------

@@ -186,9 +186,9 @@ def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes.
     # At n=7 the exactness ranks are derived from one-sided exactness and
     # the dimensions, and must serialize as the flattened ranks did; n=6 over
-    # Q guards a generic-regime span audit in characteristic 0.  Lifts reuse
-    # the base system of their twist class up to signs, which are -1 = 2 over
-    # F3 and -1 = 4 over F5
+    # Q guards a generic-regime span audit in characteristic 0.  Twisted lift
+    # steps negate coefficients (`_signed_twist`, with the sign `_twist_sign`
+    # reads off), and -1 is 2 over F3 and 4 over F5: the n=7 points guard it
     key = f"n{n}_char{char}_oracle{int(oracle)}"
     with open(DIGESTS) as fh:
         want = json.load(fh)[key]
@@ -457,6 +457,55 @@ def test_a_wrong_c_matrix_determinant_fails_c_matrix_with_its_witness(
     capsys.readouterr()
     assert main(["cmatrix", "--n", "2", "--char", "3"]) == 1
     assert "  |det C| = 6, expected (2n+1)^(n-1) = 5\n" in capsys.readouterr().out
+
+
+def test_c_matrix_disagreements_fail_c_matrix_with_their_witness(
+        tmp_path, monkeypatch, capsys):
+    # entry (1, 1) of the combinatorial C one off at n=2 over F3: it disagrees
+    # with the closed form and with the cup product y*z_1.  Only c_matrix and
+    # pass flip, run exits 1, the body carries both disagreement lines, and
+    # cmatrix (which takes no products) exits 1 and prints the first
+    import preproj_hh.yoneda as ymod
+    true_comb = ymod.combinatorial_c_matrix
+
+    def shifted(table):
+        rows = true_comb(table)
+        rows[0][0] += 1
+        return rows
+
+    monkeypatch.setattr(ymod, "combinatorial_c_matrix", shifted)
+    rc = main(["run", "--n", "2", "--char", "3", "--no-oracle", "--jobs", "1",
+               "--out", str(tmp_path)])
+    body = json.loads((tmp_path / "cert_n2_char3.json").read_text())["body"]
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["c_matrix"]
+    assert (body["pass"], rc) == (False, 1)
+    disagreements = ["combinatorial and closed-form entries disagree: "
+                     "[[-1, 1], [1, -3]] vs [[-2, 1], [1, -3]]",
+                     "cup product coordinate (1,1) = 1, expected -1"]
+    assert body["c_matrix"]["failures"][:2] == disagreements
+    capsys.readouterr()
+    assert main(["cmatrix", "--n", "2", "--char", "3"]) == 1
+    assert f"  {disagreements[0]}\n" in capsys.readouterr().out
+
+
+def test_a_wrong_connes_image_fails_cyclic_with_its_witness(tmp_path, monkeypatch):
+    # dim HH_3 one too large on the way into cyclic_dims at n=2 over Q moves
+    # every Connes image from B^3 on: only cyclic and pass flip, run exits 1,
+    # and the body keeps the images as the witness
+    import preproj_hh.cli as cli
+    true_cyclic = cli.cyclic_dims
+
+    def shifted(cx, hh):
+        return true_cyclic(cx, hh[:3] + [hh[3] + 1] + hh[4:])
+
+    monkeypatch.setattr(cli, "cyclic_dims", shifted)
+    rc = main(["run", "--n", "2", "--char", "0", "--no-oracle", "--jobs", "1",
+               "--out", str(tmp_path)])
+    body = json.loads((tmp_path / "cert_n2_char0.json").read_text())["body"]
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["cyclic"]
+    assert (body["pass"], rc) == (False, 1)
+    connes = body["dimensions"]["connes_images"]
+    assert connes[:5] == [2, 0, 2, 1, 1] and set(connes[5:]) == {1}
 
 
 def test_an_asymmetric_gram_entry_fails_dualizable_with_its_witness(tmp_path, monkeypatch):

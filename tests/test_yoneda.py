@@ -6,8 +6,7 @@ from preproj_hh.algebra import x0_element
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec
 from preproj_hh.resolution import build_resolution, compose
-from preproj_hh.yoneda import (ChainMapSegment, CMatrixMismatchError, LiftFailedError,
-                               NotACocycleError,
+from preproj_hh.yoneda import (ChainMapSegment, LiftFailedError, NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
                                stable_structure_check, YonedaEngine,
@@ -332,8 +331,11 @@ def test_c_matrix_mismatch_detection(monkeypatch):
     ctx = context(2)
     monkeypatch.setattr(ymod, "combinatorial_c_matrix",
                         lambda table: [[-2, 1], [1, -2]])
-    with pytest.raises(CMatrixMismatchError):
-        ymod.c_matrix(ctx.table)
+    cm = ymod.c_matrix(ctx.table)
+    assert not cm.ok
+    assert cm.failures[0] == ("combinatorial and closed-form entries disagree: "
+                              "[[-2, 1], [1, -2]] vs [[-2, 1], [1, -3]]")
+    assert cm.serialize()["failures"] == cm.failures
 
 
 # -- twist classes of lifting systems -------------------------------------------
@@ -377,8 +379,8 @@ class _RecordedSteps(YonedaEngine):
 
 
 def _lift_generators(eng):
-    depth = eng.window.depth
-    return [(name, d, v, eng.lift(v, d, depth - d)) for name, d, v in eng.generators()]
+    top = eng.cx.maxdeg - 1
+    return [(name, d, v, eng.lift(v, d, top - d)) for name, d, v in eng.generators()]
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
@@ -427,11 +429,12 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
     cx.window = w
     eng, ref = _RecordedSteps(cx), _SolvedEveryStep(cx)
     assert eng._twist == classes
+    top = cx.maxdeg - 1
     for name, d, v in eng.generators():
-        seg = eng.lift(v, d, w.depth - d)
+        seg = eng.lift(v, d, top - d)
         assert verify_segment(eng, seg, v), name
         assert [m.values for m in seg.maps] == [
-            m.values for m in ref.lift(v, d, w.depth - d).maps], name
+            m.values for m in ref.lift(v, d, top - d).maps], name
         solved = {k for dd, k in eng.solved if dd == d}
         assert {k for k in range(len(seg.maps)) if k in (5, 8) or d + k in (5, 8)} <= solved
     assert {key[0] for key in eng.assembled} >= {5, 8}
@@ -468,7 +471,7 @@ def test_twisted_steps_match_solved_steps(n, char):
     for (name, d, v, mine), (_, _, _, theirs) in zip(_lift_generators(eng),
                                                      _lift_generators(ref)):
         assert verify_segment(eng, mine, v), name
-        assert len(mine.maps) == len(theirs.maps) == cx.window.depth - d + 1
+        assert len(mine.maps) == len(theirs.maps) == cx.maxdeg - d
         for k, (f, g) in enumerate(zip(mine.maps, theirs.maps)):
             assert f.values == g.values, (name, k)
     assert eng.steps_twisted > 0 and ref.steps_twisted == 0
@@ -478,14 +481,15 @@ def test_twisted_steps_match_solved_steps(n, char):
 def test_a_lift_that_breaks_its_period_is_solved():
     # f_4 + d_5 o i, i the identity pattern P^-8 -> P^-5, still satisfies the
     # identity at step 4 (d_4 o d_5 = 0) but is no longer +-tau(f_1): step 5
-    # is solved, from that f_4, and the segment still verifies
+    # cannot be twisted, its solve from that f_4 is used, and the segment
+    # still verifies
     from preproj_hh.resolution import BimoduleMap, compose
     from preproj_hh.yoneda import ChainMapSegment
     ctx = context(2, 3)
     t, w = ctx.table, ctx.window
     eng = _RecordedSteps(ctx.cx)
     d, v = eng.generator_vector("gamma")
-    clean = ChainMapSegment(d, list(eng.lift(v, d, 4).maps))
+    clean = ChainMapSegment(d, eng.lift(v, d, 4).maps[:5])
     assert eng._twisted_step(clean, 5) is not None
     assert w.terms[8].summands == w.terms[5].summands
     ident = BimoduleMap(t, w.terms[8], w.terms[5],
@@ -499,7 +503,7 @@ def test_a_lift_that_breaks_its_period_is_solved():
     assert eng._twisted_step(seg, 5) is None
     eng.solved.clear()
     twisted = eng.steps_twisted
-    eng._extend_many([(seg, v, 5)])
+    seg.maps += eng._solve_steps(5, [(seg, v)])
     assert eng.solved == [(d, 5)] and eng.steps_twisted == twisted
     assert verify_segment(eng, seg, v)
 
@@ -599,19 +603,25 @@ def test_batched_lifts_match_lone_lifts(n, char):
     assert eng.lift_eliminations < lone_eliminations
 
 
-def test_a_batch_extends_each_cocycle_to_its_deepest_request():
-    # one cocycle asked for twice, and one already lifted part of the way:
-    # each segment is shared and reaches the deepest step asked of it
+def test_a_batch_lifts_each_new_cocycle_once_and_whole():
+    # one cocycle asked for twice and one lifted earlier: the batch lifts
+    # only the new one, once, through step maxdeg - 1 - degree, and returns
+    # shared whole segments
     cx = context(2, 3).cx
+    top = cx.maxdeg - 1
     eng = YonedaEngine(cx)
     (_, dy, y), (_, dz, z) = eng.generators()[:2]
-    assert len(eng.lift(z, dz, 1).maps) == 2
+    earlier = eng.lift(z, dz, 1)
+    assert eng.steps_solved + eng.steps_twisted == len(earlier.maps) == top - dz + 1
     segs = eng.lift_many([(y, dy, 2), (z, dz, 4), (y, dy, 5), (y, dy, 1)])
-    assert segs[0] is segs[2] is segs[3] and len(segs[0].maps) == 6
-    assert len(segs[1].maps) == 5
+    assert eng.steps_solved + eng.steps_twisted == (top - dz + 1) + (top - dy + 1)
+    assert segs[0] is segs[2] is segs[3] and len(segs[0].maps) == top - dy + 1
+    assert segs[1] is earlier
     assert all(verify_segment(eng, seg, v) for seg, v in zip(segs, (y, z)))
     assert [f.values for f in segs[0].maps] == [
         f.values for f in YonedaEngine(cx).lift(y, dy, 5).maps]
+    with pytest.raises(ValueError, match="too shallow"):
+        eng.lift(y, dy, top - dy + 1)
 
 
 class _CorruptedRhs(YonedaEngine):
@@ -646,7 +656,7 @@ def _inconsistent_key(eng, k, s, tt):
 @pytest.mark.parametrize("n,char", [(2, 0), (3, 3), (3, 5)])
 def test_an_inconsistent_block_fails_the_whole_batch_step(n, char):
     # one corrupted right-hand side in a batch: LiftFailedError names the
-    # step and the summand, and no segment of the batch gains that step
+    # step and the summand, and no segment of the batch enters the cache
     cx = context(n, char).cx
     gens = YonedaEngine(cx).generators()
     _, d, vec = gens[len(gens) // 2]
@@ -657,13 +667,12 @@ def test_an_inconsistent_block_fails_the_whole_batch_step(n, char):
     eng = _CorruptedRhs(cx, vec, 1, ks, key)
     with pytest.raises(LiftFailedError, match=f"at step 1, summand {ks}$"):
         eng.lift_many([(v, dd, 3) for _, dd, v in gens])
-    assert len(eng._lift_cache) == len(gens)
-    assert all(len(seg.maps) == 1 for seg in eng._lift_cache.values())
+    assert not eng._lift_cache
     assert eng.steps_solved == len(gens)
-    # the same batch without the corruption lifts
+    # the same batch without the corruption lifts each segment whole
     clean = YonedaEngine(cx)
-    assert all(len(seg.maps) == 4
-               for seg in clean.lift_many([(v, dd, 3) for _, dd, v in gens]))
+    segs = clean.lift_many([(v, dd, 3) for _, dd, v in gens])
+    assert [len(seg.maps) for seg in segs] == [cx.maxdeg - dd for _, dd, _ in gens]
 
 
 def test_lifting_prepares_no_solver(monkeypatch):
@@ -683,37 +692,13 @@ def test_lifting_prepares_no_solver(monkeypatch):
     assert len(prepared) == 7
 
 
-class _Deaf(list):
-    """A map list that drops every append."""
-
-    def append(self, f):
-        pass
-
-
-@pytest.mark.parametrize("fault", ["solve returns no map", "append is lost"])
+@pytest.mark.parametrize("fault", ["solve returns no map"])
 def test_a_lifting_pass_that_appends_no_map_raises(monkeypatch, fault):
-    # a pass that leaves a segment short must raise instead of waiting for
-    # its map forever; an alarm turns a hang into a failure
-    import signal
-
-    class Hung(Exception):
-        pass
-
-    def alarm(signum, frame):
-        raise Hung("still lifting after 10 s")
-
+    # a step whose solve returns fewer maps than it was asked for raises
+    # instead of leaving a segment short
     eng = YonedaEngine(context(2, 3).cx)
     _, dy, y = eng.generators()[0]
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.alarm(10)
-    try:
-        if fault == "solve returns no map":
-            monkeypatch.setattr(eng, "_solve_steps", lambda k, batch: [])
-            with pytest.raises(ValueError):
-                eng.lift_many([(y, dy, 3)])
-        else:
-            with pytest.raises(LiftFailedError, match="step 0"):
-                eng._extend_many([(ChainMapSegment(dy, _Deaf()), y, 3)])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(eng, "_solve_steps", lambda k, batch: [])
+    with pytest.raises(ValueError, match="shorter"):
+        eng.lift_many([(y, dy, 3)])
+    assert not eng._lift_cache
