@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -255,6 +254,7 @@ def run_grid(config: RunConfig) -> List[dict]:
               for n in config.n_values for c in config.characteristics]
     jobs = config.jobs
     if jobs > 1 and len(points) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             certs = list(pool.map(_grid_worker, points))
     else:

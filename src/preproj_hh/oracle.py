@@ -5,10 +5,12 @@ the vertex idempotents.  C^k is Hom_{E^e}(rad^{(x)_E k}, L): a basis
 cochain (T, w) sends the composable chain T = (x_1, ..., x_k) of radical
 monomials to the monomial w running from the source of x_1 to the target
 of x_k (for k = 0, w runs over e_v L e_v), and every other chain to 0.
-The differential is the standard Hochschild one.  Ranks are taken by
-sparse elimination: over the prime field of the table, or, in
-characteristic 0, first over a screening prime and then over the
-rationals (the rational ranks are the ones reported).
+The differential is the standard Hochschild one.  Its rows are built once
+per degree, one per basis cochain, so dim C^k is their count.  Ranks are
+taken by sparse elimination: over the prime field of the table, or, in
+characteristic 0, first over a screening prime and then over the rationals
+(the rational ranks are the ones reported), both on the same rows, which
+the elimination leaves as they were.
 
 The budget counts the coordinates of the bar complex relative to K,
 (dim - 1)^k * dim in degree k, which bounds the relative C^k from above.
@@ -101,9 +103,6 @@ class BarComplex:
             for w in t.by_ends[ends]:
                 yield T, w.mid
 
-    def dim(self, k: int) -> int:
-        return sum(1 for _ in self.cochains(k))
-
     def differential_rows(self, k: int, perturb: bool = False):
         """Image rows of the degree-k differential, one per C^k basis cochain.
 
@@ -137,28 +136,36 @@ class BarComplex:
             yield {kk: v for kk, v in row.items() if v != 0}
 
 
-def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000,
-             field: Optional[FieldSpec] = None,
-             perturb_degree: Optional[int] = None) -> List[int]:
-    """dim HH^i for i = 0..upto from relative bar cochain ranks.
+def bar_rows(t: AlgebraTable, upto: int, budget: int = 10000,
+             perturb_degree: Optional[int] = None) -> List[List[dict]]:
+    """The differential rows of degrees 0..upto, one list per degree.
 
-    `field` overrides the rank field (used for the characteristic-0
-    screening pass); `perturb_degree` is the negative-control hook.
+    `perturb_degree` is the negative-control hook.
     """
     for k in range(upto + 1):
         cost = space_dim(t, k)
         if cost > budget:
             raise BudgetExceededError(k, cost, budget)
     bc = BarComplex(t)
-    F = field or t.field
-    ranks = []
-    for k in range(upto + 1):
-        rows = bc.differential_rows(k, perturb=(perturb_degree == k))
-        ranks.append(sparse_rank(rows, F))
-    dims = []
-    for i in range(upto + 1):
-        dims.append(bc.dim(i) - ranks[i] - (ranks[i - 1] if i else 0))
-    return dims
+    return [list(bc.differential_rows(k, perturb=(perturb_degree == k)))
+            for k in range(upto + 1)]
+
+
+def _dims(rows: List[List[dict]], field: FieldSpec) -> List[int]:
+    """dim HH^i for i = 0..upto from `bar_rows` rows ranked over `field`."""
+    ranks = [sparse_rank(r, field) for r in rows]
+    return [len(r) - ranks[i] - (ranks[i - 1] if i else 0)
+            for i, r in enumerate(rows)]
+
+
+def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000,
+             field: Optional[FieldSpec] = None,
+             perturb_degree: Optional[int] = None) -> List[int]:
+    """dim HH^i for i = 0..upto from relative bar cochain ranks.
+
+    `field` overrides the rank field of the table.
+    """
+    return _dims(bar_rows(t, upto, budget, perturb_degree), field or t.field)
 
 
 @dataclass
@@ -186,15 +193,14 @@ def compare(t: AlgebraTable, resolution_dims: List[int], upto: int,
 
     Over the rationals a fast screening pass runs first over a fixed prime;
     the rational elimination (whose dims are the ones reported) only runs
-    when the screen already agrees.
+    when the screen already agrees.  Both rank the same rows.
     """
     expected = resolution_dims[: upto + 1]
+    rows = bar_rows(t, upto, budget)
+    screen = None
     if t.field.characteristic == 0:
-        screen = bar_dims(t, upto, budget, field=FieldSpec(_SCREEN_PRIME))
+        screen = _dims(rows, FieldSpec(_SCREEN_PRIME))
         if screen != expected:
             return OracleReport(upto, screen, expected, screen,
                                 f"F{_SCREEN_PRIME} (screen failed)")
-        dims = bar_dims(t, upto, budget)
-        return OracleReport(upto, dims, expected, screen, "Q")
-    dims = bar_dims(t, upto, budget)
-    return OracleReport(upto, dims, expected, None, str(t.field))
+    return OracleReport(upto, _dims(rows, t.field), expected, screen, str(t.field))

@@ -410,27 +410,15 @@ class _ReferencePreparedSolver(PreparedSolver):
             [{k - n: v for k, v in row.items() if k >= n} for row in rows], matrix.nrows)
 
 
-def _reference_det(rows, F):
-    pivots, _ = _divided(*_reduce((dict(enumerate(row)) for row in rows), F))
-    if len(pivots) < len(rows):
-        return F.zero
-    d = F.one
-    for scale, _ in pivots.values():
-        d = F.mul(d, scale)
-    cols = list(pivots)
-    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    return F.neg(d) if inversions % 2 else d
-
-
 def _reference_reduce(rows, ncols=None):
     """`_reduce` and `_divided` over Q the textbook way, in Fractions only.
 
-    Same pivot order as the package's: each row in turn is reduced against
-    the normalized pivot rows found so far and, if a leading entry below
-    `ncols` remains, divided by it and kept.
+    Same pivot order as the package's: the rows are taken last to first, and
+    each in turn is reduced against the normalized pivot rows found so far
+    and, if a leading entry below `ncols` remains, divided by it and kept.
     """
     pivots, rest = {}, []
-    for row in rows:
+    for row in reversed(rows):
         row = {c: Fraction(v) for c, v in row.items() if v != 0}
         while row:
             c = min(row)
@@ -731,11 +719,11 @@ def _typed(values):
        char=field_strategy, data=st.data())
 @settings(max_examples=250, deadline=None)
 def test_back_substitution_matches_the_all_fraction_reference(shape, char, data):
-    # echelon forms, kernels, prepared solvers and determinants read off
-    # `_solutions` against the full back substitution of `_divided` rows.  The
-    # reference can hold an integral Fraction where the field holds an int, so
-    # its values are compared coerced into the field; both sides then agree in
-    # value and in type
+    # echelon forms, kernels and prepared solvers read off `_solutions`
+    # against the full back substitution of `_divided` rows, and determinants
+    # against the cofactor expansion.  The references can hold an integral
+    # Fraction where the field holds an int, so their values are compared
+    # coerced into the field; both sides then agree in value and in type
     nr, nc = shape
     F = FieldSpec(char)
     entries = st.one_of(rationals, non_unit) if char == 0 else st.one_of(small_ints, non_unit)
@@ -767,4 +755,47 @@ def test_back_substitution_matches_the_all_fraction_reference(shape, char, data)
 
     k = min(nr, nc)
     for square in ([row[:k] for row in rows[:k]], [row[nc - k:] for row in rows[nr - k:]]):
-        assert _typed([det(square, F)]) == _typed([_reference_det(square, F)])
+        assert _typed([det(square, F)]) == _typed([F(_cofactor_det(square, F))])
+
+
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 7)),
+       char=field_strategy, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_results_do_not_depend_on_the_row_order(shape, char, data):
+    # `_reduce` eliminates in a fixed fill-reducing order; the reduced row
+    # echelon form is unique, so permuting the rows of A, and the entries of
+    # each b with them, moves no rank, pivot, echelon form, kernel or
+    # solution, and the determinant only by the sign of the permutation
+    nr, nc = shape
+    F = FieldSpec(char)
+    entries = st.one_of(rationals, non_unit) if char == 0 else st.one_of(small_ints, non_unit)
+    rows, _ = _draw_free_column_rows(data, nr, nc, F, entries)
+    perm = data.draw(st.permutations(range(nr)))
+    m, pm = ExactMatrix(F, rows), ExactMatrix(F, [rows[i] for i in perm])
+    dense = [m.matvec([F(v) for v in data.draw(
+                st.lists(entries, min_size=nc, max_size=nc))]),
+             [F(v) for v in data.draw(st.lists(entries, min_size=nr, max_size=nr))],
+             [F.zero] * nr]
+
+    def typed_dicts(dicts):
+        return [None if d is None else sorted((k, type(v), v) for k, v in d.items())
+                for d in dicts]
+
+    assert pm.rank() == m.rank() == sparse_rank(iter(pm.rows), F)
+    got, want = pm.echelonize(), m.echelonize()
+    assert (got.rank, got.pivot_columns) == (want.rank, want.pivot_columns)
+    assert typed_dicts(got.reduced.rows) == typed_dicts(want.reduced.rows)
+    assert [_typed(v) for v in pm.kernel_basis()] == [_typed(v) for v in m.kernel_basis()]
+    sols = m.solve_many([{i: v for i, v in enumerate(b) if v} for b in dense])
+    psols = pm.solve_many([{k: b[i] for k, i in enumerate(perm) if b[i]} for b in dense])
+    assert typed_dicts(psols) == typed_dicts(sols)
+    solver, psolver = PreparedSolver(m), PreparedSolver(pm)
+    assert (psolver.rank, psolver.pivots) == (solver.rank, solver.pivots)
+    for b in dense:
+        sol, psol = solver.solve(b), psolver.solve([b[i] for i in perm])
+        assert (psol is None) == (sol is None)
+        if sol is not None:
+            assert _typed(psol) == _typed(sol)
+    k = min(nr, nc)
+    square = [rows[i][:k] for i in perm[:k]]
+    assert _typed([det(square, F)]) == _typed([F(_cofactor_det(square, F))])
