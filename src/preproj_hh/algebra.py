@@ -18,6 +18,10 @@ graded walk: in increasing degree, the row of a monomial a * tail is the
 row of the basis monomial its tail evaluates to, pushed through the arrow
 action of a, one lookup per entry.  No pair of monomials is visited whose
 product vanishes for composability or degree.
+
+Monomial ids are fixed once, before the build, as the positions of the
+canonical (source, target, degree) keys in sorted order (`_integral_tables`);
+that numbering is the column order of every downstream matrix.
 """
 
 from __future__ import annotations
@@ -138,13 +142,12 @@ class AlgebraTable:
     graded piece is at most one-dimensional, so single terms suffice.
     """
 
-    def __init__(self, n: int, field: FieldSpec, basis, product, act):
+    def __init__(self, n: int, field: FieldSpec, basis, product):
         self.n = n
         self.field = field
         self.quiver = Quiver(n)
         self.basis: List[BasisMonomial] = basis
         self.product = product
-        self.act = act
         self.dim = len(basis)
         self.by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
         self.by_ends: Dict[Tuple[int, int], List[BasisMonomial]] = {}
@@ -198,8 +201,8 @@ class AlgebraTable:
 
 def build_algebra(n: int, field: FieldSpec) -> AlgebraTable:
     """Construct P(L_n) over `field`, certifying the canonical basis."""
-    basis, product, act = _integral_tables(n)
-    table = AlgebraTable(n, field, basis, product, act)
+    basis, product, _ = _integral_tables(n)
+    table = AlgebraTable(n, field, basis, product)
     expected = n * (n + 1) * (2 * n + 1) // 3
     if table.dim != expected:
         raise BasisMismatchError(f"dimension {table.dim}, expected {expected}")
@@ -217,24 +220,18 @@ def _integral_tables(n: int):
     canonical = _canonical_paths(quiver)
     max_degree = 2 * n - 1
 
-    basis: List[BasisMonomial] = []
-    by_ijd: Dict[Tuple[int, int, int], int] = {}
-
-    def new_monomial(i, j, d):
-        path, sign = canonical[(i, j, d)]
-        m = BasisMonomial(len(basis), i, j, d, path, sign)
-        basis.append(m)
-        by_ijd[(i, j, d)] = m.mid
-        return m
+    # numbered up front; each degree below raises unless it certifies exactly
+    # the canonical keys of that degree, so a lookup of a lower degree sees
+    # only certified monomials
+    basis = [BasisMonomial(mid, i, j, d, *canonical[(i, j, d)])
+             for mid, (i, j, d) in enumerate(sorted(canonical))]
+    by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
 
     # act[(arrow index, mid)] -> (int coeff, mid) or None, for every
     # composable pair with deg(mid) < 2n-1
     act: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
 
-    for i in quiver.vertices:
-        new_monomial(i, i, 0)
-
-    prev_degree = [m.mid for m in basis]
+    prev_degree = [by_ijd[(i, i, 0)] for i in quiver.vertices]
     for d in range(1, max_degree + 1):
         current = []
         blocks: Dict[Tuple[int, int], list] = {}
@@ -280,8 +277,8 @@ def _integral_tables(n: int):
             if c_eval == 0:
                 raise BasisMismatchError(
                     f"canonical monomial for ({i},{j},{d}) evaluates to zero")
-            mono = new_monomial(i, j, d)
-            current.append(mono.mid)
+            mono = by_ijd[(i, j, d)]
+            current.append(mono)
             for (a, mid), coeff in expand.items():
                 if coeff == 0:
                     act[(a, mid)] = None
@@ -289,36 +286,16 @@ def _integral_tables(n: int):
                     q = Fraction(coeff, c_eval)
                     if q.denominator != 1 or abs(q) != 1:
                         raise BasisMismatchError(f"non-unit structure constant {q}")
-                    act[(a, mid)] = (int(q), mono.mid)
+                    act[(a, mid)] = (int(q), mono)
         got = {(basis[m].source, basis[m].target, d) for m in current}
         expected_d = {k for k in canonical if k[2] == d}
         if got != expected_d:
             raise BasisMismatchError(f"degree {d} basis mismatch: {got ^ expected_d}")
         prev_degree = current
 
-    basis, act = _reorder_basis(basis, act)
-    product = _full_product(basis, act, quiver)
+    product = _full_product(basis, by_ijd, act, quiver)
     _INTEGRAL_CACHE[n] = (basis, product, act)
     return _INTEGRAL_CACHE[n]
-
-
-def _reorder_basis(basis, act):
-    """Renumber monomials lexicographically by (source, target, degree).
-
-    The build produces them degree by degree; the canonical numbering fixes
-    every downstream matrix column order independently of build order.
-    """
-    order = sorted(range(len(basis)),
-                   key=lambda mid: (basis[mid].source, basis[mid].target,
-                                    basis[mid].degree))
-    perm = {old: new for new, old in enumerate(order)}
-    new_basis = [BasisMonomial(perm[m.mid], m.source, m.target, m.degree,
-                               m.path, m.sign) for m in basis]
-    new_basis.sort(key=lambda m: m.mid)
-    new_act = {}
-    for (a, mid), hit in act.items():
-        new_act[(a, perm[mid])] = None if hit is None else (hit[0], perm[hit[1]])
-    return new_basis, new_act
 
 
 def _reduce_block(span, rel):
@@ -371,35 +348,31 @@ def _evaluate_path(path, sign, by_ijd, act, quiver):
     return coeff, key
 
 
-def _full_product(basis, act, quiver):
+def _full_product(basis, by_ijd, act, quiver):
     """All nonzero pairwise products, one `act` lookup per table entry.
 
     A monomial m of positive degree is sign * a * tail, a its first arrow.
-    Its tail is evaluated once, through the act table, as c * m' with m' the
-    basis monomial of e_t(a) L_(deg m - 1) e_t(m): graded pieces are at most
-    one-dimensional, and the tail is nonzero because m is.  Since act is
-    left multiplication by an arrow, m * m2 = sign * c * a * (m' * m2), so
-    row m is row m' pushed through act[(a, .)], and rows are filled in
-    increasing degree.  Products of degree above the top vanish and are
-    skipped before their lookup; zero products are never stored.
+    Its tail is evaluated once, through the act table (`_evaluate_path`),
+    as c * m' with m' the basis monomial of e_t(a) L_(deg m - 1) e_t(m):
+    graded pieces are at most one-dimensional, and the tail is nonzero
+    because m is.  Since act is left multiplication by an arrow,
+    m * m2 = sign * c * a * (m' * m2), so row m is row m' pushed through
+    act[(a, .)], and rows are filled in increasing degree.  Products of
+    degree above the top vanish and are skipped before their lookup; zero
+    products are never stored.
     """
     top = 2 * quiver.n - 1
     product = [dict() for _ in basis]
-    by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
     degree = [m.degree for m in basis]
     for m in sorted(basis, key=lambda m: (m.degree, m.mid)):
         if m.degree == 0:
             product[m.mid] = {m2.mid: (1, m2.mid) for m2 in basis
                               if m2.source == m.source}
             continue
-        a = m.path[0]
-        coeff, mid = m.sign, by_ijd[(m.target, m.target, 0)]
-        for b in reversed(m.path[1:]):
-            step = act[(b, mid)]
-            if step is None:
-                raise BasisMismatchError(f"the tail of monomial {m.mid} vanishes")
-            coeff *= step[0]
-            mid = step[1]
+        value = _evaluate_path(m.path, m.sign, by_ijd, act, quiver)
+        if value is None:
+            raise BasisMismatchError(f"the tail of monomial {m.mid} vanishes")
+        coeff, (a, mid) = value
         if mid != by_ijd[(quiver.arrows[a].target, m.target, m.degree - 1)]:
             raise BasisMismatchError(f"the tail of monomial {m.mid} left its graded piece")
         row, room = product[m.mid], top - m.degree

@@ -60,6 +60,7 @@ class CochainSpace:
     basis: List[Tuple[int, int]]   # (component, monomial id); component is a
                                    # vertex for loops, an arrow index for parallels
     pos: Dict[Tuple[int, int], int]
+    components: Tuple[int, ...]    # the component of each resolution summand
 
     @property
     def dim(self) -> int:
@@ -67,15 +68,16 @@ class CochainSpace:
 
 
 def _make_space(t: AlgebraTable, degree: int) -> CochainSpace:
+    """V^degree: summand k of P^-degree, at (s, tt), is the component
+    `components[k]`, with the monomials of e_s L e_tt as its coordinates."""
     kind = PARALLELS if degree % 3 == 1 else LOOPS
-    basis: List[Tuple[int, int]] = []
     if kind == LOOPS:
-        for i in t.quiver.vertices:
-            basis.extend((i, m.mid) for m in t.by_ends.get((i, i), ()))
+        pieces = [(i, (i, i)) for i in t.quiver.vertices]
     else:
-        for a in t.quiver.arrows:
-            basis.extend((a.index, m.mid) for m in t.by_ends.get((a.source, a.target), ()))
-    return CochainSpace(degree, kind, basis, {k: r for r, k in enumerate(basis)})
+        pieces = [(a.index, (a.source, a.target)) for a in t.quiver.arrows]
+    basis = [(comp, m.mid) for comp, ends in pieces for m in t.by_ends.get(ends, ())]
+    return CochainSpace(degree, kind, basis, {k: r for r, k in enumerate(basis)},
+                        tuple(comp for comp, _ in pieces))
 
 
 class CochainComplex:
@@ -86,7 +88,6 @@ class CochainComplex:
         if maxdeg < 7:
             raise ValueError("maxdeg must be at least 7")
         self.table = table
-        self.form = form
         self.maxdeg = maxdeg
         self.window = window or build_resolution(table, form, maxdeg)
         self.spaces = [_make_space(table, i) for i in range(maxdeg + 1)]
@@ -237,17 +238,16 @@ class CochainComplex:
         t = self.table
         d = self.window.diffs[i + 1]
         src, tgt = self.spaces[i], self.spaces[i + 1]
-        # the value terms of d, indexed once by the summand they land in,
-        # which is the component of the cochain they read
-        by_summand: Dict[int, list] = {}
+        # the value terms of d, indexed once by the component of the cochain
+        # they read: that of the summand they land in
+        by_comp: Dict[int, list] = {}
         for k, terms in enumerate(d.values):
-            tkey = t.quiver.arrows[k].index if tgt.kind == PARALLELS else k + 1
+            tkey = tgt.components[k]
             for k2, c, x, y in terms:
-                by_summand.setdefault(k2, []).append((tkey, c, x, y))
+                by_comp.setdefault(src.components[k2], []).append((tkey, c, x, y))
         entries = []
         for col, (comp, mid) in enumerate(src.basis):
-            comp_pos = comp if src.kind == PARALLELS else comp - 1
-            for tkey, c, x, y in by_summand.get(comp_pos, ()):
+            for tkey, c, x, y in by_comp.get(comp, ()):
                 lhs = t.mono_mul(x, mid)
                 if lhs is None:
                     continue

@@ -351,10 +351,6 @@ class ExactMatrix:
         return cls.from_entries(field, nrows, ncols, ())
 
     @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        return cls.from_entries(field, n, n, ((i, i, field.one) for i in range(n)))
-
-    @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence]) -> "ExactMatrix":
         nrows = len(columns[0]) if columns else 0
         return cls.from_entries(field, nrows, len(columns),

@@ -173,7 +173,6 @@ class ResolutionWindow:
     """Terms P^0..P^-depth with differentials d[1..depth], d[m]: P^-m -> P^-(m-1)."""
 
     table: AlgebraTable
-    form: NakayamaForm
     depth: int
     terms: List[ProjectiveBimodule]
     diffs: List[Optional[BimoduleMap]]   # index m uses diffs[m]; diffs[0] is None
@@ -193,7 +192,7 @@ def build_resolution(t: AlgebraTable, form: NakayamaForm, depth: int) -> Resolut
     for m in range(1, depth + 1):
         step = (2 * t.n - 1) if m % 3 == 0 else 1
         gen_degrees.append(gen_degrees[m - 1] + step)
-    return ResolutionWindow(t, form, depth, terms, diffs, gen_degrees)
+    return ResolutionWindow(t, depth, terms, diffs, gen_degrees)
 
 
 def repeats_period(w: ResolutionWindow, m: int) -> bool:
@@ -298,7 +297,7 @@ class ExactnessReport:
     ranks: List[int]
     flat_dims: List[int]
     exact_at: List[bool]
-    syzygy6_dim: Optional[int]
+    syzygy6_dim: int
     rank_method: str
     failures: List[str] = dc_field(default_factory=list)
     one_sided_ranked: int = 0      # one-sided maps ranked; not serialized
@@ -461,9 +460,8 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
         if not ok:
             failures.append(f"exactness fails at index {m}")
 
-    syz6 = ranks[6] if w.depth >= 6 else None
-    if syz6 is not None and syz6 != t.dim:
-        failures.append(f"image of d6 has dimension {syz6}, expected {t.dim}")
+    if ranks[6] != t.dim:
+        failures.append(f"image of d6 has dimension {ranks[6]}, expected {t.dim}")
 
     return ExactnessReport(w.depth, dd, aug, minimal, periodic, ranks, dims,
-                           exact_at, syz6, method, failures, ranked)
+                           exact_at, ranks[6], method, failures, ranked)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_add
-from .cochain import CochainComplex, PARALLELS, canonical_cocycles
+from .cochain import CochainComplex, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, det
 from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
 
@@ -160,7 +160,7 @@ class YonedaEngine:
             for seg, vec in new.values():
                 if seg.base_degree + k > top:
                     continue
-                f = self._twisted_step(seg, k) if k >= 4 else None
+                f = self._twisted_step(seg, k)
                 if f is None:
                     solve.append((seg, vec))
                 else:
@@ -208,9 +208,10 @@ class YonedaEngine:
     # byte (by induction every earlier step is the solved one too).  Where a
     # check fails, the step is solved.  Every map `lift_many` appends is
     # normalized, and eps tau of a normalized map, normalized, keeps its keys
-    # in their order and only negates some coefficients.  So the check
-    # f_(k-1) = eps tau(f_(k-4)) is one pass over paired terms (`_twist_sign`),
-    # and eps tau(f_(k-3)) is built by one pass too (`_signed_twist`).
+    # in their order and only negates some coefficients (`_signed_twist`).
+    # So `_twist_sign` tests f_(k-1) = eps tau(f_(k-4)) exactly, by comparing
+    # the value lists of f_(k-1) and `_signed_twist(f_(k-4), eps)` for each
+    # sign in turn.
     def _twisted_step(self, seg: ChainMapSegment, k: int) -> Optional[BimoduleMap]:
         """eps tau(f_(k-3)) where the period argument above applies, else None."""
         if not (self._twist[k] and self._twist[seg.base_degree + k]):
@@ -220,15 +221,9 @@ class YonedaEngine:
 
     def _cochain_rhs(self, degree: int, vec: list):
         """Cochain components reshaped as value-term lists per source summand."""
-        cx, t = self.cx, self.table
-        term = self.window.terms[degree]
-        comps = cx.component_values(degree, vec)
-        values = []
-        for k, (s, tt) in enumerate(term.summands):
-            comp_key = t.quiver.arrows[k].index if cx.spaces[degree].kind == PARALLELS else k + 1
-            elem = comps.get(comp_key, {})
-            values.append([(0, c, mid, None) for mid, c in sorted(elem.items())])
-        return values
+        comps = self.cx.component_values(degree, vec)
+        return [[(0, c, mid, None) for mid, c in sorted(comps.get(comp, {}).items())]
+                for comp in self.cx.spaces[degree].components]
 
     def _step_rhs(self, seg: ChainMapSegment, vec: list, k: int):
         """Right-hand side of step k as value-term lists per source summand."""
@@ -340,18 +335,14 @@ class YonedaEngine:
         seg = self.lift(yvec, dy, dx)
         f = seg.maps[dx]
         xcomps = cx.component_values(dx, xvec)
-        src_kind = cx.spaces[dx].kind
+        src_comps = cx.spaces[dx].components
         result: Dict[int, dict] = {}
-        out_term = self.window.terms[dx + dy]
-        out_kind = cx.spaces[dx + dy].kind
         product, F = t.product, t.field
-        for ks in range(len(out_term.summands)):
+        for ks, out_comp in enumerate(cx.spaces[dx + dy].components):
             # x.val.y summed as plain numbers, coerced once per monomial
             acc: dict = {}
             for kt, c, x, y in f.values[ks]:
-                comp_key = (t.quiver.arrows[kt].index if src_kind == PARALLELS
-                            else kt + 1)
-                val = xcomps.get(comp_key)
+                val = xcomps.get(src_comps[kt])
                 if not val:
                     continue
                 left = product[x]
@@ -364,9 +355,7 @@ class YonedaEngine:
                         acc[hit2[1]] = acc.get(hit2[1], 0) + c * v * hit[0] * hit2[0]
             elem = {m: fs for m, s in acc.items() if (fs := F(s)) != 0}
             if elem:
-                out_key = (t.quiver.arrows[ks].index if out_kind == PARALLELS
-                           else ks + 1)
-                result[out_key] = elem
+                result[out_comp] = elem
         return cx.vector_from_components(dx + dy, result)
 
     def identify(self, vec: list, degree: int) -> CohomologyClass:
@@ -429,35 +418,12 @@ def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms) -> dict:
 
 
 def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:
-    """The eps in {1, -1} with later = eps tau(earlier), both normalized, or None.
-
-    One pass over the paired terms: the keys must agree in order, and each
-    coefficient of `later` must be that of `earlier` times eps (-1)^deg y.
-    Normalized coefficients are nonzero and the characteristic is odd, so a
-    term that matches fixes eps; maps without terms take eps = 1.
-    """
-    if len(later.values) != len(earlier.values):
-        return None
-    basis, neg = earlier.table.basis, earlier.table.field.neg
-    eps = None
-    for new, old in zip(later.values, earlier.values):
-        if len(new) != len(old):
-            return None
-        for (k1, c1, x1, y1), (k0, c0, x0, y0) in zip(new, old):
-            if k1 != k0 or x1 != x0 or y1 != y0:
-                return None
-            sign = -1 if basis[y0].degree % 2 else 1
-            if c1 == c0:
-                s = sign
-            elif c1 == neg(c0):
-                s = -sign
-            else:
-                return None
-            if eps is None:
-                eps = s
-            elif s != eps:
-                return None
-    return 1 if eps is None else eps
+    """The eps in {1, -1} with later = eps tau(earlier), both normalized, or
+    None; maps without terms take eps = 1."""
+    for eps in (1, -1):
+        if later.values == _signed_twist(earlier, eps).values:
+            return eps
+    return None
 
 
 def _signed_twist(m: BimoduleMap, eps: int) -> BimoduleMap:
@@ -619,19 +585,12 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
     for vec in basis0.vectors:
         cls = engine.cup(vec, 0, hvec, hdeg)
         cols.append(list(cls.coords))
-    mat = ExactMatrix.from_columns(F, cols)
-    kernel = mat.kernel_basis()
-    # the kernel must be exactly the span of the socle classes x_1..x_n
-    socle_cols = []
-    for i in range(1, n + 1):
-        col = [F.zero] * len(basis0.labels)
-        col[basis0.labels.index(f"x{i}")] = F.one
-        socle_cols.append(col)
-    ok = len(kernel) == n
-    if ok:
-        span = ExactMatrix.from_columns(F, socle_cols)
-        ok = None not in span.solve_many(
-            [{i: x for i, x in enumerate(v) if x} for v in kernel])
+    kernel = ExactMatrix.from_columns(F, cols).kernel_basis()
+    # the kernel must be exactly the span of the socle classes x_1..x_n: n
+    # vectors, each zero off their coordinates
+    socle = {basis0.labels.index(f"x{i}") for i in range(1, n + 1)}
+    ok = len(kernel) == n and not any(
+        x for v in kernel for j, x in enumerate(v) if j not in socle)
     if not ok:
         failures.append("degree-0 kernel of h-multiplication is not the socle span")
     return StableReport(bij, ok, failures)

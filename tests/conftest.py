@@ -52,14 +52,7 @@ def variant_socle_table(n: int, char: int = 0) -> AlgebraTable:
         for m2, (c, m3) in base.product[m1].items():
             row[m2] = (c * s(m1) * s(m2) * s(m3), m3)
         product.append(row)
-    act = {}
-    for (a, mid), hit in base.act.items():
-        if hit is None:
-            act[(a, mid)] = None
-        else:
-            c, m3 = hit
-            act[(a, mid)] = (c * s(mid) * s(m3), m3)
-    return AlgebraTable(n, base.field, basis, product, act)
+    return AlgebraTable(n, base.field, basis, product)
 
 
 def summand_negated(f, summand=0):

@@ -331,6 +331,13 @@ def test_spaces_match_filtering_the_whole_basis(n):
             want = [(a.index, m.mid) for a in t.quiver.arrows for m in t.basis
                     if m.source == a.source and m.target == a.target]
         assert space.basis == want
+        # summand k = (s, tt) of P^-degree is component components[k], whose
+        # entries are the monomials of e_s L e_tt in basis order
+        summands = context(n).window.terms[degree].summands
+        assert len(space.components) == len(summands)
+        for comp, (s, tt) in zip(space.components, summands):
+            assert [mid for c, mid in space.basis if c == comp] == [
+                m.mid for m in t.basis if m.source == s and m.target == tt]
     for term in context(n).window.terms[:3]:
         assert _tensor_space(t, term) == [
             (k, m.mid) for k, (s, tt) in enumerate(term.summands)

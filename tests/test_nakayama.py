@@ -172,7 +172,7 @@ def test_a_missing_partner_product_is_degenerate(n, char, off_socle):
             product[b][partners[b]] = (1, base.e_ids[1])
         else:
             del product[b][partners[b]]
-        t = AlgebraTable(n, base.field, base.basis, product, base.act)
+        t = AlgebraTable(n, base.field, base.basis, product)
         with pytest.raises(DegenerateFormError, match="singular"):
             associated_form(t)
 

@@ -80,6 +80,32 @@ def test_stable_check(n, char):
     assert rep.degree0_kernel_is_socle
 
 
+@pytest.mark.parametrize("n,char", [(2, 0), (3, 5)])
+def test_stable_check_fails_when_the_kernel_leaves_the_socle_span(n, char, monkeypatch):
+    # labels 1 and x1 swapped in degree 0: the kernel of h-multiplication
+    # keeps its n dimensions, but one of its vectors sits at the position
+    # now labelled 1, outside the span of the positions labelled x_i
+    import dataclasses
+    import preproj_hh.yoneda as Y
+    true_canonical = Y.canonical_cocycles
+
+    def swapped(cx, degree):
+        basis = true_canonical(cx, degree)
+        if degree != 0:
+            return basis
+        swap = {"1": "x1", "x1": "1"}
+        return dataclasses.replace(basis, labels=[swap.get(lab, lab) for lab in basis.labels])
+
+    engine = context(n, char).engine
+    assert stable_structure_check(engine).ok
+    monkeypatch.setattr(Y, "canonical_cocycles", swapped)
+    rep = stable_structure_check(engine)
+    assert not rep.degree0_kernel_is_socle and not rep.ok
+    assert all(rep.h_bijective.values())
+    assert rep.failures == ["degree-0 kernel of h-multiplication is not the socle span"]
+    assert rep.serialize()["failures"] == rep.failures
+
+
 def test_report_serialization():
     ctx = context(2)
     spec = theorem_spec(2, FieldSpec(0))
