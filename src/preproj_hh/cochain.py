@@ -22,8 +22,8 @@ complex, and the cyclic homology dimensions from the Connes-image
 bookkeeping over it; dim L/[L, L], checked against HH_0, is ranked from the
 brackets of the generators (idempotents and arrows) with the basis
 monomials, which span [L, L].  Spaces are read off the table's `by_ends`
-lists, and the dualized differential off the resolution's value terms
-indexed once by the summand they read.  The canonical basis of each degree
+lists, and the dualized differential is the pull-back w -> w o d
+(`pullback`), the kernel the Yoneda products read too.  The canonical basis of each degree
 holds that degree's one class solver: `CanonicalBasis.coords` reads the class of a
 cocycle off [canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
 Degrees 7..12 reuse the vectors of degree i-6, and its solver too wherever
@@ -39,7 +39,7 @@ from .algebra import AlgebraTable, multiply, socle_basis, x0_element
 from .exactla import (ExactMatrix, PreparedSolver, UnsupportedCharacteristicError,
                       sparse_rank)
 from .nakayama import NakayamaForm
-from .resolution import ResolutionWindow, build_resolution, repeats_period
+from .resolution import BimoduleMap, ResolutionWindow, build_resolution, repeats_period
 
 LOOPS = "loops"
 PARALLELS = "parallels"
@@ -234,28 +234,39 @@ class CochainComplex:
                     out.append(((j, t.socle_ids[j]), -t.cartan[j - 1][i_vertex - 1]))
         return out
 
-    def _dual_matrix(self, i: int) -> ExactMatrix:
-        t = self.table
-        d = self.window.diffs[i + 1]
-        src, tgt = self.spaces[i], self.spaces[i + 1]
-        # the value terms of d, indexed once by the component of the cochain
+    def pullback(self, f: BimoduleMap, i: int, j: int):
+        """phi -> phi o f from V^i to V^j, for f: P^-j -> P^-i.
+
+        The returned map takes a basis cochain (comp, mid) of V^i to its image
+        terms ((component, monomial), c x.mid.y), one per nonzero product over
+        the value terms c x (x) y of f that read comp: plain numbers, not
+        reduced into the field, a key possibly repeated.
+        """
+        product = self.table.product
+        src, tgt = self.spaces[i], self.spaces[j]
+        # the value terms of f, indexed once by the component of the cochain
         # they read: that of the summand they land in
         by_comp: Dict[int, list] = {}
-        for k, terms in enumerate(d.values):
+        for k, terms in enumerate(f.values):
             tkey = tgt.components[k]
             for k2, c, x, y in terms:
                 by_comp.setdefault(src.components[k2], []).append((tkey, c, x, y))
-        entries = []
-        for col, (comp, mid) in enumerate(src.basis):
-            for tkey, c, x, y in by_comp.get(comp, ()):
-                lhs = t.mono_mul(x, mid)
-                if lhs is None:
-                    continue
-                rhs = t.mono_mul(lhs[1], y)
-                if rhs is None:
-                    continue
-                entries.append((tgt.pos[(tkey, rhs[1])], col, c * lhs[0] * rhs[0]))
-        return ExactMatrix.from_entries(t.field, tgt.dim, src.dim, entries)
+
+        def image(comp: int, mid: int) -> list:
+            # a product is a (coefficient, monomial) pair, or None where it vanishes
+            return [((tkey, rhs[1]), c * lhs[0] * rhs[0])
+                    for tkey, c, x, y in by_comp.get(comp, ())
+                    if (lhs := product[x].get(mid)) and (rhs := product[lhs[1]].get(y))]
+        return image
+
+    def _dual_matrix(self, i: int) -> ExactMatrix:
+        """d^i as the pull-back along d_(i+1), summed in the field."""
+        src, tgt = self.spaces[i], self.spaces[i + 1]
+        image = self.pullback(self.window.diffs[i + 1], i, i + 1)
+        return ExactMatrix.from_entries(
+            self.table.field, tgt.dim, src.dim,
+            ((tgt.pos[key], col, c) for col, (comp, mid) in enumerate(src.basis)
+             for key, c in image(comp, mid)))
 
     # -- ranks and dimensions ----------------------------------------------------
 

@@ -65,11 +65,11 @@ class BarComplex:
     def __init__(self, t: AlgebraTable):
         self.table = t
         self.radical = [m for m in t.basis if m.degree > 0]
-        self.ending_at: Dict[int, List[int]] = {}
-        self.starting_at: Dict[int, List[int]] = {}
-        for m in self.radical:
-            self.ending_at.setdefault(m.target, []).append(m.mid)
-            self.starting_at.setdefault(m.source, []).append(m.mid)
+        # the radical monomials ending and starting at each vertex
+        self.ending_at: Dict[int, List[int]] = {
+            v: [m.mid for m in ms if m.degree] for v, ms in t.ending_at.items()}
+        self.starting_at: Dict[int, List[int]] = {
+            v: [m.mid for m in ms if m.degree] for v, ms in t.starting_at.items()}
         # factorizations: m -> [((x, y), c)] with x * y = c * m, x, y radical
         self.pair_hits: Dict[int, List[Tuple[Tuple[int, int], int]]] = {
             m.mid: [] for m in self.radical}

@@ -382,7 +382,7 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
             if hit is not None:
                 cc, m3 = hit
                 acc[m3] = acc.get(m3, 0) + c * cc
-        if any(v != 0 for v in acc.values()):
+        if any(t.field(v) != 0 for v in acc.values()):
             aug = False
             failures.append("u o d1 != 0")
 

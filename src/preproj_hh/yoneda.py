@@ -2,15 +2,15 @@
 
 A cocycle in V^j is a bimodule map P^-j -> L; lifting it produces a chain
 map segment f_0..f_s with u o f_0 the cocycle and d o f_k = f_{k-1} o d.
-Each f_k is found by solving a linear system on the generators.  The
-resolution is graded with degree-0 differentials once each term's
+The resolution is graded with degree-0 differentials once each term's
 generators are assigned their internal degree, so a homogeneous cocycle
-lifts within a single graded piece of each Hom space; the solver exploits
-this and additionally splits by source summand, which keeps every system
-small.  A cocycle is lifted once and whole, through step maxdeg - 1 -
-degree, and its segment is cached only then.  `lift_many` lifts several
-cocycles together, step by step, and each step assembles every system A that
-its right-hand sides b_j meet and eliminates [A | b_1 ... b_m] once
+lifts within a single graded piece of each Hom space.  f_0 is read off
+that grading (`_lift_cochain`); each later f_k solves a linear system on
+the generators, split by graded piece and source summand, which keeps
+every system small.  A cocycle is lifted once and whole, through step
+maxdeg - 1 - degree, and its segment is cached only then.  `lift_many` lifts
+several cocycles together, step by step, and each step assembles every
+system A that its right-hand sides b_j meet and eliminates [A | b_1 ... b_m] once
 (`ExactMatrix.solve_many`); no system is kept past its elimination.  The
 first product that needs a lift lifts every ring generator in one such
 batch; every product the certificate takes multiplies by a generator, so
@@ -23,8 +23,9 @@ solved.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`);
-both chain-map kernels (`resolution.compose` and `cup_vec`) sum plain
-numbers and coerce each entry into the field once.
+both chain-map kernels (`resolution.compose` and the cochain pull-back
+`CochainComplex.pullback` that `cup_vec` reads) sum plain numbers and
+coerce each entry into the field once.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ class YonedaEngine:
 
         `steps` names the deepest step the caller reads.  Every cocycle not
         lifted before is lifted whole, through step maxdeg - 1 - degree,
-        together with the others: step by step, each lifting system meets
-        all of its right-hand sides of the step in one elimination
-        (`_solve_steps`).  The new segments enter the cache only once whole,
-        so a step that fails leaves none of them behind.
+        together with the others: step 0 is read off the grading
+        (`_lift_cochain`), and from step 1 on, step by step, each lifting
+        system meets all of its right-hand sides of the step in one
+        elimination (`_solve_steps`).  The new segments enter the cache only
+        once whole, so a step that fails leaves none of them behind.
         """
         top = self.cx.maxdeg - 1
         keys, new = [], {}
@@ -153,26 +155,25 @@ class YonedaEngine:
                 continue
             if not self.cx.is_cocycle(degree, vec):
                 raise NotACocycleError(f"input of degree {degree} is not a cocycle")
-            new[key] = (ChainMapSegment(degree, []), vec)
+            new[key] = ChainMapSegment(degree, [self._lift_cochain(degree, vec)])
+        self.steps_solved += len(new)
         # a batch of cache hits, as nearly every product's is, takes no step
-        for k in range(top + 1 if new else 0):
+        for k in range(1, top + 1 if new else 0):
             twisted, solve = [], []
-            for seg, vec in new.values():
+            for seg in new.values():
                 if seg.base_degree + k > top:
                     continue
                 f = self._twisted_step(seg, k)
                 if f is None:
-                    solve.append((seg, vec))
+                    solve.append(seg)
                 else:
                     twisted.append((seg, f))
             solved = self._solve_steps(k, solve) if solve else []
-            for seg, f in twisted + [(seg, f) for (seg, _), f in
-                                     zip(solve, solved, strict=True)]:
+            for seg, f in twisted + list(zip(solve, solved, strict=True)):
                 seg.maps.append(f)
             self.steps_solved += len(solve)
             self.steps_twisted += len(twisted)
-        for key, (seg, _) in new.items():
-            self._lift_cache[key] = seg
+        self._lift_cache.update(new)
         return [self._lift_cache[key] for key in keys]
 
     def _lift_generators(self):
@@ -219,42 +220,59 @@ class YonedaEngine:
         eps = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
         return None if eps is None else _signed_twist(seg.maps[k - 3], eps)
 
-    def _cochain_rhs(self, degree: int, vec: list):
-        """Cochain components reshaped as value-term lists per source summand."""
+    # Soundness of step 0.  u o f_0 = phi splits, like every step, by source
+    # summand (s, tt) and value degree: one block per monomial mid of phi, its
+    # unknowns the value terms x (x) y of degree deg mid (`_graded_triples`).
+    # Each piece e_s L_d e_tt is at most one-dimensional (`build_algebra`
+    # certifies it), so each x.y is a multiple of mid and the block is one
+    # equation.  The pivot of one row is its first nonzero column, so the
+    # echelon-canonical solution, as `_solve_steps` gives every other step, is
+    # c / coeff(x.y) there and zero elsewhere: the lifts keep their bytes.
+    def _lift_cochain(self, degree: int, vec: list) -> BimoduleMap:
+        """Step 0 of the lift of a cocycle: f_0 with u o f_0 the cocycle."""
+        w, t, F = self.window, self.table, self.table.field
         comps = self.cx.component_values(degree, vec)
-        return [[(0, c, mid, None) for mid, c in sorted(comps.get(comp, {}).items())]
-                for comp in self.cx.spaces[degree].components]
+        values = []
+        for ks, ((s, tt), comp) in enumerate(zip(w.terms[degree].summands,
+                                                 self.cx.spaces[degree].components)):
+            out = []
+            for mid, c in comps.get(comp, {}).items():
+                for kt, x, y in _graded_triples(t, w.terms[0], s, tt, t.basis[mid].degree):
+                    hit = t.mono_mul(x, y)
+                    if hit is not None and (a := F(hit[0])) != 0:
+                        out.append((kt, F(F.mul(c, F.inv(a))), x, y))
+                        break
+                else:
+                    raise LiftFailedError(
+                        f"lifting system inconsistent at step 0, summand {ks}")
+            values.append(out)
+        return BimoduleMap(t, w.terms[degree], w.terms[0], values).normalized()
 
-    def _step_rhs(self, seg: ChainMapSegment, vec: list, k: int):
-        """Right-hand side of step k as value-term lists per source summand."""
-        if k == 0:
-            return self._cochain_rhs(seg.base_degree, vec)
+    def _step_rhs(self, seg: ChainMapSegment, k: int):
+        """Right-hand side f_(k-1) o d_(degree+k) of step k, per source summand."""
         return compose(seg.maps[k - 1], self.window.diffs[seg.base_degree + k]).values
 
-    def _solve_steps(self, k: int, batch) -> List[BimoduleMap]:
-        """Step k of each (segment, cocycle) in the batch, solved together.
+    def _solve_steps(self, k: int, segs) -> List[BimoduleMap]:
+        """Step k >= 1 of each segment in the batch, solved together.
 
-        Solves d_k o f = rhs (k >= 1) or u o f = cochain (k = 0) for every
-        segment.  Each right-hand side splits by source summand and by value
-        degree: a graded cocycle lifts within one piece, a mixed one is
-        handled additively.  The blocks of the whole batch are grouped by
-        lifting system, and each system eliminates all of its blocks at once
+        Solves d_k o f = f_(k-1) o d_(degree+k) for every segment.  Each
+        right-hand side splits by source summand and by value degree: a
+        graded cocycle lifts within one piece, a mixed one is handled
+        additively.  The blocks of the whole batch are grouped by lifting
+        system, and each system eliminates all of its blocks at once
         (`ExactMatrix.solve_many`).
         """
         w, t = self.window, self.table
         blocks: Dict[tuple, list] = {}    # (s, tt, value degree) -> (job, ks, terms)
         values: List[List[list]] = []
-        for job, (seg, vec) in enumerate(batch):
-            rhs = self._step_rhs(seg, vec, k)
+        for job, seg in enumerate(segs):
+            rhs = self._step_rhs(seg, k)
             summands = w.terms[seg.base_degree + k].summands
             values.append([[] for _ in summands])
             for ks, (s, tt) in enumerate(summands):
                 parts: Dict[int, list] = {}
                 for term in rhs[ks]:
-                    if k == 0:
-                        dv = t.basis[term[2]].degree
-                    else:
-                        dv = t.basis[term[2]].degree + t.basis[term[3]].degree
+                    dv = t.basis[term[2]].degree + t.basis[term[3]].degree
                     parts.setdefault(dv, []).append(term)
                 for dv, terms in parts.items():
                     blocks.setdefault((s, tt, dv), []).append((job, ks, terms))
@@ -271,7 +289,7 @@ class YonedaEngine:
                     kt, x, y = unknowns[j]
                     out.append((kt, c, x, y))
         return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k], v).normalized()
-                for (seg, _), v in zip(batch, values)]
+                for seg, v in zip(segs, values)]
 
     # Soundness of the batch.  The system matrix, its unknowns and its
     # equations are read off (step, s, tt, rhs value degree) and the window
@@ -286,30 +304,18 @@ class YonedaEngine:
         w, t, F = self.window, self.table, self.table.field
         # the differential raises value degree by g(k) - g(k-1), so the
         # unknown lives that much below the right-hand side
-        if k == 0:
-            unknown_degree = rhs_value_degree
-            mid = t.by_ijd.get((s, tt, rhs_value_degree))
-            eq_keys = [] if mid is None else [mid]
-        else:
-            unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
-            eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
+        unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
+        eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
         unknowns = _graded_triples(t, w.terms[k], s, tt, unknown_degree)
         eq_pos = {key: r for r, key in enumerate(eq_keys)}
         # a column names each equation key at most once (`expand` sums its
         # terms by key), so every entry is written once, in column order
         rows: list = [{} for _ in eq_keys]
         for col, (kt, x, y) in enumerate(unknowns):
-            for key, c in self._composed_column(k, kt, x, y):
+            for key, c in expand(w.diffs[k], kt, x, y).items():
                 if (fc := F(c)) != 0:
                     rows[eq_pos[key]][col] = fc
         return ExactMatrix._wrap(F, len(eq_keys), len(unknowns), rows), unknowns, eq_pos
-
-    def _composed_column(self, k, kt, x, y):
-        """Image of the elementary hom with value x (x) y at summand kt."""
-        if k == 0:
-            hit = self.table.mono_mul(x, y)
-            return [] if hit is None else [(hit[1], hit[0])]
-        return expand(self.window.diffs[k], kt, x, y).items()
 
     # -- products -------------------------------------------------------------
 
@@ -322,7 +328,7 @@ class YonedaEngine:
 
     def cup_vec(self, xvec: list, dx: int, yvec: list, dy: int) -> list:
         """Cochain representative of the product of two cocycles."""
-        cx, t = self.cx, self.table
+        cx = self.cx
         if dx + dy > cx.maxdeg - 1:
             raise ValueError("product degree exceeds the window")
         self.products += 1
@@ -332,31 +338,14 @@ class YonedaEngine:
             return cx.scale_vector(dx, self.central_from_v0(yvec), xvec)
         if not self._generators_lifted:
             self._lift_generators()
-        seg = self.lift(yvec, dy, dx)
-        f = seg.maps[dx]
-        xcomps = cx.component_values(dx, xvec)
-        src_comps = cx.spaces[dx].components
-        result: Dict[int, dict] = {}
-        product, F = t.product, t.field
-        for ks, out_comp in enumerate(cx.spaces[dx + dy].components):
-            # x.val.y summed as plain numbers, coerced once per monomial
-            acc: dict = {}
-            for kt, c, x, y in f.values[ks]:
-                val = xcomps.get(src_comps[kt])
-                if not val:
-                    continue
-                left = product[x]
-                for m, v in val.items():
-                    hit = left.get(m)
-                    if hit is None:
-                        continue
-                    hit2 = product[hit[1]].get(y)
-                    if hit2 is not None:
-                        acc[hit2[1]] = acc.get(hit2[1], 0) + c * v * hit[0] * hit2[0]
-            elem = {m: fs for m, s in acc.items() if (fs := F(s)) != 0}
-            if elem:
-                result[out_comp] = elem
-        return cx.vector_from_components(dx + dy, result)
+        image = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy)
+        # x o f summed as plain numbers; `vector_from_terms` coerces each once
+        acc: dict = {}
+        for (comp, mid), v in zip(cx.spaces[dx].basis, xvec):
+            if v != 0:
+                for key, c in image(comp, mid):
+                    acc[key] = acc.get(key, 0) + v * c
+        return cx.vector_from_terms(dx + dy, acc)
 
     def identify(self, vec: list, degree: int) -> CohomologyClass:
         """Coordinates over the canonical basis, modulo coboundaries.
@@ -406,15 +395,12 @@ def _twist_classes(w: ResolutionWindow) -> List[bool]:
 def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms) -> dict:
     """One graded block of step k as a sparse column of its system.
 
-    The terms come from the cochain or from `compose`: one per key, each
-    a nonzero field scalar.
+    The terms come from `compose`: one per key, each a nonzero field scalar.
     """
-    keys = ([mid for _, _, mid, _ in rhs_terms] if k == 0
-            else [(kn, x, y) for kn, _, x, y in rhs_terms])
-    if any(key not in eq_pos for key in keys):
+    if any((kn, x, y) not in eq_pos for kn, _, x, y in rhs_terms):
         raise LiftFailedError(
             f"right-hand side outside the graded piece at step {k}, summand {ks}")
-    return {eq_pos[key]: term[1] for key, term in zip(keys, rhs_terms)}
+    return {eq_pos[(kn, x, y)]: c for kn, c, x, y in rhs_terms}
 
 
 def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:

@@ -13,6 +13,9 @@ from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
 
 DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "digests.json")
+# body digests of points beyond the benchmark grid, oracle off
+SCALE_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "scale_digests.json")
 
 
 def test_parse_int_list():
@@ -180,7 +183,10 @@ def test_negative_oracle_budget_is_a_usage_error(capsys):
     pytest.param(1, 3, True, id="1-3"), pytest.param(2, 3, True, id="2-3"),
     pytest.param(7, 3, False, id="7-3-no-oracle"),
     pytest.param(6, 0, False, id="6-0-no-oracle"),
-    pytest.param(7, 5, False, id="7-5-no-oracle")])
+    pytest.param(7, 5, False, id="7-5-no-oracle"),
+    pytest.param(10, 0, False, id="10-0-no-oracle"),
+    pytest.param(12, 3, False, id="12-3-no-oracle"),
+    pytest.param(14, 3, False, id="14-3-no-oracle")])
 def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # every scalar a body serializes goes through FieldSpec.export; a site
     # that wrote a raw scalar would turn "1" into 1 over Q and move the bytes.
@@ -188,9 +194,10 @@ def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # the dimensions, and must serialize as the flattened ranks did; n=6 over
     # Q guards a generic-regime span audit in characteristic 0.  Twisted lift
     # steps negate coefficients (`_signed_twist`, with the sign `_twist_sign`
-    # reads off), and -1 is 2 over F3 and 4 over F5: the n=7 points guard it
+    # reads off), and -1 is 2 over F3 and 4 over F5: the n=7 points guard it.
+    # n=10, 12 and 14 pin bodies at scale, from their own file
     key = f"n{n}_char{char}_oracle{int(oracle)}"
-    with open(DIGESTS) as fh:
+    with open(SCALE_DIGESTS if n > 7 else DIGESTS) as fh:
         want = json.load(fh)[key]
     path = tmp_path / f"{key}.json"
     write_certificate(compute_certificate(n, char, 13, 10000, oracle), str(path))
@@ -389,7 +396,7 @@ def test_header_records_the_lifting_work():
     header = cert["header"]
     assert set(header) == {"timestamp", "timings", "work"}
     assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
-                              "lifting_eliminations": 142,
+                              "lifting_eliminations": 115,
                               "products": 882, "cochain_differentials_built": 6,
                               "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]

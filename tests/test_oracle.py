@@ -63,6 +63,18 @@ def test_relative_bar_dims_match_the_complex_relative_to_k(n, char, upto):
     assert bar_dims(t, upto) == _reference_bar_dims(t, upto, t.field)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_bar_adjacency_lists_the_radical_in_basis_order(n):
+    # read off the table's adjacency, each list is the radical monomials
+    # ending or starting at its vertex in basis order, which fixes the row
+    # order of every bar differential
+    t = context(n, 3).table
+    bc = BarComplex(t)
+    for v in t.quiver.vertices:
+        assert bc.starting_at[v] == [m.mid for m in bc.radical if m.source == v]
+        assert bc.ending_at[v] == [m.mid for m in bc.radical if m.target == v]
+
+
 def test_bar_dims_single_vertex_through_degree_six():
     t = context(1).table
     assert bar_dims(t, 6) == [2, 1, 1, 1, 1, 1, 1]

@@ -87,6 +87,18 @@ def test_dd_zero_and_augmentation(n):
         assert all(v == 0 for v in acc.values())
 
 
+@pytest.mark.parametrize("char", [3, 5])
+def test_augmentation_check_reduces_its_sums_into_the_field(char):
+    # d1 normalized writes -1 as p - 1: the same map, so u o d1 = 0 still
+    # holds in the field though the plain sums of c * x.y are multiples of p
+    ctx = context(2, char)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[1] = w.diffs[1].normalized()
+    assert any(c == char - 1 for terms in w.diffs[1].values for _, c, _, _ in terms)
+    rep = certify_exact(w)
+    assert rep.augmentation_zero and rep.ok
+
+
 def test_exactness_window_n1_depth6():
     ctx = context(1)
     t, f = ctx.table, ctx.form
