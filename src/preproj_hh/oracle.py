@@ -103,17 +103,14 @@ class BarComplex:
             for w in t.by_ends[ends]:
                 yield T, w.mid
 
-    def differential_rows(self, k: int, perturb: bool = False):
+    def differential_rows(self, k: int):
         """Image rows of the degree-k differential, one per C^k basis cochain.
 
-        Keys of the row dicts are C^(k+1) basis cochains.  `perturb` is a
-        test hook that adds 1 at the first C^(k+1) basis cochain in the
-        first row.
+        Keys of the row dicts are C^(k+1) basis cochains.
         """
         t = self.table
         basis = t.basis
         sign_last = (-1) ** (k + 1)
-        corrupt = next(self.cochains(k + 1), None) if perturb else None
         for T, w in self.cochains(k):
             row: dict = {}
             for b in self.ending_at.get(basis[w].source, ()):
@@ -130,25 +127,17 @@ class BarComplex:
                 if hit is not None:
                     key = (T + (b,), hit[1])
                     row[key] = row.get(key, 0) + sign_last * hit[0]
-            if corrupt is not None:
-                row[corrupt] = row.get(corrupt, 0) + 1
-                corrupt = None
             yield {kk: v for kk, v in row.items() if v != 0}
 
 
-def bar_rows(t: AlgebraTable, upto: int, budget: int = 10000,
-             perturb_degree: Optional[int] = None) -> List[List[dict]]:
-    """The differential rows of degrees 0..upto, one list per degree.
-
-    `perturb_degree` is the negative-control hook.
-    """
+def bar_rows(t: AlgebraTable, upto: int, budget: int = 10000) -> List[List[dict]]:
+    """The differential rows of degrees 0..upto, one list per degree."""
     for k in range(upto + 1):
         cost = space_dim(t, k)
         if cost > budget:
             raise BudgetExceededError(k, cost, budget)
     bc = BarComplex(t)
-    return [list(bc.differential_rows(k, perturb=(perturb_degree == k)))
-            for k in range(upto + 1)]
+    return [list(bc.differential_rows(k)) for k in range(upto + 1)]
 
 
 def _dims(rows: List[List[dict]], field: FieldSpec) -> List[int]:
@@ -158,14 +147,10 @@ def _dims(rows: List[List[dict]], field: FieldSpec) -> List[int]:
             for i, r in enumerate(rows)]
 
 
-def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000,
-             field: Optional[FieldSpec] = None,
-             perturb_degree: Optional[int] = None) -> List[int]:
-    """dim HH^i for i = 0..upto from relative bar cochain ranks.
-
-    `field` overrides the rank field of the table.
-    """
-    return _dims(bar_rows(t, upto, budget, perturb_degree), field or t.field)
+def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000) -> List[int]:
+    """dim HH^i for i = 0..upto from relative bar cochain ranks over the
+    field of the table."""
+    return _dims(bar_rows(t, upto, budget), t.field)
 
 
 @dataclass

@@ -200,9 +200,9 @@ class _Evaluator:
         return self.cache[mono]
 
 
-def verify(spec: PresentationSpec, engine: YonedaEngine,
-           audit_to: int = 12) -> VerificationReport:
-    """Check every relation and run the spanning audit through `audit_to`."""
+def verify(spec: PresentationSpec, engine: YonedaEngine) -> VerificationReport:
+    """Check every relation and run the spanning audit through degree 12,
+    which needs an engine over maxdeg >= 13, as `compute_certificate` asks."""
     F = engine.table.field
     ev = _Evaluator(engine, spec)
 
@@ -229,7 +229,7 @@ def verify(spec: PresentationSpec, engine: YonedaEngine,
 
     relation_results = check(spec.relations)
     derived_results = check(spec.derived)
-    audit = _span_audit(spec, engine, ev, audit_to)
+    audit = _span_audit(spec, engine, ev)
     # the witness of a failing verdict; empty on a passing point, whose
     # body therefore keeps its bytes
     failures = [f"{r.label}: residual {r.residual}"
@@ -270,8 +270,9 @@ def verify(spec: PresentationSpec, engine: YonedaEngine,
 # the lower degree are the outer loop: from degree 7 on, the products of the
 # kept basis of degree i-6 with h, which `stable_structure_check` finds
 # bijective, fill the span first.
-def _span_audit(spec, engine, ev, audit_to):
-    """Products of generators must span each HH^i with the expected dimension.
+def _span_audit(spec, engine, ev):
+    """Products of generators must span each HH^i, i <= 12, with the
+    expected dimension.
 
     Degree i keeps one list of cochains independent modulo coboundaries,
     chosen from the products (kept degree i-d basis) * (degree-d generator).
@@ -288,7 +289,7 @@ def _span_audit(spec, engine, ev, audit_to):
     _keep_independent(engine, 0, kept[0],
                       canonical_cocycles(engine.cx, 0).vectors)
     audit: Dict[int, Tuple[int, int]] = {0: (len(kept[0]), 2 * n)}
-    for i in range(1, audit_to + 1):
+    for i in range(1, 13):
         kept[i] = []
         _keep_independent(engine, i, kept[i], (
             engine.cup_vec(w, i - d, gvec, d)

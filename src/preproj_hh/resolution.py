@@ -118,11 +118,18 @@ def compose(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
     return BimoduleMap(t, g.source, f.target, values)
 
 
-def tau_twist(m: BimoduleMap) -> BimoduleMap:
-    """Twist by the automorphism fixing vertices and negating arrows."""
-    basis = m.table.basis
-    values = [[(k, c * (-1) ** basis[y].degree, x, y) for k, c, x, y in terms]
-              for terms in m.values]
+def tau_twist(m: BimoduleMap, eps: int = 1) -> BimoduleMap:
+    """eps times the twist of m by the automorphism fixing vertices and
+    negating arrows, for eps in {1, -1}.
+
+    The twist multiplies each coefficient by (-1)^deg y, y the right factor
+    of its term, so eps tau(m) has the terms of m in their order, each
+    coefficient kept or negated in the field (-1 becomes p-1 over F_p): no
+    key merges or cancels, and the twist of a normalized map is normalized.
+    """
+    basis, neg = m.table.basis, m.table.field.neg
+    values = [[(k, c if (basis[y].degree % 2 == 0) == (eps == 1) else neg(c), x, y)
+               for k, c, x, y in terms] for terms in m.values]
     return BimoduleMap(m.table, m.source, m.target, values)
 
 

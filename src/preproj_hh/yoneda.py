@@ -149,7 +149,7 @@ class YonedaEngine:
                 raise ValueError("window too shallow for the requested lift")
             key = (degree, tuple(vec))
             keys.append(key)
-            if key in self._lift_cache or key in new:
+            if key in self._lift_cache:
                 # a key is lifted only after its vector passed this check,
                 # so a cache hit is a cocycle already
                 continue
@@ -208,17 +208,18 @@ class YonedaEngine:
     # and, normalized, that is the map `_solve_steps` would return, byte for
     # byte (by induction every earlier step is the solved one too).  Where a
     # check fails, the step is solved.  Every map `lift_many` appends is
-    # normalized, and eps tau of a normalized map, normalized, keeps its keys
-    # in their order and only negates some coefficients (`_signed_twist`).
-    # So `_twist_sign` tests f_(k-1) = eps tau(f_(k-4)) exactly, by comparing
-    # the value lists of f_(k-1) and `_signed_twist(f_(k-4), eps)` for each
-    # sign in turn.
+    # normalized, and `tau_twist(m, eps)` of a normalized map is normalized:
+    # it keeps the keys of m in their order and negates some coefficients in
+    # the field.  So `_twist_sign` tests f_(k-1) = eps tau(f_(k-4)) exactly,
+    # by comparing the value lists of f_(k-1) and `tau_twist(f_(k-4), eps)`
+    # for each sign in turn, and the window's d_k = tau(d_(k-3)) are built
+    # by the same function.
     def _twisted_step(self, seg: ChainMapSegment, k: int) -> Optional[BimoduleMap]:
         """eps tau(f_(k-3)) where the period argument above applies, else None."""
         if not (self._twist[k] and self._twist[seg.base_degree + k]):
             return None
         eps = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
-        return None if eps is None else _signed_twist(seg.maps[k - 3], eps)
+        return None if eps is None else tau_twist(seg.maps[k - 3], eps)
 
     # Soundness of step 0.  u o f_0 = phi splits, like every step, by source
     # summand (s, tt) and value degree: one block per monomial mid of phi, its
@@ -407,22 +408,9 @@ def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:
     """The eps in {1, -1} with later = eps tau(earlier), both normalized, or
     None; maps without terms take eps = 1."""
     for eps in (1, -1):
-        if later.values == _signed_twist(earlier, eps).values:
+        if later.values == tau_twist(earlier, eps).values:
             return eps
     return None
-
-
-def _signed_twist(m: BimoduleMap, eps: int) -> BimoduleMap:
-    """eps tau(m), normalized, for a normalized m.
-
-    tau only multiplies each coefficient by (-1)^deg y, so eps tau(m) has the
-    keys of m in their order, each coefficient kept or negated: no key merges
-    or cancels, and that is already the normalized map.
-    """
-    basis, neg = m.table.basis, m.table.field.neg
-    values = [[(k, c if (basis[y].degree % 2 == 0) == (eps == 1) else neg(c), x, y)
-               for k, c, x, y in terms] for terms in m.values]
-    return BimoduleMap(m.table, m.source, m.target, values)
 
 
 def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list:

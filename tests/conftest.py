@@ -8,6 +8,7 @@ from preproj_hh.algebra import AlgebraTable, build_algebra
 from preproj_hh.cochain import build_complex
 from preproj_hh.exactla import FieldSpec
 from preproj_hh.nakayama import associated_form
+from preproj_hh.oracle import BarComplex
 from preproj_hh.resolution import BimoduleMap
 from preproj_hh.yoneda import YonedaEngine
 
@@ -73,3 +74,20 @@ def relisted(f):
             terms[:1] = [(k, c + 1, x, y), (k, -1, x, y)]
         values.append(terms)
     return BimoduleMap(f.table, f.source, f.target, values)
+
+
+def perturb_d2(monkeypatch):
+    """Negative control: add 1 at the first C^3 basis cochain in the first
+    row of the bar differential of degree 2, for every `BarComplex`."""
+    real = BarComplex.differential_rows
+
+    def perturbed(self, k):
+        corrupt = next(self.cochains(3), None) if k == 2 else None
+        for row in real(self, k):
+            if corrupt is not None:
+                row = {**row, corrupt: row.get(corrupt, 0) + 1}
+                row = {key: v for key, v in row.items() if v != 0}
+                corrupt = None
+            yield row
+
+    monkeypatch.setattr(BarComplex, "differential_rows", perturbed)

@@ -20,7 +20,7 @@ from preproj_hh.resolution import certify_exact
 from preproj_hh.yoneda import (c_matrix, closed_form_c_matrix,
                                combinatorial_c_matrix, adjacency_matrix,
                                stable_structure_check)
-from conftest import context, variant_socle_table
+from conftest import context, perturb_d2, variant_socle_table
 
 GRID_N = range(1, 7)
 GRID_CHARS = (0, 3, 5, 7)
@@ -261,7 +261,7 @@ def test_10_stable_ring():
     _report(10, "h-multiplication bijective, degree-0 kernel is the socle", ok)
 
 
-def test_11_oracle():
+def test_11_oracle(monkeypatch):
     start = time.perf_counter()
     dims1 = bar_dims(context(1).table, 6)
     t1 = time.perf_counter() - start
@@ -271,7 +271,8 @@ def test_11_oracle():
     t2 = time.perf_counter() - start
     ok = ok and rep.ok and t2 < 60
     clean = bar_dims(context(1).table, 4)
-    ok = ok and bar_dims(context(1).table, 4, perturb_degree=2) != clean
+    perturb_d2(monkeypatch)
+    ok = ok and bar_dims(context(1).table, 4) != clean
     print(f"   [n=1 through 6: {t1:.2f}s, n=2 through 3: {t2:.2f}s]")
     _report(11, "bar-complex oracle agrees; perturbation detected", ok)
 

@@ -134,6 +134,18 @@ def test_maxdeg_below_the_product_window_is_a_usage_error(capsys):
     assert "--maxdeg" in capsys.readouterr().err
 
 
+def test_compute_certificate_below_the_product_window_raises(monkeypatch):
+    # refused before any stage runs, instead of dying in the product stages
+    import preproj_hh.cli as cli
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "build_algebra", no_stage)
+    with pytest.raises(ValueError, match="maxdeg"):
+        compute_certificate(2, 3, 12, with_oracle=False)
+
+
 def test_malformed_jobs_environment_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("PREPROJ_HH_JOBS", "x")
     assert main(["dims", "--n", "1"]) == 2
@@ -193,8 +205,9 @@ def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     # At n=7 the exactness ranks are derived from one-sided exactness and
     # the dimensions, and must serialize as the flattened ranks did; n=6 over
     # Q guards a generic-regime span audit in characteristic 0.  Twisted lift
-    # steps negate coefficients (`_signed_twist`, with the sign `_twist_sign`
-    # reads off), and -1 is 2 over F3 and 4 over F5: the n=7 points guard it.
+    # steps and the window's d4..d13 negate coefficients in the field
+    # (`tau_twist`, with the sign `_twist_sign` reads off for a lift), and -1
+    # is 2 over F3 and 4 over F5: the n=7 points guard it.
     # n=10, 12 and 14 pin bodies at scale, from their own file
     key = f"n{n}_char{char}_oracle{int(oracle)}"
     with open(SCALE_DIGESTS if n > 7 else DIGESTS) as fh:

@@ -379,7 +379,7 @@ def _brute_force(cx):
         for _, c, x, y in terms:
             if (hit := t.mono_mul(x, y)) is not None:
                 acc[hit[1]] = acc.get(hit[1], 0) + c * hit[0]
-        aug = aug and not any(acc.values())
+        aug = aug and not any(t.field(v) != 0 for v in acc.values())
     minimal = not any(t.basis[x].degree == 0 and t.basis[y].degree == 0
                       for m in range(1, w.depth + 1)
                       for terms in w.diffs[m].values for _, _, x, y in terms)
@@ -414,6 +414,22 @@ def test_period_reuse_matches_the_brute_force_reference(n, char):
     assert hh_dims(cx, cx.maxdeg - 1) == hh
     assert homology_dims(cx, cx.maxdeg - 1) == homology
     assert certify_exact(cx.window).serialize() == exactness
+
+
+@pytest.mark.parametrize("char", [3, 5])
+def test_brute_force_reference_reduces_the_augmentation_into_the_field(char):
+    # a normalized d1 holds p-1 where the built one holds -1, so its u o d1
+    # sums are p as plain numbers and 0 only in the field
+    from preproj_hh.resolution import build_resolution, certify_exact
+    ctx = context(2, char)
+    w = build_resolution(ctx.table, ctx.form, 13)
+    w.diffs[1] = w.diffs[1].normalized()
+    cx = CochainComplex(ctx.table, ctx.form, 13, w)
+    diffs, hh, homology, exactness = _brute_force(cx)
+    assert cx.diffs == diffs
+    assert hh_dims(cx, cx.maxdeg - 1) == hh
+    assert homology_dims(cx, cx.maxdeg - 1) == homology
+    assert certify_exact(w).serialize() == exactness
 
 
 def _count_period_work(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from preproj_hh.cli import main
 from preproj_hh.cochain import hh_dims
 from preproj_hh.exactla import FieldSpec, _reduce, sparse_rank
-from preproj_hh.oracle import (_SCREEN_PRIME, BarComplex, BudgetExceededError, bar_dims,
-                               compare)
-from conftest import context
+from preproj_hh.oracle import (_SCREEN_PRIME, BarComplex, BudgetExceededError, _dims,
+                               bar_dims, bar_rows, compare)
+from conftest import context, perturb_d2
 
 
 def _reference_bar_dims(t, upto, field):
@@ -122,8 +122,8 @@ def screen_blind_d2(monkeypatch):
     """
     real = BarComplex.differential_rows
 
-    def shifted(self, k, perturb=False):
-        rows = real(self, k, perturb)
+    def shifted(self, k):
+        rows = real(self, k)
         for i, row in enumerate(rows):
             if k == 2 and i == 0:
                 key = next(iter(row))
@@ -137,7 +137,7 @@ def test_rational_pass_sees_what_the_screen_cannot(monkeypatch):
     # the rational ranks are computed on their own, not copied from the screen
     ctx = context(2)
     screen_blind_d2(monkeypatch)
-    assert bar_dims(ctx.table, 3, field=FieldSpec(_SCREEN_PRIME)) == [4, 2, 2, 2]
+    assert _dims(bar_rows(ctx.table, 3), FieldSpec(_SCREEN_PRIME)) == [4, 2, 2, 2]
     assert bar_dims(ctx.table, 3) == [4, 2, 1, 1]
     rep = compare(ctx.table, hh_dims(ctx.cx, 3), 3)
     assert not rep.ok
@@ -160,20 +160,22 @@ def test_screen_blind_failure_fails_the_certificate(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("n,char,upto", [(1, 0, 4), (2, 3, 3)])
-def test_negative_control_perturbation_detected(n, char, upto):
+def test_negative_control_perturbation_detected(n, char, upto, monkeypatch):
     t = context(n, char).table
     clean = bar_dims(t, upto)
-    perturbed = bar_dims(t, upto, perturb_degree=2)
+    perturb_d2(monkeypatch)
+    perturbed = bar_dims(t, upto)
     assert perturbed != clean
     diff = [i for i, (a, b) in enumerate(zip(clean, perturbed)) if a != b]
     assert diff and min(diff) in (2, 3)
 
 
-def test_perturbation_lands_on_a_relative_cochain():
+def test_perturbation_lands_on_a_relative_cochain(monkeypatch):
     bc = BarComplex(context(2, 3).table)
     basis = set(bc.cochains(3))
-    row = next(bc.differential_rows(2, perturb=True))
     clean = next(bc.differential_rows(2))
+    perturb_d2(monkeypatch)
+    row = next(bc.differential_rows(2))
     assert row != clean and set(row) <= basis
 
 

@@ -275,7 +275,7 @@ def test_capped_audit_matches_the_generator_major_audit(n, char, monkeypatch):
         true_keep(engine, degree, kept, vectors)
 
     monkeypatch.setattr(P, "_keep_independent", recording_keep)
-    audit = P._span_audit(spec, engine, _Evaluator(engine, spec), 12)
+    audit = P._span_audit(spec, engine, _Evaluator(engine, spec))
     ref_audit, ref_kept = _generator_major_span_audit(spec, engine)
     assert audit == ref_audit
     assert sorted(kept_by_degree) == sorted(ref_kept)
@@ -292,7 +292,7 @@ def test_audit_stops_evaluating_at_full_rank():
     spec = theorem_spec(7, FieldSpec(3))
     engine = context(7, 3).engine
     before = engine.products
-    audit = _span_audit(spec, engine, _Evaluator(engine, spec), 12)
+    audit = _span_audit(spec, engine, _Evaluator(engine, spec))
     assert all(got == want for got, want in audit.values())
     assert engine.products - before == 174
     before = engine.products

@@ -578,13 +578,15 @@ def test_lift_steps_solved_per_certificate(n, char, solved, monkeypatch):
 
 
 def _reference_twist_sign(later, earlier):
-    """Brute force: build eps tau(earlier), normalized, for both signs."""
-    from preproj_hh.resolution import BimoduleMap, tau_twist
+    """Brute force: build eps tau(earlier), normalized, for both signs, by
+    multiplying each coefficient by eps (-1)^deg y itself."""
+    from preproj_hh.resolution import BimoduleMap
+    basis = earlier.table.basis
     for eps in (1, -1):
-        twisted = tau_twist(earlier)
         signed = BimoduleMap(earlier.table, earlier.source, earlier.target,
-                             [[(k, eps * c, x, y) for k, c, x, y in terms]
-                              for terms in twisted.values]).normalized()
+                             [[(k, eps * (-1) ** basis[y].degree * c, x, y)
+                               for k, c, x, y in terms]
+                              for terms in earlier.values]).normalized()
         if later.values == signed.values:
             return eps
     return None
@@ -595,15 +597,15 @@ def test_twist_sign_matches_both_full_twists(n, char):
     # _twist_sign against both normalized twists, on every map of every
     # generator's lift and on variants: each sign, one coefficient negated,
     # one term dropped, one summand dropped
-    from preproj_hh.resolution import BimoduleMap
-    from preproj_hh.yoneda import _signed_twist, _twist_sign
+    from preproj_hh.resolution import BimoduleMap, tau_twist
+    from preproj_hh.yoneda import _twist_sign
     ctx = context(n, char)
     t, F = ctx.table, ctx.field
     eng = YonedaEngine(ctx.cx)
     seen = {None: 0, 1: 0, -1: 0}
     for _, _, _, seg in _lift_generators(eng):
         for f in seg.maps:
-            variants = [f, _signed_twist(f, 1), _signed_twist(f, -1)]
+            variants = [f, tau_twist(f, 1), tau_twist(f, -1)]
             for base in variants[1:]:
                 for ks, terms in enumerate(base.values):
                     for i, (k, c, x, y) in enumerate(terms[:2]):
@@ -621,7 +623,7 @@ def test_twist_sign_matches_both_full_twists(n, char):
                 assert _twist_sign(later, f) == want
                 seen[want] += 1
                 if want is not None:
-                    assert _signed_twist(f, want).values == later.values
+                    assert tau_twist(f, want).values == later.values
     assert all(seen.values())
 
 
