@@ -12,6 +12,12 @@ characteristic 0, first over a screening prime and then over the rationals
 (the rational ranks are the ones reported), both on the same rows, which
 the elimination leaves as they were.
 
+Each cochain is keyed by one int: code(x_1, ..., x_k, w) is the base-D
+number with digits x_1, ..., x_k, w, D = dim L, and the rows are built by
+integer arithmetic on those codes.  Within one degree the coding is
+injective and keeps the order of the tuples, so every rank and fill is that
+of tuple keys (see the note at `BarComplex.differential_rows`).
+
 The budget counts the coordinates of the bar complex relative to K,
 (dim - 1)^k * dim in degree k, which bounds the relative C^k from above.
 """
@@ -70,64 +76,97 @@ class BarComplex:
             v: [m.mid for m in ms if m.degree] for v, ms in t.ending_at.items()}
         self.starting_at: Dict[int, List[int]] = {
             v: [m.mid for m in ms if m.degree] for v, ms in t.starting_at.items()}
-        # factorizations: m -> [((x, y), c)] with x * y = c * m, x, y radical
-        self.pair_hits: Dict[int, List[Tuple[Tuple[int, int], int]]] = {
+        # factorizations: m -> [(x * D + y, c)] with x * y = c * m, x, y
+        # radical, the pair (x, y) coded as two base-D digits
+        self.pair_hits: Dict[int, List[Tuple[int, int]]] = {
             m.mid: [] for m in self.radical}
         for x in self.radical:
+            row = t.product[x.mid]
             for y in self.starting_at.get(x.target, ()):
-                hit = t.mono_mul(x.mid, y)
+                hit = row.get(y)
                 if hit is not None:
-                    self.pair_hits[hit[1]].append(((x.mid, y), hit[0]))
+                    self.pair_hits[hit[1]].append((x.mid * t.dim + y, hit[0]))
 
-    def chains(self, k: int) -> Iterator[Tuple[int, ...]]:
-        """Composable k-chains of radical monomials, k >= 1."""
-        basis = self.table.basis
-        if k == 1:
-            for m in self.radical:
-                yield (m.mid,)
-            return
-        for T in self.chains(k - 1):
-            for x in self.starting_at.get(basis[T[-1]].target, ()):
-                yield T + (x,)
-
-    def cochains(self, k: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        """The basis (T, w) of C^k."""
+    def chains(self, k: int) -> Iterator[Tuple[int, int, int]]:
+        """(code, source, target) of each composable k-chain of radical
+        monomials, in increasing code order; for k = 0, the empty chain (code
+        0) at each vertex."""
         t = self.table
         if k == 0:
             for v in t.quiver.vertices:
-                for w in t.by_ends[(v, v)]:
-                    yield (), w.mid
+                yield 0, v, v
             return
-        for T in self.chains(k):
-            ends = (t.basis[T[0]].source, t.basis[T[-1]].target)
-            for w in t.by_ends[ends]:
-                yield T, w.mid
+        D, basis = t.dim, t.basis
+        for code, source, target in self.chains(k - 1):
+            for x in self.starting_at.get(target, ()):
+                yield code * D + x, source, basis[x].target
+
+    def cochains(self, k: int) -> Iterator[int]:
+        """The codes of the basis cochains (T, w) of C^k, in increasing order."""
+        t = self.table
+        for code, source, target in self.chains(k):
+            head = code * t.dim
+            for w in t.by_ends[(source, target)]:
+                yield head + w.mid
 
     def differential_rows(self, k: int):
         """Image rows of the degree-k differential, one per C^k basis cochain.
 
-        Keys of the row dicts are C^(k+1) basis cochains.
+        Keys of the row dicts are the codes of C^(k+1) basis cochains.
+
+        Soundness of the int keys.  Every code of C^j has j+1 base-D digits,
+        each a monomial id below D, so within one degree the coding is
+        injective and integer order is the lexicographic order of the tuples
+        (x_1, ..., x_j, w), which is the order of the keys ((x_1..x_j), w).
+        A row therefore merges the same terms as under tuple keys, and
+        `_reduce`, which reads its keys only through equality and `min`,
+        meets the same pivots in the same order with the same fill: every
+        rank, and so every dimension the oracle reports, is unchanged.  The
+        key of each term is that tuple's code, by digit arithmetic: b
+        prepended to (x_1..x_k) at weight D^(k+1), x_i replaced by its
+        factors x, y, and b appended before the new value.
         """
         t = self.table
-        basis = t.basis
+        D = t.dim
+        product = t.product
+        top = D ** (k + 1)
         sign_last = (-1) ** (k + 1)
-        for T, w in self.cochains(k):
-            row: dict = {}
-            for b in self.ending_at.get(basis[w].source, ()):
-                hit = t.mono_mul(b, w)
-                if hit is not None:
-                    key = ((b,) + T, hit[1])
-                    row[key] = row.get(key, 0) + hit[0]
-            for i in range(1, k + 1):
-                for (x, y), c in self.pair_hits[T[i - 1]]:
-                    key = (T[: i - 1] + (x, y) + T[i:], w)
-                    row[key] = row.get(key, 0) + (-1) ** i * c
-            for b in self.starting_at.get(basis[w].target, ()):
-                hit = t.mono_mul(w, b)
-                if hit is not None:
-                    key = (T + (b,), hit[1])
-                    row[key] = row.get(key, 0) + sign_last * hit[0]
-            yield {kk: v for kk, v in row.items() if v != 0}
+        # the outer faces of each value w, as offsets from the code of the
+        # chain: b * w prepended, w * b appended
+        left, right = {}, {}
+        for m in t.basis:
+            w = m.mid
+            left[w] = [(b * top + hit[1], hit[0])
+                       for b in self.ending_at.get(m.source, ())
+                       if (hit := product[b].get(w)) is not None]
+            right[w] = [(b * D + hit[1], sign_last * hit[0])
+                        for b in self.starting_at.get(m.target, ())
+                        if (hit := product[w].get(b)) is not None]
+        # x_i is the digit of weight D^(k+1-i) in a code of C^k
+        inner = [(D ** (k + 1 - i), (-1) ** i) for i in range(1, k + 1)]
+        for code, source, target in self.chains(k):
+            chain, up = code * D, code * D * D
+            # the inner faces x_i -> (x, y), as codes with the value digit 0
+            faces = []
+            for low, sign in inner:
+                head, tail = divmod(chain, low)
+                head, x = divmod(head, D)
+                head *= D * D
+                faces += [((head + xy) * low + tail, sign * c)
+                          for xy, c in self.pair_hits[x]]
+            for m in t.by_ends[(source, target)]:
+                w = m.mid
+                row: dict = {}
+                for off, c in left[w]:
+                    key = chain + off
+                    row[key] = row.get(key, 0) + c
+                for off, c in faces:
+                    key = off + w
+                    row[key] = row.get(key, 0) + c
+                for off, c in right[w]:
+                    key = up + off
+                    row[key] = row.get(key, 0) + c
+                yield {kk: v for kk, v in row.items() if v != 0}
 
 
 def bar_rows(t: AlgebraTable, upto: int, budget: int = 10000) -> List[List[dict]]:

@@ -446,6 +446,8 @@ def test_run_exit_code_is_zero_exactly_when_every_body_passes(tmp_path, monkeypa
         (1, 3): True, (2, 3): False, (3, 3): True}
     failed = bodies[2, 3]["verdicts"]
     assert [v for v, ok in failed.items() if not ok] == ["cartan_det"]
+    assert bodies[2, 3]["witnesses"] == {"cartan_det": ["det = 5, expected 2^n = 4"]}
+    assert "witnesses" not in bodies[1, 3] and "witnesses" not in bodies[3, 3]
     assert rc == 1
 
 
@@ -555,3 +557,70 @@ def test_an_asymmetric_gram_entry_fails_dualizable_with_its_witness(tmp_path, mo
     assert dual["symmetry_condition"] is False
     assert dual["arrow_condition"] and dual["double_dual_condition"]
     assert dual["witnesses"] == [f"({b},{c}) asymmetric"]
+
+
+def test_a_socle_product_outside_the_coboundaries_fails_zmodule_with_its_witness(
+        tmp_path, monkeypatch):
+    # inside zmodule_checks, x1 times the first canonical cocycle of degree 2
+    # at n=2 over F3 is left as that cocycle, a nonzero class, in degrees 2
+    # and 8 (the degree of the next period, which reads the same vectors):
+    # only zmodule and pass flip, run exits 1, and the body has one failure
+    # line per degree, each with its own label
+    import preproj_hh.cli as cli
+    from preproj_hh.algebra import socle_basis
+    from preproj_hh.cochain import CochainComplex, canonical_cocycles
+    true_scale = CochainComplex.scale_vector
+    true_checks = cli.zmodule_checks
+
+    def kept_class(cx, degree, z, vec):
+        if (degree in (2, 8) and z == socle_basis(cx.table)[0]
+                and vec is canonical_cocycles(cx, degree).vectors[0]):
+            return list(vec)
+        return true_scale(cx, degree, z, vec)
+
+    def checks_keeping_a_class(cx):
+        with monkeypatch.context() as patch:
+            patch.setattr(CochainComplex, "scale_vector", kept_class)
+            return true_checks(cx)
+
+    monkeypatch.setattr(cli, "zmodule_checks", checks_keeping_a_class)
+    rc = main(["run", "--n", "2", "--char", "3", "--no-oracle", "--jobs", "1",
+               "--out", str(tmp_path)])
+    body = json.loads((tmp_path / "cert_n2_char3.json").read_text())["body"]
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["zmodule"]
+    assert (body["pass"], rc) == (False, 1)
+    zmod = body["zmodule"]
+    assert (zmod["socle_kills"], zmod["ok"]) == (False, False)
+    assert zmod["x0_kills_2_3"] and zmod["x0_power_survives"]
+    assert zmod["failures"] == ["x1*z1 not a coboundary in degree 2",
+                                "x1*z1*h not a coboundary in degree 8"]
+    assert "witnesses" not in body
+
+
+def test_a_wrong_cohomology_dimension_fails_dimensions_with_its_witness(
+        tmp_path, monkeypatch):
+    # dim HH^4 one too large at n=2 over F3: dimensions flips, and so does
+    # homology_duality, which compares HH_* with the same list; pass flips,
+    # run exits 1, and the body's witnesses name the degree
+    import preproj_hh.cli as cli
+    true_hh = cli.hh_dims
+
+    def shifted(cx, upto):
+        hh = true_hh(cx, upto)
+        return hh[:4] + [hh[4] + 1] + hh[5:]
+
+    def run(out):
+        rc = main(["run", "--n", "2", "--char", "3", "--no-oracle", "--jobs", "1",
+                   "--out", str(out)])
+        return json.loads((out / "cert_n2_char3.json").read_text())["body"], rc
+
+    body, rc = run(tmp_path / "good")
+    assert (body["verdicts"]["dimensions"], body["pass"], rc) == (True, True, 0)
+    assert "witnesses" not in body
+    monkeypatch.setattr(cli, "hh_dims", shifted)
+    body, rc = run(tmp_path / "bad")
+    assert [v for v, ok in body["verdicts"].items() if not ok] == [
+        "dimensions", "homology_duality"]
+    assert (body["pass"], rc) == (False, 1)
+    assert body["dimensions"]["HH_cohomology"][4] == 3
+    assert body["witnesses"] == {"dimensions": ["HH^4 = 3, expected 2"]}

@@ -241,6 +241,29 @@ def test_zmodule_checks(n, char):
     assert rep.ok, rep.failures
 
 
+def test_zmodule_checks_multiply_once_per_period(monkeypatch):
+    # degrees 7..12 share the canonical vectors and the class solver of
+    # degree j-6, so only degrees 1..6 multiply; a degree whose vectors are
+    # equal copies, not the shared list, is checked on its own
+    ctx = context(2, 3)
+    cx = build_complex(ctx.table, ctx.form, 13, ctx.window)
+    seen = []
+    real = CochainComplex.scale_vector
+
+    def counted(self, degree, z, vec):
+        seen.append(degree)
+        return real(self, degree, z, vec)
+
+    monkeypatch.setattr(CochainComplex, "scale_vector", counted)
+    assert zmodule_checks(cx).ok
+    assert set(seen) == set(range(1, 7))
+    seen.clear()
+    base = canonical_cocycles(cx, 9)
+    cx._canonical_cache[9] = replace(base, vectors=[list(v) for v in base.vectors])
+    assert zmodule_checks(cx).ok
+    assert set(seen) == set(range(1, 7)) | {9}
+
+
 def _reference_commutator_quotient_dim(t):
     """Brute force: a row m1 m2 - m2 m1 for every pair with m1 ending where m2 starts."""
     rows = []

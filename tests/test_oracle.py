@@ -7,7 +7,7 @@ from preproj_hh.cli import main
 from preproj_hh.cochain import hh_dims
 from preproj_hh.exactla import FieldSpec, _reduce, sparse_rank
 from preproj_hh.oracle import (_SCREEN_PRIME, BarComplex, BudgetExceededError, _dims,
-                               bar_dims, bar_rows, compare)
+                               bar_dims, bar_rows, budget_upto, compare)
 from conftest import context, perturb_d2
 
 
@@ -203,3 +203,95 @@ def test_bar_elimination_keeps_its_fill_low(char):
     pivots, _ = _reduce(rows, FieldSpec(char))
     assert len(pivots) == 322
     assert sum(len(row) for _, row, _, _ in pivots.values()) <= 4000
+
+
+def _reference_cochains(t, k):
+    """The basis of C^k as tuple keys (T, w), T the chain (x_1, ..., x_k)."""
+    if k == 0:
+        for v in t.quiver.vertices:
+            for w in t.by_ends[(v, v)]:
+                yield (), w.mid
+        return
+    chains = [(m.mid,) for m in t.basis if m.degree]
+    for _ in range(k - 1):
+        chains = [T + (m.mid,) for T in chains for m in t.starting_at[t.basis[T[-1]].target]
+                  if m.degree]
+    for T in chains:
+        for w in t.by_ends[(t.basis[T[0]].source, t.basis[T[-1]].target)]:
+            yield T, w.mid
+
+
+def _reference_rows(t, k):
+    """The degree-k bar differential keyed by tuples, one row per cochain."""
+    radical = [m.mid for m in t.basis if m.degree]
+    pair_hits = {m: [] for m in radical}
+    for x in radical:
+        for y in radical:
+            hit = t.mono_mul(x, y)
+            if hit is not None:
+                pair_hits[hit[1]].append(((x, y), hit[0]))
+    for T, w in _reference_cochains(t, k):
+        row = {}
+        for b in radical:
+            hit = t.mono_mul(b, w)
+            if hit is not None:
+                key = ((b,) + T, hit[1])
+                row[key] = row.get(key, 0) + hit[0]
+        for i in range(1, k + 1):
+            for (x, y), c in pair_hits[T[i - 1]]:
+                key = (T[: i - 1] + (x, y) + T[i:], w)
+                row[key] = row.get(key, 0) + (-1) ** i * c
+        for b in radical:
+            hit = t.mono_mul(w, b)
+            if hit is not None:
+                key = (T + (b,), hit[1])
+                row[key] = row.get(key, 0) + (-1) ** (k + 1) * hit[0]
+        yield {kk: v for kk, v in row.items() if v != 0}
+
+
+def _decode(code, k, D):
+    """The tuple key (T, w) of a code of C^k: its k+1 base-D digits."""
+    digits = []
+    for _ in range(k + 1):
+        code, digit = divmod(code, D)
+        digits.append(digit)
+    assert code == 0
+    digits.reverse()
+    return tuple(digits[:-1]), digits[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int_coded_rows_decode_to_the_tuple_keyed_rows(n):
+    # at every degree the budget admits: the cochains come in the reference
+    # order and decode to its keys, each row decodes term for term (in the
+    # same order) to the reference row, and integer order is tuple order
+    t = context(n, 3).table
+    bc = BarComplex(t)
+    D = t.dim
+    for k in range(budget_upto(t, 12, 10000) + 1):
+        codes = list(bc.cochains(k))
+        assert [_decode(c, k, D) for c in codes] == list(_reference_cochains(t, k))
+        assert codes == sorted(codes)
+        rows = list(bc.differential_rows(k))
+        decoded = [[(_decode(c, k + 1, D), v) for c, v in row.items()] for row in rows]
+        assert decoded == [list(row.items()) for row in _reference_rows(t, k)]
+        keys = {c for row in rows for c in row}
+        assert [_decode(c, k + 1, D) for c in sorted(keys)] == sorted(
+            _decode(c, k + 1, D) for c in keys)
+
+
+@pytest.mark.parametrize("char,nnz", [(3, 3366), (0, 3416)])
+def test_int_keys_keep_the_pivots_of_tuple_keys(char, nnz):
+    # the n=2 degree-3 differential meets the same pivots with the same fill
+    # under either key
+    t = context(2, char).table
+    for rows in (list(BarComplex(t).differential_rows(3)), list(_reference_rows(t, 3))):
+        pivots, _ = _reduce(rows, FieldSpec(char))
+        assert len(pivots) == 322
+        assert sum(len(row) for _, row, _, _ in pivots.values()) == nnz
+
+
+def test_bar_rows_are_keyed_by_ints():
+    for n, upto in ((1, 6), (2, 3), (3, 1)):
+        rows = bar_rows(context(n, 3).table, upto)
+        assert all(type(key) is int for degree in rows for row in degree for key in row)
