@@ -168,6 +168,7 @@ class AlgebraTable:
                        for i in self.quiver.vertices]
         self.top_degree = 2 * n - 1
         self._center = None
+        self._x0_powers = None
 
     # -- element helpers ----------------------------------------------------
 
@@ -409,7 +410,11 @@ def elem_scale(t: AlgebraTable, c, x: dict) -> dict:
 
 
 def multiply(t: AlgebraTable, x: dict, y: dict) -> dict:
-    """Exact product in the algebra, bilinear extension of the product table."""
+    """Exact product in the algebra, bilinear extension of the product table.
+
+    Each coefficient is summed as plain numbers and coerced into the field
+    once; the ones that cancel are dropped.
+    """
     F = t.field
     out: dict = {}
     for m1, c1 in x.items():
@@ -419,33 +424,36 @@ def multiply(t: AlgebraTable, x: dict, y: dict) -> dict:
             if hit is None:
                 continue
             c, m3 = hit
-            val = F.add(out.get(m3, F.zero), F.mul(F.mul(c1, c2), F(c)))
-            if val == 0:
-                out.pop(m3, None)
-            else:
-                out[m3] = val
-    return out
+            out[m3] = out.get(m3, 0) + c1 * c2 * c
+    return {m: fv for m, v in out.items() if (fv := F(v)) != 0}
 
 
 def elem_eq(x: dict, y: dict) -> bool:
     return {k: v for k, v in x.items() if v != 0} == {k: v for k, v in y.items() if v != 0}
 
 
+def x0_powers(t: AlgebraTable) -> List[dict]:
+    """[1, x0, x0^2, .., x0^n] for the degree-2 central generator
+    x0 = sum_i (-1)^i a_i ab_i, built once per table by repeated
+    multiplication; x0^n is 0.  Shared: read them, never change them."""
+    if t._x0_powers is None:
+        x0: dict = {}
+        for i in range(1, t.n):
+            a = t.arrow_ids[2 * i - 1]
+            ab = t.arrow_ids[2 * i]
+            term = multiply(t, t.monomial_element(a), t.monomial_element(ab))
+            x0 = elem_add(t, x0, elem_scale(t, (-1) ** i, term))
+        powers = [t.unit(), x0]
+        for _ in range(t.n - 1):
+            powers.append(multiply(t, powers[-1], x0))
+        t._x0_powers = powers
+    return t._x0_powers
+
+
 def x0_element(t: AlgebraTable, power: int = 1) -> dict:
-    """The degree-2 central generator sum_i (-1)^i a_i ab_i, raised to `power`."""
-    if power == 0:
-        return t.unit()
-    F = t.field
-    x0: dict = {}
-    for i in range(1, t.n):
-        a = t.arrow_ids[2 * i - 1]
-        ab = t.arrow_ids[2 * i]
-        term = multiply(t, t.monomial_element(a), t.monomial_element(ab))
-        x0 = elem_add(t, x0, elem_scale(t, (-1) ** i, term))
-    out = x0
-    for _ in range(power - 1):
-        out = multiply(t, out, x0)
-    return out
+    """x0 raised to `power`, a fresh dict."""
+    powers = x0_powers(t)
+    return dict(powers[power]) if power < len(powers) else {}
 
 
 def socle_basis(t: AlgebraTable) -> List[dict]:
@@ -480,10 +488,7 @@ def center_basis(t: AlgebraTable) -> List[dict]:
         ((key_pos[k], j, c) for k, j, c in entries)).kernel_basis()
     if len(kernel) != 2 * t.n:
         raise CenterMismatchError(f"center dimension {len(kernel)}, expected {2 * t.n}")
-    listed = [t.unit()]
-    for k in range(1, t.n):
-        listed.append(x0_element(t, k))
-    listed.extend(socle_basis(t))
+    listed = x0_powers(t)[:t.n] + socle_basis(t)
     span = ExactMatrix.from_columns(
         F, [[z.get(mid, F.zero) for mid in diag] for z in listed])
     if span.rank() != 2 * t.n:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraTable, multiply, socle_basis, x0_element
+from .algebra import AlgebraTable, multiply, socle_basis, x0_powers
 from .exactla import (ExactMatrix, PreparedSolver, UnsupportedCharacteristicError,
                       sparse_rank)
 from .nakayama import NakayamaForm
@@ -451,7 +451,6 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
     if degree in c._canonical_cache:
         return c._canonical_cache[degree]
 
-    powers = [x0_element(t, k) for k in range(n)]
     base = None
     if degree > 6:
         m = (degree - 1) // 6
@@ -461,7 +460,7 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
     elif degree == 0:
         labels = ["1"] + [f"x0^{k}" if k > 1 else "x0" for k in range(1, n)] + \
                  [f"x{i}" for i in range(1, n + 1)]
-        elems = [t.unit()] + powers[1:] + socle_basis(t)
+        elems = x0_powers(t)[:n] + socle_basis(t)
         vectors = [c.diagonal_vector(0, z) for z in elems]
     elif degree == 2:
         labels = [f"z{k}" for k in range(1, n + 1)]
@@ -482,6 +481,7 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
             6: ("h", {v: mono(t.e_ids[v]) for v in range(1, n + 1)}),
         }[degree]
         labels = [_x0_label(k, gen) for k in range(n)]
+        powers = x0_powers(t)
         vectors = [c.vector_from_components(
             degree, {comp: multiply(t, powers[k], val) for comp, val in comps.items()})
             for k in range(n)]
@@ -542,8 +542,8 @@ def zmodule_checks(c: CochainComplex) -> ZModuleReport:
     t = c.table
     n = t.n
     socle = socle_basis(t)
-    x0 = x0_element(t, 1)
-    top = x0_element(t, n - 1)
+    powers = x0_powers(t)
+    x0, top = powers[1], powers[n - 1]
     degrees = range(1, min(c.maxdeg - 1, 12) + 1)
 
     # Soundness of checking once per period.  The checks of degree j read

@@ -65,6 +65,14 @@ class FieldSpec:
     solve and comparison is what all-Fraction arithmetic gives.  Only the
     serialized form tells the two apart, so certificates write scalars
     through `export`.
+
+    Soundness of coercing once.  The exact kernels sum plain ints and
+    Fractions and coerce each sum once.  Over F_p that equals adding the
+    coerced terms in the field, since reduction mod p is a ring map on the
+    rationals with denominators prime to p, the only ones that arise.  Over
+    Q the values are equal too; an integral sum comes back an int where
+    field addition could leave an integral Fraction, which compares and
+    hashes equal, and `export` writes both alike.
     """
 
     characteristic: int = 0
@@ -336,15 +344,17 @@ class ExactMatrix:
                      entries: Iterable[tuple]) -> "ExactMatrix":
         """Assemble from (row, column, value) triples, summed in the field.
 
+        Each cell is summed as plain numbers and coerced into the field once.
         Entries that cancel are dropped, so two assemblies of one matrix
         compare equal however their terms were split.
         """
         rows: list = [{} for _ in range(nrows)]
         for i, j, x in entries:
             row = rows[i]
-            row[j] = field.add(row.get(j, field.zero), field(x))
+            row[j] = row.get(j, 0) + x
         return cls._wrap(field, nrows, ncols,
-                         [{j: x for j, x in row.items() if x != 0} for row in rows])
+                         [{j: fx for j, x in row.items() if (fx := field(x)) != 0}
+                          for row in rows])
 
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":

@@ -219,11 +219,16 @@ def verify(spec: PresentationSpec, engine: YonedaEngine) -> VerificationReport:
                 results.append(RelationResult(r.label, False, "inhomogeneous"))
                 continue
             deg = degs.pop()
-            # summed as plain numbers, coerced once per entry
-            total = [0] * engine.cx.spaces[deg].dim
+            # summed as plain numbers over the nonzeros only, coerced once each
+            acc: dict = {}
             for coeff, v in vecs:
-                total = [a + coeff * b for a, b in zip(total, v)]
-            cls = engine.identify([F(a) for a in total], deg)
+                for i, b in enumerate(v):
+                    if b:
+                        acc[i] = acc.get(i, 0) + coeff * b
+            total = [F.zero] * engine.cx.spaces[deg].dim
+            for i, a in acc.items():
+                total[i] = F(a)
+            cls = engine.identify(total, deg)
             results.append(RelationResult(r.label, cls.is_zero(), str(cls)))
         return results
 

@@ -3,15 +3,19 @@
 Terms are direct sums of elementary bimodules L e_s (x) e_t L;  a map
 between such sums is stored by its values on the generators e_s (x) e_t,
 each value a list of (target summand, coefficient, left monomial, right
-monomial) terms.  The initial differentials delta, R, k are the explicit
-ones; everything deeper is produced by the tau-twist, which multiplies the
-right tensor factor of every value term by (-1)^deg since tau negates
-arrows.  The window is certified by composing maps symbolically (d.d = 0,
-periodicity) and by exact rank bookkeeping on the one-sided complexes
-X (x)_L S_v, X the augmented window and S_v the simple left modules: they
-are exact wherever X is, and at n=7 have 280 to 546 columns where the
-flattened terms have 12,656 to 24,752.  The flattened ranks the
-report carries then follow from the dimensions; the flattened maps are
+monomial) terms.  One kernel, `expand`, evaluates a map on an element
+x (x) y, adding scale times its value into a dict of plain sums that the
+caller passes; `compose`, `flatten_map` and the lifting systems of the
+product engine read it, and each coerces a sum into the field once, as
+`BimoduleMap.normalized` does.  The initial differentials delta, R, k are
+the explicit ones; everything deeper is produced by the tau-twist, which
+multiplies the right tensor factor of every value term by (-1)^deg since
+tau negates arrows.  The window is certified by composing maps
+symbolically (d.d = 0, periodicity) and by exact rank bookkeeping on the
+one-sided complexes X (x)_L S_v, X the augmented window and S_v the simple
+left modules: they are exact wherever X is, and at n=7 have 280 to 546
+columns where the flattened terms have 12,656 to 24,752.  The flattened
+ranks the report carries then follow from the dimensions; the flattened maps are
 ranked only as the witness of a window that fails.  The window repeats
 with period 6: `repeats_period` checks d_m = d_(m-6) between equal terms,
 map by map, and wherever it holds the certification (and the cochain and
@@ -50,10 +54,12 @@ class BimoduleMap:
         F = self.table.field
         out = []
         for terms in self.values:
+            # summed as plain numbers, coerced into the field once per key
             acc: dict = {}
             for k, c, x, y in terms:
-                acc[(k, x, y)] = F.add(acc.get((k, x, y), F.zero), F(c))
-            out.append([(k, c, x, y) for (k, x, y), c in sorted(acc.items()) if c != 0])
+                acc[(k, x, y)] = acc.get((k, x, y), 0) + c
+            out.append([(k, fc, x, y) for (k, x, y), c in sorted(acc.items())
+                        if (fc := F(c)) != 0])
         return BimoduleMap(self.table, self.source, self.target, out)
 
     def is_zero(self) -> bool:
@@ -78,16 +84,15 @@ def projective_q(t: AlgebraTable) -> ProjectiveBimodule:
     return ProjectiveBimodule("Q", tuple((a.source, a.target) for a in t.quiver.arrows))
 
 
-def expand(f: BimoduleMap, k: int, x: int, y: int) -> dict:
-    """f on the element x (x) y of source summand k.
+def expand(f: BimoduleMap, k: int, x: int, y: int, scale, out: dict) -> dict:
+    """Adds scale times f on the element x (x) y of source summand k into `out`.
 
-    Returns {(target summand, left monomial, right monomial): coefficient},
-    the coefficients summed as stored in f (not reduced into the field), so
-    some may be zero.
+    `out` is {(target summand, left monomial, right monomial): coefficient},
+    the coefficients summed as plain numbers (not reduced into the field), so
+    some may be zero; it is returned.
     """
     product = f.table.product
     left = product[x]
-    out: dict = {}
     for k2, c, xd, yd in f.values[k]:
         lhs = left.get(xd)
         if lhs is None:
@@ -96,7 +101,7 @@ def expand(f: BimoduleMap, k: int, x: int, y: int) -> dict:
         if rhs is None:
             continue
         key = (k2, lhs[1], rhs[1])
-        out[key] = out.get(key, 0) + c * lhs[0] * rhs[0]
+        out[key] = out.get(key, 0) + scale * c * lhs[0] * rhs[0]
     return out
 
 
@@ -111,8 +116,7 @@ def compose(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
         # summed as plain numbers, coerced into the field once per key
         acc: dict = {}
         for k, c, x, y in terms:
-            for key, v in expand(f, k, x, y).items():
-                acc[key] = acc.get(key, 0) + c * v
+            expand(f, k, x, y, c, acc)
         values.append([(k, fc, x, y) for (k, x, y), c in sorted(acc.items())
                        if (fc := F(c)) != 0])
     return BimoduleMap(t, g.source, f.target, values)
@@ -238,7 +242,7 @@ def _blocked_rank(t: AlgebraTable, f: BimoduleMap, p: int) -> int:
 
 def flatten_map(f: BimoduleMap):
     """Integer column dict per source basis triple, keyed by target triple."""
-    return {(k, x, y): {key: v for key, v in expand(f, k, x, y).items() if v != 0}
+    return {(k, x, y): {key: v for key, v in expand(f, k, x, y, 1, {}).items() if v != 0}
             for (k, x, y) in _term_basis(f.table, f.source)}
 
 

@@ -19,24 +19,29 @@ The lifts repeat with the twisted period of the resolution: where the engine
 checks d_k = tau(d_(k-3)) and d_(degree+k) = tau(d_(degree+k-3)) on the same
 terms, and f_(k-1) = eps tau(f_(k-4)) for eps = +1 or -1, step k is appended
 as eps tau(f_(k-3)) with no composition and no solve; every other step is
-solved.
+solved.  The sign is compared out (`_twist_sign`) once per run of twisted
+steps, after a solved step; each twisted step records its eps, which the
+next step reads.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
-canonical basis of the product degree holds (`CanonicalBasis.coords`);
-both chain-map kernels (`resolution.compose` and the cochain pull-back
-`CochainComplex.pullback` that `cup_vec` reads) sum plain numbers and
-coerce each entry into the field once.
+canonical basis of the product degree holds (`CanonicalBasis.coords`).
+Every exact kernel on the way sums plain numbers and coerces each entry
+into the field once: `resolution.expand` (read by `compose`, the step
+right-hand sides `_step_rhs` and the systems `_assemble`), the cochain
+pull-back `CochainComplex.pullback` that `cup_vec` reads, and the sums of a
+solved step, which are already field-canonical and only sorted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_add
 from .cochain import CochainComplex, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, det
-from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
+from .resolution import BimoduleMap, ResolutionWindow, expand, tau_twist
 
 
 class NotACocycleError(RuntimeError):
@@ -74,6 +79,8 @@ class CohomologyClass:
 class ChainMapSegment:
     base_degree: int
     maps: List[BimoduleMap]   # maps[k]: P^-(base_degree+k) -> P^-k
+    # step k -> eps wherever maps[k] was appended as eps tau(maps[k-3])
+    signs: Dict[int, int] = dc_field(default_factory=dict)
 
 
 class YonedaEngine:
@@ -163,10 +170,11 @@ class YonedaEngine:
             for seg in new.values():
                 if seg.base_degree + k > top:
                     continue
-                f = self._twisted_step(seg, k)
-                if f is None:
+                step = self._twisted_step(seg, k)
+                if step is None:
                     solve.append(seg)
                 else:
+                    seg.signs[k], f = step
                     twisted.append((seg, f))
             solved = self._solve_steps(k, solve) if solve else []
             for seg, f in twisted + list(zip(solve, solved, strict=True)):
@@ -214,12 +222,28 @@ class YonedaEngine:
     # by comparing the value lists of f_(k-1) and `tau_twist(f_(k-4), eps)`
     # for each sign in turn, and the window's d_k = tau(d_(k-3)) are built
     # by the same function.
-    def _twisted_step(self, seg: ChainMapSegment, k: int) -> Optional[BimoduleMap]:
-        """eps tau(f_(k-3)) where the period argument above applies, else None."""
+    #
+    # A recorded eps is the one `_twist_sign` would find.  Where f_(k-1) was
+    # itself appended as a twist, it is `tau_twist(f_(k-4), eps)` for the
+    # eps recorded with it (`ChainMapSegment.signs`), so that eps holds, and
+    # the test is skipped.  Both signs hold only where f_(k-4) = 0; then
+    # `_twist_sign` says 1 where the record may say -1, but there
+    # b_(k-3) = f_(k-4) o d = 0, so f_(k-3), the echelon-canonical solution
+    # of a zero system (or, twisted, equal to it), is 0, and both twists of
+    # it are the same empty map.  `_twist_sign` runs only where f_(k-1) was
+    # solved.
+    def _twisted_step(self, seg: ChainMapSegment,
+                      k: int) -> Optional[Tuple[int, BimoduleMap]]:
+        """(eps, eps tau(f_(k-3))) where the period argument above applies,
+        else None."""
         if not (self._twist[k] and self._twist[seg.base_degree + k]):
             return None
-        eps = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
-        return None if eps is None else tau_twist(seg.maps[k - 3], eps)
+        eps = seg.signs.get(k - 1)
+        if eps is None:
+            eps = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
+            if eps is None:
+                return None
+        return eps, tau_twist(seg.maps[k - 3], eps)
 
     # Soundness of step 0.  u o f_0 = phi splits, like every step, by source
     # summand (s, tt) and value degree: one block per monomial mid of phi, its
@@ -249,9 +273,19 @@ class YonedaEngine:
             values.append(out)
         return BimoduleMap(t, w.terms[degree], w.terms[0], values).normalized()
 
-    def _step_rhs(self, seg: ChainMapSegment, k: int):
-        """Right-hand side f_(k-1) o d_(degree+k) of step k, per source summand."""
-        return compose(seg.maps[k - 1], self.window.diffs[seg.base_degree + k]).values
+    def _step_rhs(self, seg: ChainMapSegment, k: int) -> List[list]:
+        """Right-hand side f_(k-1) o d_(degree+k) of step k, per source summand:
+        terms (target summand, coefficient, x, y), each a plain sum coerced
+        into the field once, zeros dropped, unsorted."""
+        f, F = seg.maps[k - 1], self.table.field
+        rhs = []
+        for terms in self.window.diffs[seg.base_degree + k].values:
+            acc: dict = {}
+            for kd, c, x, y in terms:
+                expand(f, kd, x, y, c, acc)
+            rhs.append([(kn, fc, x, y) for (kn, x, y), c in acc.items()
+                        if (fc := F(c)) != 0])
+        return rhs
 
     def _solve_steps(self, k: int, segs) -> List[BimoduleMap]:
         """Step k >= 1 of each segment in the batch, solved together.
@@ -289,7 +323,13 @@ class YonedaEngine:
                 for j, c in sol.items():
                     kt, x, y = unknowns[j]
                     out.append((kt, c, x, y))
-        return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k], v).normalized()
+        # Sorting equals normalizing.  One block's unknowns are distinct
+        # triples, and blocks of different value degree have disjoint
+        # unknowns, so no key of a summand repeats; every value `_solutions`
+        # returns is field-canonical and nonzero.  So the terms sorted by
+        # (summand, x, y) are the normalized map.
+        return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k],
+                            [sorted(terms, key=itemgetter(0, 2, 3)) for terms in v])
                 for seg, v in zip(segs, values)]
 
     # Soundness of the batch.  The system matrix, its unknowns and its
@@ -313,7 +353,7 @@ class YonedaEngine:
         # terms by key), so every entry is written once, in column order
         rows: list = [{} for _ in eq_keys]
         for col, (kt, x, y) in enumerate(unknowns):
-            for key, c in expand(w.diffs[k], kt, x, y).items():
+            for key, c in expand(w.diffs[k], kt, x, y, 1, {}).items():
                 if (fc := F(c)) != 0:
                     rows[eq_pos[key]][col] = fc
         return ExactMatrix._wrap(F, len(eq_keys), len(unknowns), rows), unknowns, eq_pos
@@ -396,7 +436,7 @@ def _twist_classes(w: ResolutionWindow) -> List[bool]:
 def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms) -> dict:
     """One graded block of step k as a sparse column of its system.
 
-    The terms come from `compose`: one per key, each a nonzero field scalar.
+    The terms come from `_step_rhs`: one per key, each a nonzero field scalar.
     """
     if any((kn, x, y) not in eq_pos for kn, _, x, y in rhs_terms):
         raise LiftFailedError(

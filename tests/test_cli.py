@@ -415,6 +415,14 @@ def test_header_records_the_lifting_work():
     assert "work" not in cert["body"]
 
 
+def test_header_records_the_lifting_work_over_q():
+    cert = compute_certificate(6, 0, with_oracle=False)
+    assert cert["header"]["work"] == {"lift_steps_solved": 63, "lift_steps_twisted": 91,
+                                      "lifting_eliminations": 98,
+                                      "products": 570, "cochain_differentials_built": 6,
+                                      "one_sided_maps_ranked": 7}
+
+
 def test_run_exit_code_is_zero_exactly_when_every_body_passes(tmp_path, monkeypatch):
     # a Cartan determinant one off at n=2 flips that point's cartan_det
     # verdict and pass, and only that point's; run exits 1 once any point fails
@@ -624,3 +632,43 @@ def test_a_wrong_cohomology_dimension_fails_dimensions_with_its_witness(
     assert (body["pass"], rc) == (False, 1)
     assert body["dimensions"]["HH_cohomology"][4] == 3
     assert body["witnesses"] == {"dimensions": ["HH^4 = 3, expected 2"]}
+
+
+def test_a_negated_differential_term_fails_resolution_exact_with_its_witness(
+        tmp_path, monkeypatch):
+    # one coefficient of d2 negated in the window that certify_exact reads at
+    # n=2 over F3, the rest of the pipeline keeping the true window: d1 o d2
+    # and d2 o d3 no longer vanish and d8 no longer repeats d2.  Only
+    # resolution_exact and pass flip, run exits 1, and the body's exactness
+    # failures name all three
+    import copy
+
+    import preproj_hh.cli as cli
+    from preproj_hh.resolution import BimoduleMap
+    true_certify = cli.certify_exact
+
+    def certify_negated(w):
+        d2 = w.diffs[2]
+        values = [list(terms) for terms in d2.values]
+        k, c, x, y = values[0][0]
+        values[0][0] = (k, -c, x, y)
+        bad = copy.copy(w)
+        bad.diffs = w.diffs[:2] + [BimoduleMap(d2.table, d2.source, d2.target, values)] \
+            + w.diffs[3:]
+        return true_certify(bad)
+
+    def run(out):
+        rc = main(["run", "--n", "2", "--char", "3", "--no-oracle", "--jobs", "1",
+                   "--out", str(out)])
+        return json.loads((out / "cert_n2_char3.json").read_text())["body"], rc
+
+    body, rc = run(tmp_path / "good")
+    assert (body["verdicts"]["resolution_exact"], body["pass"], rc) == (True, True, 0)
+    assert body["exactness"]["failures"] == []
+    monkeypatch.setattr(cli, "certify_exact", certify_negated)
+    body, rc = run(tmp_path / "bad")
+    assert [v for v, ok in body["verdicts"].items() if not ok] == ["resolution_exact"]
+    assert (body["pass"], rc) == (False, 1)
+    exact = body["exactness"]
+    assert (exact["dd_zero"], exact["periodic"], exact["ok"]) == (False, False, False)
+    assert exact["failures"] == ["d1 o d2 != 0", "d2 o d3 != 0", "d2 != d8"]

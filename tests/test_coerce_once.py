@@ -1,0 +1,212 @@
+"""The coerce-once kernels against per-entry field arithmetic.
+
+`ExactMatrix.from_entries`, `BimoduleMap.normalized`, `algebra.multiply`
+and `resolution.expand` (through `compose`) sum plain numbers and coerce each
+entry into the field once.  Each is checked here against a reference that
+coerces every term and adds in the field, as those kernels once did, over Q,
+F3 and F5, on int and Fraction inputs and on entries that cancel to zero.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from preproj_hh.algebra import build_algebra, multiply
+from preproj_hh.exactla import ExactMatrix, FieldSpec
+from preproj_hh.resolution import (BimoduleMap, compose, expand, projective_p,
+                                   projective_q)
+
+chars = st.sampled_from([0, 3, 5])
+# denominators prime to 3 and 5, so every scalar lies in all three fields
+scalars = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4, 7])))
+_TABLES = {}
+
+
+def _table(char):
+    if char not in _TABLES:
+        _TABLES[char] = build_algebra(2, FieldSpec(char))
+    return _TABLES[char]
+
+
+def _canonical(F, x) -> bool:
+    """x is the field's own form of itself: an integral rational is an int."""
+    return F(x) == x and type(F(x)) is type(x) and x != 0
+
+
+def _with_cancellations(data, items, negate):
+    """`items` plus the negation of a drawn sublist, so some sums vanish."""
+    if not items:
+        return items
+    return items + [negate(it) for it in data.draw(st.lists(st.sampled_from(items)))]
+
+
+# -- references: every term coerced, every sum taken in the field ---------------
+
+
+def _reference_rows(F, nrows, entries):
+    rows = [{} for _ in range(nrows)]
+    for i, j, x in entries:
+        rows[i][j] = F.add(rows[i].get(j, F.zero), F(x))
+    return [{j: x for j, x in row.items() if x != 0} for row in rows]
+
+
+def _reference_normalized(m):
+    F = m.table.field
+    out = []
+    for terms in m.values:
+        acc = {}
+        for k, c, x, y in terms:
+            acc[(k, x, y)] = F.add(acc.get((k, x, y), F.zero), F(c))
+        out.append([(k, c, x, y) for (k, x, y), c in sorted(acc.items()) if c != 0])
+    return out
+
+
+def _reference_multiply(t, x, y):
+    F = t.field
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            hit = t.product[m1].get(m2)
+            if hit is not None:
+                c, m3 = hit
+                val = F.add(out.get(m3, F.zero), F.mul(F.mul(c1, c2), F(c)))
+                if val == 0:
+                    out.pop(m3, None)
+                else:
+                    out[m3] = val
+    return out
+
+
+def _reference_expand(f, k, x, y):
+    """f on x (x) y of summand k as a fresh dict of unreduced sums."""
+    out = {}
+    for k2, c, xd, yd in f.values[k]:
+        lhs, rhs = f.table.product[x].get(xd), f.table.product[yd].get(y)
+        if lhs is not None and rhs is not None:
+            key = (k2, lhs[1], rhs[1])
+            out[key] = out.get(key, 0) + c * lhs[0] * rhs[0]
+    return out
+
+
+def _reference_compose(f, g):
+    F = f.table.field
+    values = []
+    for terms in g.values:
+        acc = {}
+        for k, c, x, y in terms:
+            for key, v in _reference_expand(f, k, x, y).items():
+                acc[key] = acc.get(key, 0) + c * v
+        values.append([(k, F(c), x, y) for (k, x, y), c in sorted(acc.items())
+                       if F(c) != 0])
+    return values
+
+
+# -- strategies ------------------------------------------------------------------
+
+
+def _values(data, t, nsource, ntarget):
+    """Value lists over `nsource` summands, some keys repeated with negated
+    coefficients."""
+    term = st.tuples(st.integers(0, ntarget - 1), scalars,
+                     st.integers(0, t.dim - 1), st.integers(0, t.dim - 1))
+    return [_with_cancellations(data, data.draw(st.lists(term, max_size=8)),
+                                lambda tm: (tm[0], -tm[1], tm[2], tm[3]))
+            for _ in range(nsource)]
+
+
+# -- tests -----------------------------------------------------------------------
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_entries_matches_per_entry_coercion(char, data):
+    F = FieldSpec(char)
+    entries = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), scalars),
+                                 max_size=20))
+    entries = _with_cancellations(data, entries, lambda e: (e[0], e[1], -e[2]))
+    m = ExactMatrix.from_entries(F, 3, 4, entries)
+    assert m.rows == _reference_rows(F, 3, entries)
+    assert all(_canonical(F, x) for _, _, x in m.entries())
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_normalized_matches_per_entry_coercion(char, data):
+    t = _table(char)
+    P = projective_p(t)
+    m = BimoduleMap(t, P, P, _values(data, t, len(P.summands), len(P.summands)))
+    got = m.normalized().values
+    assert got == _reference_normalized(m)
+    assert all(_canonical(t.field, c) for terms in got for _, c, _, _ in terms)
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_per_entry_coercion(char, data):
+    # inputs are field elements, as every caller's are; low degrees make
+    # products collide on one monomial, where they may cancel
+    t = _table(char)
+    F = t.field
+    low = [m.mid for m in t.basis if m.degree <= 2]
+    element = st.dictionaries(st.sampled_from(low), scalars.map(F), max_size=6)
+    x, y = data.draw(element), data.draw(element)
+    got = multiply(t, x, y)
+    assert got == _reference_multiply(t, x, y)
+    assert all(_canonical(F, c) for c in got.values())
+
+
+def test_multiply_drops_a_coefficient_that_cancels():
+    # two monomial pairs with one product monomial and no cross products on
+    # it, weighted to cancel there: the monomial is absent, as in the
+    # reference, over each field
+    for char in (0, 3, 5):
+        t = _table(char)
+        F = t.field
+        hits = [(m1, m2, hit) for m1, row in enumerate(t.product)
+                for m2, hit in row.items()]
+        found = None
+        for m1, m2, (c, m3) in hits:
+            for n1, n2, (d, n3) in hits:
+                crossed = [t.product[m1].get(n2), t.product[n1].get(m2)]
+                if (n3 == m3 and n1 != m1 and n2 != m2
+                        and all(h is None or h[1] != m3 for h in crossed)):
+                    found = (m1, m2, n1, n2, c, d, m3)
+        assert found is not None
+        m1, m2, n1, n2, c, d, m3 = found
+        x = {m1: F.one, n1: F(Fraction(-c, d))}
+        y = {m2: F.one, n2: F.one}
+        got = multiply(t, x, y)
+        assert m3 not in got
+        assert got == _reference_multiply(t, x, y)
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_expand_adds_scaled_values_into_the_callers_dict(char, data):
+    t = _table(char)
+    P, Q = projective_p(t), projective_q(t)
+    f = BimoduleMap(t, P, Q, _values(data, t, len(P.summands), len(Q.summands)))
+    k = data.draw(st.integers(0, len(P.summands) - 1))
+    x, y = data.draw(st.integers(0, t.dim - 1)), data.draw(st.integers(0, t.dim - 1))
+    scale = data.draw(scalars)
+    seed = {(0, t.e_ids[1], t.e_ids[1]): data.draw(scalars)}
+    out = dict(seed)
+    assert expand(f, k, x, y, scale, out) is out
+    want = dict(seed)
+    for key, v in _reference_expand(f, k, x, y).items():
+        want[key] = want.get(key, 0) + scale * v
+    assert out == want
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_the_returned_dict_path(char, data):
+    t = _table(char)
+    P, Q = projective_p(t), projective_q(t)
+    f = BimoduleMap(t, P, Q, _values(data, t, len(P.summands), len(Q.summands)))
+    g = BimoduleMap(t, P, P, _values(data, t, len(P.summands), len(P.summands)))
+    got = compose(f, g).values
+    assert got == _reference_compose(f, g)
+    assert all(_canonical(t.field, c) for terms in got for _, c, _, _ in terms)

@@ -627,6 +627,44 @@ def test_twist_sign_matches_both_full_twists(n, char):
     assert all(seen.values())
 
 
+class _KeptSolvedMaps(YonedaEngine):
+    """Keeps every map `_solve_steps` returns."""
+
+    def __init__(self, cx):
+        super().__init__(cx)
+        self.solved_maps = []
+
+    def _solve_steps(self, k, segs):
+        maps = super()._solve_steps(k, segs)
+        self.solved_maps += maps
+        return maps
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_recorded_twist_signs_give_the_maps_of_twist_sign(n, char):
+    # a sign is recorded exactly at the steps appended as twists, and on each
+    # the recorded sign gives the map that the sign `_twist_sign` finds gives;
+    # every solved map is already normalized, as the sort in `_solve_steps`
+    # claims
+    from preproj_hh.resolution import tau_twist
+    from preproj_hh.yoneda import _twist_sign
+    eng = _KeptSolvedMaps(context(n, char).cx)
+    recorded = 0
+    for name, d, _, seg in _lift_generators(eng):
+        for k, eps in seg.signs.items():
+            assert eng._twist[k] and eng._twist[d + k], (name, k)
+            found = _twist_sign(seg.maps[k - 1], seg.maps[k - 4])
+            assert found is not None, (name, k)
+            base = seg.maps[k - 3]
+            assert tau_twist(base, eps).values == tau_twist(base, found).values \
+                == seg.maps[k].values, (name, k)
+        recorded += len(seg.signs)
+    assert recorded == eng.steps_twisted > 0
+    assert eng.solved_maps
+    assert all(f.values == f.normalized().values for f in eng.solved_maps)
+
+
 # -- batched lifts ----------------------------------------------------------------
 
 
