@@ -13,11 +13,14 @@ canonical signed monomials form a basis.  All structure constants are
 integers (in fact 0, 1 or -1); they are computed once over the rationals
 and reduced into the requested field on demand.
 
-The product table holds only the nonzero products and is filled by a
-graded walk: in increasing degree, the row of a monomial a * tail is the
-row of the basis monomial its tail evaluates to, pushed through the arrow
-action of a, one lookup per entry.  No pair of monomials is visited whose
-product vanishes for composability or degree.
+No product table is stored.  Products follow a sign rule: m1 * m2 is
+nonzero exactly when t(m1) = s(m2) and the graded piece
+e_s(m1) L_(deg m1 + deg m2) e_t(m2) is nonzero, and it is then
+(-1)^(g(m1) + g(m2) + g(m3)) m3, m3 the monomial of that piece and g one
+bit per monomial: the sign cocycle of the basis is a coboundary.  Nothing
+here proves the rule for every n, so the build certifies it against the
+arrow action (`_certify_rule`), once per n, in O(dim^2 / n) time and O(dim)
+memory.
 
 Monomial ids are fixed once, before the build, as the positions of the
 canonical (source, target, degree) keys in sorted order (`_integral_tables`);
@@ -135,21 +138,39 @@ def _canonical_paths(quiver: Quiver) -> Dict[Tuple[int, int, int], Tuple[Tuple[i
 
 
 class AlgebraTable:
-    """P(L_n) over a fixed field: basis, product table, Cartan data.
+    """P(L_n) over a fixed field: basis, product rule, Cartan data.
 
-    Immutable after construction.  `product[m1][m2]` is either absent (the
-    product vanishes) or a pair (integer coefficient, monomial id); each
-    graded piece is at most one-dimensional, so single terms suffice.
+    Immutable after construction.  `mono_mul(m1, m2)` is None (the product
+    vanishes) or a pair (integer coefficient, monomial id), read off the sign
+    rule with the bits `g` (see the module docstring); each graded piece is
+    at most one-dimensional, so single terms suffice.
     """
 
-    def __init__(self, n: int, field: FieldSpec, basis, product):
+    def __init__(self, n: int, field: FieldSpec, basis, g):
         self.n = n
         self.field = field
         self.quiver = Quiver(n)
         self.basis: List[BasisMonomial] = basis
-        self.product = product
         self.dim = len(basis)
         self.by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
+        # The rule as one flat list, O(dim) in size.  The piece (s, t, d)
+        # sits at p = ((s-1) n + t-1) W + d, with W = 4n - 1 above every sum
+        # of two degrees, and a composable pair (m1, m2) reads entry
+        #   3p + g(m1) + g(m2) = rule_left[m1] + rule_right[m2],
+        # p that of (s(m1), t(m2), deg m1 + deg m2): None where that piece is
+        # zero or above degree 2n - 1, else (+-1, m3), the sign of m3 folded
+        # into each of the three parities.
+        width = 4 * n - 1
+        self.sources = [m.source for m in basis]
+        self.targets = [m.target for m in basis]
+        self.rule_left = [3 * ((m.source - 1) * n * width + m.degree) + g[m.mid] for m in basis]
+        self.rule_right = [3 * ((m.target - 1) * width + m.degree) + g[m.mid] for m in basis]
+        self.rule: List[Optional[Tuple[int, int]]] = [None] * (3 * n * n * width)
+        for m in basis:
+            p = 3 * (((m.source - 1) * n + m.target - 1) * width + m.degree)
+            sign = (-1) ** g[m.mid]
+            self.rule[p] = self.rule[p + 2] = (sign, m.mid)
+            self.rule[p + 1] = (-sign, m.mid)
         self.by_ends: Dict[Tuple[int, int], List[BasisMonomial]] = {}
         for m in basis:
             self.by_ends.setdefault((m.source, m.target), []).append(m)
@@ -180,7 +201,9 @@ class AlgebraTable:
         return {mid: self.field.one if coeff is None else self.field(coeff)}
 
     def mono_mul(self, m1: int, m2: int) -> Optional[Tuple[int, int]]:
-        return self.product[m1].get(m2)
+        if self.targets[m1] != self.sources[m2]:
+            return None
+        return self.rule[self.rule_left[m1] + self.rule_right[m2]]
 
     def serialize(self) -> dict:
         """Canonical JSON-ready description (basis with paths/signs, products)."""
@@ -190,20 +213,20 @@ class AlgebraTable:
                   "degree": m.degree, "sign": m.sign,
                   "path": [self.quiver.arrows[a].name for a in m.path]}
                  for m in self.basis]
-        triples = []
-        for m1 in range(self.dim):
-            for m2 in sorted(self.product[m1]):
-                c, m3 = self.product[m1][m2]
-                triples.append([m1, m2, c, m3])
+        # starting_at lists each m2 composable with m1 in id order
+        triples = [[m1.mid, m2.mid, *hit] for m1 in self.basis
+                   for m2 in self.starting_at[m1.target]
+                   if (hit := self.mono_mul(m1.mid, m2.mid)) is not None]
         return {"n": self.n, "characteristic": self.field.characteristic,
                 "dimension": self.dim, "arrows": arrows, "basis": basis,
                 "products": triples}
 
 
 def build_algebra(n: int, field: FieldSpec) -> AlgebraTable:
-    """Construct P(L_n) over `field`, certifying the canonical basis."""
-    basis, product, _ = _integral_tables(n)
-    table = AlgebraTable(n, field, basis, product)
+    """Construct P(L_n) over `field`, certifying the canonical basis and the
+    product rule (`_integral_tables`)."""
+    basis, g, _ = _integral_tables(n)
+    table = AlgebraTable(n, field, basis, g)
     expected = n * (n + 1) * (2 * n + 1) // 3
     if table.dim != expected:
         raise BasisMismatchError(f"dimension {table.dim}, expected {expected}")
@@ -213,8 +236,14 @@ def build_algebra(n: int, field: FieldSpec) -> AlgebraTable:
 _INTEGRAL_CACHE: dict = {}
 
 
+def _arrow_bit(index: int) -> int:
+    """g on the arrows: 1 on ab_i for odd i (arrow index 2i), else 0."""
+    return int(index % 4 == 2)
+
+
 def _integral_tables(n: int):
-    """Basis monomials plus integer act/product tables, built over Q once per n."""
+    """Basis monomials, their sign bits g and the integer arrow action,
+    built over Q once per n."""
     if n in _INTEGRAL_CACHE:
         return _INTEGRAL_CACHE[n]
     quiver = Quiver(n)
@@ -227,6 +256,7 @@ def _integral_tables(n: int):
     basis = [BasisMonomial(mid, i, j, d, *canonical[(i, j, d)])
              for mid, (i, j, d) in enumerate(sorted(canonical))]
     by_ijd = {(m.source, m.target, m.degree): m.mid for m in basis}
+    g = [0] * len(basis)
 
     # act[(arrow index, mid)] -> (int coeff, mid) or None, for every
     # composable pair with deg(mid) < 2n-1
@@ -268,34 +298,31 @@ def _integral_tables(n: int):
             path, sign = canonical[(i, j, d)]
             value = _evaluate_path(path, sign, by_ijd, act, quiver)
             free_key, expand = reduction
-            if value is not None:
-                coeff, key_eval = value
-                if key_eval not in expand:
-                    raise BasisMismatchError("evaluation left the expected block")
-                c_eval = coeff * expand[key_eval]
-            else:
-                c_eval = 0
-            if c_eval == 0:
+            if value is None:
                 raise BasisMismatchError(
                     f"canonical monomial for ({i},{j},{d}) evaluates to zero")
+            coeff, key_eval = value
+            if key_eval not in expand:
+                raise BasisMismatchError("evaluation left the expected block")
+            c_eval = coeff * expand[key_eval]
             mono = by_ijd[(i, j, d)]
             current.append(mono)
-            for (a, mid), coeff in expand.items():
-                if coeff == 0:
-                    act[(a, mid)] = None
-                else:
-                    q = Fraction(coeff, c_eval)
-                    if q.denominator != 1 or abs(q) != 1:
-                        raise BasisMismatchError(f"non-unit structure constant {q}")
-                    act[(a, mid)] = (int(q), mono)
+            for key, c in expand.items():
+                q = Fraction(c, c_eval)
+                if q.denominator != 1 or abs(q) != 1:
+                    raise BasisMismatchError(f"non-unit structure constant {q}")
+                act[key] = (int(q), mono)
+            # g from the first arrow product a * m' = c * mono of the path
+            g[mono] = (_arrow_bit(key_eval[0]) + g[key_eval[1]] + (act[key_eval][0] < 0)) % 2
         got = {(basis[m].source, basis[m].target, d) for m in current}
         expected_d = {k for k in canonical if k[2] == d}
         if got != expected_d:
             raise BasisMismatchError(f"degree {d} basis mismatch: {got ^ expected_d}")
         prev_degree = current
 
-    product = _full_product(basis, by_ijd, act, quiver)
-    _INTEGRAL_CACHE[n] = (basis, product, act)
+    # the rule reads the same integers over every field: certified once per n
+    _certify_rule(AlgebraTable(n, QQ, basis, g), act)
+    _INTEGRAL_CACHE[n] = (basis, g, act)
     return _INTEGRAL_CACHE[n]
 
 
@@ -303,9 +330,11 @@ def _reduce_block(span, rel):
     """Quotient a spanning block by its (single) relation vector.
 
     Returns None if the block dies, otherwise (free spanning key, mapping
-    spanning key -> integer coefficient on the free key).  Blocks have at
-    most two spanning elements and one relation, so this is a direct case
-    analysis rather than a general elimination.
+    spanning key -> nonzero integer coefficient on the free key).  Blocks
+    have at most two spanning elements and one relation, so this is a
+    direct case analysis rather than a general elimination.  A relation
+    that kills one of two spanning elements raises: that arrow product
+    would vanish in a nonzero piece, against the product rule.
     """
     span = sorted(span)
     if not rel:
@@ -319,11 +348,9 @@ def _reduce_block(span, rel):
         return None
     if len(span) == 2:
         k0, k1 = span
-        c0, c1 = rel.get(k0, 0), rel.get(k1, 0)
-        if c0 == 0 or c1 == 0:
-            dead, free = (k0, k1) if c1 == 0 else (k1, k0)
-            return free, {free: 1, dead: 0}
-        q = Fraction(-c1, c0)
+        if set(rel) != {k0, k1}:
+            raise BasisMismatchError(f"an arrow product vanishes in a nonzero piece: {rel}")
+        q = Fraction(-rel[k1], rel[k0])
         if q.denominator != 1:
             raise BasisMismatchError("non-integral reduction")
         return k1, {k1: 1, k0: int(q)}
@@ -349,41 +376,45 @@ def _evaluate_path(path, sign, by_ijd, act, quiver):
     return coeff, key
 
 
-def _full_product(basis, by_ijd, act, quiver):
-    """All nonzero pairwise products, one `act` lookup per table entry.
+def _certify_rule(t: AlgebraTable, act) -> None:
+    """Raise BasisMismatchError unless `t.mono_mul` is the product of P(L_n).
 
-    A monomial m of positive degree is sign * a * tail, a its first arrow.
-    Its tail is evaluated once, through the act table (`_evaluate_path`),
-    as c * m' with m' the basis monomial of e_t(a) L_(deg m - 1) e_t(m):
-    graded pieces are at most one-dimensional, and the tail is nonzero
-    because m is.  Since act is left multiplication by an arrow,
-    m * m2 = sign * c * a * (m' * m2), so row m is row m' pushed through
-    act[(a, .)], and rows are filled in increasing degree.  Products of
-    degree above the top vanish and are skipped before their lookup; zero
-    products are never stored.
+    Two checks on the table's own rule:
+      1. every entry of `act` (each arrow * monomial product, zero or not)
+         equals `mono_mul`;
+      2. for each m of degree d >= 1, with first arrow a and tail m' (the
+         monomial of e_t(a) L_(d-1) e_t(m), which the build loop evaluated
+         a * m' = +-m from), and each m2 starting at t(m): if the entry
+         `mono_mul` reads for m * m2 is nonzero, so is the one for m' * m2.
+
+    Soundness: m1 * m2 = mono_mul(m1, m2) for all m1, m2.  A pair that does
+    not compose is refused by `mono_mul` itself, and an idempotent e_s reads
+    each m2 starting at s off m2's own piece with sign +1 (g = 0 on
+    idempotents).  For m1 of degree d >= 1, by induction on d: check 1 gives
+    a * m' = mono_mul(a, m'), which lies in the piece of m1, so
+    m1 = (-1)^(g(a)+g(m')+g(m1)) a * m' and m1 * m2 = +-a * (m' * m2).  By
+    induction m' * m2 is zero where its piece is, and then so is the piece
+    of m1 * m2 (check 2): both sides vanish.  Otherwise
+    m' * m2 = (-1)^(g(m')+g(m2)+g(M')) M', and a * M' =
+    (-1)^(g(a)+g(M')+g(M)) M is nonzero exactly when the piece of m1 * m2 is
+    (check 1; a product above degree 2n - 1 vanishes on both sides).  In
+    the product of the three signs g(a), g(m') and g(M') each appear twice
+    and cancel, which leaves (-1)^(g(m1)+g(m2)+g(M)).
     """
-    top = 2 * quiver.n - 1
-    product = [dict() for _ in basis]
-    degree = [m.degree for m in basis]
-    for m in sorted(basis, key=lambda m: (m.degree, m.mid)):
+    for (a, mid), hit in act.items():
+        if t.mono_mul(t.arrow_ids[a], mid) != hit:
+            raise BasisMismatchError(
+                f"arrow {t.quiver.arrows[a].name} times monomial {mid} breaks the sign rule")
+    rule, left = t.rule, t.rule_left
+    rights = {v: [t.rule_right[m.mid] for m in ms] for v, ms in t.starting_at.items()}
+    for m in t.basis:
         if m.degree == 0:
-            product[m.mid] = {m2.mid: (1, m2.mid) for m2 in basis
-                              if m2.source == m.source}
             continue
-        value = _evaluate_path(m.path, m.sign, by_ijd, act, quiver)
-        if value is None:
-            raise BasisMismatchError(f"the tail of monomial {m.mid} vanishes")
-        coeff, (a, mid) = value
-        if mid != by_ijd[(quiver.arrows[a].target, m.target, m.degree - 1)]:
-            raise BasisMismatchError(f"the tail of monomial {m.mid} left its graded piece")
-        row, room = product[m.mid], top - m.degree
-        for m2, (c2, m3) in product[mid].items():
-            if degree[m2] > room:
-                continue
-            hit = act[(a, m3)]
-            if hit is not None:
-                row[m2] = (coeff * c2 * hit[0], hit[1])
-    return product
+        tail = t.by_ijd[(t.quiver.arrows[m.path[0]].target, m.target, m.degree - 1)]
+        lm, lt = left[m.mid], left[tail]
+        if [r for r in rights[m.target] if rule[lm + r] is not None and rule[lt + r] is None]:
+            raise BasisMismatchError(
+                f"a product of monomial {m.mid} is nonzero where its tail's is zero")
 
 
 # -- element arithmetic ------------------------------------------------------
@@ -410,17 +441,17 @@ def elem_scale(t: AlgebraTable, c, x: dict) -> dict:
 
 
 def multiply(t: AlgebraTable, x: dict, y: dict) -> dict:
-    """Exact product in the algebra, bilinear extension of the product table.
+    """Exact product in the algebra, bilinear extension of `mono_mul`.
 
     Each coefficient is summed as plain numbers and coerced into the field
     once; the ones that cancel are dropped.
     """
     F = t.field
+    mono_mul = t.mono_mul
     out: dict = {}
     for m1, c1 in x.items():
-        row = t.product[m1]
         for m2, c2 in y.items():
-            hit = row.get(m2)
+            hit = mono_mul(m1, m2)
             if hit is None:
                 continue
             c, m3 = hit

@@ -46,16 +46,16 @@ class NakayamaForm:
         return {"dual": [[mid, str(s), m] for mid, (s, m) in sorted(self.dual.items())]}
 
 
-# Soundness of the graded gram walk.  Every product-table entry
-# m1 * m2 = c * m3 has m3 in e_s(m1) L_(deg m1 + deg m2) e_t(m2): the
-# product is homogeneous and keeps the outer vertices.  The socle element
+# Soundness of the graded gram walk.  Every nonzero product
+# m1 * m2 = c * m3 (`mono_mul`) has m3 in e_s(m1) L_(deg m1 + deg m2) e_t(m2):
+# the product is homogeneous and keeps the outer vertices.  The socle element
 # w_i spans e_i L_top e_i, top = 2n - 1, so b * c reaches the socle only if
 # c runs from t(b) to s(b) in degree top - deg b.  That graded piece is at
 # most one-dimensional, so `by_ijd` names the one candidate partner of b,
 # and every other entry of row b is zero.  So the rows assembled this way
 # are those of a walk over all of B x B, one `mono_mul` per row, and the
 # structural check and the rank fallback below judge them as they stand.
-# tests/test_algebra.py checks the premise on every product table entry.
+# tests/test_algebra.py checks the premise on every nonzero product.
 def associated_form(t: AlgebraTable) -> NakayamaForm:
     """Assemble the gram matrix on B x B and extract the dual basis.
 

@@ -76,16 +76,25 @@ class BarComplex:
             v: [m.mid for m in ms if m.degree] for v, ms in t.ending_at.items()}
         self.starting_at: Dict[int, List[int]] = {
             v: [m.mid for m in ms if m.degree] for v, ms in t.starting_at.items()}
+        # the nonzero products of each monomial w with the radical, taken
+        # once for every degree: (b, c, m) with w * b = c * m (right) and
+        # b * w = c * m (left), in the order of b.  A left product by a
+        # radical w is the right product of a radical b.
+        mono_mul = t.mono_mul
+        self.right_hits: Dict[int, List[Tuple[int, int, int]]] = {
+            m.mid: [(b, *hit) for b in self.starting_at.get(m.target, ())
+                    if (hit := mono_mul(m.mid, b)) is not None] for m in t.basis}
+        self.left_hits: Dict[int, List[Tuple[int, int, int]]] = {m.mid: [] for m in self.radical}
+        for v, e in t.e_ids.items():
+            self.left_hits[e] = [(b, *mono_mul(b, e)) for b in self.ending_at.get(v, ())]
         # factorizations: m -> [(x * D + y, c)] with x * y = c * m, x, y
         # radical, the pair (x, y) coded as two base-D digits
         self.pair_hits: Dict[int, List[Tuple[int, int]]] = {
             m.mid: [] for m in self.radical}
         for x in self.radical:
-            row = t.product[x.mid]
-            for y in self.starting_at.get(x.target, ()):
-                hit = row.get(y)
-                if hit is not None:
-                    self.pair_hits[hit[1]].append((x.mid * t.dim + y, hit[0]))
+            for y, c, m in self.right_hits[x.mid]:
+                self.left_hits[y].append((x.mid, c, m))
+                self.pair_hits[m].append((x.mid * t.dim + y, c))
 
     def chains(self, k: int) -> Iterator[Tuple[int, int, int]]:
         """(code, source, target) of each composable k-chain of radical
@@ -128,20 +137,14 @@ class BarComplex:
         """
         t = self.table
         D = t.dim
-        product = t.product
         top = D ** (k + 1)
         sign_last = (-1) ** (k + 1)
         # the outer faces of each value w, as offsets from the code of the
         # chain: b * w prepended, w * b appended
-        left, right = {}, {}
-        for m in t.basis:
-            w = m.mid
-            left[w] = [(b * top + hit[1], hit[0])
-                       for b in self.ending_at.get(m.source, ())
-                       if (hit := product[b].get(w)) is not None]
-            right[w] = [(b * D + hit[1], sign_last * hit[0])
-                        for b in self.starting_at.get(m.target, ())
-                        if (hit := product[w].get(b)) is not None]
+        left = {w: [(b * top + m, c) for b, c, m in hits]
+                for w, hits in self.left_hits.items()}
+        right = {w: [(b * D + m, sign_last * c) for b, c, m in hits]
+                 for w, hits in self.right_hits.items()}
         # x_i is the digit of weight D^(k+1-i) in a code of C^k
         inner = [(D ** (k + 1 - i), (-1) ** i) for i in range(1, k + 1)]
         for code, source, target in self.chains(k):

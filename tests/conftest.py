@@ -4,7 +4,7 @@ import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
-from preproj_hh.algebra import AlgebraTable, build_algebra
+from preproj_hh.algebra import AlgebraTable, _integral_tables, build_algebra
 from preproj_hh.cochain import build_complex
 from preproj_hh.exactla import FieldSpec
 from preproj_hh.nakayama import associated_form
@@ -36,24 +36,16 @@ def variant_socle_table(n: int, char: int = 0) -> AlgebraTable:
 
     Obtained from the canonical table by rescaling the socle basis elements
     by their canonical signs; products pick up the corresponding sign
-    factors.  This is the fixture for the failing dualizability check.
+    factors, which the sign bit g of each rescaled monomial carries: it
+    flips where the canonical sign is -1.  This is the fixture for the
+    failing dualizability check.
     """
     base = build_algebra(n, FieldSpec(char))
-    sigma = {}
-    for mid in range(base.dim):
-        m = base.basis[mid]
-        if m.degree == 2 * n - 1 and m.source == m.target:
-            sigma[mid] = m.sign
-    s = lambda mid: sigma.get(mid, 1)
-
-    basis = [replace(m, sign=1) if m.mid in sigma else m for m in base.basis]
-    product = []
-    for m1 in range(base.dim):
-        row = {}
-        for m2, (c, m3) in base.product[m1].items():
-            row[m2] = (c * s(m1) * s(m2) * s(m3), m3)
-        product.append(row)
-    return AlgebraTable(n, base.field, basis, product)
+    _, g, _ = _integral_tables(n)
+    socle = set(base.socle_ids.values())
+    basis = [replace(m, sign=1) if m.mid in socle else m for m in base.basis]
+    flipped = [b ^ (m.mid in socle and m.sign == -1) for m, b in zip(base.basis, g)]
+    return AlgebraTable(n, base.field, basis, flipped)
 
 
 def summand_negated(f, summand=0):

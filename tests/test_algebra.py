@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
-from preproj_hh.algebra import (Quiver, _integral_tables, cartan_matrix,
-                                center_basis, elem_eq, elem_scale, multiply,
-                                socle_basis, x0_element)
+from preproj_hh import algebra
+from preproj_hh.algebra import (QQ, AlgebraTable, BasisMismatchError, Quiver,
+                                _integral_tables, _reduce_block, build_algebra,
+                                cartan_matrix, center_basis, elem_eq, elem_scale,
+                                multiply, socle_basis, x0_element)
+from preproj_hh.exactla import FieldSpec
 from conftest import context
 
 
@@ -274,26 +278,82 @@ def _reference_full_product(basis, act, quiver):
     return product
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_product_table_matches_all_pairs_walk(n):
-    basis, product, act = _integral_tables(n)
+    # the sign rule against the walk, pair by pair, over Q, F3 and F5
+    basis, _, act = _integral_tables(n)
     reference = _reference_full_product(basis, act, Quiver(n))
-    assert product == reference
-    # same rows, filled in the same column order
-    assert [list(row) for row in product] == [list(row) for row in reference]
+    for char in (0, 3, 5):
+        t = build_algebra(n, FieldSpec(char))
+        for m1, row in enumerate(reference):
+            for m2 in range(t.dim):
+                assert t.mono_mul(m1, m2) == row.get(m2)
+        # the serialized products are the walk's, pair by pair in id order
+        assert t.serialize()["products"] == [
+            [m1, m2, *row[m2]] for m1, row in enumerate(reference) for m2 in sorted(row)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_products_are_homogeneous_and_keep_their_ends(n):
     # the premise of the graded gram walk in nakayama.associated_form:
     # m1 * m2 = c * m3 puts m3 in e_s(m1) L_(deg m1 + deg m2) e_t(m2)
-    basis, product, _ = _integral_tables(n)
+    t = build_algebra(n, QQ)
+    basis = t.basis
     entries = 0
-    for m1, row in zip(basis, product):
-        for m2, (c, m3) in row.items():
+    for m1 in basis:
+        for m2 in basis:
+            hit = t.mono_mul(m1.mid, m2.mid)
+            if hit is None:
+                continue
+            c, m3 = hit
             got = basis[m3]
             assert (got.source, got.target, got.degree) == (
-                m1.source, basis[m2].target, m1.degree + basis[m2].degree)
+                m1.source, m2.target, m1.degree + m2.degree)
             assert c in (1, -1)
             entries += 1
     assert entries > 0
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+def test_a_flipped_arrow_bit_breaks_the_build(monkeypatch, index):
+    # g flipped on one arrow other than eps: each mesh relation at an inner
+    # vertex, or at vertex 1, then has terms of two different sign parities,
+    # which gives the monomial they span two signs.  (eps alone may flip: it
+    # occurs an even number of times in every term of every relation.)
+    true_bit = algebra._arrow_bit
+    monkeypatch.setattr(algebra, "_INTEGRAL_CACHE", {})
+    monkeypatch.setattr(algebra, "_arrow_bit", lambda a: true_bit(a) ^ (a == index))
+    with pytest.raises(BasisMismatchError, match="breaks the sign rule"):
+        build_algebra(3, QQ)
+
+
+def test_a_dropped_piece_breaks_the_build(monkeypatch):
+    # e_2's piece dropped from the rule: no arrow product lands in degree 0,
+    # so only the piece check sees it, at the arrows into vertex 2, whose
+    # tail e_2 is
+    true_init = AlgebraTable.__init__
+
+    def dropped(self, *args):
+        true_init(self, *args)
+        e = self.e_ids[2]
+        key = self.rule_left[e] + self.rule_right[e]
+        self.rule[key:key + 3] = [None] * 3
+
+    monkeypatch.setattr(algebra, "_INTEGRAL_CACHE", {})
+    monkeypatch.setattr(AlgebraTable, "__init__", dropped)
+    with pytest.raises(BasisMismatchError, match="tail"):
+        build_algebra(3, QQ)
+
+
+def test_a_relation_that_kills_one_of_two_spanning_keys_raises():
+    with pytest.raises(BasisMismatchError, match="vanishes in a nonzero piece"):
+        _reduce_block([(1, 5), (2, 6)], {(1, 5): 3})
+
+
+@pytest.mark.parametrize("n,char,digest", [
+    (3, 0, "d3792e7ebe28a42960947102530d7c77f9e929e9c8b1fbc000e8ba892e52aad9"),
+    (5, 3, "f9a30395047955c43856755d6ce19ac17a90bd6763dd0f0d7bece37e5df2bd7a")])
+def test_build_out_bytes_are_pinned(n, char, digest):
+    # the `build --out` dump, as the CLI writes it
+    text = json.dumps(build_algebra(n, FieldSpec(char)).serialize(), sort_keys=True, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

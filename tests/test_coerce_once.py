@@ -68,7 +68,7 @@ def _reference_multiply(t, x, y):
     out = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            hit = t.product[m1].get(m2)
+            hit = t.mono_mul(m1, m2)
             if hit is not None:
                 c, m3 = hit
                 val = F.add(out.get(m3, F.zero), F.mul(F.mul(c1, c2), F(c)))
@@ -83,7 +83,7 @@ def _reference_expand(f, k, x, y):
     """f on x (x) y of summand k as a fresh dict of unreduced sums."""
     out = {}
     for k2, c, xd, yd in f.values[k]:
-        lhs, rhs = f.table.product[x].get(xd), f.table.product[yd].get(y)
+        lhs, rhs = f.table.mono_mul(x, xd), f.table.mono_mul(yd, y)
         if lhs is not None and rhs is not None:
             key = (k2, lhs[1], rhs[1])
             out[key] = out.get(key, 0) + c * lhs[0] * rhs[0]
@@ -106,14 +106,27 @@ def _reference_compose(f, g):
 # -- strategies ------------------------------------------------------------------
 
 
-def _values(data, t, nsource, ntarget):
-    """Value lists over `nsource` summands, some keys repeated with negated
-    coefficients."""
-    term = st.tuples(st.integers(0, ntarget - 1), scalars,
-                     st.integers(0, t.dim - 1), st.integers(0, t.dim - 1))
-    return [_with_cancellations(data, data.draw(st.lists(term, max_size=8)),
-                                lambda tm: (tm[0], -tm[1], tm[2], tm[3]))
-            for _ in range(nsource)]
+def _values(data, t, source, target):
+    """Value lists of a well-formed map from `source` to `target`, some keys
+    repeated with negated coefficients: a term of source summand (s, tt) in
+    target summand (s2, tt2) is c x (x) y with x in e_s L e_s2 and y in
+    e_tt2 L e_tt, so every product `expand` takes composes."""
+    values = []
+    for s, tt in source.summands:
+        keys = [(k2, x.mid, y.mid) for k2, (s2, tt2) in enumerate(target.summands)
+                for x in t.by_ends.get((s, s2), ()) for y in t.by_ends.get((tt2, tt), ())]
+        term = st.tuples(st.sampled_from(keys), scalars).map(
+            lambda kc: (kc[0][0], kc[1], kc[0][1], kc[0][2]))
+        values.append(_with_cancellations(data, data.draw(st.lists(term, max_size=8)),
+                                          lambda tm: (tm[0], -tm[1], tm[2], tm[3])))
+    return values
+
+
+def _element(data, t, summand):
+    """A basis element x (x) y of the summand L e_s (x) e_tt L."""
+    s, tt = summand
+    return (data.draw(st.sampled_from([m.mid for m in t.ending_at[s]])),
+            data.draw(st.sampled_from([m.mid for m in t.starting_at[tt]])))
 
 
 # -- tests -----------------------------------------------------------------------
@@ -136,7 +149,7 @@ def test_from_entries_matches_per_entry_coercion(char, data):
 def test_normalized_matches_per_entry_coercion(char, data):
     t = _table(char)
     P = projective_p(t)
-    m = BimoduleMap(t, P, P, _values(data, t, len(P.summands), len(P.summands)))
+    m = BimoduleMap(t, P, P, _values(data, t, P, P))
     got = m.normalized().values
     assert got == _reference_normalized(m)
     assert all(_canonical(t.field, c) for terms in got for _, c, _, _ in terms)
@@ -164,12 +177,12 @@ def test_multiply_drops_a_coefficient_that_cancels():
     for char in (0, 3, 5):
         t = _table(char)
         F = t.field
-        hits = [(m1, m2, hit) for m1, row in enumerate(t.product)
-                for m2, hit in row.items()]
+        hits = [(m1, m2, hit) for m1 in range(t.dim) for m2 in range(t.dim)
+                if (hit := t.mono_mul(m1, m2)) is not None]
         found = None
         for m1, m2, (c, m3) in hits:
             for n1, n2, (d, n3) in hits:
-                crossed = [t.product[m1].get(n2), t.product[n1].get(m2)]
+                crossed = [t.mono_mul(m1, n2), t.mono_mul(n1, m2)]
                 if (n3 == m3 and n1 != m1 and n2 != m2
                         and all(h is None or h[1] != m3 for h in crossed)):
                     found = (m1, m2, n1, n2, c, d, m3)
@@ -187,9 +200,9 @@ def test_multiply_drops_a_coefficient_that_cancels():
 def test_expand_adds_scaled_values_into_the_callers_dict(char, data):
     t = _table(char)
     P, Q = projective_p(t), projective_q(t)
-    f = BimoduleMap(t, P, Q, _values(data, t, len(P.summands), len(Q.summands)))
+    f = BimoduleMap(t, P, Q, _values(data, t, P, Q))
     k = data.draw(st.integers(0, len(P.summands) - 1))
-    x, y = data.draw(st.integers(0, t.dim - 1)), data.draw(st.integers(0, t.dim - 1))
+    x, y = _element(data, t, P.summands[k])
     scale = data.draw(scalars)
     seed = {(0, t.e_ids[1], t.e_ids[1]): data.draw(scalars)}
     out = dict(seed)
@@ -205,8 +218,8 @@ def test_expand_adds_scaled_values_into_the_callers_dict(char, data):
 def test_compose_matches_the_returned_dict_path(char, data):
     t = _table(char)
     P, Q = projective_p(t), projective_q(t)
-    f = BimoduleMap(t, P, Q, _values(data, t, len(P.summands), len(Q.summands)))
-    g = BimoduleMap(t, P, P, _values(data, t, len(P.summands), len(P.summands)))
+    f = BimoduleMap(t, P, Q, _values(data, t, P, Q))
+    g = BimoduleMap(t, P, P, _values(data, t, P, P))
     got = compose(f, g).values
     assert got == _reference_compose(f, g)
     assert all(_canonical(t.field, c) for terms in got for _, c, _, _ in terms)
