@@ -148,6 +148,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     timings["presentation"] = clock() - t0
 
     oracle_section: dict
+    bar_eliminations = 0
     if with_oracle:
         t0 = clock()
         try:
@@ -157,6 +158,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
             else:
                 rep = compare(table, hh, upto, oracle_budget)
                 oracle_section = rep.serialize()
+                bar_eliminations = rep.eliminations
         except BudgetExceededError as exc:
             oracle_section = {"skipped": str(exc)}
         timings["oracle"] = clock() - t0
@@ -228,12 +230,15 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     }
     if witnesses:
         body["witnesses"] = witnesses
+    work = {**engine.work(),
+            "cochain_differentials_built": cx.differentials_built,
+            "one_sided_maps_ranked": exact_report.one_sided_ranked}
+    if with_oracle:
+        work["bar_eliminations"] = bar_eliminations
     return {
         "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                    "timings": {k: round(v, 3) for k, v in timings.items()},
-                   "work": {**engine.work(),
-                            "cochain_differentials_built": cx.differentials_built,
-                            "one_sided_maps_ranked": exact_report.one_sided_ranked}},
+                   "work": work},
         "body": _exact(body),
     }
 

@@ -5,12 +5,17 @@ the vertex idempotents.  C^k is Hom_{E^e}(rad^{(x)_E k}, L): a basis
 cochain (T, w) sends the composable chain T = (x_1, ..., x_k) of radical
 monomials to the monomial w running from the source of x_1 to the target
 of x_k (for k = 0, w runs over e_v L e_v), and every other chain to 0.
-The differential is the standard Hochschild one.  Its rows are built once
-per degree, one per basis cochain, so dim C^k is their count.  Ranks are
-taken by sparse elimination: over the prime field of the table, or, in
-characteristic 0, first over a screening prime and then over the rationals
-(the rational ranks are the ones reported), both on the same rows, which
-the elimination leaves as they were.
+The differential is the standard Hochschild one.  Its rows are built one
+per basis cochain, so dim C^k is their count, and they hold the ints +-1
+of the certified product rule in every field.  So a char-0 `compare`
+eliminates each degree once, over Q, and keeps three ints of it for the
+process, keyed by the product rule: the row count, the rank and the lcm of
+the pivot scales (`rank_and_scale`).  The F1009 screen of that point, and
+every later F_p point with the same rule, reads a degree whose scale p does
+not divide off those ints; any other degree is eliminated over F_p from
+freshly built rows, as it is at an F_p point that meets no kept ranks.
+`bar_rows`, `_dims` and `bar_dims` eliminate directly and are the
+reference path.
 
 Each cochain is keyed by one int: code(x_1, ..., x_k, w) is the base-D
 number with digits x_1, ..., x_k, w, D = dim L, and the rows are built by
@@ -28,9 +33,15 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import AlgebraTable
-from .exactla import FieldSpec, sparse_rank
+from .exactla import FieldSpec, rank_and_scale, sparse_rank
 
 _SCREEN_PRIME = 1009
+
+# `_rule_key(t)` -> {k: (row count, rank over Q, pivot scale)} of the
+# degree-k bar differential of t, filled by char-0 points only.  The rows are
+# the same ints in every field, so F_p tables of the same rule read them.
+# Only these ints are kept, never the rows.
+_RATIONAL_RANKS: dict = {}
 
 
 class BudgetExceededError(RuntimeError):
@@ -172,21 +183,28 @@ class BarComplex:
                 yield {kk: v for kk, v in row.items() if v != 0}
 
 
-def bar_rows(t: AlgebraTable, upto: int, budget: int = 10000) -> List[List[dict]]:
-    """The differential rows of degrees 0..upto, one list per degree."""
+def _check_budget(t: AlgebraTable, upto: int, budget: int) -> None:
     for k in range(upto + 1):
         cost = space_dim(t, k)
         if cost > budget:
             raise BudgetExceededError(k, cost, budget)
+
+
+def bar_rows(t: AlgebraTable, upto: int, budget: int = 10000) -> List[List[dict]]:
+    """The differential rows of degrees 0..upto, one list per degree."""
+    _check_budget(t, upto, budget)
     bc = BarComplex(t)
     return [list(bc.differential_rows(k)) for k in range(upto + 1)]
 
 
+def _hh(sizes: List[int], ranks: List[int]) -> List[int]:
+    """dim HH^i = dim C^i - rank d^i - rank d^(i-1) for i = 0..upto."""
+    return [size - ranks[i] - (ranks[i - 1] if i else 0) for i, size in enumerate(sizes)]
+
+
 def _dims(rows: List[List[dict]], field: FieldSpec) -> List[int]:
     """dim HH^i for i = 0..upto from `bar_rows` rows ranked over `field`."""
-    ranks = [sparse_rank(r, field) for r in rows]
-    return [len(r) - ranks[i] - (ranks[i - 1] if i else 0)
-            for i, r in enumerate(rows)]
+    return _hh([len(r) for r in rows], [sparse_rank(r, field) for r in rows])
 
 
 def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000) -> List[int]:
@@ -202,6 +220,8 @@ class OracleReport:
     resolution: List[int]
     screen: Optional[List[int]]
     rank_field: str
+    # bar eliminations the comparison ran (header work, never serialized)
+    eliminations: int = 0
 
     @property
     def ok(self) -> bool:
@@ -214,20 +234,72 @@ class OracleReport:
                 "ok": self.ok}
 
 
+def _rule_key(t: AlgebraTable) -> tuple:
+    """n and every list `mono_mul` reads: ints and (+-1, id) pairs, the
+    same for the tables of one rule over every field.
+
+    The bar rows read the table through `mono_mul` and the ends and degrees
+    of its basis, which `rule_left` and `rule_right` encode with n, so
+    tables with equal keys have equal rows.  A `mono_mul` replaced on the
+    class or an instance is outside the key.
+    """
+    return (t.n, tuple(t.sources), tuple(t.targets), tuple(t.rule_left),
+            tuple(t.rule_right), tuple(t.rule))
+
+
 def compare(t: AlgebraTable, resolution_dims: List[int], upto: int,
             budget: int = 10000) -> OracleReport:
     """Elementwise comparison of bar dims against the resolution dims.
 
-    Over the rationals a fast screening pass runs first over a fixed prime;
-    the rational elimination (whose dims are the ones reported) only runs
-    when the screen already agrees.  Both rank the same rows.
+    Over the rationals a screen over a fixed prime runs first; the rational
+    dims, the ones reported, are compared only when the screen already
+    agrees.  A char-0 point eliminates each degree over Q where
+    `_RATIONAL_RANKS` has no entry for its rule and keeps the ints of it.
+    A rank over F_p, for the field or the screen, is read off the kept
+    rational rank of its degree where p does not divide that degree's pivot
+    scale (the soundness note is at `rank_and_scale`); anywhere else the
+    degree is eliminated over F_p, so an F_p point that meets no kept ranks
+    does the work of `bar_dims` and keeps nothing.  The budget is checked on
+    every call, before any rank is read.
     """
+    _check_budget(t, upto, budget)
     expected = resolution_dims[: upto + 1]
-    rows = bar_rows(t, upto, budget)
+    char = t.field.characteristic
+    key = _rule_key(t)
+    known = _RATIONAL_RANKS.setdefault(key, {}) if char == 0 else _RATIONAL_RANKS.get(key, {})
+    bar: List[BarComplex] = []
+    eliminations = 0
+
+    def rows(k: int) -> List[dict]:
+        nonlocal eliminations
+        eliminations += 1
+        if not bar:
+            bar.append(BarComplex(t))
+        return list(bar[0].differential_rows(k))
+
+    if char == 0:
+        for k in range(upto + 1):
+            if k not in known:
+                degree = rows(k)
+                known[k] = (len(degree), *rank_and_scale(degree))
+
+    def dims(field: FieldSpec) -> List[int]:
+        p = field.characteristic
+        sizes, ranks = [], []
+        for k in range(upto + 1):
+            if k in known and (p == 0 or known[k][2] % p):
+                size, rank, _ = known[k]
+            else:
+                degree = rows(k)
+                size, rank = len(degree), sparse_rank(degree, field)
+            sizes.append(size)
+            ranks.append(rank)
+        return _hh(sizes, ranks)
+
     screen = None
-    if t.field.characteristic == 0:
-        screen = _dims(rows, FieldSpec(_SCREEN_PRIME))
+    if char == 0:
+        screen = dims(FieldSpec(_SCREEN_PRIME))
         if screen != expected:
             return OracleReport(upto, screen, expected, screen,
-                                f"F{_SCREEN_PRIME} (screen failed)")
-    return OracleReport(upto, _dims(rows, t.field), expected, screen, str(t.field))
+                                f"F{_SCREEN_PRIME} (screen failed)", eliminations)
+    return OracleReport(upto, dims(t.field), expected, screen, str(t.field), eliminations)

@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
+from preproj_hh import oracle
 from preproj_hh.algebra import AlgebraTable, _integral_tables, build_algebra
 from preproj_hh.cochain import build_complex
 from preproj_hh.exactla import FieldSpec
@@ -70,7 +71,8 @@ def relisted(f):
 
 def perturb_d2(monkeypatch):
     """Negative control: add 1 at the first C^3 basis cochain in the first
-    row of the bar differential of degree 2, for every `BarComplex`."""
+    row of the bar differential of degree 2, for every `BarComplex`.  The
+    oracle's per-n ranks start empty, so none of the clean ones is read."""
     real = BarComplex.differential_rows
 
     def perturbed(self, k):
@@ -83,3 +85,4 @@ def perturb_d2(monkeypatch):
             yield row
 
     monkeypatch.setattr(BarComplex, "differential_rows", perturbed)
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})

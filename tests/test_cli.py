@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from preproj_hh import oracle
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
                             parse_int_list, render_csv, render_markdown,
                             run_grid, RunConfig, write_certificate)
@@ -413,6 +414,24 @@ def test_header_records_the_lifting_work():
                               "products": 882, "cochain_differentials_built": 6,
                               "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]
+
+
+def test_header_records_the_bar_eliminations(monkeypatch):
+    # one per degree over Q, none where an F_p point reads its ranks off
+    # that pass, one per degree at an F_p point with no Q point of its n
+    # before it, 0 where the budget skips the oracle, and no entry without
+    # it; a body does not depend on which point eliminated
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    cold = compute_certificate(2, 3)
+    assert cold["header"]["work"]["bar_eliminations"] == 4
+    q, f3 = compute_certificate(2, 0), compute_certificate(2, 3)
+    assert q["header"]["work"]["bar_eliminations"] == 4
+    assert f3["header"]["work"]["bar_eliminations"] == 0
+    assert cold["body"] == f3["body"]
+    skipped = compute_certificate(1, 3, oracle_budget=1)
+    assert skipped["body"]["oracle"] == {"skipped": "budget admits no positive degree"}
+    assert skipped["header"]["work"]["bar_eliminations"] == 0
+    assert "bar_eliminations" not in compute_certificate(1, 3, with_oracle=False)["header"]["work"]
 
 
 def test_header_records_the_lifting_work_over_q():

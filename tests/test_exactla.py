@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from preproj_hh.exactla import (EchelonForm, ExactMatrix, FieldSpec, PreparedSolver,
                                 UnsupportedCharacteristicError, _axpy, _by_column,
-                                _quotient, _reduce, det, rank_mod_p, sparse_rank)
+                                _quotient, _reduce, det, rank_and_scale, rank_mod_p,
+                                sparse_rank)
 
 QQ = FieldSpec(0)
 F5 = FieldSpec(5)
@@ -255,6 +256,33 @@ def test_sparse_rank_matches_dense(rows, char):
     assert sparse_rank(iter(row_dicts), F) == m.rank() == _reference_rank(rows, F)
     if char:
         assert rank_mod_p(row_dicts, char) == m.rank()
+
+
+@given(rows=matrix_strategy)
+@settings(max_examples=120, deadline=None)
+def test_rank_and_scale_gives_the_rank_over_every_prime_off_the_scale(rows):
+    # the rational rank holds mod every prime that divides no pivot scale;
+    # a prime that does divide one may lose rank, never gain it
+    row_dicts = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+    rank, scale = rank_and_scale(row_dicts)
+    assert rank == sparse_rank(row_dicts, QQ) and scale >= 1
+    for p in (3, 5, 7, 11, 13):
+        rank_p = rank_mod_p(row_dicts, p)
+        assert rank_p == rank if scale % p else rank_p <= rank
+
+
+def test_rank_and_scale_examples():
+    assert rank_and_scale([]) == (0, 1)
+    assert rank_and_scale([{0: 2}, {1: 3}]) == (2, 6)
+    assert rank_mod_p([{0: 2}, {1: 3}], 3) == 1
+    # taken last to first, [0, 1] then [3, 1] leave the pivot 3, and mod 3
+    # the rank drops; [3, 1] then [1, 0] leave it too, but the rank holds:
+    # a prime dividing the scale only marks where to eliminate again
+    assert rank_and_scale([{0: 3, 1: 1}, {1: 1}]) == (2, 3)
+    assert rank_mod_p([{0: 3, 1: 1}, {1: 1}], 3) == 1
+    assert rank_and_scale([{0: 1}, {0: 3, 1: 1}]) == (2, 3)
+    assert rank_mod_p([{0: 1}, {0: 3, 1: 1}], 3) == 2
+    assert rank_and_scale([{0: 3, 1: 1}, {0: 1}]) == (2, 1)
 
 
 def test_rank_mod_p_near_a_large_prime():

@@ -3,12 +3,14 @@ from itertools import product as iproduct
 
 import pytest
 
+from preproj_hh import oracle
+from preproj_hh.algebra import AlgebraTable, _integral_tables, build_algebra
 from preproj_hh.cli import main
 from preproj_hh.cochain import hh_dims
 from preproj_hh.exactla import FieldSpec, _reduce, sparse_rank
 from preproj_hh.oracle import (_SCREEN_PRIME, BarComplex, BudgetExceededError, _dims,
                                bar_dims, bar_rows, budget_upto, compare)
-from conftest import context, perturb_d2
+from conftest import context, perturb_d2, variant_socle_table
 
 
 def _reference_bar_dims(t, upto, field):
@@ -118,7 +120,8 @@ def test_compare_matches_resolution():
 def screen_blind_d2(monkeypatch):
     """Add the screening prime to the first entry of the first row of d_2.
 
-    Over F_p for that prime the complex is unchanged; over Q it is not.
+    Over F_p for that prime the complex is unchanged; over Q it is not.  The
+    oracle's per-n ranks start empty, so none of the clean ones is read.
     """
     real = BarComplex.differential_rows
 
@@ -131,6 +134,7 @@ def screen_blind_d2(monkeypatch):
             yield row
 
     monkeypatch.setattr(BarComplex, "differential_rows", shifted)
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
 
 
 def test_rational_pass_sees_what_the_screen_cannot(monkeypatch):
@@ -295,3 +299,126 @@ def test_bar_rows_are_keyed_by_ints():
     for n, upto in ((1, 6), (2, 3), (3, 1)):
         rows = bar_rows(context(n, 3).table, upto)
         assert all(type(key) is int for degree in rows for row in degree for key in row)
+
+
+_SHARED_FIELDS = (0, 3, 5, 7, 11, 13, _SCREEN_PRIME)
+
+
+def _recording(monkeypatch, calls):
+    """Record every bar row build and elimination `compare` runs."""
+    real_rows, real_rank, real_scale = (BarComplex.differential_rows, oracle.sparse_rank,
+                                        oracle.rank_and_scale)
+
+    def rows(self, k):
+        calls.append(("rows", k))
+        return real_rows(self, k)
+
+    def rank(rows, field):
+        calls.append(("rank", field.characteristic))
+        return real_rank(rows, field)
+
+    def scale(rows):
+        calls.append(("rank", 0))
+        return real_scale(rows)
+
+    monkeypatch.setattr(BarComplex, "differential_rows", rows)
+    monkeypatch.setattr(oracle, "sparse_rank", rank)
+    monkeypatch.setattr(oracle, "rank_and_scale", scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shared_ranks_match_direct_eliminations(n, monkeypatch):
+    # the dims read off the per-n rational pass equal a direct elimination
+    # over each field, and a degree is eliminated again exactly where the
+    # prime divides its pivot scale: at n=3 over F3 (degree 1, scale 6) only
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    upto = budget_upto(context(n).table, 12, 10000)
+    tables = {p: context(n).table if p == 0 else build_algebra(n, FieldSpec(p))
+              for p in _SHARED_FIELDS}
+    direct = {p: _dims(bar_rows(t, upto), t.field) for p, t in tables.items()}
+    calls = []
+    _recording(monkeypatch, calls)
+    again = []
+    for p, t in tables.items():
+        calls.clear()
+        rep = compare(t, direct[p], upto)
+        assert rep.ok and rep.bar == direct[p]
+        if p == 0:
+            # the rational pass, with the screen read off it
+            assert rep.screen == direct[_SCREEN_PRIME]
+            assert calls.count(("rank", 0)) == rep.eliminations == upto + 1
+        else:
+            known = oracle._RATIONAL_RANKS[oracle._rule_key(tables[0])]
+            scales = [known[k][2] for k in range(upto + 1)]
+            redone = [k for k in range(upto + 1) if scales[k] % p == 0]
+            assert [c for c in calls if c[0] == "rank"] == [("rank", p)] * len(redone)
+            assert [c[1] for c in calls if c[0] == "rows"] == redone
+            assert rep.eliminations == len(redone)
+            again += [(p, k) for k in redone]
+    assert again == ([(3, 1)] if n == 3 else [])
+
+
+def test_later_fields_share_the_rational_pass(monkeypatch):
+    # after Q at n=2, F3 and F7 build no bar rows and eliminate nothing
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    ctx = context(2)
+    assert compare(ctx.table, hh_dims(ctx.cx, 3), 3).eliminations == 4
+    calls = []
+    _recording(monkeypatch, calls)
+    for p in (3, 7):
+        rep = compare(context(2, p).table, [4, 2, 2, 2], 3)
+        assert rep.ok and rep.eliminations == 0
+    assert calls == []
+
+
+def test_a_cold_prime_field_point_ranks_over_its_field_and_keeps_nothing(monkeypatch):
+    # no char-0 point first: every degree is eliminated over F_p, as
+    # `bar_dims` does, none over Q, and a second F_p point does it again
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    calls = []
+    _recording(monkeypatch, calls)
+    for p in (3, 3, 5):
+        calls.clear()
+        rep = compare(context(2, p).table, [4, 2, 2, 2], 3)
+        assert rep.ok and rep.eliminations == 4
+        assert [c for c in calls if c[0] == "rank"] == [("rank", p)] * 4
+    assert oracle._RATIONAL_RANKS == {}
+
+
+def _negated_above_degree_one(n: int) -> AlgebraTable:
+    """The canonical table of n over Q with every rule entry that lands in
+    degree >= 2 negated: same n and basis, another rule (no longer unital
+    or associative), other bar rows."""
+    base = context(n).table
+    t = AlgebraTable(n, base.field, base.basis, _integral_tables(n)[1])
+    t.rule = [(-e[0], e[1]) if e and base.basis[e[1]].degree >= 2 else e for e in t.rule]
+    return t
+
+
+def test_ranks_are_kept_per_rule_not_per_n(monkeypatch):
+    # a table of n=2 with another rule reads none of the ranks kept for the
+    # canonical one: neither the unsigned-socle variant (an isomorphic
+    # algebra with other bar rows) nor a table whose dims differ
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    canonical = context(2).table
+    assert compare(canonical, [4, 2, 2, 2], 3).ok
+    negated = _negated_above_degree_one(2)
+    assert bar_dims(negated, 3) == [4, 2, -3, -16]
+    for t in (variant_socle_table(2), negated):
+        assert oracle._rule_key(t) != oracle._rule_key(canonical)
+        rep = compare(t, bar_dims(t, 3), 3)
+        assert rep.ok and rep.eliminations == 4
+    assert len(oracle._RATIONAL_RANKS) == 3
+
+
+def test_a_warm_cache_still_checks_the_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    assert compare(context(2).table, hh_dims(context(2).cx, 3), 3).ok
+    t = context(2, 3).table
+    assert compare(t, [4, 2, 2, 2], 3).eliminations == 0
+    with pytest.raises(BudgetExceededError) as err:
+        compare(t, [4, 2, 2, 2], 3, budget=1000)
+    assert err.value.degree == 3
+    with pytest.raises(BudgetExceededError) as err:
+        compare(t, [4, 2, 2, 2, 2], 4)
+    assert err.value.degree == 4
