@@ -98,13 +98,13 @@ class CochainComplex:
         # Soundness of building d^i once per period.  The explicit matrix of
         # d^i reads only i mod 6 and the spaces V^i, V^(i+1), and `_make_space`
         # reads only the degree mod 3: so the explicit d^i is the explicit
-        # d^(i-6) for every i >= 6.  The dual matrix reads the value terms of
-        # d_(i+1) and the spaces, and sums each entry in the field, so it is
-        # linear in the normalized map.  Where `repeats_period` finds d_(i+1)
-        # equal to d_(i-5) between equal terms, the dual d^i is the dual
-        # d^(i-6) as well, and both were compared when d^(i-6) was built: d^i
-        # is that matrix, the same object.  Where both factors of d^(i+1) d^i
-        # are such repeats, the product is d^(i-5) d^(i-6), checked already.
+        # d^(i-6) for every i >= 6.  The dual matrix reads only the spaces and
+        # the value dicts of d_(i+1), which are canonical by construction.
+        # Where `repeats_period` finds d_(i+1) equal to d_(i-5) between equal
+        # terms, the dual d^i is the dual d^(i-6) as well, and both were
+        # compared when d^(i-6) was built: d^i is that matrix, the same
+        # object.  Where both factors of d^(i+1) d^i are such repeats, the
+        # product is d^(i-5) d^(i-6), checked already.
         # A differential that does not repeat is built and cross-checked on
         # its own.
         for i in range(maxdeg):
@@ -255,7 +255,7 @@ class CochainComplex:
         by_comp: Dict[int, list] = {}
         for k, terms in enumerate(f.values):
             tkey = tgt.components[k]
-            for k2, c, x, y in terms:
+            for (k2, x, y), c in terms.items():
                 by_comp.setdefault(src.components[k2], []).append((tkey, c, x, y))
 
         def image(comp: int, mid: int) -> list:
@@ -325,7 +325,7 @@ def _tensor_matrix(t: AlgebraTable, w: ResolutionWindow, m: int) -> ExactMatrix:
     d = w.diffs[m]
     mono_mul = t.mono_mul
     for col, (k, z) in enumerate(src):
-        for k2, c, x, y in d.values[k]:
+        for (k2, x, y), c in d.values[k].items():
             lhs = mono_mul(y, z)
             if lhs is None:
                 continue
@@ -339,10 +339,10 @@ def _tensor_matrix(t: AlgebraTable, w: ResolutionWindow, m: int) -> ExactMatrix:
 def homology_dims(c: CochainComplex, upto: int) -> List[int]:
     """dim HH_i for i = 0..upto, from the tensor complex over the window.
 
-    `_tensor_matrix` reads the terms m, m-1 and the value terms of d_m,
-    summed in the field, so it is linear in the normalized map: where
-    `repeats_period` finds d_m equal to d_(m-6) between equal terms, the
-    matrix and its rank are those of m-6, and only the others are ranked.
+    `_tensor_matrix` reads the terms m, m-1 and the value dicts of d_m,
+    which are canonical by construction: where `repeats_period` finds d_m
+    equal to d_(m-6) between equal terms, the matrix and its rank are those
+    of m-6, and only the others are ranked.
     """
     t, w = c.table, c.window
     if upto + 1 > w.depth:

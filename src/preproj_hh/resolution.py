@@ -2,17 +2,19 @@
 
 Terms are direct sums of elementary bimodules L e_s (x) e_t L;  a map
 between such sums is stored by its values on the generators e_s (x) e_t,
-each value a list of (target summand, coefficient, left monomial, right
-monomial) terms.  One kernel, `expand`, evaluates a map on an element
-x (x) y, adding scale times its value into a dict of plain sums that the
-caller passes; it reads the algebra's product rule inline, the lookup of
+each value a dict {(target summand, left monomial, right monomial):
+coefficient} of nonzero field scalars.  Keys cannot repeat and order does
+not matter, so a map is canonical by construction: two maps are equal
+exactly when their dicts are.  One kernel, `expand`, evaluates a map on an
+element x (x) y, adding scale times its value into a dict of plain sums that
+the caller passes; it reads the algebra's product rule inline, the lookup of
 `AlgebraTable.mono_mul` without the call and without the composability test,
 which well-formed maps make needless.  `compose`, `flatten_map` and the
 lifting systems of the product engine read it, and each coerces a sum into
-the field once, as `BimoduleMap.normalized` does.  The initial differentials delta, R, k are
-the explicit ones; everything deeper is produced by the tau-twist, which
-multiplies the right tensor factor of every value term by (-1)^deg since
-tau negates arrows.  The window is certified by composing maps
+the field once, as `BimoduleMap.from_terms` does.  The initial differentials
+delta, R, k are the explicit ones; everything deeper is produced by the
+tau-twist, which multiplies the right tensor factor of every value term by
+(-1)^deg since tau negates arrows.  The window is certified by composing maps
 symbolically (d.d = 0, periodicity) and by exact rank bookkeeping on the
 one-sided complexes X (x)_L S_v, X the augmented window and S_v the simple
 left modules: they are exact wherever X is, and at n=7 have 280 to 546
@@ -29,13 +31,13 @@ period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import exactla
 from .algebra import AlgebraTable
 from .nakayama import NakayamaForm
 
-Term = Tuple[int, int, int, int]  # (target summand, coeff, left mid, right mid)
+Key = Tuple[int, int, int]  # (target summand, left mid, right mid)
 
 
 @dataclass(frozen=True)
@@ -46,36 +48,45 @@ class ProjectiveBimodule:
 
 @dataclass
 class BimoduleMap:
+    """A map by its values on the source generators.
+
+    Each value is a dict {key: nonzero field-canonical coefficient}, so a
+    map built directly must be handed canonical dicts; `from_terms` makes
+    them from literal terms.
+    """
+
     table: AlgebraTable
     source: ProjectiveBimodule
     target: ProjectiveBimodule
-    values: List[List[Term]]       # one term list per source summand
+    values: List[Dict[Key, object]]   # one dict per source summand
 
-    def normalized(self) -> "BimoduleMap":
-        """Combine duplicate (summand, left, right) keys; field-canonical coefficients."""
-        F = self.table.field
-        out = []
-        for terms in self.values:
+    @classmethod
+    def from_terms(cls, table: AlgebraTable, source: ProjectiveBimodule,
+                   target: ProjectiveBimodule, term_lists) -> "BimoduleMap":
+        """The map whose value on source summand i is the sum of the terms
+        (target summand, coeff, left mid, right mid) of term_lists[i]."""
+        F = table.field
+        values = []
+        for terms in term_lists:
             # summed as plain numbers, coerced into the field once per key
             acc: dict = {}
             for k, c, x, y in terms:
                 acc[(k, x, y)] = acc.get((k, x, y), 0) + c
-            out.append([(k, fc, x, y) for (k, x, y), c in sorted(acc.items())
-                        if (fc := F(c)) != 0])
-        return BimoduleMap(self.table, self.source, self.target, out)
+            values.append({key: fc for key, c in acc.items() if (fc := F(c)) != 0})
+        return cls(table, source, target, values)
 
     def is_zero(self) -> bool:
-        return all(not terms for terms in self.normalized().values)
+        return not any(self.values)
 
     def equals(self, other: "BimoduleMap") -> bool:
-        """The same map: equal source and target terms and equal normalized values."""
+        """The same map: equal source and target terms and equal values."""
         return (self.source == other.source and self.target == other.target
-                and self.normalized().values == other.normalized().values)
+                and self.values == other.values)
 
     def serialize(self) -> list:
         export = self.table.field.export
-        return [[[k, export(c), x, y] for k, c, x, y in terms]
-                for terms in self.normalized().values]
+        return [[[k, export(c), x, y] for (k, x, y), c in sorted(terms.items())]
+                for terms in self.values]
 
 
 def projective_p(t: AlgebraTable) -> ProjectiveBimodule:
@@ -99,7 +110,7 @@ def expand(f: BimoduleMap, k: int, x: int, y: int, scale, out: dict) -> dict:
     t = f.table
     rule, left, right = t.rule, t.rule_left, t.rule_right
     lx, ry = left[x], right[y]
-    for k2, c, xd, yd in f.values[k]:
+    for (k2, xd, yd), c in f.values[k].items():
         lhs = rule[lx + right[xd]]
         if lhs is None:
             continue
@@ -121,10 +132,10 @@ def compose(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
     for terms in g.values:
         # summed as plain numbers, coerced into the field once per key
         acc: dict = {}
-        for k, c, x, y in terms:
+        for (k, x, y), c in terms.items():
             expand(f, k, x, y, c, acc)
-        values.append([(k, fc, x, y) for (k, x, y), c in sorted(acc.items())
-                       if (fc := F(c)) != 0])
+        values.append({key: fc for key, c in acc.items() if (fc := F(c)) != 0})
+    # canonical: one coerced, nonzero coefficient per key
     return BimoduleMap(t, g.source, f.target, values)
 
 
@@ -133,13 +144,13 @@ def tau_twist(m: BimoduleMap, eps: int = 1) -> BimoduleMap:
     negating arrows, for eps in {1, -1}.
 
     The twist multiplies each coefficient by (-1)^deg y, y the right factor
-    of its term, so eps tau(m) has the terms of m in their order, each
-    coefficient kept or negated in the field (-1 becomes p-1 over F_p): no
-    key merges or cancels, and the twist of a normalized map is normalized.
+    of its key, so eps tau(m) has the keys of m, each coefficient kept or
+    negated in the field (-1 becomes p-1 over F_p).
     """
     basis, neg = m.table.basis, m.table.field.neg
-    values = [[(k, c if (basis[y].degree % 2 == 0) == (eps == 1) else neg(c), x, y)
-               for k, c, x, y in terms] for terms in m.values]
+    values = [{key: c if (basis[key[2]].degree % 2 == 0) == (eps == 1) else neg(c)
+               for key, c in terms.items()} for terms in m.values]
+    # canonical: the keys of m, each coefficient kept or negated in the field
     return BimoduleMap(m.table, m.source, m.target, values)
 
 
@@ -152,7 +163,7 @@ def delta_map(t: AlgebraTable) -> BimoduleMap:
             (a.target - 1, 1, amid, t.e_ids[a.target]),
             (a.source - 1, -1, t.e_ids[a.source], amid),
         ])
-    return BimoduleMap(t, Q, P, values)
+    return BimoduleMap.from_terms(t, Q, P, values)
 
 
 def r_map(t: AlgebraTable) -> BimoduleMap:
@@ -166,7 +177,7 @@ def r_map(t: AlgebraTable) -> BimoduleMap:
             terms.append((arrow_pos[a.index], 1, t.e_ids[i], t.arrow_ids[abar.index]))
             terms.append((arrow_pos[abar.index], 1, t.arrow_ids[a.index], t.e_ids[i]))
         values.append(terms)
-    return BimoduleMap(t, P, Q, values)
+    return BimoduleMap.from_terms(t, P, Q, values)
 
 
 def k_map(t: AlgebraTable, form: NakayamaForm) -> BimoduleMap:
@@ -182,7 +193,7 @@ def k_map(t: AlgebraTable, form: NakayamaForm) -> BimoduleMap:
                 raise ValueError("non-unit dual scalar")
             terms.append((m.target - 1, (-1) ** m.degree * s_int, m.mid, dual_mid))
         values.append(terms)
-    return BimoduleMap(t, P, P, values)
+    return BimoduleMap.from_terms(t, P, P, values)
 
 
 @dataclass
@@ -214,8 +225,8 @@ def build_resolution(t: AlgebraTable, form: NakayamaForm, depth: int) -> Resolut
 
 def repeats_period(w: ResolutionWindow, m: int) -> bool:
     """Whether d_m equals d_(m-6) between equal terms: P_m = P_(m-6),
-    P_(m-1) = P_(m-7), and the two maps equal as normalized value lists on
-    those terms (`BimoduleMap.equals`).
+    P_(m-1) = P_(m-7), and the two maps equal as value dicts on those
+    terms (`BimoduleMap.equals`), which are canonical by construction.
 
     Every layer that reuses the work of d_(m-6) for d_m asks this at the time
     it reads the maps; no verdict is kept on the window, whose maps may be
@@ -267,11 +278,11 @@ def one_sided_columns(f: BimoduleMap) -> List[dict]:
     """Columns of f (x)_L S_v over every vertex v, keyed by (summand, left monomial).
 
     f sends x (x) e_t to the sum of c (x x') (x) (y' e_t) over its value terms
-    (k2, c, x', y').  Only the terms with y' = e_t survive: a right factor of
+    c at (k2, x', y').  Only the terms with y' = e_t survive: a right factor of
     positive degree acts as zero on S_v, and e_t e_t = e_t.
     """
     t = f.table
-    kept = [[(k2, c, xd) for k2, c, xd, yd in terms if yd == t.e_ids[v]]
+    kept = [[(k2, c, xd) for (k2, xd, yd), c in terms.items() if yd == t.e_ids[v]]
             for terms, (_, v) in zip(f.values, f.source.summands)]
     columns = []
     mono_mul = t.mono_mul
@@ -374,13 +385,12 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
                          if not repeats[m]]
     periodic = not periodic_failures
 
-    # d.d = 0 once per period.  `compose` is linear in each factor's value
-    # list and reads nothing else but their terms.  So where every d_(m+6)
-    # repeats d_m, checked exactly just above (`repeats_period`), the pair
-    # d_m o d_(m+1) for m > 6 is the pair m-6 term for term and vanishes
-    # exactly when that one does.  Such a pair takes its verdict, and its
-    # failure line, from its partner; a window that is not periodic
-    # composes every pair.
+    # d.d = 0 once per period.  `compose` reads nothing but the value dicts
+    # of its factors.  So where every d_(m+6) repeats d_m, checked exactly
+    # just above (`repeats_period`), the pair d_m o d_(m+1) for m > 6 is the
+    # pair m-6 term for term and vanishes exactly when that one does.  Such
+    # a pair takes its verdict, and its failure line, from its partner; a
+    # window that is not periodic composes every pair.
     dd = True
     pair_zero = {}
     for m in range(1, w.depth):
@@ -395,7 +405,7 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
     aug = True
     for terms in w.diffs[1].values:
         acc: dict = {}
-        for _, c, x, y in terms:
+        for (_, x, y), c in terms.items():
             hit = t.mono_mul(x, y)
             if hit is not None:
                 cc, m3 = hit
@@ -407,7 +417,7 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
     minimal = True
     for m in range(1, w.depth + 1):
         for terms in w.diffs[m].values:
-            for _, c, x, y in terms:
+            for _, x, y in terms:
                 if t.basis[x].degree == 0 and t.basis[y].degree == 0:
                     minimal = False
                     failures.append(f"d{m} has a scalar value term")
@@ -419,13 +429,11 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
         f"mod {p} ranks pinned by exact d.d = 0 and dimension counts")
     # maps[m] is d_m (x) S over every vertex and maps[0] the augmentation;
     # the columns of maps[m] are the basis of P_m (x) S.  Once per period:
-    # where d_m repeats d_(m-6) (`repeats_period`: equal terms, equal
-    # normalized values), maps[m] is maps[m-6] and so is its rank.  The
-    # columns read only the value terms and the source summands of d_m, and
-    # they sum the terms of each key as plain numbers, so they are linear in
-    # the normalized map: the two matrices agree over Q, hence modulo every
-    # prime too, and have one rank.  A map that does not repeat is built and
-    # ranked on its own.
+    # where d_m repeats d_(m-6) (`repeats_period`: equal terms, equal value
+    # dicts), maps[m] is maps[m-6] and so is its rank.  The columns read
+    # only the value dicts and the source summands of d_m, which are
+    # canonical by construction, so equal maps give equal matrices and one
+    # rank.  A map that does not repeat is built and ranked on its own.
     maps = [_augmentation_columns(t, w.terms[0])]
     for m in range(1, w.depth + 1):
         maps.append(maps[m - 6] if repeats[m] else one_sided_columns(w.diffs[m]))

@@ -26,22 +26,21 @@ Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`).
 Every exact kernel on the way sums plain numbers and coerces each entry
-into the field once: `resolution.expand` (read by `compose`, the step
-right-hand sides `_step_rhs` and the systems `_assemble`), the cochain
-pull-back `CochainComplex.pullback` that `cup_vec` reads, and the sums of a
-solved step, which are already field-canonical and only sorted.
+into the field once: `resolution.expand` (read by `compose`, which gives
+the step right-hand sides, and by the systems `_assemble`) and the cochain
+pull-back `CochainComplex.pullback` that `cup_vec` reads.  A solved step
+is built from the field-canonical values of its solutions as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_add
 from .cochain import CochainComplex, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, det
-from .resolution import BimoduleMap, ResolutionWindow, expand, tau_twist
+from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
 
 
 class NotACocycleError(RuntimeError):
@@ -213,15 +212,14 @@ class YonedaEngine:
     # = eps E b_(k-3); tau keeps value degrees, so b_k splits into the same
     # graded blocks as b_(k-3).  So
     #   f_k = S_k(eps E b_(k-3)) = eps E S_(k-3)(b_(k-3)) = eps tau(f_(k-3)),
-    # and, normalized, that is the map `_solve_steps` would return, byte for
-    # byte (by induction every earlier step is the solved one too).  Where a
-    # check fails, the step is solved.  Every map `lift_many` appends is
-    # normalized, and `tau_twist(m, eps)` of a normalized map is normalized:
-    # it keeps the keys of m in their order and negates some coefficients in
-    # the field.  So `_twist_sign` tests f_(k-1) = eps tau(f_(k-4)) exactly,
-    # by comparing the value lists of f_(k-1) and `tau_twist(f_(k-4), eps)`
-    # for each sign in turn, and the window's d_k = tau(d_(k-3)) are built
-    # by the same function.
+    # and that is the map `_solve_steps` would return, byte for byte (by
+    # induction every earlier step is the solved one too).  Where a check
+    # fails, the step is solved.  Every map `lift_many` appends, and
+    # `tau_twist(m, eps)` of any map, is canonical by construction: one
+    # nonzero field scalar per key.  So `_twist_sign` tests
+    # f_(k-1) = eps tau(f_(k-4)) exactly, by comparing the value dicts of
+    # f_(k-1) and `tau_twist(f_(k-4), eps)` for each sign in turn, and the
+    # window's d_k = tau(d_(k-3)) are built by the same function.
     #
     # A recorded eps is the one `_twist_sign` would find.  Where f_(k-1) was
     # itself appended as a twist, it is `tau_twist(f_(k-4), eps)` for the
@@ -260,32 +258,20 @@ class YonedaEngine:
         values = []
         for ks, ((s, tt), comp) in enumerate(zip(w.terms[degree].summands,
                                                  self.cx.spaces[degree].components)):
-            out = []
+            out = {}
             for mid, c in comps.get(comp, {}).items():
                 for kt, x, y in _graded_triples(t, w.terms[0], s, tt, t.basis[mid].degree):
                     hit = t.mono_mul(x, y)
                     if hit is not None and (a := F(hit[0])) != 0:
-                        out.append((kt, F(F.mul(c, F.inv(a))), x, y))
+                        out[(kt, x, y)] = F(F.mul(c, F.inv(a)))
                         break
                 else:
                     raise LiftFailedError(
                         f"lifting system inconsistent at step 0, summand {ks}")
             values.append(out)
-        return BimoduleMap(t, w.terms[degree], w.terms[0], values).normalized()
-
-    def _step_rhs(self, seg: ChainMapSegment, k: int) -> List[list]:
-        """Right-hand side f_(k-1) o d_(degree+k) of step k, per source summand:
-        terms (target summand, coefficient, x, y), each a plain sum coerced
-        into the field once, zeros dropped, unsorted."""
-        f, F = seg.maps[k - 1], self.table.field
-        rhs = []
-        for terms in self.window.diffs[seg.base_degree + k].values:
-            acc: dict = {}
-            for kd, c, x, y in terms:
-                expand(f, kd, x, y, c, acc)
-            rhs.append([(kn, fc, x, y) for (kn, x, y), c in acc.items()
-                        if (fc := F(c)) != 0])
-        return rhs
+        # canonical: x.y = +-mid, so distinct mids write distinct keys, each
+        # with a nonzero field scalar
+        return BimoduleMap(t, w.terms[degree], w.terms[0], values)
 
     def _solve_steps(self, k: int, segs) -> List[BimoduleMap]:
         """Step k >= 1 of each segment in the batch, solved together.
@@ -299,16 +285,15 @@ class YonedaEngine:
         """
         w, t = self.window, self.table
         blocks: Dict[tuple, list] = {}    # (s, tt, value degree) -> (job, ks, terms)
-        values: List[List[list]] = []
+        values: List[List[dict]] = []
         for job, seg in enumerate(segs):
-            rhs = self._step_rhs(seg, k)
-            summands = w.terms[seg.base_degree + k].summands
-            values.append([[] for _ in summands])
-            for ks, (s, tt) in enumerate(summands):
-                parts: Dict[int, list] = {}
-                for term in rhs[ks]:
-                    dv = t.basis[term[2]].degree + t.basis[term[3]].degree
-                    parts.setdefault(dv, []).append(term)
+            rhs = compose(seg.maps[k - 1], w.diffs[seg.base_degree + k]).values
+            values.append([{} for _ in rhs])
+            for ks, (s, tt) in enumerate(w.terms[seg.base_degree + k].summands):
+                parts: Dict[int, dict] = {}
+                for key, c in rhs[ks].items():
+                    dv = t.basis[key[1]].degree + t.basis[key[2]].degree
+                    parts.setdefault(dv, {})[key] = c
                 for dv, terms in parts.items():
                     blocks.setdefault((s, tt, dv), []).append((job, ks, terms))
         for (s, tt, dv), group in blocks.items():
@@ -321,15 +306,10 @@ class YonedaEngine:
                         f"lifting system inconsistent at step {k}, summand {ks}")
                 out = values[job][ks]
                 for j, c in sol.items():
-                    kt, x, y = unknowns[j]
-                    out.append((kt, c, x, y))
-        # Sorting equals normalizing.  One block's unknowns are distinct
-        # triples, and blocks of different value degree have disjoint
-        # unknowns, so no key of a summand repeats; every value `_solutions`
-        # returns is field-canonical and nonzero.  So the terms sorted by
-        # (summand, x, y) are the normalized map.
-        return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k],
-                            [sorted(terms, key=itemgetter(0, 2, 3)) for terms in v])
+                    out[unknowns[j]] = c
+        # canonical: the values of `_solutions` are field-canonical and
+        # nonzero, and no unknown repeats within a block or across blocks
+        return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k], v)
                 for seg, v in zip(segs, values)]
 
     # Soundness of the batch.  The system matrix, its unknowns and its
@@ -433,20 +413,22 @@ def _twist_classes(w: ResolutionWindow) -> List[bool]:
             for k in range(w.depth + 1)]
 
 
-def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms) -> dict:
+def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms: dict) -> dict:
     """One graded block of step k as a sparse column of its system.
 
-    The terms come from `_step_rhs`: one per key, each a nonzero field scalar.
+    The terms are a slice of a value dict of `compose`: one nonzero field
+    scalar per key.
     """
-    if any((kn, x, y) not in eq_pos for kn, _, x, y in rhs_terms):
+    if any(key not in eq_pos for key in rhs_terms):
         raise LiftFailedError(
             f"right-hand side outside the graded piece at step {k}, summand {ks}")
-    return {eq_pos[(kn, x, y)]: c for kn, c, x, y in rhs_terms}
+    return {eq_pos[key]: c for key, c in rhs_terms.items()}
 
 
 def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:
-    """The eps in {1, -1} with later = eps tau(earlier), both normalized, or
-    None; maps without terms take eps = 1."""
+    """The eps in {1, -1} with later = eps tau(earlier), or None; maps
+    without terms take eps = 1.  Both maps are canonical by construction,
+    so equal value dicts are equal maps."""
     for eps in (1, -1):
         if later.values == tau_twist(earlier, eps).values:
             return eps

@@ -49,24 +49,42 @@ def variant_socle_table(n: int, char: int = 0) -> AlgebraTable:
     return AlgebraTable(n, base.field, basis, flipped)
 
 
+def term_lists(f):
+    """The value terms of f, per source summand, as (target summand, coeff,
+    left mid, right mid) tuples in the order of its dicts."""
+    return [[(k, c, x, y) for (k, x, y), c in terms.items()] for terms in f.values]
+
+
+def canonical(F, x) -> bool:
+    """x is nonzero and the field's own form of itself: reduced mod p over
+    F_p, an int wherever it is integral over Q."""
+    return F(x) == x and type(F(x)) is type(x) and x != 0
+
+
+def is_canonical(f) -> bool:
+    """Every coefficient of the bimodule map f is `canonical`."""
+    return all(canonical(f.table.field, c) for terms in f.values for c in terms.values())
+
+
 def summand_negated(f, summand=0):
     """f with the value terms of one source summand negated."""
     values = [[(k, -c, x, y) for k, c, x, y in terms] if i == summand else terms
-              for i, terms in enumerate(f.values)]
-    return BimoduleMap(f.table, f.source, f.target, values)
+              for i, terms in enumerate(term_lists(f))]
+    return BimoduleMap.from_terms(f.table, f.source, f.target, values)
 
 
 def relisted(f):
-    """f with every term list reversed and each first term split in two:
-    another listing of the same normalized map."""
+    """f built from its terms listed differently: every term list reversed
+    and each first term split in two.  `from_terms` merges them back, so the
+    result equals f."""
     values = []
-    for terms in f.values:
+    for terms in term_lists(f):
         terms = list(reversed(terms))
         if terms:
             k, c, x, y = terms[0]
             terms[:1] = [(k, c + 1, x, y), (k, -1, x, y)]
         values.append(terms)
-    return BimoduleMap(f.table, f.source, f.target, values)
+    return BimoduleMap.from_terms(f.table, f.source, f.target, values)
 
 
 def perturb_d2(monkeypatch):

@@ -668,9 +668,9 @@ def test_a_negated_differential_term_fails_resolution_exact_with_its_witness(
 
     def certify_negated(w):
         d2 = w.diffs[2]
-        values = [list(terms) for terms in d2.values]
-        k, c, x, y = values[0][0]
-        values[0][0] = (k, -c, x, y)
+        values = [dict(terms) for terms in d2.values]
+        key = next(iter(values[0]))
+        values[0][key] = d2.table.field.neg(values[0][key])
         bad = copy.copy(w)
         bad.diffs = w.diffs[:2] + [BimoduleMap(d2.table, d2.source, d2.target, values)] \
             + w.diffs[3:]

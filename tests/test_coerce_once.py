@@ -1,10 +1,14 @@
 """The coerce-once kernels against per-entry field arithmetic.
 
-`ExactMatrix.from_entries`, `BimoduleMap.normalized`, `algebra.multiply`
+`ExactMatrix.from_entries`, `BimoduleMap.from_terms`, `algebra.multiply`
 and `resolution.expand` (through `compose`) sum plain numbers and coerce each
 entry into the field once.  Each is checked here against a reference that
 coerces every term and adds in the field, as those kernels once did, over Q,
 F3 and F5, on int and Fraction inputs and on entries that cancel to zero.
+
+A bimodule map is canonical by construction: every producer of one gives
+each key a nonzero scalar in the field's own form, so maps compare by their
+dicts.  The last tests pin that on every producer.
 """
 
 from fractions import Fraction
@@ -14,8 +18,11 @@ from hypothesis import strategies as st
 
 from preproj_hh.algebra import build_algebra, multiply
 from preproj_hh.exactla import ExactMatrix, FieldSpec
+from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.resolution import (BimoduleMap, compose, expand, projective_p,
-                                   projective_q)
+                                   projective_q, tau_twist)
+from preproj_hh.yoneda import YonedaEngine
+from conftest import canonical, context, is_canonical
 
 chars = st.sampled_from([0, 3, 5])
 # denominators prime to 3 and 5, so every scalar lies in all three fields
@@ -28,11 +35,6 @@ def _table(char):
     if char not in _TABLES:
         _TABLES[char] = build_algebra(2, FieldSpec(char))
     return _TABLES[char]
-
-
-def _canonical(F, x) -> bool:
-    """x is the field's own form of itself: an integral rational is an int."""
-    return F(x) == x and type(F(x)) is type(x) and x != 0
 
 
 def _with_cancellations(data, items, negate):
@@ -52,14 +54,13 @@ def _reference_rows(F, nrows, entries):
     return [{j: x for j, x in row.items() if x != 0} for row in rows]
 
 
-def _reference_normalized(m):
-    F = m.table.field
+def _reference_from_terms(F, term_lists):
     out = []
-    for terms in m.values:
+    for terms in term_lists:
         acc = {}
         for k, c, x, y in terms:
             acc[(k, x, y)] = F.add(acc.get((k, x, y), F.zero), F(c))
-        out.append([(k, c, x, y) for (k, x, y), c in sorted(acc.items()) if c != 0])
+        out.append({key: c for key, c in acc.items() if c != 0})
     return out
 
 
@@ -82,7 +83,7 @@ def _reference_multiply(t, x, y):
 def _reference_expand(f, k, x, y):
     """f on x (x) y of summand k as a fresh dict of unreduced sums."""
     out = {}
-    for k2, c, xd, yd in f.values[k]:
+    for (k2, xd, yd), c in f.values[k].items():
         lhs, rhs = f.table.mono_mul(x, xd), f.table.mono_mul(yd, y)
         if lhs is not None and rhs is not None:
             key = (k2, lhs[1], rhs[1])
@@ -95,11 +96,10 @@ def _reference_compose(f, g):
     values = []
     for terms in g.values:
         acc = {}
-        for k, c, x, y in terms:
+        for (k, x, y), c in terms.items():
             for key, v in _reference_expand(f, k, x, y).items():
                 acc[key] = acc.get(key, 0) + c * v
-        values.append([(k, F(c), x, y) for (k, x, y), c in sorted(acc.items())
-                       if F(c) != 0])
+        values.append({key: F(c) for key, c in acc.items() if F(c) != 0})
     return values
 
 
@@ -141,18 +141,18 @@ def test_from_entries_matches_per_entry_coercion(char, data):
     entries = _with_cancellations(data, entries, lambda e: (e[0], e[1], -e[2]))
     m = ExactMatrix.from_entries(F, 3, 4, entries)
     assert m.rows == _reference_rows(F, 3, entries)
-    assert all(_canonical(F, x) for _, _, x in m.entries())
+    assert all(canonical(F, x) for _, _, x in m.entries())
 
 
 @given(char=chars, data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_normalized_matches_per_entry_coercion(char, data):
+def test_from_terms_matches_per_entry_coercion(char, data):
     t = _table(char)
     P = projective_p(t)
-    m = BimoduleMap(t, P, P, _values(data, t, P, P))
-    got = m.normalized().values
-    assert got == _reference_normalized(m)
-    assert all(_canonical(t.field, c) for terms in got for _, c, _, _ in terms)
+    terms = _values(data, t, P, P)
+    m = BimoduleMap.from_terms(t, P, P, terms)
+    assert m.values == _reference_from_terms(t.field, terms)
+    assert is_canonical(m)
 
 
 @given(char=chars, data=st.data())
@@ -167,7 +167,7 @@ def test_multiply_matches_per_entry_coercion(char, data):
     x, y = data.draw(element), data.draw(element)
     got = multiply(t, x, y)
     assert got == _reference_multiply(t, x, y)
-    assert all(_canonical(F, c) for c in got.values())
+    assert all(canonical(F, c) for c in got.values())
 
 
 def test_multiply_drops_a_coefficient_that_cancels():
@@ -200,7 +200,7 @@ def test_multiply_drops_a_coefficient_that_cancels():
 def test_expand_adds_scaled_values_into_the_callers_dict(char, data):
     t = _table(char)
     P, Q = projective_p(t), projective_q(t)
-    f = BimoduleMap(t, P, Q, _values(data, t, P, Q))
+    f = BimoduleMap.from_terms(t, P, Q, _values(data, t, P, Q))
     k = data.draw(st.integers(0, len(P.summands) - 1))
     x, y = _element(data, t, P.summands[k])
     scale = data.draw(scalars)
@@ -218,8 +218,61 @@ def test_expand_adds_scaled_values_into_the_callers_dict(char, data):
 def test_compose_matches_the_returned_dict_path(char, data):
     t = _table(char)
     P, Q = projective_p(t), projective_q(t)
-    f = BimoduleMap(t, P, Q, _values(data, t, P, Q))
-    g = BimoduleMap(t, P, P, _values(data, t, P, P))
-    got = compose(f, g).values
-    assert got == _reference_compose(f, g)
-    assert all(_canonical(t.field, c) for terms in got for _, c, _, _ in terms)
+    f = BimoduleMap.from_terms(t, P, Q, _values(data, t, P, Q))
+    g = BimoduleMap.from_terms(t, P, P, _values(data, t, P, P))
+    got = compose(f, g)
+    assert got.values == _reference_compose(f, g)
+    assert is_canonical(got)
+
+
+# -- canonical by construction ------------------------------------------------------
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_built_maps_have_canonical_nonzero_coefficients(char, data):
+    # from_terms on terms that repeat and cancel, compose of two such maps
+    # and of consecutive differentials (whose sums all cancel), and both
+    # signed twists of each: one nonzero field-canonical scalar per key, and
+    # a twist negates exactly the keys of odd right factor
+    t = _table(char)
+    F = t.field
+    P, Q = projective_p(t), projective_q(t)
+    f = BimoduleMap.from_terms(t, P, Q, _values(data, t, P, Q))
+    g = BimoduleMap.from_terms(t, P, P, _values(data, t, P, P))
+    w = context(2, char).window
+    maps = [f, g, compose(f, g)] + [compose(w.diffs[m], w.diffs[m + 1]) for m in (1, 2, 3)]
+    for m in list(maps):
+        for eps in (1, -1):
+            twisted = tau_twist(m, eps)
+            assert [set(terms) for terms in twisted.values] == \
+                [set(terms) for terms in m.values]
+            assert all(terms[key] == F(eps * (-1) ** t.basis[key[2]].degree * c)
+                       for terms, mterms in zip(twisted.values, m.values)
+                       for key, c in mterms.items())
+            maps.append(twisted)
+    assert all(is_canonical(m) for m in maps)
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_lifted_maps_have_canonical_nonzero_coefficients(char, data):
+    # a cocycle of degree 1..6 at n=2, a drawn combination of the canonical
+    # cocycles plus a drawn coboundary: step 0 (`_lift_cochain`) and every
+    # step `lift_many` appends, solved or twisted, is canonical
+    cx = context(2, char).cx
+    F = cx.table.field
+    degree = data.draw(st.integers(1, 6), label="degree")
+    vectors = canonical_cocycles(cx, degree).vectors
+    coeffs = data.draw(st.lists(scalars.map(F), min_size=len(vectors),
+                                max_size=len(vectors)), label="coefficients")
+    below = data.draw(st.lists(scalars.map(F), min_size=cx.spaces[degree - 1].dim,
+                               max_size=cx.spaces[degree - 1].dim), label="cochain")
+    vec = [F(sum(c * v[i] for c, v in zip(coeffs, vectors)) + b)
+           for i, b in enumerate(cx.diffs[degree - 1].matvec(below))]
+    eng = YonedaEngine(cx)
+    assert is_canonical(eng._lift_cochain(degree, vec))
+    top = cx.maxdeg - 1
+    seg = eng.lift_many([(vec, degree, top - degree)])[0]
+    assert len(seg.maps) == top - degree + 1
+    assert all(is_canonical(f) for f in seg.maps)

@@ -2,11 +2,7 @@ import pytest
 
 from preproj_hh.resolution import (build_resolution, certify_exact, compose,
                                    tau_twist)
-from conftest import context, relisted, summand_negated
-
-
-def norm(bm):
-    return bm.normalized().values
+from conftest import context, relisted, summand_negated, term_lists
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -17,7 +13,7 @@ def test_delta_on_loop_summand(n):
     eps_mid = t.arrow_ids[0]
     e1 = t.e_ids[1]
     # value on the loop summand: eps (x) e_1 - e_1 (x) eps, both at vertex 1
-    assert sorted(norm(d1)[0]) == sorted([(0, 1, eps_mid, e1), (0, -1, e1, eps_mid)])
+    assert sorted(term_lists(d1)[0]) == sorted([(0, 1, eps_mid, e1), (0, -1, e1, eps_mid)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -30,7 +26,7 @@ def test_r_at_last_vertex(n):
     a = ab - 1
     en = t.e_ids[n]
     expected = sorted([(ab, 1, en, t.arrow_ids[a]), (a, 1, t.arrow_ids[ab], en)])
-    assert sorted(norm(d2)[n - 1]) == expected
+    assert sorted(term_lists(d2)[n - 1]) == expected
 
 
 def test_k_for_single_vertex():
@@ -39,7 +35,7 @@ def test_k_for_single_vertex():
     d3 = ctx.window.diffs[3]
     e1, eps = t.e_ids[1], t.arrow_ids[0]
     # basis {e_1, eps}: e_1 (x) eps - eps (x) e_1
-    assert sorted(norm(d3)[0]) == sorted([(0, 1, e1, eps), (0, -1, eps, e1)])
+    assert sorted(term_lists(d3)[0]) == sorted([(0, 1, e1, eps), (0, -1, eps, e1)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -50,7 +46,7 @@ def test_tau_twist_involution_and_delta_twist(n):
     d4 = ctx.window.diffs[4]
     assert d4.equals(tau_twist(d1))
     # twisted delta: a (x) e + e (x) a, all coefficients positive
-    for terms in norm(d4):
+    for terms in term_lists(d4):
         assert sorted(c for _, c, _, _ in terms) == [1, 1]
 
 
@@ -78,7 +74,7 @@ def test_dd_zero_and_augmentation(n):
     for m in range(1, w.depth):
         assert compose(w.diffs[m], w.diffs[m + 1]).is_zero()
     t = ctx.table
-    for terms in w.diffs[1].values:
+    for terms in term_lists(w.diffs[1]):
         acc = {}
         for _, c, x, y in terms:
             hit = t.mono_mul(x, y)
@@ -89,12 +85,11 @@ def test_dd_zero_and_augmentation(n):
 
 @pytest.mark.parametrize("char", [3, 5])
 def test_augmentation_check_reduces_its_sums_into_the_field(char):
-    # d1 normalized writes -1 as p - 1: the same map, so u o d1 = 0 still
-    # holds in the field though the plain sums of c * x.y are multiples of p
+    # d1 holds -1 as p - 1, coerced when it is built: u o d1 = 0 still holds
+    # in the field though the plain sums of c * x.y are multiples of p
     ctx = context(2, char)
     w = build_resolution(ctx.table, ctx.form, 13)
-    w.diffs[1] = w.diffs[1].normalized()
-    assert any(c == char - 1 for terms in w.diffs[1].values for _, c, _, _ in terms)
+    assert any(c == char - 1 for terms in term_lists(w.diffs[1]) for _, c, _, _ in terms)
     rep = certify_exact(w)
     assert rep.augmentation_zero and rep.ok
 
@@ -137,7 +132,7 @@ def test_minimality(n):
     t = w.table
     for m in range(1, w.depth + 1):
         for terms in w.diffs[m].values:
-            for _, c, x, y in terms:
+            for _, x, y in terms:
                 assert t.basis[x].degree + t.basis[y].degree >= 1
 
 
@@ -210,8 +205,8 @@ def _tampered_window(replace, char=3):
     w = build_resolution(ctx.table, ctx.form, 13)
     for m in (5, 11):
         f = w.diffs[m]
-        w.diffs[m] = BimoduleMap(f.table, f.source, f.target,
-                                 [replace(terms) for terms in f.values])
+        w.diffs[m] = BimoduleMap.from_terms(f.table, f.source, f.target,
+                                            [replace(terms) for terms in term_lists(f)])
     return w
 
 
@@ -280,7 +275,7 @@ def test_window_inexact_at_one_vertex_only_fails_with_the_flattened_witness(monk
     w = build_resolution(ctx.table, ctx.form, 13)
     f = w.diffs[13]
     assert f.source.summands[0] == (1, 1)
-    w.diffs[13] = BimoduleMap(f.table, f.source, f.target, [[]] + f.values[1:])
+    w.diffs[13] = BimoduleMap(f.table, f.source, f.target, [{}] + f.values[1:])
     for vertex, exact in ((1, False), (2, True)):
         r12, dim12 = _one_sided_block(w, 12, vertex)
         r13, _ = _one_sided_block(w, 13, vertex)
@@ -300,12 +295,10 @@ def test_window_that_is_no_complex_is_ranked_directly(monkeypatch):
     # negating d2 on one summand keeps every one-sided rank, but d2 o d3 no
     # longer vanishes, so one-sided exactness proves nothing about the window
     # and the flattened maps are ranked instead of derived
-    from preproj_hh.resolution import BimoduleMap, _blocked_rank
+    from preproj_hh.resolution import _blocked_rank
     ctx = context(2, 3)
     w = build_resolution(ctx.table, ctx.form, 13)
-    f = w.diffs[2]
-    negated = [[(k, -c, x, y) for k, c, x, y in f.values[0]]] + f.values[1:]
-    w.diffs[2] = BimoduleMap(f.table, f.source, f.target, negated)
+    w.diffs[2] = summand_negated(w.diffs[2])
     rep, direct = _counted_certify(monkeypatch, w)
     assert not rep.dd_zero and not rep.ok
     assert direct == 13
@@ -377,13 +370,10 @@ def test_failing_pair_of_a_periodic_window_keeps_its_partners_lines(monkeypatch)
     # d2 and d8 negated on one summand: the window stays periodic, so only
     # six pairs are composed, but d2 o d3 and d8 o d9 both fail and the
     # report names each, as composing every pair does
-    from preproj_hh.resolution import BimoduleMap
     ctx = context(2, 3)
     w = build_resolution(ctx.table, ctx.form, 13)
     for m in (2, 8):
-        f = w.diffs[m]
-        negated = [[(k, -c, x, y) for k, c, x, y in f.values[0]]] + f.values[1:]
-        w.diffs[m] = BimoduleMap(f.table, f.source, f.target, negated)
+        w.diffs[m] = summand_negated(w.diffs[m])
     rep, composed = _counted_compose_certify(monkeypatch, w)
     assert rep.periodic and not rep.dd_zero and not rep.ok
     assert composed == 6
@@ -395,12 +385,9 @@ def test_failing_pair_of_a_periodic_window_keeps_its_partners_lines(monkeypatch)
 def test_window_that_is_not_periodic_composes_every_pair(monkeypatch):
     # d2 alone negated on one summand breaks d2 = d8, so every pair is
     # composed and only d2 o d3 fails
-    from preproj_hh.resolution import BimoduleMap
     ctx = context(2, 3)
     w = build_resolution(ctx.table, ctx.form, 13)
-    f = w.diffs[2]
-    negated = [[(k, -c, x, y) for k, c, x, y in f.values[0]]] + f.values[1:]
-    w.diffs[2] = BimoduleMap(f.table, f.source, f.target, negated)
+    w.diffs[2] = summand_negated(w.diffs[2])
     rep, composed = _counted_compose_certify(monkeypatch, w)
     assert not rep.periodic and not rep.dd_zero
     assert composed == 12
@@ -424,7 +411,7 @@ def test_basis_helpers_match_filtering_the_whole_basis(n):
             for m in t.basis if m.target == s]
     # k: one value term per monomial of e_i L, in basis order
     for i, terms in zip(t.quiver.vertices, ctx.window.diffs[3].values):
-        assert [x for _, _, x, _ in terms] == [m.mid for m in t.basis if m.source == i]
+        assert [x for _, x, _ in terms] == [m.mid for m in t.basis if m.source == i]
 
 
 # -- equality and the period -------------------------------------------------------
@@ -438,10 +425,11 @@ def test_maps_with_equal_values_on_different_terms_are_not_equal():
     assert other_source != f.source
     for g in (BimoduleMap(f.table, f.source, f.source, f.values),
               BimoduleMap(f.table, other_source, f.target, f.values)):
-        assert norm(g) == norm(f)
+        assert g.values == f.values
         assert not f.equals(g) and not g.equals(f)
-    relisted = [list(reversed(terms)) for terms in f.values]
-    assert f.equals(BimoduleMap(f.table, f.source, f.target, relisted))
+    reversed_terms = [list(reversed(terms)) for terms in term_lists(f)]
+    assert f.equals(BimoduleMap.from_terms(f.table, f.source, f.target, reversed_terms))
+    assert f.equals(relisted(f))
 
 
 def test_repeats_period_reads_the_maps_as_they_are():
@@ -453,7 +441,7 @@ def test_repeats_period_reads_the_maps_as_they_are():
     w.diffs[8] = summand_negated(w.diffs[8])
     assert [m for m in range(14) if repeats_period(w, m)] == [7, 9, 10, 11, 12, 13]
     w.diffs[8] = relisted(w.diffs[2])
-    assert w.diffs[8].values != w.diffs[2].values
+    assert w.diffs[8].equals(w.diffs[2])
     assert [m for m in range(14) if repeats_period(w, m)] == list(range(7, 14))
 
 
@@ -498,11 +486,12 @@ def test_a_map_that_breaks_the_period_is_ranked_on_its_own(monkeypatch):
 
 
 def test_a_map_listed_differently_is_still_reused(monkeypatch):
-    # d8 replaced by another listing of the same normalized map: the window
-    # is periodic, one rank per period, and the report is unchanged
+    # d8 rebuilt from another listing of its terms: the same map, so the
+    # window is periodic, one rank per period, and the report is unchanged
     ctx = context(2, 3)
     w = build_resolution(ctx.table, ctx.form, 13)
     w.diffs[8] = relisted(w.diffs[8])
+    assert w.diffs[8].equals(w.diffs[2])
     rep, ranked = _counted_rank_certify(monkeypatch, w)
     assert len(ranked) == 7
     assert rep.serialize() == certify_exact(ctx.window).serialize()

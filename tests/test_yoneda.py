@@ -2,16 +2,17 @@ import itertools
 
 import pytest
 
+import preproj_hh.yoneda as ymod
 from preproj_hh.algebra import x0_element
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec
-from preproj_hh.resolution import build_resolution, compose
+from preproj_hh.resolution import BimoduleMap, build_resolution, compose
 from preproj_hh.yoneda import (ChainMapSegment, LiftFailedError, NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
                                stable_structure_check, YonedaEngine,
                                _graded_triples)
-from conftest import context
+from conftest import context, is_canonical, term_lists
 
 
 def gen(ctx, name):
@@ -29,7 +30,7 @@ def verify_segment(engine, seg, vec) -> bool:
     comps = engine.cx.component_values(degree, vec)
     for ks, terms in enumerate(seg.maps[0].values):
         acc: dict = {}
-        for kt, c, x, y in terms:
+        for (kt, x, y), c in terms.items():
             hit = t.mono_mul(x, y)
             if hit is not None:
                 acc[hit[1]] = acc.get(hit[1], 0) + c * hit[0]
@@ -64,10 +65,9 @@ def test_lift_of_h_is_identity_pattern(n):
     dh, hv = gen(ctx, "h")
     seg = ctx.engine.lift(hv, dh, 2)
     for k in (0, 1, 2):
-        values = seg.maps[k].normalized().values
-        for ks, terms in enumerate(values):
+        for ks, terms in enumerate(seg.maps[k].values):
             s, tt = seg.maps[k].source.summands[ks]
-            assert terms == [(ks, 1, t.e_ids[s], t.e_ids[tt])]
+            assert terms == {(ks, t.e_ids[s], t.e_ids[tt]): 1}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -76,12 +76,11 @@ def test_lift_of_gamma_step_one_is_loop_indicator(n):
     t = ctx.table
     dg, gv = gen(ctx, "gamma")
     seg = ctx.engine.lift(gv, dg, 1)
-    values = seg.maps[1].normalized().values
-    for ks, terms in enumerate(values):
+    for ks, terms in enumerate(seg.maps[1].values):
         if ks == 0:
-            assert terms == [(0, 1, t.e_ids[1], t.e_ids[1])]
+            assert terms == {(0, t.e_ids[1], t.e_ids[1]): 1}
         else:
-            assert terms == []
+            assert terms == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -241,7 +240,6 @@ def test_lift_independence(n, char, monkeypatch):
     # rows leave an echelon-canonical solution where it is; reversed unknowns
     # pick another particular solution, so some lifts differ, but the
     # classes of the products must not
-    import preproj_hh.yoneda as ymod
     ctx = context(n, char)
     eng = ctx.engine
     monkeypatch.setattr(ymod, "_graded_triples",
@@ -326,7 +324,6 @@ def test_adjacency_matrix_shape():
 
 def test_c_matrix_mismatch_detection(monkeypatch):
     # corrupting one computation route must be caught against the others
-    import preproj_hh.yoneda as ymod
     ctx = context(2)
     monkeypatch.setattr(ymod, "combinatorial_c_matrix",
                         lambda table: [[-2, 1], [1, -2]])
@@ -416,13 +413,13 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
     # or degree+k in {5, 8} may be a twist of an earlier step: those steps
     # are solved, and the lifts match an engine that solves every step
     import copy
-    from preproj_hh.resolution import BimoduleMap
     from preproj_hh.yoneda import _twist_classes
     ctx = context(2, 3)
     w = build_resolution(ctx.table, ctx.form, 13)
     f = w.diffs[5]
-    w.diffs[5] = BimoduleMap(f.table, f.source, f.target,
-                             [[(k, -c, x, y) for k, c, x, y in terms] for terms in f.values])
+    w.diffs[5] = BimoduleMap.from_terms(
+        f.table, f.source, f.target,
+        [[(k, -c, x, y) for k, c, x, y in terms] for terms in term_lists(f)])
     classes = _twist_classes(w)
     assert classes[5] is False and classes[8] is False
     assert classes[11] is True
@@ -485,7 +482,6 @@ def test_twisted_steps_match_solved_steps(n, char):
 def _reference_step0(eng, degree, vec):
     """Step 0 as a lifting system: one equation u o f = c mid per monomial
     mid of the cocycle, over the graded value terms, solved by `solve_many`."""
-    from preproj_hh.resolution import BimoduleMap
     t, w, F = eng.table, eng.window, eng.table.field
     comps = eng.cx.component_values(degree, vec)
     values = []
@@ -505,7 +501,7 @@ def _reference_step0(eng, degree, vec):
             out += [(kt, sol[j], x, y) for j, (kt, x, y) in enumerate(unknowns)
                     if j in sol]
         values.append(out)
-    return BimoduleMap(t, w.terms[degree], w.terms[0], values).normalized()
+    return BimoduleMap.from_terms(t, w.terms[degree], w.terms[0], values)
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
@@ -531,7 +527,6 @@ def test_a_lift_that_breaks_its_period_is_solved():
     # identity at step 4 (d_4 o d_5 = 0) but is no longer +-tau(f_1): step 5
     # cannot be twisted, its solve from that f_4 is used, and the segment
     # still verifies
-    from preproj_hh.resolution import BimoduleMap, compose
     from preproj_hh.yoneda import ChainMapSegment
     ctx = context(2, 3)
     t, w = ctx.table, ctx.window
@@ -540,12 +535,12 @@ def test_a_lift_that_breaks_its_period_is_solved():
     clean = ChainMapSegment(d, eng.lift(v, d, 4).maps[:5])
     assert eng._twisted_step(clean, 5) is not None
     assert w.terms[8].summands == w.terms[5].summands
-    ident = BimoduleMap(t, w.terms[8], w.terms[5],
-                        [[(ks, 1, t.e_ids[s], t.e_ids[tt])]
-                         for ks, (s, tt) in enumerate(w.terms[8].summands)])
+    ident = BimoduleMap.from_terms(t, w.terms[8], w.terms[5],
+                                   [[(ks, 1, t.e_ids[s], t.e_ids[tt])]
+                                    for ks, (s, tt) in enumerate(w.terms[8].summands)])
     f4, shift = clean.maps[4], compose(w.diffs[5], ident)
-    corrupted = BimoduleMap(t, f4.source, f4.target,
-                            [a + b for a, b in zip(f4.values, shift.values)]).normalized()
+    corrupted = BimoduleMap.from_terms(
+        t, f4.source, f4.target, [a + b for a, b in zip(term_lists(f4), term_lists(shift))])
     assert not corrupted.equals(f4)
     seg = ChainMapSegment(d, clean.maps[:4] + [corrupted])
     assert eng._twisted_step(seg, 5) is None
@@ -578,15 +573,14 @@ def test_lift_steps_solved_per_certificate(n, char, solved, monkeypatch):
 
 
 def _reference_twist_sign(later, earlier):
-    """Brute force: build eps tau(earlier), normalized, for both signs, by
+    """Brute force: build eps tau(earlier) from its terms, for both signs, by
     multiplying each coefficient by eps (-1)^deg y itself."""
-    from preproj_hh.resolution import BimoduleMap
     basis = earlier.table.basis
     for eps in (1, -1):
-        signed = BimoduleMap(earlier.table, earlier.source, earlier.target,
-                             [[(k, eps * (-1) ** basis[y].degree * c, x, y)
-                               for k, c, x, y in terms]
-                              for terms in earlier.values]).normalized()
+        signed = BimoduleMap.from_terms(earlier.table, earlier.source, earlier.target,
+                                        [[(k, eps * (-1) ** basis[y].degree * c, x, y)
+                                          for k, c, x, y in terms]
+                                         for terms in term_lists(earlier)])
         if later.values == signed.values:
             return eps
     return None
@@ -594,10 +588,10 @@ def _reference_twist_sign(later, earlier):
 
 @pytest.mark.parametrize("n,char", [(2, 0), (2, 3), (3, 5)])
 def test_twist_sign_matches_both_full_twists(n, char):
-    # _twist_sign against both normalized twists, on every map of every
+    # _twist_sign against both twists built from terms, on every map of every
     # generator's lift and on variants: each sign, one coefficient negated,
     # one term dropped, one summand dropped
-    from preproj_hh.resolution import BimoduleMap, tau_twist
+    from preproj_hh.resolution import tau_twist
     from preproj_hh.yoneda import _twist_sign
     ctx = context(n, char)
     t, F = ctx.table, ctx.field
@@ -607,16 +601,16 @@ def test_twist_sign_matches_both_full_twists(n, char):
         for f in seg.maps:
             variants = [f, tau_twist(f, 1), tau_twist(f, -1)]
             for base in variants[1:]:
-                for ks, terms in enumerate(base.values):
+                for ks, terms in enumerate(term_lists(base)):
                     for i, (k, c, x, y) in enumerate(terms[:2]):
-                        flipped = [list(ts) for ts in base.values]
+                        flipped = term_lists(base)
                         flipped[ks][i] = (k, F.neg(c), x, y)
-                        dropped = [list(ts) for ts in base.values]
+                        dropped = term_lists(base)
                         del dropped[ks][i]
-                        variants += [BimoduleMap(t, f.source, f.target, vals)
+                        variants += [BimoduleMap.from_terms(t, f.source, f.target, vals)
                                      for vals in (flipped, dropped)]
                 variants.append(BimoduleMap(t, f.source, f.target, base.values[:-1]))
-            zero = BimoduleMap(t, f.source, f.target, [[] for _ in f.values])
+            zero = BimoduleMap(t, f.source, f.target, [{} for _ in f.values])
             assert _twist_sign(zero, zero) == _reference_twist_sign(zero, zero) == 1
             for later in variants:
                 want = _reference_twist_sign(later, f)
@@ -645,8 +639,7 @@ class _KeptSolvedMaps(YonedaEngine):
 def test_recorded_twist_signs_give_the_maps_of_twist_sign(n, char):
     # a sign is recorded exactly at the steps appended as twists, and on each
     # the recorded sign gives the map that the sign `_twist_sign` finds gives;
-    # every solved map is already normalized, as the sort in `_solve_steps`
-    # claims
+    # every solved map is canonical, as `_solve_steps` claims
     from preproj_hh.resolution import tau_twist
     from preproj_hh.yoneda import _twist_sign
     eng = _KeptSolvedMaps(context(n, char).cx)
@@ -662,7 +655,7 @@ def test_recorded_twist_signs_give_the_maps_of_twist_sign(n, char):
         recorded += len(seg.signs)
     assert recorded == eng.steps_twisted > 0
     assert eng.solved_maps
-    assert all(f.values == f.normalized().values for f in eng.solved_maps)
+    assert all(is_canonical(f) for f in eng.solved_maps)
 
 
 # -- batched lifts ----------------------------------------------------------------
@@ -713,12 +706,18 @@ def test_a_batch_lifts_each_new_cocycle_once_and_whole():
 
 
 class _CorruptedRhs(YonedaEngine):
-    """Adds the value term `key` to one summand of one cocycle's step-k rhs."""
+    """Adds the value term `key` to one summand of one cocycle's step-1 rhs.
 
-    def __init__(self, cx, vec, k, ks, key):
+    `_solve_steps` reads the step-k right-hand side f_(k-1) o d_(degree+k)
+    off `compose`, which `monkeypatch` replaces for this engine's lifts: the
+    rhs of step 1 is the one whose left factor is that cocycle's step 0.
+    """
+
+    def __init__(self, cx, vec, ks, key, monkeypatch):
         super().__init__(cx)
-        self.target, self.k, self.ks, self.key = vec, k, ks, key
+        self.target, self.ks, self.key = vec, ks, key
         self.target_step0 = None
+        monkeypatch.setattr(ymod, "compose", self._compose)
 
     def _lift_cochain(self, degree, vec):
         f = super()._lift_cochain(degree, vec)
@@ -726,16 +725,17 @@ class _CorruptedRhs(YonedaEngine):
             self.target_step0 = f
         return f
 
-    def _step_rhs(self, seg, k):
-        rhs = super()._step_rhs(seg, k)
-        if k != self.k or seg.maps[0] is not self.target_step0:
+    def _compose(self, f, g):
+        rhs = compose(f, g)
+        if f is not self.target_step0:
             return rhs
         F = self.table.field
-        terms = {(kn, x, y): c for kn, c, x, y in rhs[self.ks]}
-        terms[self.key] = F.add(terms.get(self.key, F.zero), F.one)
-        rhs = list(rhs)
-        rhs[self.ks] = [(kn, c, x, y) for (kn, x, y), c in sorted(terms.items()) if c]
-        return rhs
+        values = [dict(terms) for terms in rhs.values]
+        c = F.add(values[self.ks].get(self.key, F.zero), F.one)
+        values[self.ks][self.key] = c
+        if not c:
+            del values[self.ks][self.key]
+        return BimoduleMap(rhs.table, rhs.source, rhs.target, values)
 
 
 def _inconsistent_key(eng, k, s, tt):
@@ -749,7 +749,7 @@ def _inconsistent_key(eng, k, s, tt):
 
 
 @pytest.mark.parametrize("n,char", [(2, 0), (3, 3), (3, 5)])
-def test_an_inconsistent_block_fails_the_whole_batch_step(n, char):
+def test_an_inconsistent_block_fails_the_whole_batch_step(n, char, monkeypatch):
     # one corrupted right-hand side in a batch: LiftFailedError names the
     # step and the summand, and no segment of the batch enters the cache
     cx = context(n, char).cx
@@ -759,7 +759,7 @@ def test_an_inconsistent_block_fails_the_whole_batch_step(n, char):
     s, tt = cx.window.terms[d + 1].summands[ks]
     key = _inconsistent_key(YonedaEngine(cx), 1, s, tt)
     assert key is not None
-    eng = _CorruptedRhs(cx, vec, 1, ks, key)
+    eng = _CorruptedRhs(cx, vec, ks, key, monkeypatch)
     with pytest.raises(LiftFailedError, match=f"at step 1, summand {ks}$"):
         eng.lift_many([(v, dd, 3) for _, dd, v in gens])
     assert not eng._lift_cache
