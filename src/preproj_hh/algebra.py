@@ -524,7 +524,7 @@ def center_basis(t: AlgebraTable) -> List[dict]:
         F, [[z.get(mid, F.zero) for mid in diag] for z in listed])
     if span.rank() != 2 * t.n:
         raise CenterMismatchError("listed central elements are dependent")
-    if None in span.solve_many([{i: x for i, x in enumerate(v) if x} for v in kernel]):
+    if None in span.solve_many(kernel):
         raise CenterMismatchError("solved center leaves the listed span")
     t._center = listed
     return listed

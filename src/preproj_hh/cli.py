@@ -130,8 +130,8 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
         space = cx.spaces[degree]
         canonical[str(degree)] = {
             "labels": cb.labels,
-            "vectors": [[[comp, mid, field.export(v)] for (comp, mid), v in
-                         zip(space.basis, vec) if v != 0] for vec in cb.vectors]}
+            "vectors": [[[*space.basis[r], field.export(v)] for r, v in sorted(vec.items())]
+                        for vec in cb.vectors]}
     zmod = zmodule_checks(cx)
     timings["canonical"] = clock() - t0
 

@@ -27,9 +27,12 @@ lists, and the dualized differential is the pull-back w -> w o d
 algebra's product rule inline, as `resolution.expand` does.  The canonical basis of each degree
 holds that degree's one class solver: `CanonicalBasis.coords` reads the class of a
 cocycle off [canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
+A cochain of V^i is a sparse dict {position in `spaces[i].basis`: nonzero
+field-canonical scalar}, the vector format of `exactla`; it is canonical by
+construction, so two cochains are equal exactly when their dicts are.
 Degrees 7..12 reuse the vectors of degree i-6, and its solver too wherever
-d^(i-1) is checked equal to d^(i-7); where both are shared, the center-module
-checks take degree i-6's outcome as well.
+d^(i-1) is the matrix of d^(i-7) itself; where both are shared, the
+center-module checks take degree i-6's outcome as well.
 """
 
 from __future__ import annotations
@@ -130,60 +133,49 @@ class CochainComplex:
 
     # -- vectors -------------------------------------------------------------
 
-    def zero_vector(self, degree: int) -> list:
-        return [self.table.field.zero] * self.spaces[degree].dim
+    def vector_from_terms(self, degree: int, terms: Dict[Tuple[int, int], object]) -> dict:
+        """The vector of {(component, monomial): number} terms, each coerced
+        into the field once; the terms that vanish there are dropped."""
+        pos, F = self.spaces[degree].pos, self.table.field
+        return {pos[key]: fc for key, c in terms.items() if (fc := F(c))}
 
-    def vector_from_terms(self, degree: int, terms: Dict[Tuple[int, int], object]) -> list:
-        space = self.spaces[degree]
-        v = self.zero_vector(degree)
-        F = self.table.field
-        for key, c in terms.items():
-            v[space.pos[key]] = F(c)
-        return v
-
-    def vector_from_components(self, degree: int, comps: Dict[int, dict]) -> list:
+    def vector_from_components(self, degree: int, comps: Dict[int, dict]) -> dict:
         """Build a vector from {component: algebra element} values."""
-        terms = {}
-        for comp, elem in comps.items():
-            for mid, c in elem.items():
-                if c != 0:
-                    terms[(comp, mid)] = c
-        return self.vector_from_terms(degree, terms)
+        return self.vector_from_terms(
+            degree, {(comp, mid): c for comp, elem in comps.items() for mid, c in elem.items()})
 
-    def component_values(self, degree: int, vec: list) -> Dict[int, dict]:
+    def component_values(self, degree: int, vec: dict) -> Dict[int, dict]:
+        basis = self.spaces[degree].basis
         out: Dict[int, dict] = {}
-        for (comp, mid), c in zip(self.spaces[degree].basis, vec):
-            if c != 0:
-                out.setdefault(comp, {})[mid] = c
+        for r, c in vec.items():
+            comp, mid = basis[r]
+            out.setdefault(comp, {})[mid] = c
         return out
 
-    def scale_vector(self, degree: int, z: dict, vec: list) -> list:
+    def scale_vector(self, degree: int, z: dict, vec: dict) -> dict:
         """Multiply every component value by the central element z."""
         comps = self.component_values(degree, vec)
         return self.vector_from_components(
             degree, {k: multiply(self.table, z, v) for k, v in comps.items()})
 
-    def diagonal_vector(self, degree: int, elem: dict) -> list:
+    def diagonal_vector(self, degree: int, elem: dict) -> dict:
         """Embed a sum of oriented cycles into a loops-kind space."""
-        comps: Dict[int, dict] = {}
-        for mid, v in elem.items():
-            comps.setdefault(self.table.basis[mid].source, {})[mid] = v
-        return self.vector_from_components(degree, comps)
+        return self.vector_from_terms(
+            degree, {(self.table.basis[mid].source, mid): v for mid, v in elem.items()})
 
-    def is_cocycle(self, degree: int, vec: list) -> bool:
+    def is_cocycle(self, degree: int, vec: dict) -> bool:
         if degree >= self.maxdeg:
             raise ValueError("degree beyond the built window")
-        return not any(self.diffs[degree].matvec(vec))
+        return not self.diffs[degree].matvec(vec)
 
-    def span_with_coboundaries(self, degree: int, vectors: List[list]) -> ExactMatrix:
+    def span_with_coboundaries(self, degree: int, vectors: List[dict]) -> ExactMatrix:
         """Columns: the given vectors of V^degree, then the columns of d^(degree-1).
 
         Its rank is len(vectors) + rank d^(degree-1) exactly when the vectors
         are independent modulo coboundaries, and a solve against it reads off
         coordinates over the vectors.
         """
-        entries = [(i, j, x) for j, v in enumerate(vectors)
-                   for i, x in enumerate(v) if x != 0]
+        entries = [(i, j, x) for j, v in enumerate(vectors) for i, x in v.items()]
         ncols = len(vectors)
         if degree > 0:
             d = self.diffs[degree - 1]
@@ -426,7 +418,7 @@ class CanonicalBasis:
 
     degree: int
     labels: List[str]
-    vectors: List[list]
+    vectors: List[dict]
     solver: PreparedSolver
 
     # Soundness.  (a) `canonical_cocycles` checks each canonical vector to be
@@ -437,10 +429,15 @@ class CanonicalBasis:
     # canonical part of any solution is unique: two solutions differ by a
     # kernel vector, whose canonical part vanishes by that independence.  So
     # the coordinates are zero exactly when `vec` is a coboundary.
-    def coords(self, vec: list) -> Optional[tuple]:
-        """Coordinates of the class of `vec`, or None outside the span."""
+    def coords(self, vec: dict) -> Optional[tuple]:
+        """Coordinates of the class of `vec`, or None outside the span.
+
+        The sparse solution is padded into a dense tuple over the canonical
+        columns, zero (the field's zero in every characteristic) where it has
+        no entry; its entries on the columns of d^(degree-1) are dropped.
+        """
         sol = self.solver.solve(vec)
-        return None if sol is None else tuple(sol[: len(self.vectors)])
+        return None if sol is None else tuple(sol.get(j, 0) for j in range(len(self.vectors)))
 
 
 def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
@@ -498,10 +495,11 @@ def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
         if not c.is_cocycle(degree, v):
             raise CanonicalBasisError(f"{lab} is not a cocycle in degree {degree}")
     # `span_with_coboundaries` reads only the vectors and d^(degree-1): where
-    # both are checked to be the base degree's, the matrix is the base's and
-    # so is its solver
+    # both are the base degree's objects (d^(degree-1) is d^(base-1) exactly
+    # where `CochainComplex` found the period to repeat), the matrix is the
+    # base's and so is its solver
     if (base is not None and vectors is base.vectors
-            and c.diffs[degree - 1] == c.diffs[base.degree - 1]):
+            and c.diffs[degree - 1] is c.diffs[base.degree - 1]):
         solver = base.solver
     else:
         solver = PreparedSolver(c.span_with_coboundaries(degree, vectors))

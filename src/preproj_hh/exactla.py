@@ -25,6 +25,11 @@ its rational rank.
 in least (the n=2 degree-3 bar differential keeps 3,366 pivot nonzeros over
 F3 where arrival order made 7,669).  Only the order of its pivots, which
 `det` alone reads, and the basis of its leftover rows depend on the order.
+Vectors are sparse going in and coming out: `matvec`, `PreparedSolver.solve`
+and `kernel_basis` take and return {index: nonzero field-canonical scalar}
+dicts, so two vectors are equal exactly when their dicts are.  Dense input
+is only for the literal constructors, `ExactMatrix(F, rows)`,
+`from_columns` and `det`.
 """
 
 from __future__ import annotations
@@ -408,13 +413,11 @@ class ExactMatrix:
             and self.rows == other.rows
         )
 
-    def matvec(self, v: Sequence) -> list:
-        """self @ v, accumulated over the nonzeros of v only."""
+    def matvec(self, v: dict) -> dict:
+        """self @ v for a sparse {column: scalar} v, as a sparse {row: scalar}."""
         if self._columns is None:
             self._columns = _by_column(self.rows, self.ncols)
-        out = [self.field.zero] * self.nrows
-        _accumulate(out, self._columns, v, self.field)
-        return out
+        return _accumulate(self._columns, v, self.field)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
@@ -444,21 +447,14 @@ class ExactMatrix:
         return len(_reduce(self.rows, self.field)[0])
 
     def kernel_basis(self) -> list:
-        """Basis of the right kernel; one vector per free column, ascending."""
+        """Basis of the right kernel as sparse {column: scalar} vectors; one
+        vector per free column, ascending."""
         ech = self.echelonize()
         F = self.field
-        pivot_set = set(ech.pivot_columns)
-        basis = []
-        for fc in range(self.ncols):
-            if fc in pivot_set:
-                continue
-            v = [F.zero] * self.ncols
-            v[fc] = F.one
-            for pc, row in zip(ech.pivot_columns, ech.reduced.rows):
-                if fc in row:
-                    v[pc] = F.neg(row[fc])
-            basis.append(v)
-        return basis
+        pivot_rows = list(zip(ech.pivot_columns, ech.reduced.rows))
+        free = sorted(set(range(self.ncols)).difference(ech.pivot_columns))
+        return [{fc: F.one, **{pc: F.neg(row[fc]) for pc, row in pivot_rows if fc in row}}
+                for fc in free]
 
     def solve_many(self, columns: Sequence[dict]) -> list:
         """Echelon-canonical solutions of self @ x = b for sparse columns b.
@@ -551,19 +547,17 @@ def _by_column(rows: Sequence[dict], ncols: int) -> list:
     return cols
 
 
-def _accumulate(out: list, columns: list, v: Sequence, F: FieldSpec):
-    """out += (matrix with these columns) @ v, walking only the nonzeros of v.
+def _accumulate(columns: list, v: dict, F: FieldSpec) -> dict:
+    """(matrix with these columns) @ v for a sparse v, as a sparse dict.
 
-    Each touched entry of `out` is summed as a plain number and coerced into
-    F once at the end.
+    Each entry is summed as a plain number and coerced into F once; the sums
+    that cancel are dropped.
     """
     acc: dict = {}
-    for j, x in enumerate(v):
-        if x:
-            for i, a in columns[j].items():
-                acc[i] = acc.get(i, 0) + a * x
-    for i, s in acc.items():
-        out[i] = F(s)
+    for j, x in v.items():
+        for i, a in columns[j].items():
+            acc[i] = acc.get(i, 0) + a * x
+    return {i: fs for i, s in acc.items() if (fs := F(s))}
 
 
 class PreparedSolver:
@@ -572,14 +566,15 @@ class PreparedSolver:
     The reduction of [A | I] is computed once.  Its first `rank` transform
     rows map b to the pivot variables; the rest span the left kernel of A,
     and b is consistent exactly when they all vanish on it.  Solutions are
-    echelon-canonical (free variables zero), identical to `solve_many`'s.
+    echelon-canonical (free variables zero), identical to `solve_many`'s,
+    and sparse going in and out: b is a {row: scalar} dict and a solution a
+    {pivot column: scalar} dict of its nonzero entries.
     """
 
     def __init__(self, matrix: "ExactMatrix"):
         F = matrix.field
         n = matrix.ncols
         self.field = F
-        self.ncols = n
         pivots, rest = _reduce(
             ({**row, n + i: F.one} for i, row in enumerate(matrix.rows)), F, n)
         x = _solutions(pivots, n, F)
@@ -597,14 +592,9 @@ class PreparedSolver:
         """The transform as {b index: scalar} rows, rebuilt from its columns."""
         return _by_column(self._columns, self._ntransform)
 
-    def solve(self, b: Sequence) -> Optional[list]:
-        """Accumulates the transform over the nonzeros of b only."""
-        F = self.field
-        y = [F.zero] * self._ntransform
-        _accumulate(y, self._columns, b, F)
-        if any(y[self.rank:]):
+    def solve(self, b: dict) -> Optional[dict]:
+        """The solution for a sparse b, or None where b is inconsistent."""
+        y = _accumulate(self._columns, b, self.field)
+        if any(r >= self.rank for r in y):
             return None
-        x = [F.zero] * self.ncols
-        for pc, yr in zip(self.pivots, y):
-            x[pc] = yr
-        return x
+        return {self.pivots[r]: v for r, v in y.items()}

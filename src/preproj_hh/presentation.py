@@ -173,8 +173,8 @@ class _Evaluator:
     def __init__(self, engine: YonedaEngine, spec: PresentationSpec):
         self.engine = engine
         self.spec = spec
-        self.cache: Dict[Monomial, Tuple[int, list]] = {}
-        self.gen_vectors: Dict[str, Tuple[int, list]] = {}
+        self.cache: Dict[Monomial, Tuple[int, dict]] = {}
+        self.gen_vectors: Dict[str, Tuple[int, dict]] = {}
         t = engine.table
         from .algebra import socle_basis, x0_element
         socle = socle_basis(t)
@@ -188,7 +188,7 @@ class _Evaluator:
         for k in range(1, t.n + 1):
             self.gen_vectors.setdefault(f"t{k}", engine.generator_vector(f"t{k}"))
 
-    def vector(self, mono: Monomial) -> Tuple[int, list]:
+    def vector(self, mono: Monomial) -> Tuple[int, dict]:
         if mono in self.cache:
             return self.cache[mono]
         deg, vec = self.gen_vectors[mono[0]]
@@ -222,13 +222,9 @@ def verify(spec: PresentationSpec, engine: YonedaEngine) -> VerificationReport:
             # summed as plain numbers over the nonzeros only, coerced once each
             acc: dict = {}
             for coeff, v in vecs:
-                for i, b in enumerate(v):
-                    if b:
-                        acc[i] = acc.get(i, 0) + coeff * b
-            total = [F.zero] * engine.cx.spaces[deg].dim
-            for i, a in acc.items():
-                total[i] = F(a)
-            cls = engine.identify(total, deg)
+                for i, b in v.items():
+                    acc[i] = acc.get(i, 0) + coeff * b
+            cls = engine.identify({i: fa for i, a in acc.items() if (fa := F(a))}, deg)
             results.append(RelationResult(r.label, cls.is_zero(), str(cls)))
         return results
 

@@ -14,7 +14,10 @@ system A that its right-hand sides b_j meet and eliminates [A | b_1 ... b_m] onc
 (`ExactMatrix.solve_many`); no system is kept past its elimination.  The
 first product that needs a lift lifts every ring generator in one such
 batch; every product the certificate takes multiplies by a generator, so
-the later ones read cached segments.
+the later ones read cached segments.  Cochains are the sparse
+{position: scalar} dicts of `cochain`, and the cache keys each on its degree
+and its sorted items, so a vector built in two insertion orders is lifted
+once.
 The lifts repeat with the twisted period of the resolution: where the engine
 checks d_k = tau(d_(k-3)) and d_(degree+k) = tau(d_(degree+k-3)) on the same
 terms, and f_(k-1) = eps tau(f_(k-4)) for eps = +1 or -1, step k is appended
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraTable, elem_add
+from .algebra import AlgebraTable
 from .cochain import CochainComplex, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, det
 from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
@@ -91,7 +94,7 @@ class YonedaEngine:
         self.window: ResolutionWindow = cx.window
         self._lift_cache: Dict[tuple, ChainMapSegment] = {}
         self._twist = _twist_classes(self.window)
-        self._gens: Optional[List[Tuple[str, int, list]]] = None
+        self._gens: Optional[List[Tuple[str, int, dict]]] = None
         self._generators_lifted = False
         # lift steps solved and steps appended as twists of an earlier step,
         # eliminations of a lifting system, `cup_vec` calls
@@ -100,7 +103,7 @@ class YonedaEngine:
         self.lift_eliminations = 0
         self.products = 0
 
-    def generators(self) -> List[Tuple[str, int, list]]:
+    def generators(self) -> List[Tuple[str, int, dict]]:
         """Named cocycle representatives of the ring generators.
 
         Degree 0 generators are the central elements; the positive-degree
@@ -117,7 +120,7 @@ class YonedaEngine:
             self._gens = gens
         return self._gens
 
-    def generator_vector(self, name: str) -> Tuple[int, list]:
+    def generator_vector(self, name: str) -> Tuple[int, dict]:
         for gname, deg, vec in self.generators():
             if gname == name:
                 return deg, vec
@@ -133,7 +136,7 @@ class YonedaEngine:
 
     # -- lifting ------------------------------------------------------------
 
-    def lift(self, vec: list, degree: int, steps: int) -> ChainMapSegment:
+    def lift(self, vec: dict, degree: int, steps: int) -> ChainMapSegment:
         """Chain-map segment over the given cocycle, read through step `steps`."""
         return self.lift_many([(vec, degree, steps)])[0]
 
@@ -153,7 +156,7 @@ class YonedaEngine:
         for vec, degree, steps in requests:
             if degree + steps > top:
                 raise ValueError("window too shallow for the requested lift")
-            key = (degree, tuple(vec))
+            key = (degree, tuple(sorted(vec.items())))
             keys.append(key)
             if key in self._lift_cache:
                 # a key is lifted only after its vector passed this check,
@@ -251,7 +254,7 @@ class YonedaEngine:
     # equation.  The pivot of one row is its first nonzero column, so the
     # echelon-canonical solution, as `_solve_steps` gives every other step, is
     # c / coeff(x.y) there and zero elsewhere: the lifts keep their bytes.
-    def _lift_cochain(self, degree: int, vec: list) -> BimoduleMap:
+    def _lift_cochain(self, degree: int, vec: dict) -> BimoduleMap:
         """Step 0 of the lift of a cocycle: f_0 with u o f_0 the cocycle."""
         w, t, F = self.window, self.table, self.table.field
         comps = self.cx.component_values(degree, vec)
@@ -340,14 +343,13 @@ class YonedaEngine:
 
     # -- products -------------------------------------------------------------
 
-    def central_from_v0(self, vec: list) -> dict:
-        comps = self.cx.component_values(0, vec)
-        out: dict = {}
-        for comp, elem in comps.items():
-            out = elem_add(self.table, out, elem)
-        return out
+    def central_from_v0(self, vec: dict) -> dict:
+        """The central element of a degree-0 cochain: each monomial of V^0
+        lies in the component of its own vertex, so none repeats."""
+        basis = self.cx.spaces[0].basis
+        return {basis[r][1]: c for r, c in vec.items()}
 
-    def cup_vec(self, xvec: list, dx: int, yvec: list, dy: int) -> list:
+    def cup_vec(self, xvec: dict, dx: int, yvec: dict, dy: int) -> dict:
         """Cochain representative of the product of two cocycles."""
         cx = self.cx
         if dx + dy > cx.maxdeg - 1:
@@ -361,14 +363,14 @@ class YonedaEngine:
             self._lift_generators()
         image = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy)
         # x o f summed as plain numbers; `vector_from_terms` coerces each once
+        basis = cx.spaces[dx].basis
         acc: dict = {}
-        for (comp, mid), v in zip(cx.spaces[dx].basis, xvec):
-            if v != 0:
-                for key, c in image(comp, mid):
-                    acc[key] = acc.get(key, 0) + v * c
+        for r, v in xvec.items():
+            for key, c in image(*basis[r]):
+                acc[key] = acc.get(key, 0) + v * c
         return cx.vector_from_terms(dx + dy, acc)
 
-    def identify(self, vec: list, degree: int) -> CohomologyClass:
+    def identify(self, vec: dict, degree: int) -> CohomologyClass:
         """Coordinates over the canonical basis, modulo coboundaries.
 
         `coords` succeeds only on cocycles, so `is_cocycle` only names the error.
@@ -383,7 +385,7 @@ class YonedaEngine:
                 f"cocycle of degree {degree} not in the canonical span")
         return CohomologyClass(degree, coords, tuple(basis.labels))
 
-    def cup(self, xvec: list, dx: int, yvec: list, dy: int) -> CohomologyClass:
+    def cup(self, xvec: dict, dx: int, yvec: dict, dy: int) -> CohomologyClass:
         return self.identify(self.cup_vec(xvec, dx, yvec, dy), dx + dy)
 
     def product_table(self) -> Dict[Tuple[str, str], CohomologyClass]:
@@ -583,10 +585,9 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
         cols.append(list(cls.coords))
     kernel = ExactMatrix.from_columns(F, cols).kernel_basis()
     # the kernel must be exactly the span of the socle classes x_1..x_n: n
-    # vectors, each zero off their coordinates
+    # vectors, each supported on their coordinates
     socle = {basis0.labels.index(f"x{i}") for i in range(1, n + 1)}
-    ok = len(kernel) == n and not any(
-        x for v in kernel for j, x in enumerate(v) if j not in socle)
+    ok = len(kernel) == n and all(v.keys() <= socle for v in kernel)
     if not ok:
         failures.append("degree-0 kernel of h-multiplication is not the socle span")
     return StableReport(bij, ok, failures)

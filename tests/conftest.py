@@ -61,6 +61,27 @@ def canonical(F, x) -> bool:
     return F(x) == x and type(F(x)) is type(x) and x != 0
 
 
+def dense(vec: dict, dim: int) -> list:
+    """The sparse vector written out as a dense list of length dim."""
+    out = [0] * dim
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
+def sparse(seq) -> dict:
+    """The dense sequence as a sparse {index: entry} dict of its nonzeros."""
+    return {i: x for i, x in enumerate(seq) if x != 0}
+
+
+def is_canonical_vector(cx, degree: int, vec: dict) -> bool:
+    """vec is a cochain of V^degree in the one vector format: a dict keyed by
+    positions of the basis, each value `canonical`."""
+    dim, F = cx.spaces[degree].dim, cx.table.field
+    return (type(vec) is dict and all(type(i) is int and 0 <= i < dim for i in vec)
+            and all(canonical(F, x) for x in vec.values()))
+
+
 def is_canonical(f) -> bool:
     """Every coefficient of the bimodule map f is `canonical`."""
     return all(canonical(f.table.field, c) for terms in f.values for c in terms.values())

@@ -602,7 +602,7 @@ def test_a_socle_product_outside_the_coboundaries_fails_zmodule_with_its_witness
     def kept_class(cx, degree, z, vec):
         if (degree in (2, 8) and z == socle_basis(cx.table)[0]
                 and vec is canonical_cocycles(cx, degree).vectors[0]):
-            return list(vec)
+            return dict(vec)
         return true_scale(cx, degree, z, vec)
 
     def checks_keeping_a_class(cx):

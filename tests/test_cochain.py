@@ -1,6 +1,9 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preproj_hh.algebra import socle_basis, x0_element
 from preproj_hh.cochain import (CanonicalBasisError, CochainComplex,
@@ -11,7 +14,9 @@ from preproj_hh.cochain import (CanonicalBasisError, CochainComplex,
 from preproj_hh.algebra import build_algebra
 from preproj_hh.exactla import (ExactMatrix, FieldSpec, UnsupportedCharacteristicError,
                                 sparse_rank)
-from conftest import context, term_lists
+from preproj_hh.yoneda import YonedaEngine
+from conftest import (canonical, context, dense, is_canonical_vector, sparse,
+                      term_lists)
 
 
 def _class_coords(cx, degree, vec):
@@ -56,7 +61,7 @@ def test_r_star_on_odd_eps_powers(n):
         expected = cx.vector_from_terms(2, {(1, t.by_ijd[(1, 1, 2 * m)]): 2})
         assert image == expected
         vec4 = cx.vector_from_terms(4, {(0, mid): 1})
-        assert all(x == 0 for x in cx.diffs[4].matvec(vec4))
+        assert cx.diffs[4].matvec(vec4) == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -154,12 +159,12 @@ def test_class_coords_vanish_exactly_on_coboundaries(n, char):
         for v in basis.vectors:
             vectors.append(v)
             vectors += [cx.scale_vector(i, z, v) for z in central]
-            vectors += [[F.add(a, b) for a, b in zip(v, im)] for im in images]
+            vectors += [sparse(F.add(a, b) for a, b in zip(dense(v, d.nrows), im))
+                        for im in images]
         for vec in vectors:
             coords = basis.coords(vec)
             assert coords is not None
-            column = {r: x for r, x in enumerate(vec) if x}
-            coboundary = d.solve_many([column])[0] is not None
+            coboundary = d.solve_many([vec])[0] is not None
             assert (not any(coords)) == coboundary
             outcomes.add(coboundary)
     assert outcomes == {True, False}
@@ -181,7 +186,7 @@ def test_independence_is_checked_above_degree_six(monkeypatch):
 def test_degrees_above_six_share_the_class_solver_of_degree_i_minus_6(n, char):
     cx = context(n, char).cx
     for i in range(7, 13):
-        assert cx.diffs[i - 1] == cx.diffs[i - 7]
+        assert cx.diffs[i - 1] is cx.diffs[i - 7]
         assert canonical_cocycles(cx, i).solver is canonical_cocycles(cx, i - 6).solver
 
 
@@ -209,10 +214,10 @@ def test_degree_one_representative_is_arrow_sum():
     cb = canonical_cocycles(cx, 1)
     space = cx.spaces[1]
     yhat = cb.vectors[0]
-    for (comp, mid), c in zip(space.basis, yhat):
+    for (comp, mid), c in zip(space.basis, dense(yhat, space.dim)):
         expected = 1 if t.basis[mid].degree == 1 else 0
         assert c == t.field(expected)
-    assert all(x == 0 for x in cx.diffs[1].matvec(yhat))
+    assert cx.diffs[1].matvec(yhat) == {}
 
 
 def test_degree_two_classes_are_vertex_residues():
@@ -259,7 +264,7 @@ def test_zmodule_checks_multiply_once_per_period(monkeypatch):
     assert set(seen) == set(range(1, 7))
     seen.clear()
     base = canonical_cocycles(cx, 9)
-    cx._canonical_cache[9] = replace(base, vectors=[list(v) for v in base.vectors])
+    cx._canonical_cache[9] = replace(base, vectors=[dict(v) for v in base.vectors])
     assert zmodule_checks(cx).ok
     assert set(seen) == set(range(1, 7)) | {9}
 
@@ -567,3 +572,74 @@ def test_a_product_with_a_differential_of_its_own_is_composed(monkeypatch):
                         lambda self, i: self._dual_matrix(i) if i == 7 else original(self, i))
     with pytest.raises(ComplexMismatchError, match="d7 o d6 != 0"):
         CochainComplex(ctx.table, ctx.form, 13, w)
+
+
+# scalars that vanish in some of Q, F3 and F5 (0, 3, 5, a zero Fraction) among
+# ones that do not; denominators prime to 3 and 5
+_term_values = st.one_of(st.sampled_from([0, 3, -3, 5, Fraction(0), 15]),
+                         st.integers(-6, 6),
+                         st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4, 7])))
+
+
+@given(char=st.sampled_from([0, 3, 5]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_producer_gives_canonical_vectors(char, data):
+    # the one vector format: every cochain a producer hands out is a dict of
+    # basis positions to nonzero field-canonical scalars, whatever vanishing
+    # terms it was fed, so equal vectors are equal dicts
+    ctx = context(2, char)
+    t, cx, F = ctx.table, ctx.cx, ctx.field
+    degree = data.draw(st.integers(0, 6), label="degree")
+    space = cx.spaces[degree]
+    keys = data.draw(st.lists(st.sampled_from(space.basis), unique=True), label="keys")
+    terms = {key: data.draw(_term_values) for key in keys}
+    vec = cx.vector_from_terms(degree, terms)
+    assert is_canonical_vector(cx, degree, vec)
+    assert vec == {space.pos[key]: F(c) for key, c in terms.items() if F(c) != 0}
+    comps = {}
+    for (comp, mid), c in terms.items():
+        comps.setdefault(comp, {})[mid] = c
+    assert cx.vector_from_components(degree, comps) == vec
+    assert cx.vector_from_components(degree, cx.component_values(degree, vec)) == vec
+    diagonal = {mid: c for (_, mid), c in terms.items()}
+    if space.kind == LOOPS:
+        assert cx.diagonal_vector(degree, diagonal) == vec
+    central = [x0_element(t, 1)] + socle_basis(t)
+    for z in central:
+        assert is_canonical_vector(cx, degree, cx.scale_vector(degree, z, vec))
+    assert is_canonical_vector(cx, degree + 1, cx.diffs[degree].matvec(vec))
+    for v in cx.diffs[degree].kernel_basis():
+        assert is_canonical_vector(cx, degree, v)
+        # a kernel vector's image cancels entry by entry: nothing is left
+        assert cx.diffs[degree].matvec(v) == {}
+
+    # a drawn combination of the canonical cocycles, which cancel in places
+    basis = canonical_cocycles(cx, degree)
+    for k in range(13):
+        assert all(is_canonical_vector(cx, k, v) for v in canonical_cocycles(cx, k).vectors)
+    coeffs = data.draw(st.lists(_term_values, min_size=len(basis.vectors),
+                                max_size=len(basis.vectors)), label="coefficients")
+    cocycle = cx.vector_from_terms(degree, {
+        space.basis[i]: sum(c * v.get(i, 0) for c, v in zip(coeffs, basis.vectors))
+        for i in range(space.dim)})
+    assert is_canonical_vector(cx, degree, cocycle)
+    assert cx.is_cocycle(degree, cocycle)
+    sol = basis.solver.solve(cocycle)
+    assert set(sol) <= set(basis.solver.pivots)
+    assert all(canonical(F, x) for x in sol.values())
+    assert basis.coords(cocycle) == tuple(F(c) for c in coeffs)
+    name, gdeg, gvec = data.draw(st.sampled_from(ctx.engine.generators()), label="generator")
+    for x, dx, y, dy in ((cocycle, degree, gvec, gdeg), (gvec, gdeg, cocycle, degree)):
+        assert is_canonical_vector(cx, dx + dy, ctx.engine.cup_vec(x, dx, y, dy))
+
+    # one vector built in two insertion orders is lifted once; a cocycle of
+    # one entry has one order, and y stands in for it
+    if degree == 0 or len(cocycle) < 2:
+        degree, cocycle = 1, canonical_cocycles(cx, 1).vectors[0]
+    eng = YonedaEngine(cx)
+    first = eng.lift(cocycle, degree, 1)
+    solved = eng.steps_solved
+    reordered = dict(reversed(list(cocycle.items())))
+    assert reordered == cocycle and list(reordered) != list(cocycle)
+    assert eng.lift(reordered, degree, 1) is first
+    assert eng.steps_solved == solved > 0

@@ -22,7 +22,7 @@ from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.resolution import (BimoduleMap, compose, expand, projective_p,
                                    projective_q, tau_twist)
 from preproj_hh.yoneda import YonedaEngine
-from conftest import canonical, context, is_canonical
+from conftest import canonical, context, dense, is_canonical, sparse
 
 chars = st.sampled_from([0, 3, 5])
 # denominators prime to 3 and 5, so every scalar lies in all three fields
@@ -268,8 +268,9 @@ def test_lifted_maps_have_canonical_nonzero_coefficients(char, data):
                                 max_size=len(vectors)), label="coefficients")
     below = data.draw(st.lists(scalars.map(F), min_size=cx.spaces[degree - 1].dim,
                                max_size=cx.spaces[degree - 1].dim), label="cochain")
-    vec = [F(sum(c * v[i] for c, v in zip(coeffs, vectors)) + b)
-           for i, b in enumerate(cx.diffs[degree - 1].matvec(below))]
+    image = dense(cx.diffs[degree - 1].matvec(sparse(below)), cx.spaces[degree].dim)
+    vec = sparse(F(sum(c * v.get(i, 0) for c, v in zip(coeffs, vectors)) + b)
+                 for i, b in enumerate(image))
     eng = YonedaEngine(cx)
     assert is_canonical(eng._lift_cochain(degree, vec))
     top = cx.maxdeg - 1

@@ -9,6 +9,7 @@ from preproj_hh.exactla import (EchelonForm, ExactMatrix, FieldSpec, PreparedSol
                                 UnsupportedCharacteristicError, _axpy, _by_column,
                                 _quotient, _reduce, det, rank_and_scale, rank_mod_p,
                                 sparse_rank)
+from conftest import dense, sparse
 
 QQ = FieldSpec(0)
 F5 = FieldSpec(5)
@@ -59,15 +60,15 @@ def _transpose(m):
 
 
 def _solve(m, b):
-    """Echelon-canonical dense solution of m @ x = b, or None: one column of
-    `solve_many`."""
-    sol = m.solve_many([{i: x for i, x in enumerate(b) if x}])[0]
-    if sol is None:
-        return None
-    x = [m.field.zero] * m.ncols
-    for c, v in sol.items():
-        x[c] = v
-    return x
+    """Echelon-canonical dense solution of m @ x = b for a dense b, or None:
+    one column of `solve_many`."""
+    sol = m.solve_many([sparse(b)])[0]
+    return None if sol is None else dense(sol, m.ncols)
+
+
+def _typed_items(vec):
+    """The sparse vector as sorted (index, type, value) triples."""
+    return sorted((k, type(v), v) for k, v in vec.items())
 
 
 def test_field_validation():
@@ -147,10 +148,10 @@ def test_rank_of_c_matrix_mod_5():
 def test_kernel_basis_examples():
     assert ExactMatrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).kernel_basis() == []
     kb = ExactMatrix.zero(QQ, 2, 2).kernel_basis()
-    assert kb == [[1, 0], [0, 1]]
+    assert kb == [{0: 1}, {1: 1}]
     kb = ExactMatrix(QQ, [[1, 1]]).kernel_basis()
     assert len(kb) == 1
-    v = kb[0]
+    v = dense(kb[0], 2)
     assert v[0] == -v[1] != 0  # spans (1, -1)
 
 
@@ -181,7 +182,7 @@ def test_rank_transpose_and_kernel_count(rows, char):
     kb = m.kernel_basis()
     assert m.ncols == r + len(kb)
     for v in kb:
-        assert all(x == 0 for x in m.matvec(v))
+        assert m.matvec(v) == {}
 
 
 @given(rows=matrix_strategy, char=field_strategy, data=st.data())
@@ -191,12 +192,12 @@ def test_solve_consistency(rows, char, data):
     m = ExactMatrix(F, rows)
     x = [F(data.draw(st.integers(min_value=-4, max_value=4)))
          for _ in range(m.ncols)]
-    b = m.matvec(x)
-    s = _solve(m, b)
+    b = m.matvec(sparse(x))
+    s = _solve(m, dense(b, m.nrows))
     assert s is not None
-    assert m.matvec(s) == b
+    assert m.matvec(sparse(s)) == b
     s2 = PreparedSolver(m).solve(b)
-    assert s2 == s
+    assert s2 == sparse(s)
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -214,12 +215,12 @@ def test_prepared_solve_matches_solve(rows, char, data):
     x = [F(x) for x in data.draw(st.lists(small_ints, min_size=m.ncols,
                                           max_size=m.ncols))]
     forward = PreparedSolver(m)
-    for rhs in (b, m.matvec(x)):
+    for rhs in (b, dense(m.matvec(sparse(x)), m.nrows)):
         want = _solve(m, rhs)
-        assert forward.solve(rhs) == want
+        assert forward.solve(sparse(rhs)) == (None if want is None else sparse(want))
         if want is not None:
-            assert m.matvec(want) == rhs
-    assert forward.solve(m.matvec(x)) is not None
+            assert dense(m.matvec(sparse(want)), m.nrows) == rhs
+    assert forward.solve(m.matvec(sparse(x))) is not None
 
 
 @given(rows=matrix_strategy, char=field_strategy, data=st.data())
@@ -227,24 +228,25 @@ def test_prepared_solve_matches_solve(rows, char, data):
 def test_sparse_storage_matches_dense_reference(rows, char, data):
     F = FieldSpec(char)
     m = ExactMatrix(F, rows)
-    dense = [[F(x) for x in row] for row in rows]
+    dense_rows = [[F(x) for x in row] for row in rows]
     nr, nc = len(rows), len(rows[0])
-    assert _entries(m) == dense
-    assert m.is_zero() == all(x == 0 for row in dense for x in row)
-    assert _entries(_transpose(m)) == [list(col) for col in zip(*dense)]
+    assert _entries(m) == dense_rows
+    assert m.is_zero() == all(x == 0 for row in dense_rows for x in row)
+    assert _entries(_transpose(m)) == [list(col) for col in zip(*dense_rows)]
     v = [F(x) for x in data.draw(st.lists(small_ints, min_size=nc, max_size=nc))]
-    assert m.matvec(v) == [F(sum(a * x for a, x in zip(row, v))) for row in dense]
+    assert m.matvec(sparse(v)) == sparse(F(sum(a * x for a, x in zip(row, v)))
+                                         for row in dense_rows)
     width = data.draw(st.integers(min_value=1, max_value=5))
     other = data.draw(st.lists(st.lists(small_ints, min_size=width, max_size=width),
                                min_size=nc, max_size=nc))
     product = m.matmul(ExactMatrix(F, other))
     assert (product.nrows, product.ncols) == (nr, width)
-    assert _entries(product) == _reference_matmul(dense, other, F)
+    assert _entries(product) == _reference_matmul(dense_rows, other, F)
     # shifting entries by 0, 1 or the characteristic: equal exactly when the
     # dense rows agree in F
     shifts = st.sampled_from([0, 0, 1, char])
     twin = [[x + data.draw(shifts) for x in row] for row in rows]
-    assert (ExactMatrix(F, twin) == m) == ([[F(x) for x in row] for row in twin] == dense)
+    assert (ExactMatrix(F, twin) == m) == ([[F(x) for x in row] for row in twin] == dense_rows)
 
 
 @given(rows=matrix_strategy, char=field_strategy)
@@ -348,13 +350,15 @@ def test_rational_results_hold_only_ints_and_fractions(rows, data):
     for scale, row in pivots.values():
         assert _exact_scalars([scale, *row.values()])
     x = data.draw(st.lists(rationals, min_size=m.ncols, max_size=m.ncols))
-    b = m.matvec(x)
-    assert _exact_scalars(b)
-    for solution in (_solve(m, b), PreparedSolver(m).solve(b)):
-        assert solution is not None and _exact_scalars(solution)
+    b = m.matvec(sparse(x))
+    assert _exact_scalars(b.values())
+    s = _solve(m, dense(b, m.nrows))
+    assert s is not None and _exact_scalars(s)
+    for solution in (sparse(s), PreparedSolver(m).solve(b)):
+        assert solution is not None and _exact_scalars(solution.values())
         assert m.matvec(solution) == b
     for v in m.kernel_basis():
-        assert _exact_scalars(v)
+        assert _exact_scalars(v.values())
     k = min(m.nrows, m.ncols)
     square = [row[:k] for row in rows[:k]]
     assert _exact_scalars([det(square, QQ)])
@@ -427,7 +431,7 @@ class _ReferencePreparedSolver(PreparedSolver):
 
     def __init__(self, matrix):
         F, n = matrix.field, matrix.ncols
-        self.field, self.ncols = F, n
+        self.field = F
         pivots, rest = _divided(*_reduce(
             ({**row, n + i: F.one} for i, row in enumerate(matrix.rows)), F, n))
         rref = _back_substitute(pivots, F)
@@ -625,20 +629,20 @@ def test_solve_many_matches_dense_per_column_reference(shape, char, data):
     zero_rows = data.draw(st.sets(st.integers(0, nr - 1)))
     rows = [[0] * nc if i in zero_rows else row for i, row in enumerate(rows)]
     m = ExactMatrix(F, rows)
-    dense = []
+    dense_b = []
     for kind in data.draw(st.lists(st.sampled_from(["image", "any", "zero"]),
                                    min_size=1, max_size=5)):
         if kind == "zero":
-            dense.append([F.zero] * nr)
+            dense_b.append([F.zero] * nr)
         elif kind == "image":
             x = data.draw(st.lists(entries, min_size=nc, max_size=nc))
-            dense.append(m.matvec([F(v) for v in x]))
+            dense_b.append(dense(m.matvec(sparse(F(v) for v in x)), nr))
         else:
-            dense.append([F(v) for v in data.draw(
+            dense_b.append([F(v) for v in data.draw(
                 st.lists(entries, min_size=nr, max_size=nr))])
-    got = m.solve_many([{i: v for i, v in enumerate(b) if v != 0} for b in dense])
-    assert len(got) == len(dense)
-    for b, sol in zip(dense, got):
+    got = m.solve_many([{i: v for i, v in enumerate(b) if v != 0} for b in dense_b])
+    assert len(got) == len(dense_b)
+    for b, sol in zip(dense_b, got):
         want = _reference_solve(rows, b, F)
         if want is None:
             assert sol is None
@@ -717,7 +721,7 @@ def test_solve_many_back_substitutes_only_the_right_hand_sides(shape, char, data
                                    min_size=1, max_size=6)):
         if kind == "image":
             x = data.draw(st.lists(entries, min_size=nc, max_size=nc))
-            b = m.matvec([F(v) for v in x])
+            b = dense(m.matvec(sparse(F(v) for v in x)), nr)
         elif kind == "any":
             b = [F(v) for v in data.draw(st.lists(entries, min_size=nr, max_size=nr))]
         else:
@@ -763,7 +767,7 @@ def test_back_substitution_matches_the_all_fraction_reference(shape, char, data)
     assert [sorted((k, type(v), v) for k, v in row.items())
             for row in got.reduced.rows] == \
         [sorted((k, type(F(v)), v) for k, v in row.items()) for row in want.reduced.rows]
-    assert [_typed(v) for v in m.kernel_basis()] == \
+    assert [_typed(dense(v, nc)) for v in m.kernel_basis()] == \
         [_typed(F(x) for x in v) for v in _reference_kernel_basis(m)]
 
     solver, reference = PreparedSolver(m), _ReferencePreparedSolver(m)
@@ -772,14 +776,14 @@ def test_back_substitution_matches_the_all_fraction_reference(shape, char, data)
     off = [F.zero] * nr
     if zero_rows:
         off[min(zero_rows)] = F.one
-    for b in (m.matvec(x), [F(v) for v in data.draw(
-            st.lists(entries, min_size=nr, max_size=nr))], [F.zero] * nr, off):
+    for b in (m.matvec(sparse(x)), sparse(F(v) for v in data.draw(
+            st.lists(entries, min_size=nr, max_size=nr))), {}, sparse(off)):
         sol, ref = solver.solve(b), reference.solve(b)
         assert (sol is None) == (ref is None)
         if ref is not None:
-            assert _typed(sol) == _typed(ref)
+            assert _typed_items(sol) == _typed_items(ref)
     if zero_rows:
-        assert solver.solve(off) is None
+        assert solver.solve(sparse(off)) is None
 
     k = min(nr, nc)
     for square in ([row[:k] for row in rows[:k]], [row[nc - k:] for row in rows[nr - k:]]):
@@ -800,30 +804,29 @@ def test_results_do_not_depend_on_the_row_order(shape, char, data):
     rows, _ = _draw_free_column_rows(data, nr, nc, F, entries)
     perm = data.draw(st.permutations(range(nr)))
     m, pm = ExactMatrix(F, rows), ExactMatrix(F, [rows[i] for i in perm])
-    dense = [m.matvec([F(v) for v in data.draw(
-                st.lists(entries, min_size=nc, max_size=nc))]),
-             [F(v) for v in data.draw(st.lists(entries, min_size=nr, max_size=nr))],
-             [F.zero] * nr]
+    dense_b = [dense(m.matvec(sparse(F(v) for v in data.draw(
+                   st.lists(entries, min_size=nc, max_size=nc)))), nr),
+               [F(v) for v in data.draw(st.lists(entries, min_size=nr, max_size=nr))],
+               [F.zero] * nr]
 
     def typed_dicts(dicts):
-        return [None if d is None else sorted((k, type(v), v) for k, v in d.items())
-                for d in dicts]
+        return [None if d is None else _typed_items(d) for d in dicts]
 
     assert pm.rank() == m.rank() == sparse_rank(iter(pm.rows), F)
     got, want = pm.echelonize(), m.echelonize()
     assert (got.rank, got.pivot_columns) == (want.rank, want.pivot_columns)
     assert typed_dicts(got.reduced.rows) == typed_dicts(want.reduced.rows)
-    assert [_typed(v) for v in pm.kernel_basis()] == [_typed(v) for v in m.kernel_basis()]
-    sols = m.solve_many([{i: v for i, v in enumerate(b) if v} for b in dense])
-    psols = pm.solve_many([{k: b[i] for k, i in enumerate(perm) if b[i]} for b in dense])
+    assert typed_dicts(pm.kernel_basis()) == typed_dicts(m.kernel_basis())
+    sols = m.solve_many([{i: v for i, v in enumerate(b) if v} for b in dense_b])
+    psols = pm.solve_many([{k: b[i] for k, i in enumerate(perm) if b[i]} for b in dense_b])
     assert typed_dicts(psols) == typed_dicts(sols)
     solver, psolver = PreparedSolver(m), PreparedSolver(pm)
     assert (psolver.rank, psolver.pivots) == (solver.rank, solver.pivots)
-    for b in dense:
-        sol, psol = solver.solve(b), psolver.solve([b[i] for i in perm])
+    for b in dense_b:
+        sol, psol = solver.solve(sparse(b)), psolver.solve(sparse(b[i] for i in perm))
         assert (psol is None) == (sol is None)
         if sol is not None:
-            assert _typed(psol) == _typed(sol)
+            assert _typed_items(psol) == _typed_items(sol)
     k = min(nr, nc)
     square = [rows[i][:k] for i in perm[:k]]
     assert _typed([det(square, F)]) == _typed([F(_cofactor_det(square, F))])

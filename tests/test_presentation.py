@@ -127,7 +127,7 @@ def _reference_span_audit(spec, engine, audit_to=12):
     pos_gens = [(name, d) for name, d in spec.generators if d > 0]
     zero_gens = [name for name, d in spec.generators if d == 0]
     basis0 = canonical_cocycles(engine.cx, 0)
-    span_vecs = {0: [list(v) for v in basis0.vectors]}
+    span_vecs = {0: [dict(v) for v in basis0.vectors]}
     audit = {0: (ExactMatrix.from_columns(
         F, [list(engine.identify(v, 0).coords) for v in span_vecs[0]]).rank(), 2 * n)}
     for i in range(1, audit_to + 1):
@@ -180,8 +180,7 @@ def test_central_elements_commute_with_the_cochain_differentials(n, char):
     center = center_basis(ctx.table)
     for i in range(13):
         for j in range(cx.spaces[i].dim):
-            e = [F.zero] * cx.spaces[i].dim
-            e[j] = F.one
+            e = {j: F.one}
             de = cx.diffs[i].matvec(e)
             for z in center:
                 assert (cx.diffs[i].matvec(cx.scale_vector(i, z, e))

@@ -102,7 +102,7 @@ def test_cached_lifts_stay_honest(n, char):
     engine.product_table()
     assert engine._lift_cache
     for (degree, vec), seg in engine._lift_cache.items():
-        assert verify_segment(engine, seg, list(vec))
+        assert verify_segment(engine, seg, dict(vec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
