@@ -266,21 +266,28 @@ def write_certificate(cert: dict, path: str):
 
 
 def _grid_worker(args):
-    n, char, maxdeg, budget, with_oracle = args
-    return compute_certificate(n, char, maxdeg, budget, with_oracle)
+    n, chars, maxdeg, budget, with_oracle = args
+    return [compute_certificate(n, c, maxdeg, budget, with_oracle) for c in chars]
 
 
 def run_grid(config: RunConfig) -> List[dict]:
-    points = [(n, c, config.maxdeg, config.oracle_budget, config.with_oracle)
-              for n in config.n_values for c in config.characteristics]
-    jobs = config.jobs
-    if jobs > 1 and len(points) > 1:
+    """Certificates of every point, n-major, in the order given.
+
+    A job is one n with all of its fields in the order given, so each point
+    reads the per-n caches (the Q bar ranks of the oracle) that a serial run
+    gives it, and its header `work` is the serial run's.  A pool never has
+    more workers than there are jobs, since it may start them all up front.
+    """
+    jobs = [(n, config.characteristics, config.maxdeg, config.oracle_budget,
+             config.with_oracle) for n in config.n_values]
+    workers = min(config.jobs, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(_grid_worker, points))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_grid_worker, jobs))
     else:
-        certs = [_grid_worker(p) for p in points]
-    return certs
+        groups = [_grid_worker(job) for job in jobs]
+    return [cert for group in groups for cert in group]
 
 
 # -- rendering ---------------------------------------------------------------

@@ -28,6 +28,13 @@ next step reads.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`).
+The product table, the relation check, the spanning audit, the h-check and
+the C matrix ask for many of the same products and classes, so the engine
+keeps each product it evaluates, keyed by its two operands, and each class
+it identifies, keyed by its cocycle, in the key form of the lift cache, and
+answers a repeated call from them (see the note at `cup_vec`).  Within one
+batch the lifting systems read each graded piece of a term once
+(`_graded`).
 Every exact kernel on the way sums plain numbers and coerces each entry
 into the field once: `resolution.expand` (read by `compose`, which gives
 the step right-hand sides, and by the systems `_assemble`) and the cochain
@@ -96,6 +103,14 @@ class YonedaEngine:
         self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, dict]]] = None
         self._generators_lifted = False
+        # `cup_vec` results by (x key, y key) and `identify` results by key,
+        # a key being (degree, sorted items) as in the lift cache; each
+        # distinct key is held once in `_keys` and shared by every entry
+        self._products: Dict[tuple, dict] = {}
+        self._classes: Dict[tuple, CohomologyClass] = {}
+        self._keys: Dict[tuple, tuple] = {}
+        # `_graded_triples` by (term kind, s, tt, degree), within one batch
+        self._triples: Dict[tuple, list] = {}
         # lift steps solved and steps appended as twists of an earlier step,
         # eliminations of a lifting system, `cup_vec` calls
         self.steps_solved = 0
@@ -128,11 +143,14 @@ class YonedaEngine:
 
     def work(self) -> Dict[str, int]:
         """Work so far: lift steps solved and twisted, eliminations of a
-        lifting system, and products evaluated."""
+        lifting system, `cup_vec` calls, and the distinct products and
+        classes among them evaluated."""
         return {"lift_steps_solved": self.steps_solved,
                 "lift_steps_twisted": self.steps_twisted,
                 "lifting_eliminations": self.lift_eliminations,
-                "products": self.products}
+                "products": self.products,
+                "products_evaluated": len(self._products),
+                "classes_identified": len(self._classes)}
 
     # -- lifting ------------------------------------------------------------
 
@@ -156,7 +174,7 @@ class YonedaEngine:
         for vec, degree, steps in requests:
             if degree + steps > top:
                 raise ValueError("window too shallow for the requested lift")
-            key = (degree, tuple(sorted(vec.items())))
+            key = self._key(degree, vec)
             keys.append(key)
             if key in self._lift_cache:
                 # a key is lifted only after its vector passed this check,
@@ -183,6 +201,10 @@ class YonedaEngine:
                 seg.maps.append(f)
             self.steps_solved += len(solve)
             self.steps_twisted += len(twisted)
+        # every repeat of a graded piece falls within one batch, the one that
+        # lifts the generators; kept for the engine's life the lists would
+        # cost more memory than they save time
+        self._triples.clear()
         self._lift_cache.update(new)
         return [self._lift_cache[key] for key in keys]
 
@@ -263,7 +285,7 @@ class YonedaEngine:
                                                  self.cx.spaces[degree].components)):
             out = {}
             for mid, c in comps.get(comp, {}).items():
-                for kt, x, y in _graded_triples(t, w.terms[0], s, tt, t.basis[mid].degree):
+                for kt, x, y in self._graded(w.terms[0], s, tt, t.basis[mid].degree):
                     hit = t.mono_mul(x, y)
                     if hit is not None and (a := F(hit[0])) != 0:
                         out[(kt, x, y)] = F(F.mul(c, F.inv(a)))
@@ -315,6 +337,18 @@ class YonedaEngine:
         return [BimoduleMap(t, w.terms[seg.base_degree + k], w.terms[k], v)
                 for seg, v in zip(segs, values)]
 
+    def _graded(self, term, s: int, tt: int, degree: int) -> list:
+        """`_graded_triples` of the table, built once per key within a batch.
+
+        A term of the window is P or Q of the table (`projective_p`,
+        `projective_q`), so its kind names it.  Shared: read, never change.
+        """
+        key = (term.kind, s, tt, degree)
+        out = self._triples.get(key)
+        if out is None:
+            out = self._triples[key] = _graded_triples(self.table, term, s, tt, degree)
+        return out
+
     # Soundness of the batch.  The system matrix, its unknowns and its
     # equations are read off (step, s, tt, rhs value degree) and the window
     # alone, never off the cocycle, so every block of one step with that key
@@ -325,12 +359,12 @@ class YonedaEngine:
     # solve of that column alone returns.
     def _assemble(self, k, s, tt, rhs_value_degree):
         """The matrix, unknowns and equation rows of one graded lifting system."""
-        w, t, F = self.window, self.table, self.table.field
+        w, F = self.window, self.table.field
         # the differential raises value degree by g(k) - g(k-1), so the
         # unknown lives that much below the right-hand side
         unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
-        eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, rhs_value_degree)
-        unknowns = _graded_triples(t, w.terms[k], s, tt, unknown_degree)
+        eq_keys = self._graded(w.terms[k - 1], s, tt, rhs_value_degree)
+        unknowns = self._graded(w.terms[k], s, tt, unknown_degree)
         eq_pos = {key: r for r, key in enumerate(eq_keys)}
         # a column names each equation key at most once (`expand` sums its
         # terms by key), so every entry is written once, in column order
@@ -349,32 +383,61 @@ class YonedaEngine:
         basis = self.cx.spaces[0].basis
         return {basis[r][1]: c for r, c in vec.items()}
 
+    def _key(self, degree: int, vec: dict) -> tuple:
+        """(degree, sorted items) of a cochain, the form the lift cache keys
+        on, held once per distinct vector."""
+        key = (degree, tuple(sorted(vec.items())))
+        return self._keys.setdefault(key, key)
+
+    # Soundness of the memos.  On a fixed engine `cup_vec` and `identify` are
+    # pure functions of their operands: a lift is cached only whole, so every
+    # product reads the same segment; the canonical basis and class solver of
+    # each degree are built once per complex; and the cochains are canonical
+    # sparse dicts, one nonzero field-canonical scalar per position, so equal
+    # vectors have equal sorted items (over Q an integral Fraction and its
+    # int compare and hash equal, and coerce alike).  A hit therefore returns
+    # byte for byte what a recomputation would.  The window check runs before
+    # the lookup; a call that raises, on a cocycle error or any other, stores
+    # nothing, so a hit follows a call on equal operands that returned and
+    # hides no error.  Callers read the stored vectors and classes and never
+    # change them.
     def cup_vec(self, xvec: dict, dx: int, yvec: dict, dy: int) -> dict:
         """Cochain representative of the product of two cocycles."""
         cx = self.cx
         if dx + dy > cx.maxdeg - 1:
             raise ValueError("product degree exceeds the window")
         self.products += 1
+        key = (self._key(dx, xvec), self._key(dy, yvec))
+        out = self._products.get(key)
+        if out is not None:
+            return out
         if dx == 0:
-            return cx.scale_vector(dy, self.central_from_v0(xvec), yvec)
-        if dy == 0:
-            return cx.scale_vector(dx, self.central_from_v0(yvec), xvec)
-        if not self._generators_lifted:
-            self._lift_generators()
-        image = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy)
-        # x o f summed as plain numbers; `vector_from_terms` coerces each once
-        basis = cx.spaces[dx].basis
-        acc: dict = {}
-        for r, v in xvec.items():
-            for key, c in image(*basis[r]):
-                acc[key] = acc.get(key, 0) + v * c
-        return cx.vector_from_terms(dx + dy, acc)
+            out = cx.scale_vector(dy, self.central_from_v0(xvec), yvec)
+        elif dy == 0:
+            out = cx.scale_vector(dx, self.central_from_v0(yvec), xvec)
+        else:
+            if not self._generators_lifted:
+                self._lift_generators()
+            image = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy)
+            # x o f summed as plain numbers; `vector_from_terms` coerces each once
+            basis = cx.spaces[dx].basis
+            acc: dict = {}
+            for r, v in xvec.items():
+                for k, c in image(*basis[r]):
+                    acc[k] = acc.get(k, 0) + v * c
+            out = cx.vector_from_terms(dx + dy, acc)
+        self._products[key] = out
+        return out
 
     def identify(self, vec: dict, degree: int) -> CohomologyClass:
         """Coordinates over the canonical basis, modulo coboundaries.
 
         `coords` succeeds only on cocycles, so `is_cocycle` only names the error.
         """
+        key = self._key(degree, vec)
+        cls = self._classes.get(key)
+        if cls is not None:
+            return cls
         basis = canonical_cocycles(self.cx, degree)
         coords = basis.coords(vec)
         if coords is None:
@@ -383,7 +446,8 @@ class YonedaEngine:
                     f"identify: input of degree {degree} is not a cocycle")
             raise IdentificationError(
                 f"cocycle of degree {degree} not in the canonical span")
-        return CohomologyClass(degree, coords, tuple(basis.labels))
+        cls = self._classes[key] = CohomologyClass(degree, coords, tuple(basis.labels))
+        return cls
 
     def cup(self, xvec: dict, dx: int, yvec: dict, dy: int) -> CohomologyClass:
         return self.identify(self.cup_vec(xvec, dx, yvec, dy), dx + dy)

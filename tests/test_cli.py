@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from preproj_hh import oracle
+from preproj_hh import algebra, oracle
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
                             parse_int_list, render_csv, render_markdown,
                             run_grid, RunConfig, write_certificate)
@@ -105,10 +105,74 @@ def test_certificates_are_deterministic_modulo_header():
     assert sa[2] == sb[2]  # everything below the header line is identical
 
 
-def test_parallel_grid_matches_serial():
-    serial = run_grid(RunConfig([1], [0, 3], jobs=1, with_oracle=False))
-    parallel = run_grid(RunConfig([1], [0, 3], jobs=2, with_oracle=False))
-    assert [c["body"] for c in serial] == [c["body"] for c in parallel]
+def test_parallel_grid_matches_serial(monkeypatch):
+    # bodies and header work alike: the F_p points read the Q bar ranks of
+    # their n's char-0 point, as in a serial run, whichever worker ran the
+    # other n.  Each run starts from empty Q ranks, which the forked workers
+    # inherit from this process
+    def grid(jobs):
+        monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+        return run_grid(RunConfig([1, 2], [0, 3, 5], jobs=jobs))
+
+    serial, parallel = grid(1), grid(2)
+    assert [c["body"] for c in parallel] == [c["body"] for c in serial]
+    assert [c["header"]["work"] for c in parallel] == [c["header"]["work"] for c in serial]
+    assert [c["header"]["work"]["bar_eliminations"] for c in serial] == [13, 0, 0, 4, 0, 0]
+
+
+def test_run_grid_gives_one_job_per_n_to_at_most_one_worker_per_n(monkeypatch):
+    # a recording stand-in for the pool: no process is started.  However
+    # many jobs are asked for, the pool gets one worker per n value at most
+    # and one job per n, holding that n's fields in the order given
+    import concurrent.futures
+    import preproj_hh.cli as cli
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.jobs = list(jobs)
+            return map(fn, self.jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "compute_certificate",
+                        lambda n, char, maxdeg, budget, with_oracle: (n, char))
+    certs = run_grid(RunConfig([1, 2], [5, 0, 3], jobs=10000))
+    assert [pool.max_workers for pool in pools] == [2]
+    assert [job[:2] for job in pools[0].jobs] == [(1, [5, 0, 3]), (2, [5, 0, 3])]
+    assert certs == [(1, 5), (1, 0), (1, 3), (2, 5), (2, 0), (2, 3)]
+    assert run_grid(RunConfig([1, 2, 3], [0], jobs=2)) == [(1, 0), (2, 0), (3, 0)]
+    assert [pool.max_workers for pool in pools] == [2, 2]
+    # one n value, or one job asked for, runs in this process
+    assert run_grid(RunConfig([4], [0, 3], jobs=8)) == [(4, 0), (4, 3)]
+    assert run_grid(RunConfig([1, 2], [3], jobs=1)) == [(1, 3), (2, 3)]
+    assert len(pools) == 2
+
+
+def test_header_work_does_not_depend_on_warm_caches(monkeypatch):
+    # n=5 over F3 certified cold, then again after n=5 over Q and n=4 over Q
+    # and F3 have filled the integral tables and the Q bar ranks of the
+    # process: the work is the same, the new counts included.  Each
+    # certificate lifts and multiplies with an engine of its own
+    monkeypatch.setattr(algebra, "_INTEGRAL_CACHE", {})
+    monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    cold = compute_certificate(5, 3)
+    for n, char in ((5, 0), (4, 0), (4, 3)):
+        compute_certificate(n, char)
+    assert set(algebra._INTEGRAL_CACHE) == {4, 5} and oracle._RATIONAL_RANKS
+    warm = compute_certificate(5, 3)
+    assert {"products_evaluated", "classes_identified"} <= set(cold["header"]["work"])
+    assert warm["header"]["work"] == cold["header"]["work"]
+    assert warm["body"] == cold["body"]
 
 
 def test_report_rendering(tmp_path, capsys):
@@ -411,7 +475,8 @@ def test_header_records_the_lifting_work():
     assert set(header) == {"timestamp", "timings", "work"}
     assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
                               "lifting_eliminations": 115,
-                              "products": 882, "cochain_differentials_built": 6,
+                              "products": 882, "products_evaluated": 575,
+                              "classes_identified": 200, "cochain_differentials_built": 6,
                               "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]
 
@@ -438,7 +503,9 @@ def test_header_records_the_lifting_work_over_q():
     cert = compute_certificate(6, 0, with_oracle=False)
     assert cert["header"]["work"] == {"lift_steps_solved": 63, "lift_steps_twisted": 91,
                                       "lifting_eliminations": 98,
-                                      "products": 570, "cochain_differentials_built": 6,
+                                      "products": 570, "products_evaluated": 394,
+                                      "classes_identified": 214,
+                                      "cochain_differentials_built": 6,
                                       "one_sided_maps_ranked": 7}
 
 

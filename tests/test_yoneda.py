@@ -58,6 +58,111 @@ def test_lift_rejects_non_cocycles():
         ctx.engine.identify(vec, 1)
 
 
+@pytest.mark.parametrize("n,char", [(3, 0), (4, 3)])
+def test_graded_pieces_are_built_once_per_batch(n, char, monkeypatch):
+    # the generator batch builds each graded piece once, and drops the lists
+    # when it ends; the lifts are those of an engine that rebuilds every one
+    ctx = context(n, char)
+    built = []
+
+    def recorded(t, term, s, tt, degree):
+        built.append((term.kind, s, tt, degree))
+        return _graded_triples(t, term, s, tt, degree)
+
+    monkeypatch.setattr(ymod, "_graded_triples", recorded)
+    eng = YonedaEngine(ctx.cx)
+    eng._lift_generators()
+    assert len(built) == len(set(built)) and eng._triples == {}
+    asked = []
+
+    class Rebuilding(YonedaEngine):
+        def _graded(self, term, s, tt, degree):
+            asked.append((term.kind, s, tt, degree))
+            return _graded_triples(self.table, term, s, tt, degree)
+
+    ref = Rebuilding(ctx.cx)
+    ref._lift_generators()
+    assert len(asked) > len(built) and set(asked) == set(built)
+    assert [[m.values for m in seg.maps] for seg in eng._lift_cache.values()] == [
+        [m.values for m in seg.maps] for seg in ref._lift_cache.values()]
+
+
+def test_memos_keep_no_failure():
+    # the window check runs before a call is counted, and a call that
+    # raises stores nothing: a second one raises again
+    ctx = context(2)
+    t, cx = ctx.table, ctx.cx
+    eng = YonedaEngine(cx)
+    vec = cx.vector_from_terms(1, {(1, t.arrow_ids[1]): 1})
+    dz, zv = eng.generator_vector("z1")
+    dh, hv = eng.generator_vector("h")
+    with pytest.raises(ValueError):
+        eng.cup_vec(hv, dh, hv, dh + 1)
+    assert eng.products == 0
+    for _ in range(2):
+        with pytest.raises(NotACocycleError):
+            eng.cup_vec(zv, dz, vec, 1)
+        with pytest.raises(NotACocycleError):
+            eng.identify(vec, 1)
+    assert eng.work()["products_evaluated"] == eng.work()["classes_identified"] == 0
+    assert eng.products == 2
+
+
+def _certificate_engine(n, char, monkeypatch):
+    """The product engine of one certificate, oracle off, after its run."""
+    import preproj_hh.cli as cli
+    engines = []
+
+    class Kept(YonedaEngine):
+        def __init__(self, cx):
+            super().__init__(cx)
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "YonedaEngine", Kept)
+    assert cli.compute_certificate(n, char, 13, 10000, False)["body"]["pass"]
+    (engine,) = engines
+    return engine
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_memoized_products_and_classes_are_what_a_fresh_engine_computes(
+        n, char, monkeypatch):
+    # every product and class a certificate took, recomputed by an engine
+    # with nothing cached: each query of it is a distinct one, so evaluated
+    eng = _certificate_engine(n, char, monkeypatch)
+    work = eng.work()
+    assert work["products_evaluated"] == len(eng._products) < eng.products
+    assert work["classes_identified"] == len(eng._classes)
+    fresh = YonedaEngine(eng.cx)
+    for ((dx, x), (dy, y)), vec in eng._products.items():
+        assert fresh.cup_vec(dict(x), dx, dict(y), dy) == vec
+    for (degree, items), cls in eng._classes.items():
+        assert fresh.identify(dict(items), degree) == cls
+    assert fresh.work()["products_evaluated"] == fresh.products == len(eng._products)
+    assert fresh.work()["classes_identified"] == len(eng._classes)
+
+
+@pytest.mark.parametrize("n,char", [(3, 0), (3, 3), (4, 5)])
+def test_memo_entries_stay_as_stored(n, char):
+    # the vectors and classes handed out are read, never changed: what the
+    # memos held after the product table still holds after the relation
+    # check, the spanning audit and the h-check have read them again
+    import copy
+    from preproj_hh.presentation import theorem_spec, verify
+    ctx = context(n, char)
+    eng = YonedaEngine(ctx.cx)
+    c_matrix(ctx.table, eng)
+    eng.product_table()
+    products, classes = copy.deepcopy(eng._products), copy.deepcopy(eng._classes)
+    calls = eng.products
+    assert verify(theorem_spec(n, ctx.field), eng).ok
+    assert stable_structure_check(eng).ok
+    assert eng.products > calls and len(eng._products) > len(products)
+    assert {key: eng._products[key] for key in products} == products
+    assert {key: eng._classes[key] for key in classes} == classes
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lift_of_h_is_identity_pattern(n):
     ctx = context(n)
