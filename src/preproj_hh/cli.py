@@ -1,9 +1,11 @@
 """Command-line front end: build, verify and report over (n, char) grids.
 
 Each grid point produces one certificate: a JSON document whose body is
-byte-reproducible (exact values only, canonical key order) and whose
-nondeterministic parts (timestamp, timings) are isolated in a header
-object, together with the lifting work of the product engine.  Exit codes:
+byte-reproducible and whose nondeterministic parts (timestamp, timings) are
+isolated in a header object, together with the lifting work of the product
+engine.  The body holds exact values (ints, Fractions, never a float), and
+`certificate_bytes` writes it in one pass as sorted-key JSON with a
+one-space indent, a Fraction as its "p/q" string.  Exit codes:
 0 all verdicts pass, 1 verification failure, 2 usage error, 3 oracle budget
 exceeded.
 """
@@ -18,6 +20,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -65,25 +68,14 @@ def parse_int_list(spec: str) -> List[int]:
     return seen
 
 
-def _exact(value):
-    """Exact JSON encoding: Fractions become 'p/q' strings, never floats."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _exact(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_exact(v) for v in value]
-    raise TypeError(f"unexpected value {value!r} in certificate")
-
-
 def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
                         oracle_budget: int = 10000,
                         with_oracle: bool = True) -> dict:
     """Full pipeline for one grid point; returns the certificate document.
+
+    Its body holds the exact values themselves: ints, bools, None, strs,
+    Fractions (the field scalars over Q) and lists and dicts of them.  Only
+    `certificate_bytes` decides their text.
 
     Raises ValueError when maxdeg is below MIN_MAXDEG, before any stage runs.
     """
@@ -239,15 +231,78 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
         "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                    "timings": {k: round(v, 3) for k, v in timings.items()},
                    "work": work},
-        "body": _exact(body),
+        "body": body,
     }
 
 
+# the JSON text of each scalar type a body holds; subclasses take the
+# isinstance branch of _write_body
+_SCALAR_TEXT = {
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    str: encode_basestring_ascii,
+    Fraction: lambda q: encode_basestring_ascii(str(q)),
+}
+
+
+def _write_body(value, out: List[str], indent: str):
+    """Appends the JSON text of `value` to `out`, `indent` being the
+    indentation of its first line: keys as str(k), sorted, one space a level."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    inner = indent + " "
+    if isinstance(value, dict):
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        if not items:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key, item in items:
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_body(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        try:
+            texts = [_SCALAR_TEXT[type(v)](v) for v in value]
+        except KeyError:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _write_body(item, out, inner)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+        else:
+            out.append("[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, Fraction):
+        out.append(encode_basestring_ascii(str(value)))
+    else:
+        raise TypeError(f"unexpected value {value!r} in certificate")
+
+
 def certificate_bytes(cert: dict) -> bytes:
-    """Canonical serialization; the header line is first and self-contained."""
+    """Canonical serialization; the header line is first and self-contained.
+
+    The body is written in one pass over the exact values
+    `compute_certificate` holds, as `json.dumps(..., sort_keys=True,
+    indent=1)` would write them: a Fraction as its "p/q" string (never a
+    float), any key as str(key).  Any other value raises TypeError.
+    """
     header = json.dumps(cert["header"], sort_keys=True)
-    body = json.dumps(cert["body"], sort_keys=True, indent=1)
-    return (f'{{\n"header": {header},\n"body":\n{body}\n}}\n').encode()
+    out = ['{\n"header": ', header, ',\n"body":\n']
+    _write_body(cert["body"], out, "")
+    out.append("\n}\n")
+    return "".join(out).encode()
 
 
 def write_certificate(cert: dict, path: str):

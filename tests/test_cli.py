@@ -4,8 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preproj_hh import algebra, oracle
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
@@ -176,14 +180,17 @@ def test_header_work_does_not_depend_on_warm_caches(monkeypatch):
 
 
 def test_report_rendering(tmp_path, capsys):
-    assert main(["run", "--n", "1", "--char", "0,3", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["report", "--in", str(tmp_path), "--format", "markdown"]) == 0
-    out = capsys.readouterr().out
-    assert "| n | char |" in out and "PASS" in out
-    assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 0
-    out = capsys.readouterr().out
-    assert "HC_,0,2" in out
+    # run renders the bodies it holds, exact values with Fractions among
+    # them, and report the same bodies loaded from their files: both print
+    # the same text
+    for fmt, shown in (("markdown", ("| n | char |", "PASS")), ("csv", ("HC_,0,2",))):
+        assert main(["run", "--n", "1", "--char", "0,3", "--out", str(tmp_path),
+                     "--format", fmt]) == 0
+        ran = capsys.readouterr().out
+        assert main(["report", "--in", str(tmp_path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert all(text in out for text in shown)
+        assert out == ran
 
 
 def test_markdown_render_shape():
@@ -281,6 +288,59 @@ def test_body_bytes_match_the_benchmark_digests(tmp_path, n, char, oracle):
     write_certificate(compute_certificate(n, char, 13, 10000, oracle), str(path))
     body = path.read_bytes().split(b"\n", 2)[2]
     assert hashlib.sha256(body).hexdigest() == want
+
+
+def _exact_reference(value):
+    """The body as a JSON-ready copy: Fractions become 'p/q' strings, keys
+    str(k); `certificate_bytes` must write what json.dumps writes of it."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, bool) or isinstance(value, int) or value is None:
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _exact_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact_reference(v) for v in value]
+    raise TypeError(f"unexpected value {value!r} in certificate")
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'),
+                          st.characters()))
+_SCALARS = st.one_of(st.integers(), st.integers(-10 ** 40, 10 ** 40), st.booleans(),
+                     st.none(), st.fractions(), _TEXT)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(st.one_of(st.integers(-3, 3), _TEXT, st.sampled_from(["1", "-2"])),
+                        children)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_certificate_bytes_write_the_json_dumps_text_of_the_exact_copy(body):
+    header = {"timings": {"algebra": 0.125}, "work": {"products": 3}}
+    want = (f'{{\n"header": {json.dumps(header, sort_keys=True)},\n"body":\n'
+            f'{json.dumps(_exact_reference(body), sort_keys=True, indent=1)}\n}}\n')
+    assert certificate_bytes({"header": header, "body": body}) == want.encode()
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), Decimal("1.5"), {1, 2}],
+                         ids=["float", "nan", "inf", "decimal", "set"])
+@pytest.mark.parametrize("place", [
+    lambda v: {"a": {"b": v}},
+    lambda v: {"a": [1, "x", Fraction(1, 2), v]},
+    lambda v: {"a": [[1], {"c": 2}, v]}], ids=["dict-value", "scalar-list", "mixed-list"])
+def test_a_value_outside_the_exact_types_raises_and_writes_nothing(tmp_path, bad, place):
+    cert = {"header": {}, "body": place(bad)}
+    with pytest.raises(TypeError, match=re.escape(f"unexpected value {bad!r}")):
+        certificate_bytes(cert)
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        write_certificate(cert, str(tmp_path / "cert.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_report_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):
