@@ -235,8 +235,7 @@ def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
     }
 
 
-# the JSON text of each scalar type a body holds; subclasses take the
-# isinstance branch of _write_body
+# the JSON text of each scalar type a body holds
 _SCALAR_TEXT = {
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
@@ -280,12 +279,6 @@ def _write_body(value, out: List[str], indent: str):
             out.append("\n" + indent + "]")
         else:
             out.append("[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, Fraction):
-        out.append(encode_basestring_ascii(str(value)))
     else:
         raise TypeError(f"unexpected value {value!r} in certificate")
 
@@ -510,9 +503,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "every point of a grid would overwrite the same file",
                   file=sys.stderr)
             return 2
+        # `abspath` drops a trailing separator, so the name is read off --out
         directory = os.path.dirname(os.path.abspath(args.out))
-        if not os.path.isdir(directory) or os.path.isdir(args.out):
-            print(f"error: --out {args.out} is not a file path in an existing "
+        if not os.path.basename(args.out) or os.path.isdir(args.out) \
+                or not os.path.isdir(directory):
+            print(f"error: --out {args.out!r} is not a file path in an existing "
                   f"directory", file=sys.stderr)
             return 2
 

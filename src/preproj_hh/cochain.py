@@ -22,11 +22,14 @@ complex, and the cyclic homology dimensions from the Connes-image
 bookkeeping over it; dim L/[L, L], checked against HH_0, is ranked from the
 brackets of the generators (idempotents and arrows) with the basis
 monomials, which span [L, L].  Spaces are read off the table's `by_ends`
-lists, and the dualized differential is the pull-back w -> w o d
-(`pullback`), the kernel the Yoneda products read too; it reads the
-algebra's product rule inline, as `resolution.expand` does.  The canonical basis of each degree
-holds that degree's one class solver: `CanonicalBasis.coords` reads the class of a
-cocycle off [canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
+lists, and the dualized differential pulls the unit cochains back along d
+in one batch (`pullback`).  `pullback` is the only place a cochain is
+composed with a map, the Yoneda products included: one walk over the map's
+value terms, keeping no index of them, gives one canonical cochain per
+input.  It reads the algebra's product rule inline, as `resolution.expand`
+does.  The canonical basis of each degree holds that degree's one class
+solver: `CanonicalBasis.coords` reads the class of a cocycle off
+[canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
 A cochain of V^i is a sparse dict {position in `spaces[i].basis`: nonzero
 field-canonical scalar}, the vector format of `exactla`; it is canonical by
 construction, so two cochains are equal exactly when their dicts are.
@@ -228,13 +231,15 @@ class CochainComplex:
                     out.append(((j, t.socle_ids[j]), -t.cartan[j - 1][i_vertex - 1]))
         return out
 
-    def pullback(self, f: BimoduleMap, i: int, j: int):
-        """phi -> phi o f from V^i to V^j, for f: P^-j -> P^-i.
+    def pullback(self, f: BimoduleMap, i: int, j: int, vecs: List[dict]) -> List[dict]:
+        """[phi o f for phi in vecs], for cochains phi of V^i and f: P^-j -> P^-i.
 
-        The returned map takes a basis cochain (comp, mid) of V^i to its image
-        terms ((component, monomial), c x.mid.y), one per nonzero product over
-        the value terms c x (x) y of f that read comp: plain numbers, not
-        reduced into the field, a key possibly repeated.
+        One walk over the value terms of f: a term c x (x) y of summand k of
+        P^-j that lands in summand k2 of P^-i meets the entries v at (comp,
+        mid) of every phi, comp being summand k2's component (one per
+        summand), and adds v c x.mid.y at summand k's component of V^j.
+        Each output sums plain numbers and coerces them once
+        (`vector_from_terms`), so it is a canonical cochain of V^j.
         """
         # the product rule read inline: a `mono_mul` call per lookup measured 8%
         # slower on the n=7 benchmark points.  Its composability test is skipped:
@@ -242,31 +247,35 @@ class CochainComplex:
         t = self.table
         rule, left, right = t.rule, t.rule_left, t.rule_right
         src, tgt = self.spaces[i], self.spaces[j]
-        # the value terms of f, indexed once by the component of the cochain
-        # they read: that of the summand they land in
-        by_comp: Dict[int, list] = {}
+        # the entries of vecs, grouped by component as (output, right[mid], v)
+        reads: Dict[int, list] = {}
+        for out, vec in enumerate(vecs):
+            for r, v in vec.items():
+                comp, mid = src.basis[r]
+                reads.setdefault(comp, []).append((out, right[mid], v))
+        by_summand = [reads.get(comp) for comp in src.components]
+        accs: List[dict] = [{} for _ in vecs]
         for k, terms in enumerate(f.values):
             tkey = tgt.components[k]
             for (k2, x, y), c in terms.items():
-                by_comp.setdefault(src.components[k2], []).append((tkey, c, x, y))
-
-        def image(comp: int, mid: int) -> list:
-            # a product is a (coefficient, monomial) pair, or None where it vanishes
-            rm = right[mid]
-            return [((tkey, rhs[1]), c * lhs[0] * rhs[0])
-                    for tkey, c, x, y in by_comp.get(comp, ())
-                    if (lhs := rule[left[x] + rm])
-                    and (rhs := rule[left[lhs[1]] + right[y]])]
-        return image
+                if entries := by_summand[k2]:
+                    # a product is a (coefficient, monomial) pair, or None where it vanishes
+                    lx, ry = left[x], right[y]
+                    for out, rm, v in entries:
+                        if (lhs := rule[lx + rm]) and (rhs := rule[left[lhs[1]] + ry]):
+                            acc, key = accs[out], (tkey, rhs[1])
+                            acc[key] = acc.get(key, 0) + v * c * lhs[0] * rhs[0]
+        return [self.vector_from_terms(j, acc) for acc in accs]
 
     def _dual_matrix(self, i: int) -> ExactMatrix:
-        """d^i as the pull-back along d_(i+1), summed in the field."""
+        """d^i as the pull-back of the unit cochains of V^i along d_(i+1), in
+        one batch: a walk per cochain would cost dim V^i walks over d."""
         src, tgt = self.spaces[i], self.spaces[i + 1]
-        image = self.pullback(self.window.diffs[i + 1], i, i + 1)
+        units = [{r: 1} for r in range(src.dim)]
+        cols = self.pullback(self.window.diffs[i + 1], i, i + 1, units)
         return ExactMatrix.from_entries(
             self.table.field, tgt.dim, src.dim,
-            ((tgt.pos[key], col, c) for col, (comp, mid) in enumerate(src.basis)
-             for key, c in image(comp, mid)))
+            ((r, col, c) for col, vec in enumerate(cols) for r, c in vec.items()))
 
     # -- ranks and dimensions ----------------------------------------------------
 

@@ -38,8 +38,9 @@ batch the lifting systems read each graded piece of a term once
 Every exact kernel on the way sums plain numbers and coerces each entry
 into the field once: `resolution.expand` (read by `compose`, which gives
 the step right-hand sides, and by the systems `_assemble`) and the cochain
-pull-back `CochainComplex.pullback` that `cup_vec` reads.  A solved step
-is built from the field-canonical values of its solutions as they are.
+pull-back `CochainComplex.pullback`, which hands `cup_vec` the product
+x o f as a canonical cochain.  A solved step is built from the
+field-canonical values of its solutions as they are.
 """
 
 from __future__ import annotations
@@ -418,14 +419,7 @@ class YonedaEngine:
         else:
             if not self._generators_lifted:
                 self._lift_generators()
-            image = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy)
-            # x o f summed as plain numbers; `vector_from_terms` coerces each once
-            basis = cx.spaces[dx].basis
-            acc: dict = {}
-            for r, v in xvec.items():
-                for k, c in image(*basis[r]):
-                    acc[k] = acc.get(k, 0) + v * c
-            out = cx.vector_from_terms(dx + dy, acc)
+            out = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy, [xvec])[0]
         self._products[key] = out
         return out
 

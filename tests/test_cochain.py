@@ -312,15 +312,16 @@ def test_commutator_rows_are_generator_brackets(monkeypatch):
     assert len(sizes) == 1 and sizes[0] <= 25000
 
 
-def _reference_dual_matrix(cx, i):
-    """Brute force: every term of the resolution differential, for every column."""
+def _reference_pullback(cx, f, i, j, vec):
+    """Brute force: phi o f for one cochain phi of V^i, every value term of f
+    scanned for every entry of phi, each product through `mono_mul`."""
     t = cx.table
-    d = cx.window.diffs[i + 1]
-    src, tgt = cx.spaces[i], cx.spaces[i + 1]
-    entries = []
-    for col, (comp, mid) in enumerate(src.basis):
+    src, tgt = cx.spaces[i], cx.spaces[j]
+    acc = {}
+    for r, v in vec.items():
+        comp, mid = src.basis[r]
         comp_pos = comp if src.kind == PARALLELS else comp - 1
-        for k, terms in enumerate(term_lists(d)):
+        for k, terms in enumerate(term_lists(f)):
             tkey = t.quiver.arrows[k].index if tgt.kind == PARALLELS else k + 1
             for k2, c, x, y in terms:
                 if k2 != comp_pos:
@@ -331,8 +332,19 @@ def _reference_dual_matrix(cx, i):
                 rhs = t.mono_mul(lhs[1], y)
                 if rhs is None:
                     continue
-                entries.append((tgt.pos[(tkey, rhs[1])], col, c * lhs[0] * rhs[0]))
-    return ExactMatrix.from_entries(t.field, tgt.dim, src.dim, entries)
+                pos = tgt.pos[(tkey, rhs[1])]
+                acc[pos] = acc.get(pos, 0) + v * c * lhs[0] * rhs[0]
+    return {pos: t.field(c) for pos, c in acc.items() if t.field(c) != 0}
+
+
+def _reference_dual_matrix(cx, i):
+    """Brute force: the reference pull-back of every unit cochain along d_(i+1)."""
+    d = cx.window.diffs[i + 1]
+    src, tgt = cx.spaces[i], cx.spaces[i + 1]
+    return ExactMatrix.from_entries(
+        cx.table.field, tgt.dim, src.dim,
+        [(r, col, c) for col in range(src.dim)
+         for r, c in _reference_pullback(cx, d, i, i + 1, {col: 1}).items()])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -631,6 +643,17 @@ def test_every_producer_gives_canonical_vectors(char, data):
     name, gdeg, gvec = data.draw(st.sampled_from(ctx.engine.generators()), label="generator")
     for x, dx, y, dy in ((cocycle, degree, gvec, gdeg), (gvec, gdeg, cocycle, degree)):
         assert is_canonical_vector(cx, dx + dy, ctx.engine.cup_vec(x, dx, y, dy))
+    # a batch pulled back along a lifted generator map and along d_(degree+1):
+    # each output is the one its cochain gets alone and the term-by-term scan's
+    batch = [vec] + basis.vectors + [{}, vec]
+    for f, j in ((ctx.engine.lift(gvec, gdeg, degree).maps[degree], degree + gdeg),
+                 (cx.window.diffs[degree + 1], degree + 1)):
+        pulled = cx.pullback(f, degree, j, batch)
+        assert len(pulled) == len(batch)
+        for phi, out in zip(batch, pulled):
+            assert is_canonical_vector(cx, j, out)
+            assert out == cx.pullback(f, degree, j, [phi])[0]
+            assert out == _reference_pullback(cx, f, degree, j, phi)
 
     # one vector built in two insertion orders is lifted once; a cocycle of
     # one entry has one order, and y stands in for it
