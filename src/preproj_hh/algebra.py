@@ -520,8 +520,9 @@ def center_basis(t: AlgebraTable) -> List[dict]:
     if len(kernel) != 2 * t.n:
         raise CenterMismatchError(f"center dimension {len(kernel)}, expected {2 * t.n}")
     listed = x0_powers(t)[:t.n] + socle_basis(t)
+    pos = {mid: r for r, mid in enumerate(diag)}
     span = ExactMatrix.from_columns(
-        F, [[z.get(mid, F.zero) for mid in diag] for z in listed])
+        F, len(diag), [{pos[mid]: c for mid, c in z.items()} for z in listed])
     if span.rank() != 2 * t.n:
         raise CenterMismatchError("listed central elements are dependent")
     if None in span.solve_many(kernel):

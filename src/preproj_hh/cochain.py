@@ -29,10 +29,13 @@ value terms, keeping no index of them, gives one canonical cochain per
 input.  It reads the algebra's product rule inline, as `resolution.expand`
 does.  The canonical basis of each degree holds that degree's one class
 solver: `CanonicalBasis.coords` reads the class of a cocycle off
-[canonical cocycles | d^(degree-1)], zero exactly on coboundaries.
+[canonical cocycles | d^(degree-1)] as a sparse {index of a canonical
+class: scalar} dict, empty exactly on coboundaries.
 A cochain of V^i is a sparse dict {position in `spaces[i].basis`: nonzero
 field-canonical scalar}, the vector format of `exactla`; it is canonical by
-construction, so two cochains are equal exactly when their dicts are.
+construction, so two cochains are equal exactly when their dicts are, and
+the dualized d^i and the class solver matrix take cochains as their
+columns as they are (`ExactMatrix.from_columns`), coercing nothing again.
 Degrees 7..12 reuse the vectors of degree i-6, and its solver too wherever
 d^(i-1) is the matrix of d^(i-7) itself; where both are shared, the
 center-module checks take degree i-6's outcome as well.
@@ -178,14 +181,10 @@ class CochainComplex:
         are independent modulo coboundaries, and a solve against it reads off
         coordinates over the vectors.
         """
-        entries = [(i, j, x) for j, v in enumerate(vectors) for i, x in v.items()]
-        ncols = len(vectors)
+        columns = list(vectors)
         if degree > 0:
-            d = self.diffs[degree - 1]
-            entries += [(i, ncols + j, x) for i, j, x in d.entries()]
-            ncols += d.ncols
-        return ExactMatrix.from_entries(self.table.field, self.spaces[degree].dim,
-                                        ncols, entries)
+            columns += self.diffs[degree - 1].columns
+        return ExactMatrix.from_columns(self.table.field, self.spaces[degree].dim, columns)
 
     # -- differentials ---------------------------------------------------------
 
@@ -270,12 +269,10 @@ class CochainComplex:
     def _dual_matrix(self, i: int) -> ExactMatrix:
         """d^i as the pull-back of the unit cochains of V^i along d_(i+1), in
         one batch: a walk per cochain would cost dim V^i walks over d."""
-        src, tgt = self.spaces[i], self.spaces[i + 1]
-        units = [{r: 1} for r in range(src.dim)]
-        cols = self.pullback(self.window.diffs[i + 1], i, i + 1, units)
-        return ExactMatrix.from_entries(
-            self.table.field, tgt.dim, src.dim,
-            ((r, col, c) for col, vec in enumerate(cols) for r, c in vec.items()))
+        units = [{r: 1} for r in range(self.spaces[i].dim)]
+        return ExactMatrix.from_columns(
+            self.table.field, self.spaces[i + 1].dim,
+            self.pullback(self.window.diffs[i + 1], i, i + 1, units))
 
     # -- ranks and dimensions ----------------------------------------------------
 
@@ -437,16 +434,16 @@ class CanonicalBasis:
     # (the solver's rank is checked), so each is a pivot column and the
     # canonical part of any solution is unique: two solutions differ by a
     # kernel vector, whose canonical part vanishes by that independence.  So
-    # the coordinates are zero exactly when `vec` is a coboundary.
-    def coords(self, vec: dict) -> Optional[tuple]:
+    # the coordinates are empty exactly when `vec` is a coboundary.
+    def coords(self, vec: dict) -> Optional[dict]:
         """Coordinates of the class of `vec`, or None outside the span.
 
-        The sparse solution is padded into a dense tuple over the canonical
-        columns, zero (the field's zero in every characteristic) where it has
-        no entry; its entries on the columns of d^(degree-1) are dropped.
+        The solver's sparse solution restricted to the canonical columns, a
+        {index: scalar} dict over the canonical classes; its entries on the
+        columns of d^(degree-1) are dropped.
         """
-        sol = self.solver.solve(vec)
-        return None if sol is None else tuple(sol.get(j, 0) for j in range(len(self.vectors)))
+        sol, k = self.solver.solve(vec), len(self.vectors)
+        return None if sol is None else {j: x for j, x in sol.items() if j < k}
 
 
 def canonical_cocycles(c: CochainComplex, degree: int) -> CanonicalBasis:
@@ -576,8 +573,8 @@ def zmodule_checks(c: CochainComplex) -> ZModuleReport:
         basis = canonical_cocycles(c, j)
 
         def kills(z, v):
-            coords = basis.coords(c.scale_vector(j, z, v))
-            return coords is not None and not any(coords)
+            # the class of z v is zero: no coordinates (None outside the span)
+            return basis.coords(c.scale_vector(j, z, v)) == {}
 
         socle_misses = [(k, i) for k, v in enumerate(basis.vectors)
                         for i, w in enumerate(socle) if not kills(w, v)]

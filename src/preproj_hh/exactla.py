@@ -27,9 +27,9 @@ F3 where arrival order made 7,669).  Only the order of its pivots, which
 `det` alone reads, and the basis of its leftover rows depend on the order.
 Vectors are sparse going in and coming out: `matvec`, `PreparedSolver.solve`
 and `kernel_basis` take and return {index: nonzero field-canonical scalar}
-dicts, so two vectors are equal exactly when their dicts are.  Dense input
-is only for the literal constructors, `ExactMatrix(F, rows)`,
-`from_columns` and `det`.
+dicts, so two vectors are equal exactly when their dicts are, and
+`from_columns` builds a matrix from such vectors as they are.  Dense input
+is only for the literal constructor `ExactMatrix(F, rows)` and for `det`.
 """
 
 from __future__ import annotations
@@ -341,8 +341,8 @@ class ExactMatrix:
 
     `rows[i]` is a {column: scalar} dict holding the nonzero entries of row
     i, the format `_reduce` eliminates.  Immutable by convention: the
-    reduction routines return fresh objects, and the column view `matvec`
-    builds on first use stays valid.
+    reduction routines return fresh objects, and the column view `columns`
+    stays valid once built.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_columns")
@@ -361,10 +361,10 @@ class ExactMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, field: FieldSpec, nrows: int, ncols: int, rows: list) -> "ExactMatrix":
+    def _wrap(cls, field: FieldSpec, nrows: int, ncols: int, rows: list,
+              columns: Optional[list] = None) -> "ExactMatrix":
         m = cls.__new__(cls)
-        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
-        m._columns = None
+        m.field, m.nrows, m.ncols, m.rows, m._columns = field, nrows, ncols, rows, columns
         return m
 
     @classmethod
@@ -385,25 +385,22 @@ class ExactMatrix:
                           for row in rows])
 
     @classmethod
-    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls.from_entries(field, nrows, ncols, ())
+    def from_columns(cls, field: FieldSpec, nrows: int,
+                     columns: Sequence[dict]) -> "ExactMatrix":
+        """The matrix whose column j is columns[j], a canonical sparse vector.
 
-    @classmethod
-    def from_columns(cls, field: FieldSpec, columns: Sequence[Sequence]) -> "ExactMatrix":
-        nrows = len(columns[0]) if columns else 0
-        return cls.from_entries(field, nrows, len(columns),
-                                ((i, j, x) for j, col in enumerate(columns)
-                                 for i, x in enumerate(col) if x != 0))
+        Each column is a {row: nonzero field-canonical scalar} dict, as every
+        producer of vectors makes it, and is taken as it is: nothing is
+        summed or coerced, and the columns seed the column view.
+        """
+        columns = list(columns)
+        return cls._wrap(field, nrows, len(columns), _by_column(columns, nrows), columns)
 
     # -- basic ops ---------------------------------------------------------
 
     def entries(self):
         """The nonzero entries as (row, column, value) triples."""
         return ((i, j, x) for i, row in enumerate(self.rows) for j, x in row.items())
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i].get(j, self.field.zero)
 
     def __eq__(self, other):
         return (
@@ -413,11 +410,17 @@ class ExactMatrix:
             and self.rows == other.rows
         )
 
-    def matvec(self, v: dict) -> dict:
-        """self @ v for a sparse {column: scalar} v, as a sparse {row: scalar}."""
+    @property
+    def columns(self) -> list:
+        """The columns as {row: scalar} dicts: those `from_columns` was given,
+        or else built from the rows on first use."""
         if self._columns is None:
             self._columns = _by_column(self.rows, self.ncols)
-        return _accumulate(self._columns, v, self.field)
+        return self._columns
+
+    def matvec(self, v: dict) -> dict:
+        """self @ v for a sparse {column: scalar} v, as a sparse {row: scalar}."""
+        return _accumulate(self.columns, v, self.field)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
@@ -539,7 +542,8 @@ def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
 
 
 def _by_column(rows: Sequence[dict], ncols: int) -> list:
-    """The {column: scalar} rows as ncols {row: scalar} columns."""
+    """The {column: scalar} rows as ncols {row: scalar} columns; the same
+    transpose takes sparse columns to rows, given the number of rows."""
     cols: list = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, a in row.items():

@@ -315,7 +315,7 @@ def _keep_independent(engine, degree, kept, vectors):
     for v in vectors:
         if len(coords) >= cap:
             break
-        c = list(engine.identify(v, degree).coords)
-        if ExactMatrix.from_columns(F, coords + [c]).rank() > len(coords):
+        c = engine.identify(v, degree).coords
+        if ExactMatrix.from_columns(F, cap, coords + [c]).rank() > len(coords):
             kept.append((v, c))
             coords.append(c)

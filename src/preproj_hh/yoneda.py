@@ -28,6 +28,9 @@ next step reads.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`).
+A class keeps the sparse {index of a canonical class: scalar} coordinates
+that solver gives, and the h-periodicity check and the spanning audit take
+them as matrix columns as they are (`ExactMatrix.from_columns`).
 The product table, the relation check, the spanning audit, the h-check and
 the C matrix ask for many of the same products and classes, so the engine
 keeps each product it evaluates, keyed by its two operands, and each class
@@ -69,14 +72,14 @@ class IdentificationError(RuntimeError):
 @dataclass
 class CohomologyClass:
     degree: int
-    coords: tuple
+    coords: dict   # {index of a canonical class: nonzero scalar}
     labels: tuple
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self.coords
 
     def nonzero_items(self):
-        return [(lab, c) for lab, c in zip(self.labels, self.coords) if c != 0]
+        return [(self.labels[j], c) for j, c in sorted(self.coords.items())]
 
     def __str__(self):
         items = self.nonzero_items()
@@ -577,9 +580,10 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
             zdeg, zvec = engine.generator_vector(f"z{k}")
             cls = engine.cup(yvec, ydeg, zvec, zdeg)
             for j in range(1, n + 1):
-                if cls.coords[j - 1] != F(comb[j - 1][k - 1]):
+                got = cls.coords.get(j - 1, 0)
+                if got != F(comb[j - 1][k - 1]):
                     failures.append(
-                        f"cup product coordinate ({j},{k}) = {cls.coords[j - 1]}, "
+                        f"cup product coordinate ({j},{k}) = {got}, "
                         f"expected {comb[j - 1][k - 1]}")
     rank = ExactMatrix(F, comb).rank()
     comb_det = int(det(comb, FieldSpec(0)))
@@ -624,24 +628,23 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
     t, F = engine.table, engine.table.field
     n = t.n
     hdeg, hvec = engine.generator_vector("h")
+
+    def h_matrix(i):
+        """Multiplication by h from degree i, over the canonical classes."""
+        cols = [engine.cup(vec, i, hvec, hdeg).coords
+                for vec in canonical_cocycles(engine.cx, i).vectors]
+        return ExactMatrix.from_columns(
+            F, len(canonical_cocycles(engine.cx, i + hdeg).vectors), cols)
+
     failures: List[str] = []
     bij: Dict[int, bool] = {}
     for i in range(1, 7):
-        basis = canonical_cocycles(engine.cx, i)
-        cols = []
-        for vec in basis.vectors:
-            cls = engine.cup(vec, i, hvec, hdeg)
-            cols.append(list(cls.coords))
-        rank = ExactMatrix.from_columns(F, cols).rank()
-        bij[i] = rank == len(basis.vectors)
+        m = h_matrix(i)
+        bij[i] = m.rank() == m.ncols
         if not bij[i]:
             failures.append(f"h-multiplication drops rank in degree {i}")
     basis0 = canonical_cocycles(engine.cx, 0)
-    cols = []
-    for vec in basis0.vectors:
-        cls = engine.cup(vec, 0, hvec, hdeg)
-        cols.append(list(cls.coords))
-    kernel = ExactMatrix.from_columns(F, cols).kernel_basis()
+    kernel = h_matrix(0).kernel_basis()
     # the kernel must be exactly the span of the socle classes x_1..x_n: n
     # vectors, each supported on their coordinates
     socle = {basis0.labels.index(f"x{i}") for i in range(1, n + 1)}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from decimal import Decimal
@@ -98,6 +99,21 @@ def test_run_writes_certificates_and_passes(tmp_path, capsys):
     cert = json.loads((tmp_path / "cert_n2_char0.json").read_text())
     assert cert["body"]["pass"] is True
     assert cert["body"]["verdicts"]["presentation"] is True
+
+
+def test_run_writes_certificates_with_the_mode_open_gives(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--n", "1", "--char", "3", "--no-oracle",
+                     "--out", str(tmp_path), "--jobs", "1"]) == 0
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    certs = [p for p in tmp_path.iterdir() if p.name != "plain.json"]
+    assert len(certs) == 1
+    mode = stat.S_IMODE(os.stat(tmp_path / "plain.json").st_mode)
+    assert stat.S_IMODE(certs[0].stat().st_mode) == mode == 0o644
 
 
 def test_certificates_are_deterministic_modulo_header():

@@ -5,6 +5,8 @@ and `resolution.expand` (through `compose`) sum plain numbers and coerce each
 entry into the field once.  Each is checked here against a reference that
 coerces every term and adds in the field, as those kernels once did, over Q,
 F3 and F5, on int and Fraction inputs and on entries that cancel to zero.
+`ExactMatrix.from_columns` takes canonical columns without coercing them,
+so the dualized differential coerces only in its pull-back.
 
 A bimodule map is canonical by construction: every producer of one gives
 each key a nonzero scalar in the field's own form, so maps compare by their
@@ -140,8 +142,15 @@ def test_from_entries_matches_per_entry_coercion(char, data):
                                  max_size=20))
     entries = _with_cancellations(data, entries, lambda e: (e[0], e[1], -e[2]))
     m = ExactMatrix.from_entries(F, 3, 4, entries)
-    assert m.rows == _reference_rows(F, 3, entries)
+    rows = _reference_rows(F, 3, entries)
+    assert m.rows == rows
     assert all(canonical(F, x) for _, _, x in m.entries())
+    # the same entries as canonical sparse columns, taken as they are
+    columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(4)]
+    c = ExactMatrix.from_columns(F, 3, columns)
+    assert c == m and c.columns == m.columns
+    v = sparse(data.draw(st.lists(scalars.map(F), min_size=4, max_size=4)))
+    assert c.matvec(v) == m.matvec(v)
 
 
 @given(char=chars, data=st.data())
@@ -223,6 +232,33 @@ def test_compose_matches_the_returned_dict_path(char, data):
     got = compose(f, g)
     assert got.values == _reference_compose(f, g)
     assert is_canonical(got)
+
+
+def test_dual_matrix_coerces_only_in_its_pullback(monkeypatch):
+    # the canonical cochains `pullback` returns become the columns of d^i as
+    # they are: building the matrix adds no coercion to the pull-back's own
+    calls = []
+    real = FieldSpec.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(FieldSpec, "__call__", counted)
+    total = 0
+    for char in (0, 3):
+        cx = context(3, char).cx
+        for i in range(cx.maxdeg):
+            units = [{r: 1} for r in range(cx.spaces[i].dim)]
+            calls.clear()
+            columns = cx.pullback(cx.window.diffs[i + 1], i, i + 1, units)
+            pulled = len(calls)
+            calls.clear()
+            dual = cx._dual_matrix(i)
+            assert len(calls) == pulled, (char, i)
+            assert dual.columns == columns and dual == cx.diffs[i]
+            total += pulled
+    assert total > 0
 
 
 # -- canonical by construction ------------------------------------------------------

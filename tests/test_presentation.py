@@ -129,8 +129,9 @@ def _reference_span_audit(spec, engine, audit_to=12):
     basis0 = canonical_cocycles(engine.cx, 0)
     span_vecs = {0: [dict(v) for v in basis0.vectors]}
     audit = {0: (ExactMatrix.from_columns(
-        F, [list(engine.identify(v, 0).coords) for v in span_vecs[0]]).rank(), 2 * n)}
+        F, 2 * n, [engine.identify(v, 0).coords for v in span_vecs[0]]).rank(), 2 * n)}
     for i in range(1, audit_to + 1):
+        dim = len(canonical_cocycles(engine.cx, i).vectors)
         candidates = []
         for name, d in pos_gens:
             if d > i:
@@ -138,8 +139,8 @@ def _reference_span_audit(spec, engine, audit_to=12):
             gd, gvec = ev.gen_vectors[name]
             for w in span_vecs[i - d]:
                 candidates.append(engine.cup_vec(w, i - d, gvec, gd))
-        coords = [list(engine.identify(v, i).coords) for v in candidates]
-        rank = ExactMatrix.from_columns(F, coords).rank()
+        coords = [engine.identify(v, i).coords for v in candidates]
+        rank = ExactMatrix.from_columns(F, dim, coords).rank()
         frontier = list(candidates)
         while frontier:
             new_frontier = []
@@ -147,8 +148,8 @@ def _reference_span_audit(spec, engine, audit_to=12):
                 z = engine.central_from_v0(ev.gen_vectors[name][1])
                 for v in frontier:
                     new_frontier.append(engine.cx.scale_vector(i, z, v))
-            new_coords = [list(engine.identify(v, i).coords) for v in new_frontier]
-            rank_after = ExactMatrix.from_columns(F, coords + new_coords).rank()
+            new_coords = [engine.identify(v, i).coords for v in new_frontier]
+            rank_after = ExactMatrix.from_columns(F, dim, coords + new_coords).rank()
             if rank_after == rank:
                 break
             candidates.extend(new_frontier)
@@ -156,7 +157,7 @@ def _reference_span_audit(spec, engine, audit_to=12):
             rank = rank_after
             frontier = new_frontier
         audit[i] = (rank, n)
-        pivots = ExactMatrix.from_columns(F, coords).echelonize().pivot_columns
+        pivots = ExactMatrix.from_columns(F, dim, coords).echelonize().pivot_columns
         span_vecs[i] = [candidates[c] for c in pivots]
     return audit
 
@@ -239,9 +240,9 @@ def _generator_major_span_audit(spec, engine, audit_to=12):
     pos_gens = [ev.gen_vectors[name] for name, d in spec.generators if d > 0]
 
     def keep(degree, kept, vectors):
-        coords = [c for _, c in kept] + [
-            list(engine.identify(v, degree).coords) for v in vectors]
-        pivots = ExactMatrix.from_columns(F, coords).echelonize().pivot_columns
+        coords = [c for _, c in kept] + [engine.identify(v, degree).coords for v in vectors]
+        dim = len(canonical_cocycles(engine.cx, degree).vectors)
+        pivots = ExactMatrix.from_columns(F, dim, coords).echelonize().pivot_columns
         old = len(kept)
         kept.extend([(vectors[c - old], coords[c]) for c in pivots if c >= old])
 
@@ -282,7 +283,7 @@ def test_capped_audit_matches_the_generator_major_audit(n, char, monkeypatch):
         dim = len(canonical_cocycles(engine.cx, degree).vectors)
         assert len(kept) == len(ref_kept[degree]) <= dim
         union = [c for _, c in kept] + [c for _, c in ref_kept[degree]]
-        assert ExactMatrix.from_columns(F, union).rank() == len(kept), degree
+        assert ExactMatrix.from_columns(F, dim, union).rank() == len(kept), degree
 
 
 def test_audit_stops_evaluating_at_full_rank():
