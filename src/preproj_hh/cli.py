@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,13 +302,11 @@ def write_certificate(cert: dict, path: str):
     data = certificate_bytes(cert)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL as mkstemp, but mode 0o666 so the umask gives what open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            # mkstemp makes the file 0600; give it the mode open() would
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

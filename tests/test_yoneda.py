@@ -383,6 +383,7 @@ def test_h_multiplication_is_coordinate_relabelling(n, char):
     dh, hv = gen(ctx, "h")
     for degree in range(1, 7):
         basis = canonical_cocycles(eng.cx, degree)
+        assert len(canonical_cocycles(eng.cx, degree + dh).vectors) == len(basis.vectors)
         for idx, vec in enumerate(basis.vectors):
             cls = eng.cup(vec, degree, hv, dh)
             assert cls.coords == {idx: eng.table.field.one}
