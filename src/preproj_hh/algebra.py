@@ -29,7 +29,6 @@ that numbering is the column order of every downstream matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -46,13 +45,25 @@ class CenterMismatchError(RuntimeError):
     """The solved center does not match the expected description."""
 
 
-@dataclass(frozen=True)
 class Arrow:
-    index: int
-    name: str
-    source: int
-    target: int
-    bar: int  # index of the opposite arrow (eps is its own bar)
+    """A read-only arrow; `bar` is the index of the opposite arrow (eps is
+    its own bar)."""
+
+    __slots__ = ("index", "name", "source", "target", "bar")
+
+    def __init__(self, index: int, name: str, source: int, target: int, bar: int):
+        put = object.__setattr__
+        put(self, "index", index)
+        put(self, "name", name)
+        put(self, "source", source)
+        put(self, "target", target)
+        put(self, "bar", bar)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Arrow is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Arrow is read-only: cannot delete {name!r}")
 
 
 class Quiver:
@@ -78,14 +89,28 @@ class Quiver:
         return self.arrows[a.bar]
 
 
-@dataclass(frozen=True)
 class BasisMonomial:
-    mid: int
-    source: int
-    target: int
-    degree: int
-    path: Tuple[int, ...]  # arrow indices, composition order (leftmost applied last)
-    sign: int
+    """A read-only basis monomial; `path` holds arrow indices in composition
+    order (leftmost applied last).  One list of them serves every field of
+    an n (`_INTEGRAL_CACHE`)."""
+
+    __slots__ = ("mid", "source", "target", "degree", "path", "sign")
+
+    def __init__(self, mid: int, source: int, target: int, degree: int,
+                 path: Tuple[int, ...], sign: int):
+        put = object.__setattr__
+        put(self, "mid", mid)
+        put(self, "source", source)
+        put(self, "target", target)
+        put(self, "degree", degree)
+        put(self, "path", path)
+        put(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BasisMonomial is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BasisMonomial is read-only: cannot delete {name!r}")
 
 
 EPS = 0  # arrow index of the loop

@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
@@ -41,14 +39,18 @@ SCHEMA_VERSION = 1
 MIN_MAXDEG = 13
 
 
-@dataclass
 class RunConfig:
-    n_values: List[int]
-    characteristics: List[int]
-    maxdeg: int = 13
-    oracle_budget: int = 10000
-    jobs: int = 1
-    with_oracle: bool = True
+    __slots__ = ("n_values", "characteristics", "maxdeg", "oracle_budget", "jobs",
+                 "with_oracle")
+
+    def __init__(self, n_values: List[int], characteristics: List[int], maxdeg: int = 13,
+                 oracle_budget: int = 10000, jobs: int = 1, with_oracle: bool = True):
+        self.n_values = n_values
+        self.characteristics = characteristics
+        self.maxdeg = maxdeg
+        self.oracle_budget = oracle_budget
+        self.jobs = jobs
+        self.with_oracle = with_oracle
 
 
 def parse_int_list(spec: str) -> List[int]:
@@ -302,7 +304,7 @@ def write_certificate(cert: dict, path: str):
     data = certificate_bytes(cert)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     # O_EXCL as mkstemp, but mode 0o666 so the umask gives what open() would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -43,7 +43,6 @@ center-module checks take degree i-6's outcome as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, multiply, socle_basis, x0_powers
@@ -64,14 +63,18 @@ class CanonicalBasisError(RuntimeError):
     pass
 
 
-@dataclass
 class CochainSpace:
-    degree: int
-    kind: str
-    basis: List[Tuple[int, int]]   # (component, monomial id); component is a
-                                   # vertex for loops, an arrow index for parallels
-    pos: Dict[Tuple[int, int], int]
-    components: Tuple[int, ...]    # the component of each resolution summand
+    __slots__ = ("degree", "kind", "basis", "pos", "components")
+
+    def __init__(self, degree: int, kind: str, basis: List[Tuple[int, int]],
+                 pos: Dict[Tuple[int, int], int], components: Tuple[int, ...]):
+        self.degree = degree
+        self.kind = kind
+        # (component, monomial id); component is a vertex for loops, an
+        # arrow index for parallels
+        self.basis = basis
+        self.pos = pos
+        self.components = components  # the component of each resolution summand
 
     @property
     def dim(self) -> int:
@@ -418,14 +421,17 @@ def cyclic_dims(c: CochainComplex, hh: List[int]) -> Tuple[List[int], List[int]]
 # -- canonical cocycles ---------------------------------------------------------
 
 
-@dataclass
 class CanonicalBasis:
     """Canonical cocycles of one degree and the solver over [vectors | d^(degree-1)]."""
 
-    degree: int
-    labels: List[str]
-    vectors: List[dict]
-    solver: PreparedSolver
+    __slots__ = ("degree", "labels", "vectors", "solver")
+
+    def __init__(self, degree: int, labels: List[str], vectors: List[dict],
+                 solver: PreparedSolver):
+        self.degree = degree
+        self.labels = labels
+        self.vectors = vectors
+        self.solver = solver
 
     # Soundness.  (a) `canonical_cocycles` checks each canonical vector to be
     # a cocycle and `CochainComplex.__init__` checks d o d = 0 exactly, so
@@ -525,12 +531,15 @@ def _x0_label(k: int, gen: str) -> str:
     return f"x0^{k}*{gen}"
 
 
-@dataclass
 class ZModuleReport:
-    socle_kills: bool
-    x0_kills_2_3: bool
-    x0_power_survives: bool
-    failures: List[str] = dc_field(default_factory=list)
+    __slots__ = ("socle_kills", "x0_kills_2_3", "x0_power_survives", "failures")
+
+    def __init__(self, socle_kills: bool, x0_kills_2_3: bool, x0_power_survives: bool,
+                 failures: Optional[List[str]] = None):
+        self.socle_kills = socle_kills
+        self.x0_kills_2_3 = x0_kills_2_3
+        self.x0_power_survives = x0_power_survives
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

@@ -34,7 +34,6 @@ is only for the literal constructor `ExactMatrix(F, rows)` and for `det`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -55,7 +54,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Ground field: the rationals (characteristic 0) or F_p with p an odd prime.
 
@@ -82,25 +80,38 @@ class FieldSpec:
     hashes equal, and `export` writes both alike.
     """
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
     # the same ints in every characteristic; class attributes, not fields
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        c = self.characteristic
-        if c == 0:
-            return
+    def __init__(self, characteristic: int = 0):
+        c = characteristic
         if c == 2:
             raise UnsupportedCharacteristicError(
                 "characteristic 2 is unsupported: the engine assumes 2 is "
                 "invertible in the ground field"
             )
-        if not _is_prime(c):
+        if c != 0 and not _is_prime(c):
             raise UnsupportedCharacteristicError(
                 f"characteristic must be 0 or an odd prime, got {c}"
             )
+        object.__setattr__(self, "characteristic", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldSpec is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldSpec is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -329,11 +340,22 @@ def rank_and_scale(rows: Iterable[dict]) -> Tuple[int, int]:
     return len(pivots), lcm(*(num for _, _, num, _ in pivots.values()))
 
 
-@dataclass(frozen=True)
 class EchelonForm:
-    rank: int
-    pivot_columns: tuple
-    reduced: "ExactMatrix"
+    """Read-only result of `rref`."""
+
+    __slots__ = ("rank", "pivot_columns", "reduced")
+
+    def __init__(self, rank: int, pivot_columns: tuple, reduced: ExactMatrix):
+        put = object.__setattr__
+        put(self, "rank", rank)
+        put(self, "pivot_columns", pivot_columns)
+        put(self, "reduced", reduced)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EchelonForm is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EchelonForm is read-only: cannot delete {name!r}")
 
 
 class ExactMatrix:

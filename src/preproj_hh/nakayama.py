@@ -12,8 +12,7 @@ witnesses for any failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, elem_eq, multiply
 from .exactla import sparse_rank
@@ -23,11 +22,13 @@ class DegenerateFormError(RuntimeError):
     pass
 
 
-@dataclass
 class NakayamaForm:
-    table: AlgebraTable
-    gram: dict                       # mid -> {mid: scalar}, sparse rows
-    dual: Dict[int, Tuple[object, int]]  # mid -> (scalar, mid) with b* = scalar * partner
+    __slots__ = ("table", "gram", "dual")
+
+    def __init__(self, table: AlgebraTable, gram: dict, dual: Dict[int, Tuple[object, int]]):
+        self.table = table
+        self.gram = gram  # mid -> {mid: scalar}, sparse rows
+        self.dual = dual  # mid -> (scalar, mid) with b* = scalar * partner
 
     def pair(self, x: dict, y: dict):
         """Evaluate the form on two algebra elements."""
@@ -93,12 +94,16 @@ def associated_form(t: AlgebraTable) -> NakayamaForm:
     return NakayamaForm(table=t, gram=gram, dual=dual)
 
 
-@dataclass
 class DualizabilityReport:
-    arrow_condition: bool        # a* a = w_{t(a)} for every arrow
-    double_dual_condition: bool  # b** = b for every basis element
-    symmetry_condition: bool     # the gram matrix is symmetric
-    witnesses: List[str] = dataclass_field(default_factory=list)
+    __slots__ = ("arrow_condition", "double_dual_condition", "symmetry_condition",
+                 "witnesses")
+
+    def __init__(self, arrow_condition: bool, double_dual_condition: bool,
+                 symmetry_condition: bool, witnesses: Optional[List[str]] = None):
+        self.arrow_condition = arrow_condition              # a* a = w_{t(a)} for every arrow
+        self.double_dual_condition = double_dual_condition  # b** = b for every basis element
+        self.symmetry_condition = symmetry_condition        # the gram matrix is symmetric
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def ok(self) -> bool:

@@ -29,7 +29,6 @@ The budget counts the coordinates of the bar complex relative to K,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import AlgebraTable
@@ -213,15 +212,18 @@ def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000) -> List[int]:
     return _dims(bar_rows(t, upto, budget), t.field)
 
 
-@dataclass
 class OracleReport:
-    upto: int
-    bar: List[int]
-    resolution: List[int]
-    screen: Optional[List[int]]
-    rank_field: str
-    # bar eliminations the comparison ran (header work, never serialized)
-    eliminations: int = 0
+    __slots__ = ("upto", "bar", "resolution", "screen", "rank_field", "eliminations")
+
+    def __init__(self, upto: int, bar: List[int], resolution: List[int],
+                 screen: Optional[List[int]], rank_field: str, eliminations: int = 0):
+        self.upto = upto
+        self.bar = bar
+        self.resolution = resolution
+        self.screen = screen
+        self.rank_field = rank_field
+        # bar eliminations the comparison ran (header work, never serialized)
+        self.eliminations = eliminations
 
     @property
     def ok(self) -> bool:

@@ -19,8 +19,7 @@ report's `failures`.  The h-localized structure is checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cochain import canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, UnsupportedCharacteristicError
@@ -29,20 +28,34 @@ from .yoneda import YonedaEngine, closed_form_c_matrix
 Monomial = Tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Relation:
-    label: str
-    terms: Tuple[Tuple[int, Monomial], ...]   # sum of coeff * product == 0
+    """Read-only: the sum of coeff * product over the `terms` is 0."""
+
+    __slots__ = ("label", "terms")
+
+    def __init__(self, label: str, terms: Tuple[Tuple[int, Monomial], ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Relation is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Relation is read-only: cannot delete {name!r}")
 
 
-@dataclass
 class PresentationSpec:
-    n: int
-    field: FieldSpec
-    regime: str                                # "generic" or "modular"
-    generators: List[Tuple[str, int]]
-    relations: List[Relation]
-    derived: List[Relation]                    # consequences checked alongside
+    __slots__ = ("n", "field", "regime", "generators", "relations", "derived")
+
+    def __init__(self, n: int, field: FieldSpec, regime: str,
+                 generators: List[Tuple[str, int]], relations: List[Relation],
+                 derived: List[Relation]):
+        self.n = n
+        self.field = field
+        self.regime = regime  # "generic" or "modular"
+        self.generators = generators
+        self.relations = relations
+        self.derived = derived  # consequences checked alongside
 
 
 def theorem_spec(n: int, field: FieldSpec) -> PresentationSpec:
@@ -134,20 +147,26 @@ def theorem_spec(n: int, field: FieldSpec) -> PresentationSpec:
     return PresentationSpec(n, field, regime, gens, relations, derived)
 
 
-@dataclass
 class RelationResult:
-    label: str
-    ok: bool
-    residual: str
+    __slots__ = ("label", "ok", "residual")
+
+    def __init__(self, label: str, ok: bool, residual: str):
+        self.label = label
+        self.ok = ok
+        self.residual = residual
 
 
-@dataclass
 class VerificationReport:
-    regime: str
-    relation_results: List[RelationResult]
-    derived_results: List[RelationResult]
-    audit: Dict[int, Tuple[int, int]]     # degree -> (achieved, expected)
-    failures: List[str] = dc_field(default_factory=list)
+    __slots__ = ("regime", "relation_results", "derived_results", "audit", "failures")
+
+    def __init__(self, regime: str, relation_results: List[RelationResult],
+                 derived_results: List[RelationResult], audit: Dict[int, Tuple[int, int]],
+                 failures: Optional[List[str]] = None):
+        self.regime = regime
+        self.relation_results = relation_results
+        self.derived_results = derived_results
+        self.audit = audit  # degree -> (achieved, expected)
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

@@ -30,7 +30,6 @@ period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from . import exactla
@@ -40,13 +39,31 @@ from .nakayama import NakayamaForm
 Key = Tuple[int, int, int]  # (target summand, left mid, right mid)
 
 
-@dataclass(frozen=True)
 class ProjectiveBimodule:
-    kind: str                      # "P" (vertex indexed) or "Q" (arrow indexed)
-    summands: Tuple[Tuple[int, int], ...]
+    """Read-only, equal by value: `kind` is "P" (vertex indexed) or "Q"
+    (arrow indexed), `summands` the (source, target) of each summand."""
+
+    __slots__ = ("kind", "summands")
+
+    def __init__(self, kind: str, summands: Tuple[Tuple[int, int], ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "summands", summands)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProjectiveBimodule is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ProjectiveBimodule is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not ProjectiveBimodule:
+            return NotImplemented
+        return self.kind == other.kind and self.summands == other.summands
+
+    def __hash__(self):
+        return hash((self.kind, self.summands))
 
 
-@dataclass
 class BimoduleMap:
     """A map by its values on the source generators.
 
@@ -55,10 +72,14 @@ class BimoduleMap:
     them from literal terms.
     """
 
-    table: AlgebraTable
-    source: ProjectiveBimodule
-    target: ProjectiveBimodule
-    values: List[Dict[Key, object]]   # one dict per source summand
+    __slots__ = ("table", "source", "target", "values")
+
+    def __init__(self, table: AlgebraTable, source: ProjectiveBimodule,
+                 target: ProjectiveBimodule, values: List[Dict[Key, object]]):
+        self.table = table
+        self.source = source
+        self.target = target
+        self.values = values  # one dict per source summand
 
     @classmethod
     def from_terms(cls, table: AlgebraTable, source: ProjectiveBimodule,
@@ -196,15 +217,18 @@ def k_map(t: AlgebraTable, form: NakayamaForm) -> BimoduleMap:
     return BimoduleMap.from_terms(t, P, P, values)
 
 
-@dataclass
 class ResolutionWindow:
     """Terms P^0..P^-depth with differentials d[1..depth], d[m]: P^-m -> P^-(m-1)."""
 
-    table: AlgebraTable
-    depth: int
-    terms: List[ProjectiveBimodule]
-    diffs: List[Optional[BimoduleMap]]   # index m uses diffs[m]; diffs[0] is None
-    gen_degrees: List[int]               # internal degree of the generators of each term
+    __slots__ = ("table", "depth", "terms", "diffs", "gen_degrees")
+
+    def __init__(self, table: AlgebraTable, depth: int, terms: List[ProjectiveBimodule],
+                 diffs: List[Optional[BimoduleMap]], gen_degrees: List[int]):
+        self.table = table
+        self.depth = depth
+        self.terms = terms
+        self.diffs = diffs              # index m uses diffs[m]; diffs[0] is None
+        self.gen_degrees = gen_degrees  # internal degree of the generators of each term
 
 
 def build_resolution(t: AlgebraTable, form: NakayamaForm, depth: int) -> ResolutionWindow:
@@ -316,20 +340,27 @@ def _rank(columns: List[dict], p: int) -> int:
     return exactla.sparse_rank(columns, exactla.FieldSpec(0))
 
 
-@dataclass
 class ExactnessReport:
-    depth: int
-    dd_zero: bool
-    augmentation_zero: bool
-    minimal: bool
-    periodic: bool
-    ranks: List[int]
-    flat_dims: List[int]
-    exact_at: List[bool]
-    syzygy6_dim: int
-    rank_method: str
-    failures: List[str] = dc_field(default_factory=list)
-    one_sided_ranked: int = 0      # one-sided maps ranked; not serialized
+    __slots__ = ("depth", "dd_zero", "augmentation_zero", "minimal", "periodic", "ranks",
+                 "flat_dims", "exact_at", "syzygy6_dim", "rank_method", "failures",
+                 "one_sided_ranked")
+
+    def __init__(self, depth: int, dd_zero: bool, augmentation_zero: bool, minimal: bool,
+                 periodic: bool, ranks: List[int], flat_dims: List[int],
+                 exact_at: List[bool], syzygy6_dim: int, rank_method: str,
+                 failures: Optional[List[str]] = None, one_sided_ranked: int = 0):
+        self.depth = depth
+        self.dd_zero = dd_zero
+        self.augmentation_zero = augmentation_zero
+        self.minimal = minimal
+        self.periodic = periodic
+        self.ranks = ranks
+        self.flat_dims = flat_dims
+        self.exact_at = exact_at
+        self.syzygy6_dim = syzygy6_dim
+        self.rank_method = rank_method
+        self.failures = [] if failures is None else failures
+        self.one_sided_ranked = one_sided_ranked  # one-sided maps ranked; not serialized
 
     @property
     def ok(self) -> bool:

@@ -48,7 +48,6 @@ field-canonical values of its solutions as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable
@@ -69,11 +68,21 @@ class IdentificationError(RuntimeError):
     """A cocycle failed to decompose over the canonical basis plus coboundaries."""
 
 
-@dataclass
 class CohomologyClass:
-    degree: int
-    coords: dict   # {index of a canonical class: nonzero scalar}
-    labels: tuple
+    __slots__ = ("degree", "coords", "labels")
+
+    def __init__(self, degree: int, coords: dict, labels: tuple):
+        self.degree = degree
+        self.coords = coords  # {index of a canonical class: nonzero scalar}
+        self.labels = labels
+
+    def __eq__(self, other):
+        if type(other) is not CohomologyClass:
+            return NotImplemented
+        return (self.degree == other.degree and self.coords == other.coords
+                and self.labels == other.labels)
+
+    __hash__ = None  # equal by value, and mutable
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -88,12 +97,15 @@ class CohomologyClass:
         return " + ".join(f"{c}*{lab}" if c != 1 else lab for lab, c in items)
 
 
-@dataclass
 class ChainMapSegment:
-    base_degree: int
-    maps: List[BimoduleMap]   # maps[k]: P^-(base_degree+k) -> P^-k
-    # step k -> eps wherever maps[k] was appended as eps tau(maps[k-3])
-    signs: Dict[int, int] = dc_field(default_factory=dict)
+    __slots__ = ("base_degree", "maps", "signs")
+
+    def __init__(self, base_degree: int, maps: List[BimoduleMap],
+                 signs: Optional[Dict[int, int]] = None):
+        self.base_degree = base_degree
+        self.maps = maps  # maps[k]: P^-(base_degree+k) -> P^-k
+        # step k -> eps wherever maps[k] was appended as eps tau(maps[k-3])
+        self.signs = {} if signs is None else signs
 
 
 class YonedaEngine:
@@ -509,13 +521,16 @@ def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list
             if (y := t.by_ijd.get((v, tt, degree - x.degree))) is not None]
 
 
-@dataclass
 class CMatrix:
-    entries: List[List[int]]
-    rank: int                  # over the engine's field
-    det: int
-    adjacency_identity: bool
-    failures: List[str]
+    __slots__ = ("entries", "rank", "det", "adjacency_identity", "failures")
+
+    def __init__(self, entries: List[List[int]], rank: int, det: int,
+                 adjacency_identity: bool, failures: List[str]):
+        self.entries = entries
+        self.rank = rank  # over the engine's field
+        self.det = det
+        self.adjacency_identity = adjacency_identity
+        self.failures = failures
 
     @property
     def ok(self):
@@ -603,11 +618,14 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
 # -- h-periodicity checks ------------------------------------------------------
 
 
-@dataclass
 class StableReport:
-    h_bijective: Dict[int, bool]
-    degree0_kernel_is_socle: bool
-    failures: List[str]
+    __slots__ = ("h_bijective", "degree0_kernel_is_socle", "failures")
+
+    def __init__(self, h_bijective: Dict[int, bool], degree0_kernel_is_socle: bool,
+                 failures: List[str]):
+        self.h_bijective = h_bijective
+        self.degree0_kernel_is_socle = degree0_kernel_is_socle
+        self.failures = failures
 
     @property
     def ok(self):

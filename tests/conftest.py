@@ -1,11 +1,10 @@
 """Shared build contexts, cached across the whole test session."""
 
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 from preproj_hh import oracle
-from preproj_hh.algebra import AlgebraTable, _integral_tables, build_algebra
+from preproj_hh.algebra import AlgebraTable, BasisMonomial, _integral_tables, build_algebra
 from preproj_hh.cochain import build_complex
 from preproj_hh.exactla import FieldSpec
 from preproj_hh.nakayama import associated_form
@@ -44,7 +43,8 @@ def variant_socle_table(n: int, char: int = 0) -> AlgebraTable:
     base = build_algebra(n, FieldSpec(char))
     _, g, _ = _integral_tables(n)
     socle = set(base.socle_ids.values())
-    basis = [replace(m, sign=1) if m.mid in socle else m for m in base.basis]
+    basis = [BasisMonomial(m.mid, m.source, m.target, m.degree, m.path, 1)
+             if m.mid in socle else m for m in base.basis]
     flipped = [b ^ (m.mid in socle and m.sign == -1) for m, b in zip(base.basis, g)]
     return AlgebraTable(n, base.field, basis, flipped)
 

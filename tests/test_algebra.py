@@ -293,6 +293,20 @@ def test_product_table_matches_all_pairs_walk(n):
             [m1, m2, *row[m2]] for m1, row in enumerate(reference) for m2 in sorted(row)]
 
 
+def test_basis_monomials_are_shared_across_fields_and_read_only():
+    # one list of monomials serves every field of an n, so none may change
+    basis, _, _ = _integral_tables(3)
+    assert build_algebra(3, QQ).basis is basis is build_algebra(3, FieldSpec(5)).basis
+    m = basis[-1]
+    with pytest.raises(AttributeError):
+        m.sign = -m.sign
+    with pytest.raises(AttributeError):
+        del m.degree
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert (m.mid, m.degree) == (len(basis) - 1, 5)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_products_are_homogeneous_and_keep_their_ends(n):
     # the premise of the graded gram walk in nakayama.associated_form:

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh import algebra, oracle
+from preproj_hh.algebra import BasisMonomial
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
                             parse_int_list, render_csv, render_markdown,
                             run_grid, RunConfig, write_certificate)
+from preproj_hh.exactla import FieldSpec
 
 DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "digests.json")
@@ -349,8 +351,10 @@ class _IntSubclass(int):
 
 
 @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), Decimal("1.5"), {1, 2},
-                                 _IntSubclass(3)],
-                         ids=["float", "nan", "inf", "decimal", "set", "int-subclass"])
+                                 _IntSubclass(3), FieldSpec(3),
+                                 BasisMonomial(0, 1, 1, 0, (), 1)],
+                         ids=["float", "nan", "inf", "decimal", "set", "int-subclass",
+                              "field", "basis-monomial"])
 @pytest.mark.parametrize("place", [
     lambda v: {"a": {"b": v}},
     lambda v: {"a": [1, "x", Fraction(1, 2), v]},
@@ -362,6 +366,21 @@ def test_a_value_outside_the_exact_types_raises_and_writes_nothing(tmp_path, bad
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         write_certificate(cert, str(tmp_path / "cert.json"))
     assert os.listdir(tmp_path) == []
+
+
+def test_the_cli_imports_without_dataclasses_or_hashlib():
+    # every run pays for its imports: `dataclasses` would pull in inspect,
+    # ast and dis, `secrets` hashlib and OpenSSL, which is why the records
+    # are __slots__ classes and the temporary name comes from os.urandom
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "import preproj_hh.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'hashlib', 'secrets'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_report_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):

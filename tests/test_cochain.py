@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.algebra import socle_basis, x0_element
-from preproj_hh.cochain import (CanonicalBasisError, CochainComplex,
+from preproj_hh.cochain import (CanonicalBasis, CanonicalBasisError, CochainComplex,
                                 ComplexMismatchError, LOOPS, PARALLELS,
                                 build_complex, canonical_cocycles,
                                 commutator_quotient_dim, cyclic_dims, hh_dims,
@@ -174,8 +173,8 @@ def test_independence_is_checked_above_degree_six(monkeypatch):
     # degree 8 reuses the degree-2 vectors; a repeated one must be caught
     cx = context(2).cx
     base = canonical_cocycles(cx, 2)
-    repeated = replace(base, labels=base.labels + base.labels[:1],
-                       vectors=base.vectors + base.vectors[:1])
+    repeated = CanonicalBasis(base.degree, base.labels + base.labels[:1],
+                              base.vectors + base.vectors[:1], base.solver)
     monkeypatch.setitem(cx._canonical_cache, 2, repeated)
     monkeypatch.delitem(cx._canonical_cache, 8, raising=False)
     with pytest.raises(CanonicalBasisError):
@@ -264,7 +263,8 @@ def test_zmodule_checks_multiply_once_per_period(monkeypatch):
     assert set(seen) == set(range(1, 7))
     seen.clear()
     base = canonical_cocycles(cx, 9)
-    cx._canonical_cache[9] = replace(base, vectors=[dict(v) for v in base.vectors])
+    cx._canonical_cache[9] = CanonicalBasis(base.degree, base.labels,
+                                            [dict(v) for v in base.vectors], base.solver)
     assert zmodule_checks(cx).ok
     assert set(seen) == set(range(1, 7)) | {9}
 

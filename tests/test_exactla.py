@@ -82,6 +82,22 @@ def test_field_validation():
         FieldSpec(-3)
 
 
+def test_fields_are_equal_by_characteristic_and_read_only():
+    assert FieldSpec(3) == FieldSpec(3) and hash(FieldSpec(3)) == hash(FieldSpec(3))
+    assert FieldSpec() == FieldSpec(0) and hash(FieldSpec()) == hash(FieldSpec(0))
+    assert FieldSpec(3) != FieldSpec(5) and FieldSpec(0) != FieldSpec(3)
+    assert FieldSpec(3) != 3
+    assert len({FieldSpec(3), FieldSpec(3), FieldSpec(5), FieldSpec(0)}) == 3
+    F = FieldSpec(3)
+    with pytest.raises(AttributeError):
+        F.characteristic = 5
+    with pytest.raises(AttributeError):
+        del F.characteristic
+    with pytest.raises(AttributeError):
+        F.extra = 1
+    assert F.characteristic == 3 and F(7) == 1
+
+
 def test_scalar_coercion():
     assert QQ(3) == Fraction(3)
     assert F5(7) == 2

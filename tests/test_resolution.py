@@ -418,11 +418,18 @@ def test_basis_helpers_match_filtering_the_whole_basis(n):
 
 
 def test_maps_with_equal_values_on_different_terms_are_not_equal():
-    from dataclasses import replace
-    from preproj_hh.resolution import BimoduleMap
+    from preproj_hh.resolution import BimoduleMap, ProjectiveBimodule
     f = context(2).window.diffs[1]
-    other_source = replace(f.source, kind="P")
+    other_source = ProjectiveBimodule("P", f.source.summands)
     assert other_source != f.source
+    same_source = ProjectiveBimodule(f.source.kind, tuple(list(f.source.summands)))
+    assert same_source == f.source and hash(same_source) == hash(f.source)
+    assert len({f.source, same_source, other_source}) == 2
+    with pytest.raises(AttributeError):
+        f.source.kind = "P"
+    with pytest.raises(AttributeError):
+        f.source.summands = ()
+    assert f.source.kind == "Q" and f.source == same_source
     for g in (BimoduleMap(f.table, f.source, f.source, f.values),
               BimoduleMap(f.table, other_source, f.target, f.values)):
         assert g.values == f.values
