@@ -11,10 +11,11 @@ is fraction-free: a row is an int row times the rational it was scaled by,
 so a rank costs int arithmetic only.  There is one back substitution,
 `_solutions`, which reads the reduced row echelon form off `_reduce`'s
 fraction-free pivot rows one column set at a time, dividing each value by
-its row's lead once, at the end.  There is one solve,
-`ExactMatrix.solve_many`: it eliminates [A | b_1 ... b_m] once for all its
-right-hand sides and back-substitutes the right-hand-side columns alone,
-never the A part of that form.
+its row's lead once, at the end.  There is one solve, `solve_augmented`:
+it eliminates the rows of [A | b_1 ... b_m], plain sums that `_reduce`
+coerces as they arrive, once for all the right-hand sides and
+back-substitutes the right-hand-side columns alone, never the A part of
+that form.
 `ExactMatrix.echelonize` back-substitutes the free columns of A the same
 way, and `PreparedSolver` the I part of [A | I], for a matrix that meets
 many right-hand sides one at a time.  `det` multiplies the pivot scales
@@ -482,37 +483,43 @@ class ExactMatrix:
                 for fc in free]
 
     def solve_many(self, columns: Sequence[dict]) -> list:
-        """Echelon-canonical solutions of self @ x = b for sparse columns b.
-
-        Each b is a {row: scalar} dict; each solution is a {column: scalar}
-        dict of its nonzero entries (free variables zero), or None where that
-        b is inconsistent.  One elimination of [A | b_1 ... b_m] serves every
-        column.  Its leftover rows, those whose A part vanished, span the
-        values y.b_j over the left kernel y of A, so b_j is inconsistent
-        exactly when one of them is nonzero at n+j.  For a consistent b_j = A x
-        a reduced row r = y A of the reduced row echelon form carries
-        y.b_j = r.x there, which does not depend on y: so column n+j of that
-        form is the pivot part of the echelon-canonical solution, the same
-        whatever the other columns are.
-
-        Only those columns are back-substituted (`_solutions`): the A part of
-        the form is never built.
-        """
-        F = self.field
+        """Echelon-canonical solutions of self @ x = b for sparse {row:
+        scalar} columns b, as `solve_augmented` gives them."""
         n = self.ncols
         aug = [dict(row) for row in self.rows]
         for j, col in enumerate(columns):
             for i, x in col.items():
                 aug[i][n + j] = x
-        pivots, rest = _reduce(aug, F, n)
-        bad = {k - n for _, row in rest for k in row}
-        x = _solutions(pivots, n, F)
-        out = [{} if j not in bad else None for j in range(len(columns))]
-        for c in sorted(x):
-            for j, v in x[c].items():
-                if j not in bad:
-                    out[j][c] = v
-        return out
+        return solve_augmented(aug, n, len(columns), self.field)
+
+
+def solve_augmented(rows: Sequence[dict], n: int, m: int, F: FieldSpec) -> list:
+    """Echelon-canonical solutions of A x = b_j from the rows of [A | b_1 ... b_m].
+
+    Each row is a {column: number} dict, column n+j holding b_j; its entries
+    may be any ints and Fractions, zeros among them, since `_reduce` coerces
+    every row into F as it arrives.  Each solution is a {column: scalar}
+    dict of its nonzero entries (free variables zero), or None where that
+    b_j is inconsistent.  One elimination serves every column.  Its
+    leftover rows, those whose A part vanished, span the values y.b_j over
+    the left kernel y of A, so b_j is inconsistent exactly when one of them
+    is nonzero at n+j.  For a consistent b_j = A x a reduced row r = y A of
+    the reduced row echelon form carries y.b_j = r.x there, which does not
+    depend on y: so column n+j of that form is the pivot part of the
+    echelon-canonical solution, the same whatever the other columns are.
+
+    Only those columns are back-substituted (`_solutions`): the A part of
+    the form is never built.
+    """
+    pivots, rest = _reduce(rows, F, n)
+    bad = {k - n for _, row in rest for k in row}
+    x = _solutions(pivots, n, F)
+    out = [{} if j not in bad else None for j in range(m)]
+    for c in sorted(x):
+        for j, v in x[c].items():
+            if j not in bad:
+                out[j][c] = v
+    return out
 
 
 def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
@@ -523,7 +530,7 @@ def _solutions(pivots: dict, n: int, F: FieldSpec) -> dict:
     over the nonzero values, free variables zero, each field-canonical (an
     integral rational as an int), as `FieldSpec.__call__` makes it.
 
-    With n the width of A, as `ExactMatrix.solve_many` eliminates
+    With n the width of A, as `solve_augmented` eliminates
     [A | b_1 ... b_m] with pivots below n, every pivot lies in A and x_c is
     the pivot part of the echelon-canonical solution for b_j.  Soundness:
     the pivot row of c, divided by its lead, is e_c + (entries at later
@@ -592,7 +599,7 @@ class PreparedSolver:
     The reduction of [A | I] is computed once.  Its first `rank` transform
     rows map b to the pivot variables; the rest span the left kernel of A,
     and b is consistent exactly when they all vanish on it.  Solutions are
-    echelon-canonical (free variables zero), identical to `solve_many`'s,
+    echelon-canonical (free variables zero), identical to `solve_augmented`'s,
     and sparse going in and out: b is a {row: scalar} dict and a solution a
     {pivot column: scalar} dict of its nonzero entries.
     """

@@ -9,12 +9,13 @@ exactly when their dicts are.  One kernel, `expand`, evaluates a map on an
 element x (x) y, adding scale times its value into a dict of plain sums that
 the caller passes; it reads the algebra's product rule inline, the lookup of
 `AlgebraTable.mono_mul` without the call and without the composability test,
-which well-formed maps make needless.  `compose`, `flatten_map` and the
-lifting systems of the product engine read it, and each coerces a sum into
-the field once, as `BimoduleMap.from_terms` does.  The initial differentials
-delta, R, k are the explicit ones; everything deeper is produced by the
-tau-twist, which multiplies the right tensor factor of every value term by
-(-1)^deg since tau negates arrows.  The window is certified by composing maps
+which well-formed maps make needless.  `compose` and `flatten_map` read
+it, and each coerces a sum into the field once, as `BimoduleMap.from_terms`
+does; the lifting systems of the product engine walk the rule the same way
+inline and leave their sums to the elimination to coerce.  The initial
+differentials delta, R, k are the explicit ones; everything deeper is
+produced by the tau-twist, which multiplies the right tensor factor of every
+value term by (-1)^deg since tau negates arrows.  The window is certified by composing maps
 symbolically (d.d = 0, periodicity) and by exact rank bookkeeping on the
 one-sided complexes X (x)_L S_v, X the augmented window and S_v the simple
 left modules: they are exact wherever X is, and at n=7 have 280 to 546

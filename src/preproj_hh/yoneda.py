@@ -11,7 +11,7 @@ every system small.  A cocycle is lifted once and whole, through step
 maxdeg - 1 - degree, and its segment is cached only then.  `lift_many` lifts
 several cocycles together, step by step, and each step assembles every
 system A that its right-hand sides b_j meet and eliminates [A | b_1 ... b_m] once
-(`ExactMatrix.solve_many`); no system is kept past its elimination.  The
+(`exactla.solve_augmented`); no system is kept past its elimination.  The
 first product that needs a lift lifts every ring generator in one such
 batch; every product the certificate takes multiplies by a generator, so
 the later ones read cached segments.  Cochains are the sparse
@@ -39,11 +39,12 @@ answers a repeated call from them (see the note at `cup_vec`).  Within one
 batch the lifting systems read each graded piece of a term once
 (`_graded`).
 Every exact kernel on the way sums plain numbers and coerces each entry
-into the field once: `resolution.expand` (read by `compose`, which gives
-the step right-hand sides, and by the systems `_assemble`) and the cochain
-pull-back `CochainComplex.pullback`, which hands `cup_vec` the product
-x o f as a canonical cochain.  A solved step is built from the
-field-canonical values of its solutions as they are.
+into the field once: `resolution.expand`, read by `compose`, which gives
+the step right-hand sides, and the cochain pull-back
+`CochainComplex.pullback`, which hands `cup_vec` the product x o f as a
+canonical cochain.  The lifting systems stay plain sums until `_reduce`
+coerces them (see the note at `_assemble`).  A solved step is built from
+the field-canonical values of its solutions as they are.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable
 from .cochain import CochainComplex, canonical_cocycles
-from .exactla import ExactMatrix, FieldSpec, det
-from .resolution import BimoduleMap, ResolutionWindow, compose, expand, tau_twist
+from .exactla import ExactMatrix, FieldSpec, det, solve_augmented
+from .resolution import BimoduleMap, ResolutionWindow, compose, tau_twist
 
 
 class NotACocycleError(RuntimeError):
@@ -322,9 +323,9 @@ class YonedaEngine:
         graded cocycle lifts within one piece, a mixed one is handled
         additively.  The blocks of the whole batch are grouped by lifting
         system, and each system eliminates all of its blocks at once
-        (`ExactMatrix.solve_many`).
+        (`exactla.solve_augmented`).
         """
-        w, t = self.window, self.table
+        w, t, F = self.window, self.table, self.table.field
         blocks: Dict[tuple, list] = {}    # (s, tt, value degree) -> (job, ks, terms)
         values: List[List[dict]] = []
         for job, seg in enumerate(segs):
@@ -338,10 +339,18 @@ class YonedaEngine:
                 for dv, terms in parts.items():
                     blocks.setdefault((s, tt, dv), []).append((job, ks, terms))
         for (s, tt, dv), group in blocks.items():
-            matrix, unknowns, eq_pos = self._assemble(k, s, tt, dv)
-            columns = [_rhs_column(eq_pos, k, ks, terms) for _, ks, terms in group]
+            rows, unknowns, eq_pos = self._assemble(k, s, tt, dv)
+            n = len(unknowns)
+            # block j of the group is column n + j
+            for j, (_, ks, terms) in enumerate(group):
+                for key, c in terms.items():
+                    r = eq_pos.get(key)
+                    if r is None:
+                        raise LiftFailedError(f"right-hand side outside the graded "
+                                              f"piece at step {k}, summand {ks}")
+                    rows[r][n + j] = c
             self.lift_eliminations += 1
-            for (job, ks, _), sol in zip(group, matrix.solve_many(columns)):
+            for (job, ks, _), sol in zip(group, solve_augmented(rows, n, len(group), F)):
                 if sol is None:
                     raise LiftFailedError(
                         f"lifting system inconsistent at step {k}, summand {ks}")
@@ -369,27 +378,45 @@ class YonedaEngine:
     # equations are read off (step, s, tt, rhs value degree) and the window
     # alone, never off the cocycle, so every block of one step with that key
     # meets the same matrix.  `_solve_steps` hands it all of them at once,
-    # and `ExactMatrix.solve_many` gives each column the echelon-canonical
-    # solution of its own system, which depends neither on the other columns
-    # nor on how many there are (see its docstring): byte for byte what a
-    # solve of that column alone returns.
+    # and `solve_augmented` gives each column the echelon-canonical solution
+    # of its own system, which depends neither on the other columns nor on
+    # how many there are (see its docstring): byte for byte what a solve of
+    # that column alone returns.
+    #
+    # Soundness of the plain sums.  `_assemble` leaves each entry a sum of
+    # ints (and, over Q, Fractions) that may be zero or, over F_p, outside
+    # 0..p-1.  `_reduce` coerces every row into F as it arrives and drops
+    # the entries that vanish there, and coercion from Z (and from Q's ints
+    # and Fractions) into F is a ring homomorphism, so the rows it reduces
+    # equal, entry for entry, the matrix built by coercing each entry's sum.
+    # The pivots, the `rest` test and the echelon-canonical solutions are
+    # therefore those of that matrix, and the bytes do not move.
     def _assemble(self, k, s, tt, rhs_value_degree):
-        """The matrix, unknowns and equation rows of one graded lifting system."""
-        w, F = self.window, self.table.field
+        """The rows of plain sums, unknowns and equation rows of one graded
+        lifting system."""
+        w, t = self.window, self.table
+        rule, left, right = t.rule, t.rule_left, t.rule_right
         # the differential raises value degree by g(k) - g(k-1), so the
         # unknown lives that much below the right-hand side
         unknown_degree = rhs_value_degree - (w.gen_degrees[k] - w.gen_degrees[k - 1])
         eq_keys = self._graded(w.terms[k - 1], s, tt, rhs_value_degree)
         unknowns = self._graded(w.terms[k], s, tt, unknown_degree)
         eq_pos = {key: r for r, key in enumerate(eq_keys)}
-        # a column names each equation key at most once (`expand` sums its
-        # terms by key), so every entry is written once, in column order
+        dk = w.diffs[k].values
         rows: list = [{} for _ in eq_keys]
+        # `resolution.expand` of d_k on each unknown, summed into the rows
         for col, (kt, x, y) in enumerate(unknowns):
-            for key, c in expand(w.diffs[k], kt, x, y, 1, {}).items():
-                if (fc := F(c)) != 0:
-                    rows[eq_pos[key]][col] = fc
-        return ExactMatrix._wrap(F, len(eq_keys), len(unknowns), rows), unknowns, eq_pos
+            lx, ry = left[x], right[y]
+            for (k2, xd, yd), c in dk[kt].items():
+                lhs = rule[lx + right[xd]]
+                if lhs is None:
+                    continue
+                rhs = rule[left[yd] + ry]
+                if rhs is None:
+                    continue
+                row = rows[eq_pos[(k2, lhs[1], rhs[1])]]
+                row[col] = row.get(col, 0) + c * lhs[0] * rhs[0]
+        return rows, unknowns, eq_pos
 
     # -- products -------------------------------------------------------------
 
@@ -486,18 +513,6 @@ def _twist_classes(w: ResolutionWindow) -> List[bool]:
             and g[k] - g[k - 1] == g[k - 3] - g[k - 4]
             and w.diffs[k].equals(tau_twist(w.diffs[k - 3]))
             for k in range(w.depth + 1)]
-
-
-def _rhs_column(eq_pos: dict, k: int, ks: int, rhs_terms: dict) -> dict:
-    """One graded block of step k as a sparse column of its system.
-
-    The terms are a slice of a value dict of `compose`: one nonzero field
-    scalar per key.
-    """
-    if any(key not in eq_pos for key in rhs_terms):
-        raise LiftFailedError(
-            f"right-hand side outside the graded piece at step {k}, summand {ks}")
-    return {eq_pos[key]: c for key, c in rhs_terms.items()}
 
 
 def _twist_sign(later: BimoduleMap, earlier: BimoduleMap) -> Optional[int]:

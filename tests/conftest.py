@@ -55,6 +55,13 @@ def term_lists(f):
     return [[(k, c, x, y) for (k, x, y), c in terms.items()] for terms in f.values]
 
 
+def system_shapes(t, w):
+    """Every (s, tt, rhs value degree) a lifting system can be keyed on."""
+    summands = {pair for term in w.terms for pair in term.summands}
+    return [(s, tt, dv) for s, tt in sorted(summands)
+            for dv in range(0, 2 * t.top_degree + 2)]
+
+
 def canonical(F, x) -> bool:
     """x is nonzero and the field's own form of itself: reduced mod p over
     F_p, an int wherever it is integral over Q."""

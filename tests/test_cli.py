@@ -127,6 +127,27 @@ def test_certificates_are_deterministic_modulo_header():
     assert sa[2] == sb[2]  # everything below the header line is identical
 
 
+def test_certificate_bodies_do_not_depend_on_the_hash_seed():
+    # n=3 over F3 with the oracle on, certified in two processes whose str
+    # hashes differ: set and dict iteration over hashed keys may not reach
+    # the body, so everything below the header line is byte-equal
+    code = ("import sys\n"
+            "from preproj_hh.cli import certificate_bytes, compute_certificate\n"
+            "sys.stdout.buffer.write(certificate_bytes(\n"
+            "    compute_certificate(3, 3, with_oracle=True)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    bodies = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        bodies.append(proc.stdout.split(b"\n", 2)[2])
+    assert bodies[0].startswith(b'"body":\n')
+    assert bodies[0] == bodies[1]
+
+
 def test_parallel_grid_matches_serial(monkeypatch):
     # bodies and header work alike: the F_p points read the Q bar ranks of
     # their n's char-0 point, as in a serial run, whichever worker ran the

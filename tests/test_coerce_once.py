@@ -6,7 +6,9 @@ entry into the field once.  Each is checked here against a reference that
 coerces every term and adds in the field, as those kernels once did, over Q,
 F3 and F5, on int and Fraction inputs and on entries that cancel to zero.
 `ExactMatrix.from_columns` takes canonical columns without coercing them,
-so the dualized differential coerces only in its pull-back.
+so the dualized differential coerces only in its pull-back.  The lifting
+systems (`YonedaEngine._assemble`) stay plain sums until
+`exactla.solve_augmented` eliminates them, and `_reduce` coerces them there.
 
 A bimodule map is canonical by construction: every producer of one gives
 each key a nonzero scalar in the field's own form, so maps compare by their
@@ -15,16 +17,17 @@ dicts.  The last tests pin that on every producer.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.algebra import build_algebra, multiply
-from preproj_hh.exactla import ExactMatrix, FieldSpec
+from preproj_hh.exactla import ExactMatrix, FieldSpec, solve_augmented
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.resolution import (BimoduleMap, compose, expand, projective_p,
                                    projective_q, tau_twist)
-from preproj_hh.yoneda import YonedaEngine
-from conftest import canonical, context, dense, is_canonical, sparse
+from preproj_hh.yoneda import YonedaEngine, _graded_triples
+from conftest import canonical, context, dense, is_canonical, sparse, system_shapes
 
 chars = st.sampled_from([0, 3, 5])
 # denominators prime to 3 and 5, so every scalar lies in all three fields
@@ -259,6 +262,98 @@ def test_dual_matrix_coerces_only_in_its_pullback(monkeypatch):
             assert dual.columns == columns and dual == cx.diffs[i]
             total += pulled
     assert total > 0
+
+
+# -- lifting systems: plain sums, coerced where they are eliminated ------------------
+
+
+def _reference_system(eng, k, s, tt, dv):
+    """A lifting system built with `expand` per unknown and every entry
+    coerced into the field, zeros dropped."""
+    w, t = eng.window, eng.table
+    F = t.field
+    unknown_degree = dv - (w.gen_degrees[k] - w.gen_degrees[k - 1])
+    eq_keys = _graded_triples(t, w.terms[k - 1], s, tt, dv)
+    unknowns = _graded_triples(t, w.terms[k], s, tt, unknown_degree)
+    eq_pos = {key: r for r, key in enumerate(eq_keys)}
+    rows = [{} for _ in eq_keys]
+    for col, (kt, x, y) in enumerate(unknowns):
+        for key, c in expand(w.diffs[k], kt, x, y, 1, {}).items():
+            if (fc := F(c)) != 0:
+                rows[eq_pos[key]][col] = fc
+    return rows, unknowns, eq_pos
+
+
+def _systems(n, char):
+    """A fresh engine and every (step, s, tt, rhs value degree) of its window."""
+    ctx = context(n, char)
+    eng = YonedaEngine(ctx.cx)
+    return eng, [(k, s, tt, dv) for k in range(1, ctx.window.depth + 1)
+                 for s, tt, dv in system_shapes(ctx.table, ctx.window)]
+
+
+def test_assemble_coerces_nothing(monkeypatch):
+    # every lifting system of n=1..3 over Q and F3 is assembled as plain
+    # sums: no entry passes through the field until it is eliminated
+    built = [_systems(n, char) for n in (1, 2, 3) for char in (0, 3)]
+    calls = []
+    real = FieldSpec.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(FieldSpec, "__call__", counted)
+    assembled = [eng._assemble(k, s, tt, dv) for eng, systems in built
+                 for k, s, tt, dv in systems]
+    assert not calls
+    assert sum(len(row) for rows, _, _ in assembled for row in rows) > 0
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_assembled_rows_coerced_per_entry_match_the_field_matrix(n, char):
+    # the rows `_reduce` eliminates, each entry coerced and the zeros dropped
+    # as it does on arrival, are the per-entry-coerced matrix, on the same
+    # unknowns and equations
+    F = FieldSpec(char)
+    eng, systems = _systems(n, char)
+    for k, s, tt, dv in systems:
+        rows, unknowns, eq_pos = eng._assemble(k, s, tt, dv)
+        ref_rows, ref_unknowns, ref_pos = _reference_system(eng, k, s, tt, dv)
+        assert (unknowns, eq_pos) == (ref_unknowns, ref_pos)
+        coerced = [{j: fx for j, x in row.items() if (fx := F(x)) != 0} for row in rows]
+        assert coerced == ref_rows, (k, s, tt, dv)
+
+
+@given(char=chars, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_augmented_elimination_of_plain_rows_matches_solve_many(char, data):
+    # [A | b_1 ... b_m] as {column: plain sum} rows, with entries divisible
+    # by p, sums outside 0..p-1 and sums that cancel to zero, one b_j = A x
+    # so some column is consistent: `solve_augmented` on them gives what
+    # `solve_many` gives on A and the b_j coerced entry by entry
+    F = FieldSpec(char)
+    nrows = data.draw(st.integers(1, 5), label="rows")
+    n = data.draw(st.integers(1, 5), label="unknowns")
+    m = data.draw(st.integers(0, 3), label="right-hand sides")
+    number = st.one_of(scalars, st.sampled_from([15, -15, 30, 45]))
+    entries = data.draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                           st.integers(0, n + m - 1), number),
+                                 max_size=4 * nrows))
+    entries = _with_cancellations(data, entries, lambda e: (e[0], e[1], -e[2]))
+    rows = [{} for _ in range(nrows)]
+    for i, j, x in entries:
+        rows[i][j] = rows[i].get(j, 0) + x
+    x = data.draw(st.lists(number, min_size=n, max_size=n), label="x")
+    for row in rows:
+        row[n + m] = sum(row.get(j, 0) * xj for j, xj in enumerate(x))
+    a = ExactMatrix.from_entries(F, nrows, n, [e for e in entries if e[1] < n])
+    columns = [{i: fv for i, row in enumerate(rows) if (fv := F(row.get(n + j, 0)))}
+               for j in range(m + 1)]
+    want = a.solve_many(columns)
+    assert want[m] is not None
+    assert solve_augmented(rows, n, m + 1, F) == want
 
 
 # -- canonical by construction ------------------------------------------------------

@@ -12,7 +12,7 @@ from preproj_hh.yoneda import (ChainMapSegment, LiftFailedError, NotACocycleErro
                                closed_form_c_matrix, combinatorial_c_matrix,
                                stable_structure_check, YonedaEngine,
                                _graded_triples)
-from conftest import context, is_canonical, term_lists
+from conftest import context, is_canonical, system_shapes, term_lists
 
 
 def gen(ctx, name):
@@ -443,11 +443,12 @@ def _sign(t, key):
     return -1 if t.basis[key[2]].degree % 2 else 1
 
 
-def _system_shapes(t, w):
-    """Every (s, tt, rhs value degree) a lifting system can be keyed on."""
-    summands = {pair for term in w.terms for pair in term.summands}
-    return [(s, tt, dv) for s, tt in sorted(summands)
-            for dv in range(0, 2 * t.top_degree + 2)]
+def _system_matrix(F, rows, unknowns):
+    """The field matrix of `_assemble`'s rows of plain sums, each entry
+    coerced into F and the zeros dropped."""
+    return ExactMatrix.from_entries(
+        F, len(rows), len(unknowns),
+        ((i, j, x) for i, row in enumerate(rows) for j, x in row.items()))
 
 
 class _SolvedEveryStep(YonedaEngine):
@@ -494,11 +495,13 @@ def test_twisted_systems_are_sign_conjugates_of_their_base(n, char):
     eng, t, w, F = ctx.engine, ctx.table, ctx.window, ctx.field
     for k in range(4, w.depth + 1):
         assert eng._twist[k] is True
-        for s, tt, dv in _system_shapes(t, w):
-            mat, unknowns, eq_pos = eng._assemble(k, s, tt, dv)
-            prev, prev_unknowns, prev_eq_pos = eng._assemble(k - 3, s, tt, dv)
+        for s, tt, dv in system_shapes(t, w):
+            rows, unknowns, eq_pos = eng._assemble(k, s, tt, dv)
+            prev_rows, prev_unknowns, prev_eq_pos = eng._assemble(k - 3, s, tt, dv)
             eq_keys = list(eq_pos)
             assert (unknowns, eq_keys) == (prev_unknowns, list(prev_eq_pos))
+            mat = _system_matrix(F, rows, unknowns)
+            prev = _system_matrix(F, prev_rows, prev_unknowns)
             conj = ExactMatrix.from_entries(
                 F, prev.nrows, prev.ncols,
                 ((i, j, _sign(t, eq_keys[i]) * _sign(t, unknowns[j]) * x)
@@ -842,7 +845,8 @@ class _CorruptedRhs(YonedaEngine):
 def _inconsistent_key(eng, k, s, tt):
     """A step-k equation key whose unit right-hand side has no solution."""
     for dv in range(0, 2 * eng.table.top_degree + 2):
-        mat, _, eq_pos = eng._assemble(k, s, tt, dv)
+        rows, unknowns, eq_pos = eng._assemble(k, s, tt, dv)
+        mat = _system_matrix(eng.table.field, rows, unknowns)
         for key, r in eq_pos.items():
             if mat.solve_many([{r: 1}])[0] is None:
                 return key
