@@ -531,28 +531,7 @@ def _x0_label(k: int, gen: str) -> str:
     return f"x0^{k}*{gen}"
 
 
-class ZModuleReport:
-    __slots__ = ("socle_kills", "x0_kills_2_3", "x0_power_survives", "failures")
-
-    def __init__(self, socle_kills: bool, x0_kills_2_3: bool, x0_power_survives: bool,
-                 failures: Optional[List[str]] = None):
-        self.socle_kills = socle_kills
-        self.x0_kills_2_3 = x0_kills_2_3
-        self.x0_power_survives = x0_power_survives
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self):
-        return self.socle_kills and self.x0_kills_2_3 and self.x0_power_survives
-
-    def serialize(self):
-        return {"socle_kills": self.socle_kills,
-                "x0_kills_2_3": self.x0_kills_2_3,
-                "x0_power_survives": self.x0_power_survives,
-                "failures": self.failures, "ok": self.ok}
-
-
-def zmodule_checks(c: CochainComplex) -> ZModuleReport:
+def zmodule_checks(c: CochainComplex) -> dict:
     """Module structure of positive cohomology over the center.
 
     Socle elements annihilate every positive degree; x0 annihilates degrees
@@ -609,6 +588,7 @@ def zmodule_checks(c: CochainComplex) -> ZModuleReport:
                  for j in degrees for k in found[j][1]]
     failures += [f"x0^{n - 1} * generator is a coboundary in degree {j}"
                  for j in degrees if found[j][2]]
-    return ZModuleReport(not any(found[j][0] for j in degrees),
-                         not any(found[j][1] for j in degrees),
-                         not any(found[j][2] for j in degrees), failures)
+    checks = {"socle_kills": not any(found[j][0] for j in degrees),
+              "x0_kills_2_3": not any(found[j][1] for j in degrees),
+              "x0_power_survives": not any(found[j][2] for j in degrees)}
+    return {**checks, "failures": failures, "ok": all(checks.values())}

@@ -6,13 +6,13 @@ only the monomial of e_t(b) L_(top - deg b) e_s(b) can pair with b (see the
 note at `associated_form`).  On the canonical basis the gram matrix has
 exactly one nonzero entry per row, the partner map is an involution, and
 the matrix is symmetric; `certify_dualizable` checks the three equivalent
-conditions of the dualizable-basis criterion independently and reports
-witnesses for any failure.
+conditions of the dualizable-basis criterion independently and returns
+the certificate's dualizability section, with a witness for each failure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import AlgebraTable, elem_eq, multiply
 from .exactla import sparse_rank
@@ -94,31 +94,15 @@ def associated_form(t: AlgebraTable) -> NakayamaForm:
     return NakayamaForm(table=t, gram=gram, dual=dual)
 
 
-class DualizabilityReport:
-    __slots__ = ("arrow_condition", "double_dual_condition", "symmetry_condition",
-                 "witnesses")
+def certify_dualizable(f: NakayamaForm) -> dict:
+    """Check the three equivalent dualizability conditions independently.
 
-    def __init__(self, arrow_condition: bool, double_dual_condition: bool,
-                 symmetry_condition: bool, witnesses: Optional[List[str]] = None):
-        self.arrow_condition = arrow_condition              # a* a = w_{t(a)} for every arrow
-        self.double_dual_condition = double_dual_condition  # b** = b for every basis element
-        self.symmetry_condition = symmetry_condition        # the gram matrix is symmetric
-        self.witnesses = [] if witnesses is None else witnesses
-
-    @property
-    def ok(self) -> bool:
-        return (self.arrow_condition and self.double_dual_condition
-                and self.symmetry_condition)
-
-    def serialize(self) -> dict:
-        return {"arrow_condition": self.arrow_condition,
-                "double_dual_condition": self.double_dual_condition,
-                "symmetry_condition": self.symmetry_condition,
-                "witnesses": self.witnesses}
-
-
-def certify_dualizable(f: NakayamaForm) -> DualizabilityReport:
-    """Check the three equivalent dualizability conditions independently."""
+    Returns the certificate's dualizability section: a* a = w_t(a) for every
+    arrow, b** = b for every basis element, a symmetric gram matrix, and a
+    witness for each failure.  It holds no "ok": every condition set False
+    below appends a witness and nothing else appends one, so the section
+    passes exactly when its witnesses are empty.
+    """
     t, F = f.table, f.table.field
     witnesses: List[str] = []
 
@@ -151,7 +135,8 @@ def certify_dualizable(f: NakayamaForm) -> DualizabilityReport:
         if not sym_ok:
             break
 
-    return DualizabilityReport(arrow_ok, double_ok, sym_ok, witnesses)
+    return {"arrow_condition": arrow_ok, "double_dual_condition": double_ok,
+            "symmetry_condition": sym_ok, "witnesses": witnesses}
 
 
 def _show(t: AlgebraTable, x: dict) -> str:

@@ -29,7 +29,7 @@ The budget counts the coordinates of the bar complex relative to K,
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .algebra import AlgebraTable
 from .exactla import FieldSpec, rank_and_scale, sparse_rank
@@ -212,30 +212,6 @@ def bar_dims(t: AlgebraTable, upto: int, budget: int = 10000) -> List[int]:
     return _dims(bar_rows(t, upto, budget), t.field)
 
 
-class OracleReport:
-    __slots__ = ("upto", "bar", "resolution", "screen", "rank_field", "eliminations")
-
-    def __init__(self, upto: int, bar: List[int], resolution: List[int],
-                 screen: Optional[List[int]], rank_field: str, eliminations: int = 0):
-        self.upto = upto
-        self.bar = bar
-        self.resolution = resolution
-        self.screen = screen
-        self.rank_field = rank_field
-        # bar eliminations the comparison ran (header work, never serialized)
-        self.eliminations = eliminations
-
-    @property
-    def ok(self) -> bool:
-        return self.bar == self.resolution
-
-    def serialize(self):
-        return {"upto": self.upto, "bar_dims": self.bar,
-                "resolution_dims": self.resolution,
-                "screen_dims": self.screen, "rank_field": self.rank_field,
-                "ok": self.ok}
-
-
 def _rule_key(t: AlgebraTable) -> tuple:
     """n and every list `mono_mul` reads: ints and (+-1, id) pairs, the
     same for the tables of one rule over every field.
@@ -250,8 +226,11 @@ def _rule_key(t: AlgebraTable) -> tuple:
 
 
 def compare(t: AlgebraTable, resolution_dims: List[int], upto: int,
-            budget: int = 10000) -> OracleReport:
+            budget: int = 10000) -> Tuple[dict, int]:
     """Elementwise comparison of bar dims against the resolution dims.
+
+    Returns the certificate's oracle section and the number of bar
+    eliminations run, which goes to the header only.
 
     Over the rationals a screen over a fixed prime runs first; the rational
     dims, the ones reported, are compared only when the screen already
@@ -298,10 +277,11 @@ def compare(t: AlgebraTable, resolution_dims: List[int], upto: int,
             ranks.append(rank)
         return _hh(sizes, ranks)
 
-    screen = None
-    if char == 0:
-        screen = dims(FieldSpec(_SCREEN_PRIME))
-        if screen != expected:
-            return OracleReport(upto, screen, expected, screen,
-                                f"F{_SCREEN_PRIME} (screen failed)", eliminations)
-    return OracleReport(upto, dims(t.field), expected, screen, str(t.field), eliminations)
+    screen = dims(FieldSpec(_SCREEN_PRIME)) if char == 0 else None
+    if screen is not None and screen != expected:
+        got, rank_field = screen, f"F{_SCREEN_PRIME} (screen failed)"
+    else:
+        got, rank_field = dims(t.field), str(t.field)
+    return {"upto": upto, "bar_dims": got, "resolution_dims": expected,
+            "screen_dims": screen, "rank_field": rank_field,
+            "ok": got == expected}, eliminations

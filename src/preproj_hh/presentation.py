@@ -11,15 +11,16 @@ coboundaries, built from the kept bases of lower degrees times the
 positive-degree generators; that span is already stable under HH^0 = Z(L),
 so HH^* is checked as a module over Z(L) without a closure step.  The
 products are evaluated lazily, highest generator degree first, and a degree
-stops at the first product that completes its canonical span.  Each
-failing relation, derived identity and audit degree leaves one line in the
-report's `failures`.  The h-localized structure is checked by
+stops at the first product that completes its canonical span.  `verify`
+returns the presentation section of the certificate, where each failing
+relation, derived identity and audit degree leaves one line in
+`failures`.  The h-localized structure is checked by
 `yoneda.stable_structure_check`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .cochain import canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, UnsupportedCharacteristicError
@@ -147,45 +148,6 @@ def theorem_spec(n: int, field: FieldSpec) -> PresentationSpec:
     return PresentationSpec(n, field, regime, gens, relations, derived)
 
 
-class RelationResult:
-    __slots__ = ("label", "ok", "residual")
-
-    def __init__(self, label: str, ok: bool, residual: str):
-        self.label = label
-        self.ok = ok
-        self.residual = residual
-
-
-class VerificationReport:
-    __slots__ = ("regime", "relation_results", "derived_results", "audit", "failures")
-
-    def __init__(self, regime: str, relation_results: List[RelationResult],
-                 derived_results: List[RelationResult], audit: Dict[int, Tuple[int, int]],
-                 failures: Optional[List[str]] = None):
-        self.regime = regime
-        self.relation_results = relation_results
-        self.derived_results = derived_results
-        self.audit = audit  # degree -> (achieved, expected)
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self):
-        return (all(r.ok for r in self.relation_results)
-                and all(r.ok for r in self.derived_results)
-                and all(a == e for a, e in self.audit.values())
-                and not self.failures)
-
-    def serialize(self):
-        return {
-            "regime": self.regime,
-            "relations": [[r.label, r.ok, r.residual] for r in self.relation_results],
-            "derived": [[r.label, r.ok, r.residual] for r in self.derived_results],
-            "audit": {str(d): list(v) for d, v in sorted(self.audit.items())},
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-
-
 class _Evaluator:
     """Evaluates generator monomials to cochain vectors, left to right."""
 
@@ -219,9 +181,13 @@ class _Evaluator:
         return self.cache[mono]
 
 
-def verify(spec: PresentationSpec, engine: YonedaEngine) -> VerificationReport:
+def verify(spec: PresentationSpec, engine: YonedaEngine) -> dict:
     """Check every relation and run the spanning audit through degree 12,
-    which needs an engine over maxdeg >= 13, as `compute_certificate` asks."""
+    which needs an engine over maxdeg >= 13, as `compute_certificate` asks.
+
+    Returns the certificate's presentation section: each relation and
+    derived identity as [label, ok, residual], the audit as degree ->
+    [achieved, expected], and the failures."""
     F = engine.table.field
     ev = _Evaluator(engine, spec)
 
@@ -235,7 +201,7 @@ def verify(spec: PresentationSpec, engine: YonedaEngine) -> VerificationReport:
                 degs.add(d)
                 vecs.append((coeff, v))
             if len(degs) != 1:
-                results.append(RelationResult(r.label, False, "inhomogeneous"))
+                results.append([r.label, False, "inhomogeneous"])
                 continue
             deg = degs.pop()
             # summed as plain numbers over the nonzeros only, coerced once each
@@ -244,20 +210,22 @@ def verify(spec: PresentationSpec, engine: YonedaEngine) -> VerificationReport:
                 for i, b in v.items():
                     acc[i] = acc.get(i, 0) + coeff * b
             cls = engine.identify({i: fa for i, a in acc.items() if (fa := F(a))}, deg)
-            results.append(RelationResult(r.label, cls.is_zero(), str(cls)))
+            results.append([r.label, cls.is_zero(), str(cls)])
         return results
 
-    relation_results = check(spec.relations)
-    derived_results = check(spec.derived)
+    relations, derived = check(spec.relations), check(spec.derived)
     audit = _span_audit(spec, engine, ev)
     # the witness of a failing verdict; empty on a passing point, whose
     # body therefore keeps its bytes
-    failures = [f"{r.label}: residual {r.residual}"
-                for r in relation_results + derived_results if not r.ok]
+    failures = [f"{label}: residual {residual}"
+                for label, ok, residual in relations + derived if not ok]
     failures += [f"audit degree {d}: spanned {got}, expected {want}"
                  for d, (got, want) in sorted(audit.items()) if got != want]
-    return VerificationReport(spec.regime, relation_results, derived_results,
-                              audit, failures)
+    return {"regime": spec.regime, "relations": relations, "derived": derived,
+            "audit": {str(d): list(v) for d, v in sorted(audit.items())},
+            "failures": failures,
+            "ok": (all(ok for _, ok, _ in relations + derived)
+                   and all(a == e for a, e in audit.values()) and not failures)}
 
 
 # Soundness of the audit without a closure step.  HH^* is a module over

@@ -20,13 +20,14 @@ symbolically (d.d = 0, periodicity) and by exact rank bookkeeping on the
 one-sided complexes X (x)_L S_v, X the augmented window and S_v the simple
 left modules: they are exact wherever X is, and at n=7 have 280 to 546
 columns where the flattened terms have 12,656 to 24,752.  The flattened
-ranks the report carries then follow from the dimensions; the flattened maps are
-ranked only as the witness of a window that fails.  The window repeats
-with period 6: `repeats_period` checks d_m = d_(m-6) between equal terms,
-map by map, and wherever it holds the certification (and the cochain and
-tensor complexes built over the window) reuse the work done for d_(m-6):
-d.d = 0 is composed and the one-sided maps are built and ranked once per
-period.
+ranks of the exactness section then follow from the dimensions; the
+flattened maps are ranked only as the witness of a window that fails.
+`certify_exact` returns that section as the dict the certificate holds.
+The window repeats with period 6: `repeats_period` checks d_m = d_(m-6)
+between equal terms, map by map, and wherever it holds the certification
+(and the cochain and tensor complexes built over the window) reuse the
+work done for d_(m-6): d.d = 0 is composed and the one-sided maps are
+built and ranked once per period.
 """
 
 from __future__ import annotations
@@ -341,43 +342,6 @@ def _rank(columns: List[dict], p: int) -> int:
     return exactla.sparse_rank(columns, exactla.FieldSpec(0))
 
 
-class ExactnessReport:
-    __slots__ = ("depth", "dd_zero", "augmentation_zero", "minimal", "periodic", "ranks",
-                 "flat_dims", "exact_at", "syzygy6_dim", "rank_method", "failures",
-                 "one_sided_ranked")
-
-    def __init__(self, depth: int, dd_zero: bool, augmentation_zero: bool, minimal: bool,
-                 periodic: bool, ranks: List[int], flat_dims: List[int],
-                 exact_at: List[bool], syzygy6_dim: int, rank_method: str,
-                 failures: Optional[List[str]] = None, one_sided_ranked: int = 0):
-        self.depth = depth
-        self.dd_zero = dd_zero
-        self.augmentation_zero = augmentation_zero
-        self.minimal = minimal
-        self.periodic = periodic
-        self.ranks = ranks
-        self.flat_dims = flat_dims
-        self.exact_at = exact_at
-        self.syzygy6_dim = syzygy6_dim
-        self.rank_method = rank_method
-        self.failures = [] if failures is None else failures
-        self.one_sided_ranked = one_sided_ranked  # one-sided maps ranked; not serialized
-
-    @property
-    def ok(self) -> bool:
-        return (self.dd_zero and self.augmentation_zero and self.minimal
-                and self.periodic and all(self.exact_at) and not self.failures)
-
-    def serialize(self) -> dict:
-        return {"depth": self.depth, "dd_zero": self.dd_zero,
-                "augmentation_zero": self.augmentation_zero,
-                "minimal": self.minimal, "periodic": self.periodic,
-                "ranks": self.ranks, "flat_dims": self.flat_dims,
-                "exact_at": self.exact_at, "syzygy6_dim": self.syzygy6_dim,
-                "rank_method": self.rank_method, "failures": self.failures,
-                "ok": self.ok}
-
-
 # Exactness is certified one-sidedly, on X (x)_L S_v for the simple left
 # modules S_v, where X is the augmented window P_depth -> ... -> P_0 -> L.
 # Every term of X (each L e_s (x) e_t L, and L) is projective as a right
@@ -405,8 +369,11 @@ class ExactnessReport:
 _SANDWICH_PRIME = 97
 
 
-def certify_exact(w: ResolutionWindow) -> ExactnessReport:
-    """Verify d.d = 0, minimality, periodicity and window exactness."""
+def certify_exact(w: ResolutionWindow) -> Tuple[dict, int]:
+    """Verify d.d = 0, minimality, periodicity and window exactness.
+
+    Returns the certificate's exactness section and the number of one-sided
+    maps ranked, which goes to the header only."""
     if w.depth < 6:
         raise ValueError("need depth at least 6")
     t = w.table
@@ -521,5 +488,9 @@ def certify_exact(w: ResolutionWindow) -> ExactnessReport:
     if ranks[6] != t.dim:
         failures.append(f"image of d6 has dimension {ranks[6]}, expected {t.dim}")
 
-    return ExactnessReport(w.depth, dd, aug, minimal, periodic, ranks, dims,
-                           exact_at, ranks[6], method, failures, ranked)
+    return {"depth": w.depth, "dd_zero": dd, "augmentation_zero": aug,
+            "minimal": minimal, "periodic": periodic, "ranks": ranks,
+            "flat_dims": dims, "exact_at": exact_at, "syzygy6_dim": ranks[6],
+            "rank_method": method, "failures": failures,
+            "ok": (dd and aug and minimal and periodic and all(exact_at)
+                   and not failures)}, ranked

@@ -536,31 +536,6 @@ def _graded_triples(t: AlgebraTable, term, s: int, tt: int, degree: int) -> list
             if (y := t.by_ijd.get((v, tt, degree - x.degree))) is not None]
 
 
-class CMatrix:
-    __slots__ = ("entries", "rank", "det", "adjacency_identity", "failures")
-
-    def __init__(self, entries: List[List[int]], rank: int, det: int,
-                 adjacency_identity: bool, failures: List[str]):
-        self.entries = entries
-        self.rank = rank  # over the engine's field
-        self.det = det
-        self.adjacency_identity = adjacency_identity
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def serialize(self):
-        doc = {"entries": self.entries, "rank": self.rank, "det": self.det,
-               "det_sign": 0 if self.det == 0 else (1 if self.det > 0 else -1),
-               "adjacency_identity": self.adjacency_identity}
-        # written only when non-empty, so a passing body keeps its bytes
-        if self.failures:
-            doc["failures"] = self.failures
-        return doc
-
-
 def combinatorial_c_matrix(t: AlgebraTable) -> List[List[int]]:
     """Entries sum (-1)^deg(x) deg(x) over the basis monomials of e_j B e_k."""
     n = t.n
@@ -588,13 +563,16 @@ def adjacency_matrix(n: int) -> List[List[int]]:
     return D
 
 
-def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
+def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> dict:
     """The multiplication-by-y matrix, computed three independent ways.
 
     The combinatorial basis sum, the closed form, and (when an engine is
     supplied) the cup products y*z_k in the degree-3 canonical basis must
     agree entry for entry; each disagreement is a failure line, as are a
-    failed adjacency identity and |det C| other than (2n+1)^(n-1).
+    failed adjacency identity and |det C| other than (2n+1)^(n-1).  Returns
+    the certificate's c_matrix section, with the rank over the table's
+    field; it holds "failures" only when there are some, so a passing body
+    keeps its bytes, and it passes exactly when it holds none.
     """
     n = t.n
     comb = combinatorial_c_matrix(t)
@@ -627,37 +605,22 @@ def c_matrix(t: AlgebraTable, engine: Optional[YonedaEngine] = None) -> CMatrix:
     if abs(comb_det) != (2 * n + 1) ** (n - 1):
         failures.append(f"|det C| = {abs(comb_det)}, expected (2n+1)^(n-1) = "
                         f"{(2 * n + 1) ** (n - 1)}")
-    return CMatrix(comb, rank, comb_det, ident, failures)
+    section = {"entries": comb, "rank": rank, "det": comb_det,
+               "det_sign": 0 if comb_det == 0 else (1 if comb_det > 0 else -1),
+               "adjacency_identity": ident}
+    if failures:
+        section["failures"] = failures
+    return section
 
 
 # -- h-periodicity checks ------------------------------------------------------
 
 
-class StableReport:
-    __slots__ = ("h_bijective", "degree0_kernel_is_socle", "failures")
+def stable_structure_check(engine: YonedaEngine) -> dict:
+    """Multiplication by h: bijective on degrees 1..6, kernel Soc on degree 0.
 
-    def __init__(self, h_bijective: Dict[int, bool], degree0_kernel_is_socle: bool,
-                 failures: List[str]):
-        self.h_bijective = h_bijective
-        self.degree0_kernel_is_socle = degree0_kernel_is_socle
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return all(self.h_bijective.values()) and self.degree0_kernel_is_socle
-
-    def serialize(self):
-        # written only when non-empty, so a passing body keeps its bytes
-        doc = {"h_bijective": {str(k): v for k, v in self.h_bijective.items()},
-               "degree0_kernel_is_socle": self.degree0_kernel_is_socle,
-               "ok": self.ok}
-        if self.failures:
-            doc["failures"] = self.failures
-        return doc
-
-
-def stable_structure_check(engine: YonedaEngine) -> StableReport:
-    """Multiplication by h: bijective on degrees 1..6, kernel Soc on degree 0."""
+    Returns the certificate's stable section; it holds "failures" only when
+    there are some, so a passing body keeps its bytes."""
     t, F = engine.table, engine.table.field
     n = t.n
     hdeg, hvec = engine.generator_vector("h")
@@ -670,11 +633,11 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
             F, len(canonical_cocycles(engine.cx, i + hdeg).vectors), cols)
 
     failures: List[str] = []
-    bij: Dict[int, bool] = {}
+    bij: Dict[str, bool] = {}
     for i in range(1, 7):
         m = h_matrix(i)
-        bij[i] = m.rank() == m.ncols
-        if not bij[i]:
+        bij[str(i)] = m.rank() == m.ncols
+        if not bij[str(i)]:
             failures.append(f"h-multiplication drops rank in degree {i}")
     basis0 = canonical_cocycles(engine.cx, 0)
     kernel = h_matrix(0).kernel_basis()
@@ -684,4 +647,8 @@ def stable_structure_check(engine: YonedaEngine) -> StableReport:
     ok = len(kernel) == n and all(v.keys() <= socle for v in kernel)
     if not ok:
         failures.append("degree-0 kernel of h-multiplication is not the socle span")
-    return StableReport(bij, ok, failures)
+    section = {"h_bijective": bij, "degree0_kernel_is_socle": ok,
+               "ok": all(bij.values()) and ok}
+    if failures:
+        section["failures"] = failures
+    return section

@@ -149,10 +149,10 @@ def _cor32_identities_hold():
 def test_05_dualizability():
     ok = True
     for n in GRID_N:
-        ok = ok and certify_dualizable(context(n).form).ok
+        ok = ok and not certify_dualizable(context(n).form)["witnesses"]
     for n in range(2, 7):
         report = certify_dualizable(associated_form(variant_socle_table(n)))
-        ok = ok and not report.ok and not report.arrow_condition
+        ok = ok and bool(report["witnesses"]) and not report["arrow_condition"]
     _report(5, "canonical basis dualizable, unsigned variant fails", ok)
 
 
@@ -161,8 +161,8 @@ def test_06_resolution_exactness_and_dual_coincidence():
     for n in GRID_N:
         for char in (0, 3):
             ctx = context(n, char)
-            rep = certify_exact(ctx.window)
-            ok = ok and rep.ok and rep.depth == 13
+            rep, _ = certify_exact(ctx.window)
+            ok = ok and rep["ok"] and rep["depth"] == 13
             cx = ctx.cx
             for i in range(cx.maxdeg):
                 explicit = cx._explicit_matrix(i)
@@ -176,9 +176,9 @@ def test_07_c_matrix():
     for n in GRID_N:
         ctx = context(n)
         cm = c_matrix(ctx.table, ctx.engine)  # three routes compared inside
-        ok = ok and cm.rank == n
-        ok = ok and abs(cm.det) == (2 * n + 1) ** (n - 1)
-        ok = ok and cm.adjacency_identity
+        ok = ok and cm["rank"] == n
+        ok = ok and abs(cm["det"]) == (2 * n + 1) ** (n - 1)
+        ok = ok and cm["adjacency_identity"]
     for n, p in [(1, 3), (2, 5), (3, 7), (7, 3), (7, 5)]:
         table = build_algebra(n, FieldSpec(p))
         comb = combinatorial_c_matrix(table)
@@ -243,11 +243,11 @@ def test_09_presentations():
     ok = True
     for n, ch in THM11_PAIRS:
         rep = verify(theorem_spec(n, FieldSpec(ch)), context(n, ch).engine)
-        ok = ok and rep.ok and rep.regime == "generic"
+        ok = ok and rep["ok"] and rep["regime"] == "generic"
     start = time.perf_counter()
     for n, ch in THM12_PAIRS:
         rep = verify(theorem_spec(n, FieldSpec(ch)), context(n, ch).engine)
-        ok = ok and rep.ok and rep.regime == "modular"
+        ok = ok and rep["ok"] and rep["regime"] == "modular"
         if n == 7:
             ok = ok and (time.perf_counter() - start) < 600
     _report(9, "ring presentations in both regimes, audit through 12", ok)
@@ -257,7 +257,7 @@ def test_10_stable_ring():
     ok = True
     for n, ch in THM11_PAIRS + THM12_PAIRS:
         rep = stable_structure_check(context(n, ch).engine)
-        ok = ok and rep.ok
+        ok = ok and rep["ok"]
     _report(10, "h-multiplication bijective, degree-0 kernel is the socle", ok)
 
 
@@ -267,9 +267,9 @@ def test_11_oracle(monkeypatch):
     t1 = time.perf_counter() - start
     ok = dims1 == hh_dims(context(1).cx, 6) and t1 < 5
     start = time.perf_counter()
-    rep = compare(context(2).table, hh_dims(context(2).cx, 3), 3)
+    rep, _ = compare(context(2).table, hh_dims(context(2).cx, 3), 3)
     t2 = time.perf_counter() - start
-    ok = ok and rep.ok and t2 < 60
+    ok = ok and rep["ok"] and t2 < 60
     clean = bar_dims(context(1).table, 4)
     perturb_d2(monkeypatch)
     ok = ok and bar_dims(context(1).table, 4) != clean

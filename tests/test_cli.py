@@ -77,6 +77,20 @@ def test_oracle_subcommand(capsys):
     assert "ok=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["cmatrix", "--n", "2", "--char", "3"],
+     "n=2 char=3: [[-2, 1], [1, -3]] rank=2 det=5 adjacency=True"),
+    (["oracle", "--n", "1", "--char", "0", "--upto", "4"],
+     "n=1 char=0: bar=[2, 1, 1, 1, 1] resolution=[2, 1, 1, 1, 1] ok=True"),
+    (["verify", "--n", "2", "--char", "5"], "n=2 char=5 regime=modular: PASS"),
+])
+def test_section_reading_subcommands_print_their_whole_line(argv, line, capsys):
+    # the subcommands that print fields of the c_matrix, oracle, presentation
+    # and stable sections: the whole output of a passing point
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_products_subcommand(capsys):
     assert main(["products", "--n", "1", "--char", "0"]) == 0
     out = capsys.readouterr().out

@@ -69,10 +69,10 @@ def test_named_duals(n):
 def test_certify_dualizable_passes(n, char):
     ctx = context(n, char)
     report = certify_dualizable(ctx.form)
-    assert report.arrow_condition
-    assert report.double_dual_condition
-    assert report.symmetry_condition
-    assert report.ok and not report.witnesses
+    assert report["arrow_condition"]
+    assert report["double_dual_condition"]
+    assert report["symmetry_condition"]
+    assert not report["witnesses"]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -109,9 +109,9 @@ def test_variant_basis_fails_with_witness(n):
     t = variant_socle_table(n)
     form = associated_form(t)
     report = certify_dualizable(form)
-    assert not report.ok
-    assert not report.arrow_condition
-    assert not report.symmetry_condition
+    assert report["witnesses"]
+    assert not report["arrow_condition"]
+    assert not report["symmetry_condition"]
     # witness: a_i^* a_i = (-1)^i w_{i+1} in the variant normalization
     socle = socle_basis(t)
     hits = 0
@@ -125,10 +125,26 @@ def test_variant_basis_fails_with_witness(n):
     assert hits > 0
 
 
+def test_a_dual_basis_that_is_not_an_involution_fails_with_witnesses():
+    # doubling the scale of one dual basis element breaks b** = b for it and
+    # its partner, and only that: the section has no "ok", so its verdict is
+    # read as "no witness", and this failure must leave witnesses
+    t = build_algebra(2, FieldSpec(3))
+    F = t.field
+    f = associated_form(t)
+    s, m = f.dual[0]
+    f.dual[0] = (F.add(s, s), m)
+    report = certify_dualizable(f)
+    assert report["arrow_condition"] and report["symmetry_condition"]
+    assert not report["double_dual_condition"]
+    assert report["witnesses"] == ["b**  !=  b for monomial 0",
+                                   "b**  !=  b for monomial 3"]
+
+
 def test_variant_equals_canonical_for_single_vertex():
     # with one vertex there is no sign to flip; the variant still passes
     t = variant_socle_table(1)
-    assert certify_dualizable(associated_form(t)).ok
+    assert not certify_dualizable(associated_form(t))["witnesses"]
 
 
 def _reference_gram_and_dual(t):
@@ -194,4 +210,4 @@ def test_gram_walk_makes_one_product_per_row(monkeypatch):
     form = associated_form(t)
     assert t.dim == 4218
     assert len(calls) == t.dim
-    assert certify_dualizable(form).ok
+    assert not certify_dualizable(form)["witnesses"]

@@ -110,11 +110,11 @@ def test_budget_guard():
 
 def test_compare_matches_resolution():
     ctx = context(2)
-    rep = compare(ctx.table, hh_dims(ctx.cx, 3), 3)
-    assert rep.ok
-    assert rep.bar == rep.resolution == [4, 2, 2, 2]
-    assert rep.rank_field == "Q"
-    assert rep.screen == rep.bar
+    rep, _ = compare(ctx.table, hh_dims(ctx.cx, 3), 3)
+    assert rep["ok"]
+    assert rep["bar_dims"] == rep["resolution_dims"] == [4, 2, 2, 2]
+    assert rep["rank_field"] == "Q"
+    assert rep["screen_dims"] == rep["bar_dims"]
 
 
 def screen_blind_d2(monkeypatch):
@@ -143,10 +143,10 @@ def test_rational_pass_sees_what_the_screen_cannot(monkeypatch):
     screen_blind_d2(monkeypatch)
     assert _dims(bar_rows(ctx.table, 3), FieldSpec(_SCREEN_PRIME)) == [4, 2, 2, 2]
     assert bar_dims(ctx.table, 3) == [4, 2, 1, 1]
-    rep = compare(ctx.table, hh_dims(ctx.cx, 3), 3)
-    assert not rep.ok
-    assert rep.screen == rep.resolution == [4, 2, 2, 2]
-    assert rep.bar == [4, 2, 1, 1] and rep.rank_field == "Q"
+    rep, _ = compare(ctx.table, hh_dims(ctx.cx, 3), 3)
+    assert not rep["ok"]
+    assert rep["screen_dims"] == rep["resolution_dims"] == [4, 2, 2, 2]
+    assert rep["bar_dims"] == [4, 2, 1, 1] and rep["rank_field"] == "Q"
 
 
 def test_screen_blind_failure_fails_the_certificate(monkeypatch, tmp_path):
@@ -341,19 +341,19 @@ def test_shared_ranks_match_direct_eliminations(n, monkeypatch):
     again = []
     for p, t in tables.items():
         calls.clear()
-        rep = compare(t, direct[p], upto)
-        assert rep.ok and rep.bar == direct[p]
+        rep, eliminations = compare(t, direct[p], upto)
+        assert rep["ok"] and rep["bar_dims"] == direct[p]
         if p == 0:
             # the rational pass, with the screen read off it
-            assert rep.screen == direct[_SCREEN_PRIME]
-            assert calls.count(("rank", 0)) == rep.eliminations == upto + 1
+            assert rep["screen_dims"] == direct[_SCREEN_PRIME]
+            assert calls.count(("rank", 0)) == eliminations == upto + 1
         else:
             known = oracle._RATIONAL_RANKS[oracle._rule_key(tables[0])]
             scales = [known[k][2] for k in range(upto + 1)]
             redone = [k for k in range(upto + 1) if scales[k] % p == 0]
             assert [c for c in calls if c[0] == "rank"] == [("rank", p)] * len(redone)
             assert [c[1] for c in calls if c[0] == "rows"] == redone
-            assert rep.eliminations == len(redone)
+            assert eliminations == len(redone)
             again += [(p, k) for k in redone]
     assert again == ([(3, 1)] if n == 3 else [])
 
@@ -362,12 +362,12 @@ def test_later_fields_share_the_rational_pass(monkeypatch):
     # after Q at n=2, F3 and F7 build no bar rows and eliminate nothing
     monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
     ctx = context(2)
-    assert compare(ctx.table, hh_dims(ctx.cx, 3), 3).eliminations == 4
+    assert compare(ctx.table, hh_dims(ctx.cx, 3), 3)[1] == 4
     calls = []
     _recording(monkeypatch, calls)
     for p in (3, 7):
-        rep = compare(context(2, p).table, [4, 2, 2, 2], 3)
-        assert rep.ok and rep.eliminations == 0
+        rep, eliminations = compare(context(2, p).table, [4, 2, 2, 2], 3)
+        assert rep["ok"] and eliminations == 0
     assert calls == []
 
 
@@ -379,8 +379,8 @@ def test_a_cold_prime_field_point_ranks_over_its_field_and_keeps_nothing(monkeyp
     _recording(monkeypatch, calls)
     for p in (3, 3, 5):
         calls.clear()
-        rep = compare(context(2, p).table, [4, 2, 2, 2], 3)
-        assert rep.ok and rep.eliminations == 4
+        rep, eliminations = compare(context(2, p).table, [4, 2, 2, 2], 3)
+        assert rep["ok"] and eliminations == 4
         assert [c for c in calls if c[0] == "rank"] == [("rank", p)] * 4
     assert oracle._RATIONAL_RANKS == {}
 
@@ -401,21 +401,21 @@ def test_ranks_are_kept_per_rule_not_per_n(monkeypatch):
     # algebra with other bar rows) nor a table whose dims differ
     monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
     canonical = context(2).table
-    assert compare(canonical, [4, 2, 2, 2], 3).ok
+    assert compare(canonical, [4, 2, 2, 2], 3)[0]["ok"]
     negated = _negated_above_degree_one(2)
     assert bar_dims(negated, 3) == [4, 2, -3, -16]
     for t in (variant_socle_table(2), negated):
         assert oracle._rule_key(t) != oracle._rule_key(canonical)
-        rep = compare(t, bar_dims(t, 3), 3)
-        assert rep.ok and rep.eliminations == 4
+        rep, eliminations = compare(t, bar_dims(t, 3), 3)
+        assert rep["ok"] and eliminations == 4
     assert len(oracle._RATIONAL_RANKS) == 3
 
 
 def test_a_warm_cache_still_checks_the_budget(monkeypatch):
     monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
-    assert compare(context(2).table, hh_dims(context(2).cx, 3), 3).ok
+    assert compare(context(2).table, hh_dims(context(2).cx, 3), 3)[0]["ok"]
     t = context(2, 3).table
-    assert compare(t, [4, 2, 2, 2], 3).eliminations == 0
+    assert compare(t, [4, 2, 2, 2], 3)[1] == 0
     with pytest.raises(BudgetExceededError) as err:
         compare(t, [4, 2, 2, 2], 3, budget=1000)
     assert err.value.degree == 3
