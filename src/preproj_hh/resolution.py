@@ -492,5 +492,5 @@ def certify_exact(w: ResolutionWindow) -> Tuple[dict, int]:
             "minimal": minimal, "periodic": periodic, "ranks": ranks,
             "flat_dims": dims, "exact_at": exact_at, "syzygy6_dim": ranks[6],
             "rank_method": method, "failures": failures,
-            "ok": (dd and aug and minimal and periodic and all(exact_at)
-                   and not failures)}, ranked
+            # sound: each flag above that is False appended a failure line
+            "ok": not failures}, ranked

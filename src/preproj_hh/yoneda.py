@@ -28,6 +28,11 @@ next step reads.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`).
+`cup_vecs` takes several left factors x of one degree with one right
+factor y: they read one lift step of y, and the products not held already
+are pulled back along it together, in one walk (`cup_vec` is the batch of
+one).  A degree-0 factor is central and acts through
+`CochainComplex.scale_vector`.
 A class keeps the sparse {index of a canonical class: scalar} coordinates
 that solver gives, and the h-periodicity check and the spanning audit take
 them as matrix columns as they are (`ExactMatrix.from_columns`).
@@ -35,13 +40,13 @@ The product table, the relation check, the spanning audit, the h-check and
 the C matrix ask for many of the same products and classes, so the engine
 keeps each product it evaluates, keyed by its two operands, and each class
 it identifies, keyed by its cocycle, in the key form of the lift cache, and
-answers a repeated call from them (see the note at `cup_vec`).  Within one
+answers a repeated call from them (see the note at `cup_vecs`).  Within one
 batch the lifting systems read each graded piece of a term once
 (`_graded`).
 Every exact kernel on the way sums plain numbers and coerces each entry
 into the field once: `resolution.expand`, read by `compose`, which gives
 the step right-hand sides, and the cochain pull-back
-`CochainComplex.pullback`, which hands `cup_vec` the product x o f as a
+`CochainComplex.pullback`, which hands `cup_vecs` each product x o f as a
 canonical cochain.  The lifting systems stay plain sums until `_reduce`
 coerces them (see the note at `_assemble`).  A solved step is built from
 the field-canonical values of its solutions as they are.
@@ -120,7 +125,7 @@ class YonedaEngine:
         self._twist = _twist_classes(self.window)
         self._gens: Optional[List[Tuple[str, int, dict]]] = None
         self._generators_lifted = False
-        # `cup_vec` results by (x key, y key) and `identify` results by key,
+        # `cup_vecs` results by (x key, y key) and `identify` results by key,
         # a key being (degree, sorted items) as in the lift cache; each
         # distinct key is held once in `_keys` and shared by every entry
         self._products: Dict[tuple, dict] = {}
@@ -129,11 +134,13 @@ class YonedaEngine:
         # `_graded_triples` by (term kind, s, tt, degree), within one batch
         self._triples: Dict[tuple, list] = {}
         # lift steps solved and steps appended as twists of an earlier step,
-        # eliminations of a lifting system, `cup_vec` calls
+        # eliminations of a lifting system, products asked of `cup_vecs`, and
+        # its `pullback` walks
         self.steps_solved = 0
         self.steps_twisted = 0
         self.lift_eliminations = 0
         self.products = 0
+        self.pullback_walks = 0
 
     def generators(self) -> List[Tuple[str, int, dict]]:
         """Named cocycle representatives of the ring generators.
@@ -160,14 +167,15 @@ class YonedaEngine:
 
     def work(self) -> Dict[str, int]:
         """Work so far: lift steps solved and twisted, eliminations of a
-        lifting system, `cup_vec` calls, and the distinct products and
-        classes among them evaluated."""
+        lifting system, products asked for, the distinct products and classes
+        among them evaluated, and the pull-back walks that evaluated them."""
         return {"lift_steps_solved": self.steps_solved,
                 "lift_steps_twisted": self.steps_twisted,
                 "lifting_eliminations": self.lift_eliminations,
                 "products": self.products,
                 "products_evaluated": len(self._products),
-                "classes_identified": len(self._classes)}
+                "classes_identified": len(self._classes),
+                "pullback_walks": self.pullback_walks}
 
     # -- lifting ------------------------------------------------------------
 
@@ -226,7 +234,10 @@ class YonedaEngine:
         return [self._lift_cache[key] for key in keys]
 
     def _lift_generators(self):
-        """Lift every ring generator in one batch, as deep as a product reads it."""
+        """Lift every ring generator in one batch, each through step
+        maxdeg - 1 - its degree, the deepest step a product in the window
+        could read.  The certificate's products read less: at n=7 the
+        degree-1, -2 and -3 lifts only through step 6."""
         top = self.cx.maxdeg - 1
         self.lift_many([(vec, d, top - d) for _, d, vec in self.generators()])
         self._generators_lifted = True
@@ -432,7 +443,7 @@ class YonedaEngine:
         key = (degree, tuple(sorted(vec.items())))
         return self._keys.setdefault(key, key)
 
-    # Soundness of the memos.  On a fixed engine `cup_vec` and `identify` are
+    # Soundness of the memos.  On a fixed engine `cup_vecs` and `identify` are
     # pure functions of their operands: a lift is cached only whole, so every
     # product reads the same segment; the canonical basis and class solver of
     # each degree are built once per complex; and the cochains are canonical
@@ -444,26 +455,46 @@ class YonedaEngine:
     # nothing, so a hit follows a call on equal operands that returned and
     # hides no error.  Callers read the stored vectors and classes and never
     # change them.
-    def cup_vec(self, xvec: dict, dx: int, yvec: dict, dy: int) -> dict:
-        """Cochain representative of the product of two cocycles."""
+    #
+    # Soundness of the batch.  The products x*y of one batch share y, so they
+    # read one segment, and `pullback` keeps one accumulator per input: each
+    # output sums the same terms, in the same order, as a walk over its x
+    # alone would, so the batch returns x o f for every x.  A key that repeats
+    # in the batch, or is held already, is evaluated at most once, so
+    # `products_evaluated` counts the distinct products as one call per
+    # product would; the memo is written only after every product of the
+    # batch is computed, so a batch that raises stores none of them.
+    def cup_vecs(self, xvecs: List[dict], dx: int, yvec: dict, dy: int) -> List[dict]:
+        """Cochain representatives of the products x*y, one per x of degree dx."""
         cx = self.cx
         if dx + dy > cx.maxdeg - 1:
             raise ValueError("product degree exceeds the window")
-        self.products += 1
-        key = (self._key(dx, xvec), self._key(dy, yvec))
-        out = self._products.get(key)
-        if out is not None:
-            return out
-        if dx == 0:
-            out = cx.scale_vector(dy, self.central_from_v0(xvec), yvec)
-        elif dy == 0:
-            out = cx.scale_vector(dx, self.central_from_v0(yvec), xvec)
-        else:
-            if not self._generators_lifted:
-                self._lift_generators()
-            out = cx.pullback(self.lift(yvec, dy, dx).maps[dx], dx, dx + dy, [xvec])[0]
-        self._products[key] = out
-        return out
+        self.products += len(xvecs)
+        ykey = self._key(dy, yvec)
+        keys = [(self._key(dx, x), ykey) for x in xvecs]
+        misses: Dict[tuple, dict] = {}
+        for key, x in zip(keys, xvecs):
+            if key not in self._products:
+                misses.setdefault(key, x)
+        if misses:
+            if dx == 0:
+                outs = [cx.scale_vector(dy, self.central_from_v0(x), yvec)
+                        for x in misses.values()]
+            elif dy == 0:
+                z = self.central_from_v0(yvec)
+                outs = [cx.scale_vector(dx, z, x) for x in misses.values()]
+            else:
+                if not self._generators_lifted:
+                    self._lift_generators()
+                f = self.lift(yvec, dy, dx).maps[dx]
+                outs = cx.pullback(f, dx, dx + dy, list(misses.values()))
+                self.pullback_walks += 1
+            self._products.update(zip(misses, outs))
+        return [self._products[key] for key in keys]
+
+    def cup_vec(self, xvec: dict, dx: int, yvec: dict, dy: int) -> dict:
+        """Cochain representative of the product of two cocycles."""
+        return self.cup_vecs([xvec], dx, yvec, dy)[0]
 
     def identify(self, vec: dict, degree: int) -> CohomologyClass:
         """Coordinates over the canonical basis, modulo coboundaries.
@@ -492,11 +523,17 @@ class YonedaEngine:
         """All ordered products of the positive-degree ring generators."""
         out = {}
         gens = self.generators()
-        for name1, d1, v1 in gens:
-            for name2, d2, v2 in gens:
+        by_degree: Dict[int, list] = {}
+        for name, d, v in gens:
+            by_degree.setdefault(d, []).append((name, v))
+        for name2, d2, v2 in gens:
+            # one batch per left degree: its products read one step of v2's lift
+            for d1, left in by_degree.items():
                 if d1 + d2 > self.cx.maxdeg - 1:
                     continue
-                out[(name1, name2)] = self.cup(v1, d1, v2, d2)
+                prods = self.cup_vecs([v1 for _, v1 in left], d1, v2, d2)
+                for (name1, _), vec in zip(left, prods):
+                    out[(name1, name2)] = self.identify(vec, d1 + d2)
         return out
 
 
@@ -627,8 +664,8 @@ def stable_structure_check(engine: YonedaEngine) -> dict:
 
     def h_matrix(i):
         """Multiplication by h from degree i, over the canonical classes."""
-        cols = [engine.cup(vec, i, hvec, hdeg).coords
-                for vec in canonical_cocycles(engine.cx, i).vectors]
+        prods = engine.cup_vecs(canonical_cocycles(engine.cx, i).vectors, i, hvec, hdeg)
+        cols = [engine.identify(vec, i + hdeg).coords for vec in prods]
         return ExactMatrix.from_columns(
             F, len(canonical_cocycles(engine.cx, i + hdeg).vectors), cols)
 
@@ -647,8 +684,8 @@ def stable_structure_check(engine: YonedaEngine) -> dict:
     ok = len(kernel) == n and all(v.keys() <= socle for v in kernel)
     if not ok:
         failures.append("degree-0 kernel of h-multiplication is not the socle span")
-    section = {"h_bijective": bij, "degree0_kernel_is_socle": ok,
-               "ok": all(bij.values()) and ok}
+    # sound: each False flag above wrote a failure line
+    section = {"h_bijective": bij, "degree0_kernel_is_socle": ok, "ok": not failures}
     if failures:
         section["failures"] = failures
     return section

@@ -7,8 +7,6 @@ test prints one PASS/FAIL line (run with -s to see them on success).
 
 import time
 
-import pytest
-
 from preproj_hh.algebra import build_algebra, cartan_matrix
 from preproj_hh.cochain import (canonical_cocycles, cyclic_dims, hh_dims,
                                 homology_dims)
@@ -18,8 +16,7 @@ from preproj_hh.oracle import bar_dims, compare
 from preproj_hh.presentation import theorem_spec, verify
 from preproj_hh.resolution import certify_exact
 from preproj_hh.yoneda import (c_matrix, closed_form_c_matrix,
-                               combinatorial_c_matrix, adjacency_matrix,
-                               stable_structure_check)
+                               combinatorial_c_matrix, stable_structure_check)
 from conftest import context, perturb_d2, variant_socle_table
 
 GRID_N = range(1, 7)

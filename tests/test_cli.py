@@ -619,7 +619,8 @@ def test_header_records_the_lifting_work():
     assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
                               "lifting_eliminations": 115,
                               "products": 882, "products_evaluated": 575,
-                              "classes_identified": 200, "cochain_differentials_built": 6,
+                              "classes_identified": 200, "pullback_walks": 120,
+                              "cochain_differentials_built": 6,
                               "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]
 
@@ -647,7 +648,7 @@ def test_header_records_the_lifting_work_over_q():
     assert cert["header"]["work"] == {"lift_steps_solved": 63, "lift_steps_twisted": 91,
                                       "lifting_eliminations": 98,
                                       "products": 570, "products_evaluated": 394,
-                                      "classes_identified": 214,
+                                      "classes_identified": 214, "pullback_walks": 113,
                                       "cochain_differentials_built": 6,
                                       "one_sided_maps_ranked": 7}
 

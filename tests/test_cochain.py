@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preproj_hh.algebra import socle_basis, x0_element
+from preproj_hh.algebra import center_basis, multiply, socle_basis, x0_element
 from preproj_hh.cochain import (CanonicalBasis, CanonicalBasisError, CochainComplex,
                                 ComplexMismatchError, LOOPS, PARALLELS,
                                 build_complex, canonical_cocycles,
@@ -676,3 +676,35 @@ def test_every_producer_gives_canonical_vectors(char, data):
     assert reordered == cocycle and list(reordered) != list(cocycle)
     assert eng.lift(reordered, degree, 1) is first
     assert eng.steps_solved == solved > 0
+
+
+def _reference_scale(cx, degree, z, vec):
+    """z times each component value, by `multiply` over every pair of terms."""
+    return cx.vector_from_components(degree, {
+        comp: multiply(cx.table, z, v) for comp, v in cx.component_values(degree, vec).items()})
+
+
+@given(n=st.integers(1, 3), char=st.sampled_from([0, 3, 5]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scale_vector_is_the_componentwise_algebra_product(n, char, data):
+    # the one walk over the cochain equals `multiply` on every component,
+    # for each central basis element and for drawn elements that are not
+    # central.  A drawn monomial that ends where an entry starts is a cycle,
+    # or the product would leave V^degree; the others start where entries
+    # start, and a walk that matched z's sources would compose them
+    cx = context(n, char).cx
+    t, F = cx.table, cx.table.field
+    degree = data.draw(st.integers(0, 6), label="degree")
+    space = cx.spaces[degree]
+    keys = data.draw(st.lists(st.sampled_from(space.basis), unique=True, max_size=4),
+                     label="keys")
+    vec = cx.vector_from_terms(degree, {key: data.draw(_term_values) for key in keys})
+    starts = {t.sources[space.basis[r][1]] for r in vec}
+    mids = data.draw(st.lists(st.integers(0, t.dim - 1), unique=True), label="z monomials")
+    drawn = {m: fc for m in mids
+             if (t.sources[m] == t.targets[m] or t.targets[m] not in starts)
+             and (fc := F(data.draw(_term_values)))}
+    for z in center_basis(t) + [drawn]:
+        got = cx.scale_vector(degree, z, vec)
+        assert is_canonical_vector(cx, degree, got)
+        assert got == _reference_scale(cx, degree, z, vec)

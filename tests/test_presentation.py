@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from preproj_hh.algebra import center_basis
@@ -301,3 +303,56 @@ def test_audit_stops_evaluating_at_full_rank():
     before = engine.products
     assert _generator_major_span_audit(spec, engine)[0] == audit
     assert engine.products - before == 1267
+
+
+def _ranking_keep(engine, degree, kept, vectors):
+    # the audit's keep before supports decided it: every candidate ranked
+    F = engine.table.field
+    cap = len(canonical_cocycles(engine.cx, degree).vectors)
+    coords = [c for _, c in kept]
+    for v in vectors:
+        if len(coords) >= cap:
+            break
+        c = engine.identify(v, degree).coords
+        if ExactMatrix.from_columns(F, cap, coords + [c]).rank() > len(coords):
+            kept.append((v, c))
+            coords.append(c)
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_keeping_by_supports_keeps_what_ranking_keeps(n, char, monkeypatch):
+    # every degree of the audit keeps the list that ranking every candidate
+    # keeps, from the same candidates
+    import preproj_hh.presentation as P
+    spec = theorem_spec(n, FieldSpec(char))
+    engine = context(n, char).engine
+    true_keep = P._keep_independent
+    degrees = []
+
+    def compared_keep(engine, degree, kept, vectors):
+        vectors = list(vectors)
+        ref = list(kept)
+        _ranking_keep(engine, degree, ref, vectors)
+        true_keep(engine, degree, kept, vectors)
+        assert kept == ref, degree
+        degrees.append(degree)
+
+    monkeypatch.setattr(P, "_keep_independent", compared_keep)
+    P._span_audit(spec, engine, _Evaluator(engine, spec))
+    assert degrees == list(range(13))
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_a_candidate_on_kept_support_is_ranked(char):
+    # {0: 2, 1: 2} meets no new index after {0: 1, 1: 1} and is dependent;
+    # {0: 1} is dependent on two kept vectors; the empty class is never kept
+    import preproj_hh.presentation as P
+    cx = context(2, char).cx
+    engine = SimpleNamespace(table=cx.table, cx=cx,
+                             identify=lambda v, degree: SimpleNamespace(coords=v))
+    candidates = [{}, {0: 1, 1: 1}, {0: 2, 1: 2}, {}, {1: 1}, {0: 1}, {2: 1}]
+    kept, ref = [], []
+    P._keep_independent(engine, 0, kept, candidates)
+    _ranking_keep(engine, 0, ref, candidates)
+    assert [v for v, _ in kept] == [v for v, _ in ref] == [{0: 1, 1: 1}, {1: 1}, {2: 1}]

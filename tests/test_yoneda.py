@@ -905,3 +905,54 @@ def test_a_lifting_pass_that_appends_no_map_raises(monkeypatch, fault):
     with pytest.raises(ValueError, match="shorter"):
         eng.lift_many([(y, dy, 3)])
     assert not eng._lift_cache
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_products_match_lone_products(n, char, monkeypatch):
+    # cup_vecs gives, product for product, what cup_vec of a fresh engine
+    # gives, with the same counts, on batches that repeat an x, mix memo hits
+    # with misses and take a degree-0 factor; a batch that misses a
+    # positive-degree product lifts once and pulls back each distinct miss
+    # once, in one walk
+    cx = context(n, char).cx
+    batched, lone = YonedaEngine(cx), YonedaEngine(cx)
+    lifts, walks = [], []
+    true_lift, true_pullback = batched.lift, cx.pullback
+
+    def counted_lift(vec, degree, steps):
+        lifts.append(degree)
+        return true_lift(vec, degree, steps)
+
+    def recorded_pullback(f, i, j, vecs):
+        walks.append(len(vecs))
+        return true_pullback(f, i, j, vecs)
+
+    batched.lift = counted_lift
+    monkeypatch.setattr(cx, "pullback", recorded_pullback)
+    top = cx.maxdeg - 1
+    rights = [(d, v) for _, d, v in batched.generators()]
+    rights += [(0, v) for v in canonical_cocycles(cx, 0).vectors[1:3]]
+    for dx in range(7):
+        basis = canonical_cocycles(cx, dx).vectors
+        xs = basis + basis[:1]
+        for dy, y in rights:
+            if dx + dy > top:
+                continue
+            # the last x is held already, the first repeats; then all are held
+            batched.cup_vec(basis[-1], dx, y, dy)
+            lone.cup_vec(basis[-1], dx, y, dy)
+            for misses in (len(basis) - 1, 0):
+                want = [lone.cup_vec(x, dx, y, dy) for x in xs]
+                before = batched.work()["products_evaluated"]
+                del lifts[:], walks[:]
+                assert batched.cup_vecs(xs, dx, y, dy) == want
+                new = batched.work()["products_evaluated"] - before
+                assert new == misses
+                if new and dx and dy:
+                    assert (lifts, walks) == ([dy], [new])
+                else:
+                    assert (lifts, walks) == ([], [])
+                assert batched.work()["products_evaluated"] == lone.work()["products_evaluated"]
+    assert batched.products == lone.products
+    assert batched.pullback_walks <= lone.pullback_walks
