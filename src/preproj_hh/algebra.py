@@ -29,6 +29,7 @@ that numbering is the column order of every downstream matrix.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -45,25 +46,11 @@ class CenterMismatchError(RuntimeError):
     """The solved center does not match the expected description."""
 
 
-class Arrow:
-    """A read-only arrow; `bar` is the index of the opposite arrow (eps is
-    its own bar)."""
+class Arrow(namedtuple("Arrow", "index name source target bar")):
+    """An arrow; `bar` is the index of the opposite arrow (eps is its own
+    bar)."""
 
-    __slots__ = ("index", "name", "source", "target", "bar")
-
-    def __init__(self, index: int, name: str, source: int, target: int, bar: int):
-        put = object.__setattr__
-        put(self, "index", index)
-        put(self, "name", name)
-        put(self, "source", source)
-        put(self, "target", target)
-        put(self, "bar", bar)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Arrow is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Arrow is read-only: cannot delete {name!r}")
+    __slots__ = ()
 
 
 class Quiver:
@@ -94,6 +81,7 @@ class BasisMonomial:
     order (leftmost applied last).  One list of them serves every field of
     an n (`_INTEGRAL_CACHE`)."""
 
+    # not a named tuple: `.degree` is read in the innermost lifting loops
     __slots__ = ("mid", "source", "target", "degree", "path", "sign")
 
     def __init__(self, mid: int, source: int, target: int, degree: int,

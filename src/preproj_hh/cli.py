@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
@@ -39,18 +40,11 @@ SCHEMA_VERSION = 1
 MIN_MAXDEG = 13
 
 
-class RunConfig:
-    __slots__ = ("n_values", "characteristics", "maxdeg", "oracle_budget", "jobs",
-                 "with_oracle")
+class RunConfig(namedtuple("RunConfig", "n_values characteristics maxdeg oracle_budget jobs "
+                           "with_oracle", defaults=(13, 10000, 1, True))):
+    """The grid of one run: the n and characteristics in the order given."""
 
-    def __init__(self, n_values: List[int], characteristics: List[int], maxdeg: int = 13,
-                 oracle_budget: int = 10000, jobs: int = 1, with_oracle: bool = True):
-        self.n_values = n_values
-        self.characteristics = characteristics
-        self.maxdeg = maxdeg
-        self.oracle_budget = oracle_budget
-        self.jobs = jobs
-        self.with_oracle = with_oracle
+    __slots__ = ()
 
 
 def parse_int_list(spec: str) -> List[int]:
@@ -63,11 +57,7 @@ def parse_int_list(spec: str) -> List[int]:
             out.extend(range(int(lo), int(hi) + 1))
         elif chunk:
             out.append(int(chunk))
-    seen = []
-    for v in out:
-        if v not in seen:
-            seen.append(v)
-    return seen
+    return list(dict.fromkeys(out))  # each value once, where it first occurs
 
 
 def compute_certificate(n: int, characteristic: int, maxdeg: int = 13,
@@ -266,7 +256,7 @@ def _write_body(value, out: List[str], indent: str):
             _write_body(item, out, inner)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) is list or type(value) is tuple:  # a named tuple is a record
         if not value:
             out.append("[]")
             return

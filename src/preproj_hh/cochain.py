@@ -44,6 +44,7 @@ center-module checks take degree i-6's outcome as well.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable, multiply, socle_basis, x0_powers
@@ -64,18 +65,13 @@ class CanonicalBasisError(RuntimeError):
     pass
 
 
-class CochainSpace:
-    __slots__ = ("degree", "kind", "basis", "pos", "components")
+class CochainSpace(namedtuple("CochainSpace", "degree kind basis pos components")):
+    """V^degree.  `basis` lists its (component, monomial id) coordinates, a
+    component being a vertex for loops and an arrow index for parallels;
+    `pos` is the position of each in `basis`, and `components` the
+    component of each resolution summand."""
 
-    def __init__(self, degree: int, kind: str, basis: List[Tuple[int, int]],
-                 pos: Dict[Tuple[int, int], int], components: Tuple[int, ...]):
-        self.degree = degree
-        self.kind = kind
-        # (component, monomial id); component is a vertex for loops, an
-        # arrow index for parallels
-        self.basis = basis
-        self.pos = pos
-        self.components = components  # the component of each resolution summand
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -136,7 +132,7 @@ class CochainComplex:
             if i >= 6 and self.diffs[i] is self.diffs[i - 6] \
                     and self.diffs[i + 1] is self.diffs[i - 5]:
                 continue
-            if not self.diffs[i + 1].matmul(self.diffs[i]).is_zero():
+            if any(map(self.diffs[i + 1].matvec, self.diffs[i].columns)):
                 raise ComplexMismatchError(f"d{i + 1} o d{i} != 0")
         self._hh_ranks: Dict[int, int] = {}
         self._canonical_cache: Dict[int, "CanonicalBasis"] = {}
@@ -443,17 +439,10 @@ def cyclic_dims(c: CochainComplex, hh: List[int]) -> Tuple[List[int], List[int]]
 # -- canonical cocycles ---------------------------------------------------------
 
 
-class CanonicalBasis:
+class CanonicalBasis(namedtuple("CanonicalBasis", "degree labels vectors solver")):
     """Canonical cocycles of one degree and the solver over [vectors | d^(degree-1)]."""
 
-    __slots__ = ("degree", "labels", "vectors", "solver")
-
-    def __init__(self, degree: int, labels: List[str], vectors: List[dict],
-                 solver: PreparedSolver):
-        self.degree = degree
-        self.labels = labels
-        self.vectors = vectors
-        self.solver = solver
+    __slots__ = ()
 
     # Soundness.  (a) `canonical_cocycles` checks each canonical vector to be
     # a cocycle and `CochainComplex.__init__` checks d o d = 0 exactly, so

@@ -35,8 +35,9 @@ is only for the literal constructor `ExactMatrix(F, rows)` and for `det`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, int]
@@ -46,12 +47,28 @@ class UnsupportedCharacteristicError(ValueError):
     pass
 
 
+# The Miller-Rabin bases 2..41, the first 13 primes, decide primality
+# exactly below this bound (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017): no composite below it is a
+# strong pseudoprime to all of them.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime; exact for p < _MILLER_RABIN_BOUND."""
     if p < 2:
         return False
-    for q in range(2, isqrt(p) + 1):
+    for q in _MILLER_RABIN_BASES:
         if p % q == 0:
-            return False
+            return p == q
+    d, s = p - 1, 0  # p - 1 = d 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 1 << r, p) for r in range(s)):
+            return False  # a witnesses that p is composite
     return True
 
 
@@ -81,6 +98,8 @@ class FieldSpec:
     hashes equal, and `export` writes both alike.
     """
 
+    # not a named tuple: each scalar coercion calls an instance, in the
+    # innermost loops
     __slots__ = ("characteristic",)
 
     # the same ints in every characteristic; class attributes, not fields
@@ -93,6 +112,11 @@ class FieldSpec:
             raise UnsupportedCharacteristicError(
                 "characteristic 2 is unsupported: the engine assumes 2 is "
                 "invertible in the ground field"
+            )
+        if c >= _MILLER_RABIN_BOUND:
+            raise UnsupportedCharacteristicError(
+                f"characteristic must lie below {_MILLER_RABIN_BOUND}, where "
+                f"primality is decided exactly, got {c}"
             )
         if c != 0 and not _is_prime(c):
             raise UnsupportedCharacteristicError(
@@ -341,22 +365,11 @@ def rank_and_scale(rows: Iterable[dict]) -> Tuple[int, int]:
     return len(pivots), lcm(*(num for _, _, num, _ in pivots.values()))
 
 
-class EchelonForm:
-    """Read-only result of `rref`."""
+class EchelonForm(namedtuple("EchelonForm", "rank pivot_columns reduced")):
+    """The result of `echelonize`: the rank, the pivot columns in order and
+    the reduced matrix."""
 
-    __slots__ = ("rank", "pivot_columns", "reduced")
-
-    def __init__(self, rank: int, pivot_columns: tuple, reduced: ExactMatrix):
-        put = object.__setattr__
-        put(self, "rank", rank)
-        put(self, "pivot_columns", pivot_columns)
-        put(self, "reduced", reduced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EchelonForm is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"EchelonForm is read-only: cannot delete {name!r}")
+    __slots__ = ()
 
 
 class ExactMatrix:
@@ -421,10 +434,6 @@ class ExactMatrix:
 
     # -- basic ops ---------------------------------------------------------
 
-    def entries(self):
-        """The nonzero entries as (row, column, value) triples."""
-        return ((i, j, x) for i, row in enumerate(self.rows) for j, x in row.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -444,14 +453,6 @@ class ExactMatrix:
     def matvec(self, v: dict) -> dict:
         """self @ v for a sparse {column: scalar} v, as a sparse {row: scalar}."""
         return _accumulate(self.columns, v, self.field)
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        return ExactMatrix.from_entries(
-            self.field, self.nrows, other.ncols,
-            ((i, l, a * b) for i, j, a in self.entries()
-             for l, b in other.rows[j].items()))
 
     def is_zero(self) -> bool:
         return not any(self.rows)

@@ -12,7 +12,8 @@ the certificate's dualizability section, with a witness for each failure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import namedtuple
+from typing import List
 
 from .algebra import AlgebraTable, elem_eq, multiply
 from .exactla import sparse_rank
@@ -22,13 +23,11 @@ class DegenerateFormError(RuntimeError):
     pass
 
 
-class NakayamaForm:
-    __slots__ = ("table", "gram", "dual")
+class NakayamaForm(namedtuple("NakayamaForm", "table gram dual")):
+    """The form of `table`: `gram` maps mid -> {mid: scalar}, sparse rows,
+    and `dual` mid -> (scalar, mid), with b* = scalar * partner."""
 
-    def __init__(self, table: AlgebraTable, gram: dict, dual: Dict[int, Tuple[object, int]]):
-        self.table = table
-        self.gram = gram  # mid -> {mid: scalar}, sparse rows
-        self.dual = dual  # mid -> (scalar, mid) with b* = scalar * partner
+    __slots__ = ()
 
     def pair(self, x: dict, y: dict):
         """Evaluate the form on two algebra elements."""

@@ -22,6 +22,7 @@ failing relation, derived identity and audit degree leaves one line in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Dict, List, Tuple
 
 from .cochain import canonical_cocycles
@@ -31,23 +32,15 @@ from .yoneda import YonedaEngine, closed_form_c_matrix
 Monomial = Tuple[str, ...]
 
 
-class Relation:
-    """Read-only: the sum of coeff * product over the `terms` is 0."""
+class Relation(namedtuple("Relation", "label terms")):
+    """The sum of coeff * product over the `terms`, (coeff, monomial) pairs,
+    is 0."""
 
-    __slots__ = ("label", "terms")
-
-    def __init__(self, label: str, terms: Tuple[Tuple[int, Monomial], ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Relation is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Relation is read-only: cannot delete {name!r}")
+    __slots__ = ()
 
 
 class PresentationSpec:
+    # not a named tuple: tests reassign its fields to build failing inputs
     __slots__ = ("n", "field", "regime", "generators", "relations", "derived")
 
     def __init__(self, n: int, field: FieldSpec, regime: str,

@@ -32,6 +32,7 @@ built and ranked once per period.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from . import exactla
@@ -41,29 +42,11 @@ from .nakayama import NakayamaForm
 Key = Tuple[int, int, int]  # (target summand, left mid, right mid)
 
 
-class ProjectiveBimodule:
-    """Read-only, equal by value: `kind` is "P" (vertex indexed) or "Q"
-    (arrow indexed), `summands` the (source, target) of each summand."""
+class ProjectiveBimodule(namedtuple("ProjectiveBimodule", "kind summands")):
+    """Equal by value: `kind` is "P" (vertex indexed) or "Q" (arrow
+    indexed), `summands` the (source, target) of each summand."""
 
-    __slots__ = ("kind", "summands")
-
-    def __init__(self, kind: str, summands: Tuple[Tuple[int, int], ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "summands", summands)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ProjectiveBimodule is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ProjectiveBimodule is read-only: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not ProjectiveBimodule:
-            return NotImplemented
-        return self.kind == other.kind and self.summands == other.summands
-
-    def __hash__(self):
-        return hash((self.kind, self.summands))
+    __slots__ = ()
 
 
 class BimoduleMap:
@@ -74,6 +57,7 @@ class BimoduleMap:
     them from literal terms.
     """
 
+    # not a named tuple: `expand` reads `.table` and `.values` on every call
     __slots__ = ("table", "source", "target", "values")
 
     def __init__(self, table: AlgebraTable, source: ProjectiveBimodule,
@@ -222,6 +206,7 @@ def k_map(t: AlgebraTable, form: NakayamaForm) -> BimoduleMap:
 class ResolutionWindow:
     """Terms P^0..P^-depth with differentials d[1..depth], d[m]: P^-m -> P^-(m-1)."""
 
+    # not a named tuple: tests reassign its fields to build failing inputs
     __slots__ = ("table", "depth", "terms", "diffs", "gen_degrees")
 
     def __init__(self, table: AlgebraTable, depth: int, terms: List[ProjectiveBimodule],

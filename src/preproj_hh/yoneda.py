@@ -54,6 +54,7 @@ the field-canonical values of its solutions as they are.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraTable
@@ -74,21 +75,12 @@ class IdentificationError(RuntimeError):
     """A cocycle failed to decompose over the canonical basis plus coboundaries."""
 
 
-class CohomologyClass:
-    __slots__ = ("degree", "coords", "labels")
+class CohomologyClass(namedtuple("CohomologyClass", "degree coords labels")):
+    """A class by its `coords`, {index of a canonical class: nonzero scalar},
+    over the canonical `labels` of its degree.  Equal by value; a dict of
+    coordinates leaves it unhashable."""
 
-    def __init__(self, degree: int, coords: dict, labels: tuple):
-        self.degree = degree
-        self.coords = coords  # {index of a canonical class: nonzero scalar}
-        self.labels = labels
-
-    def __eq__(self, other):
-        if type(other) is not CohomologyClass:
-            return NotImplemented
-        return (self.degree == other.degree and self.coords == other.coords
-                and self.labels == other.labels)
-
-    __hash__ = None  # equal by value, and mutable
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -103,15 +95,16 @@ class CohomologyClass:
         return " + ".join(f"{c}*{lab}" if c != 1 else lab for lab, c in items)
 
 
-class ChainMapSegment:
-    __slots__ = ("base_degree", "maps", "signs")
+class ChainMapSegment(namedtuple("ChainMapSegment", "base_degree maps signs")):
+    """The lift of a cocycle: `maps[k]` is P^-(base_degree+k) -> P^-k, and
+    `signs` maps step k -> eps wherever maps[k] was appended as
+    eps tau(maps[k-3])."""
 
-    def __init__(self, base_degree: int, maps: List[BimoduleMap],
-                 signs: Optional[Dict[int, int]] = None):
-        self.base_degree = base_degree
-        self.maps = maps  # maps[k]: P^-(base_degree+k) -> P^-k
-        # step k -> eps wherever maps[k] was appended as eps tau(maps[k-3])
-        self.signs = {} if signs is None else signs
+    __slots__ = ()
+
+    def __new__(cls, base_degree: int, maps: List[BimoduleMap],
+                signs: Optional[Dict[int, int]] = None):
+        return super().__new__(cls, base_degree, maps, {} if signs is None else signs)
 
 
 class YonedaEngine:

@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from preproj_hh.algebra import BasisMonomial
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
                             parse_int_list, render_csv, render_markdown,
                             run_grid, RunConfig, write_certificate)
-from preproj_hh.exactla import FieldSpec
+from preproj_hh.exactla import ExactMatrix, FieldSpec
+from preproj_hh.resolution import ProjectiveBimodule
+from preproj_hh.yoneda import CohomologyClass
 
 DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "digests.json")
@@ -32,6 +35,12 @@ def test_parse_int_list():
     assert parse_int_list("0,3,5") == [0, 3, 5]
     assert parse_int_list("1..3,5") == [1, 2, 3, 5]
     assert parse_int_list("2,2,2") == [2]
+
+
+def test_a_long_list_parses_in_linear_time():
+    start = time.perf_counter()
+    assert parse_int_list("1..200000,5,1") == list(range(1, 200001))
+    assert time.perf_counter() - start < 5
 
 
 def test_dims_subcommand(capsys):
@@ -58,6 +67,19 @@ def test_characteristic_two_rejected(capsys):
 
 def test_even_characteristic_rejected():
     assert main(["dims", "--n", "2", "--char", "9"]) == 2
+
+
+def test_a_large_prime_characteristic_is_a_field(capsys):
+    p = 2 ** 61 - 1
+    assert main(["dims", "--n", "1", "--char", str(p)]) == 0
+    assert capsys.readouterr().out.startswith(f"n=1 char={p}: [2, 1, 1")
+
+
+def test_a_characteristic_past_the_exact_primality_bound_is_a_usage_error(capsys):
+    assert main(["dims", "--n", "1", "--char", str(2 ** 89 - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "characteristic" in captured.err
 
 
 def test_verify_subcommand(capsys):
@@ -385,11 +407,16 @@ class _IntSubclass(int):
     """No body holds one: the writer takes scalars by exact type."""
 
 
+# the records that are named tuples are tuples, yet no sequence of a body
 @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), Decimal("1.5"), {1, 2},
                                  _IntSubclass(3), FieldSpec(3),
-                                 BasisMonomial(0, 1, 1, 0, (), 1)],
+                                 BasisMonomial(0, 1, 1, 0, (), 1),
+                                 ProjectiveBimodule("P", ((1, 1),)),
+                                 ExactMatrix(FieldSpec(3), [[1]]).echelonize(),
+                                 CohomologyClass(0, {0: 1}, ("1",))],
                          ids=["float", "nan", "inf", "decimal", "set", "int-subclass",
-                              "field", "basis-monomial"])
+                              "field", "basis-monomial", "projective-bimodule",
+                              "echelon-form", "cohomology-class"])
 @pytest.mark.parametrize("place", [
     lambda v: {"a": {"b": v}},
     lambda v: {"a": [1, "x", Fraction(1, 2), v]},
@@ -406,7 +433,8 @@ def test_a_value_outside_the_exact_types_raises_and_writes_nothing(tmp_path, bad
 def test_the_cli_imports_without_dataclasses_or_hashlib():
     # every run pays for its imports: `dataclasses` would pull in inspect,
     # ast and dis, `secrets` hashlib and OpenSSL, which is why the records
-    # are __slots__ classes and the temporary name comes from os.urandom
+    # are named tuples or __slots__ classes and the temporary name comes from
+    # os.urandom
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys\n"
             "import preproj_hh.cli\n"

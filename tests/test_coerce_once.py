@@ -147,7 +147,7 @@ def test_from_entries_matches_per_entry_coercion(char, data):
     m = ExactMatrix.from_entries(F, 3, 4, entries)
     rows = _reference_rows(F, 3, entries)
     assert m.rows == rows
-    assert all(canonical(F, x) for _, _, x in m.entries())
+    assert all(canonical(F, x) for row in m.rows for x in row.values())
     # the same entries as canonical sparse columns, taken as they are
     columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(4)]
     c = ExactMatrix.from_columns(F, 3, columns)

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preproj_hh.exactla import (EchelonForm, ExactMatrix, FieldSpec, PreparedSolver,
-                                UnsupportedCharacteristicError, _axpy, _by_column,
-                                _quotient, _reduce, det, rank_and_scale, rank_mod_p,
-                                sparse_rank)
+                                UnsupportedCharacteristicError, _MILLER_RABIN_BOUND, _axpy,
+                                _by_column, _is_prime, _quotient, _reduce, det,
+                                rank_and_scale, rank_mod_p, sparse_rank)
 from conftest import dense, sparse
 
 QQ = FieldSpec(0)
@@ -44,11 +45,6 @@ def _cofactor_det(rows, F):
     return total
 
 
-def _reference_matmul(a, b, F):
-    """Textbook dense product of two lists of rows."""
-    return [[F(sum(x * y for x, y in zip(row, col))) for col in zip(*b)] for row in a]
-
-
 def _entries(m):
     """The matrix read back entry by entry, as dense rows."""
     return [[m.rows[i].get(j, 0) for j in range(m.ncols)] for i in range(m.nrows)]
@@ -56,7 +52,8 @@ def _entries(m):
 
 def _transpose(m):
     return ExactMatrix.from_entries(m.field, m.ncols, m.nrows,
-                                    ((j, i, x) for i, j, x in m.entries()))
+                                    ((j, i, x) for i, row in enumerate(m.rows)
+                                     for j, x in row.items()))
 
 
 def _solve(m, b):
@@ -80,6 +77,35 @@ def test_field_validation():
         FieldSpec(9)
     with pytest.raises(UnsupportedCharacteristicError):
         FieldSpec(-3)
+
+
+def _reference_is_prime(n):
+    """Trial division, kept apart from the package's test."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(-3, 10 ** 5) if _is_prime(n) != _reference_is_prime(n)] == []
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+def test_strong_pseudoprimes_to_small_bases_are_composite(n):
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37 in turn
+    assert not _is_prime(n)
+    with pytest.raises(UnsupportedCharacteristicError):
+        FieldSpec(n)
+
+
+def test_large_primes_are_fields_up_to_the_exact_bound():
+    for p in (2 ** 61 - 1, BIG_P, 3317044064679887385961813):
+        assert _is_prime(p) and FieldSpec(p).characteristic == p
+    # the bound is the least strong pseudoprime to every base 2..41, so
+    # Miller-Rabin on those bases takes it for a prime: no field is made
+    # there or above
+    assert _is_prime(_MILLER_RABIN_BOUND)
+    for c in (_MILLER_RABIN_BOUND, 2 ** 89 - 1):
+        with pytest.raises(UnsupportedCharacteristicError, match="below"):
+            FieldSpec(c)
 
 
 def test_fields_are_equal_by_characteristic_and_read_only():
@@ -245,19 +271,13 @@ def test_sparse_storage_matches_dense_reference(rows, char, data):
     F = FieldSpec(char)
     m = ExactMatrix(F, rows)
     dense_rows = [[F(x) for x in row] for row in rows]
-    nr, nc = len(rows), len(rows[0])
+    nc = len(rows[0])
     assert _entries(m) == dense_rows
     assert m.is_zero() == all(x == 0 for row in dense_rows for x in row)
     assert _entries(_transpose(m)) == [list(col) for col in zip(*dense_rows)]
     v = [F(x) for x in data.draw(st.lists(small_ints, min_size=nc, max_size=nc))]
     assert m.matvec(sparse(v)) == sparse(F(sum(a * x for a, x in zip(row, v)))
                                          for row in dense_rows)
-    width = data.draw(st.integers(min_value=1, max_value=5))
-    other = data.draw(st.lists(st.lists(small_ints, min_size=width, max_size=width),
-                               min_size=nc, max_size=nc))
-    product = m.matmul(ExactMatrix(F, other))
-    assert (product.nrows, product.ncols) == (nr, width)
-    assert _entries(product) == _reference_matmul(dense_rows, other, F)
     # shifting entries by 0, 1 or the characteristic: equal exactly when the
     # dense rows agree in F
     shifts = st.sampled_from([0, 0, 1, char])

@@ -508,7 +508,7 @@ def test_twisted_systems_are_sign_conjugates_of_their_base(n, char):
             conj = ExactMatrix.from_entries(
                 F, prev.nrows, prev.ncols,
                 ((i, j, _sign(t, eq_keys[i]) * _sign(t, unknowns[j]) * x)
-                 for i, j, x in prev.entries()))
+                 for i, row in enumerate(prev.rows) for j, x in row.items()))
             assert mat == conj, (k, s, tt, dv)
 
 
@@ -653,7 +653,7 @@ def test_a_lift_that_breaks_its_period_is_solved():
     assert eng._twisted_step(seg, 5) is None
     eng.solved.clear()
     twisted = eng.steps_twisted
-    seg.maps += eng._solve_steps(5, [seg])
+    seg.maps.extend(eng._solve_steps(5, [seg]))
     assert eng.solved == [(d, 5)] and eng.steps_twisted == twisted
     assert verify_segment(eng, seg, v)
 
