@@ -316,8 +316,9 @@ def run_grid(config: RunConfig) -> List[dict]:
     """Certificates of every point, n-major, in the order given.
 
     A job is one n with all of its fields in the order given, so each point
-    reads the per-n caches (the Q bar ranks of the oracle) that a serial run
-    gives it, and its header `work` is the serial run's.  A pool never has
+    reads the per-n caches (the Q bar ranks of the oracle and the integral
+    generator lifts of the product engine) that a serial run gives it, and
+    its header `work` is the serial run's.  A pool never has
     more workers than there are jobs, since it may start them all up front.
     """
     jobs = [(n, config.characteristics, config.maxdeg, config.oracle_budget,

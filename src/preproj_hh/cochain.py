@@ -37,6 +37,11 @@ field-canonical scalar}, the vector format of `exactla`; it is canonical by
 construction, so two cochains are equal exactly when their dicts are, and
 the dualized d^i and the class solver matrix take cochains as their
 columns as they are (`ExactMatrix.from_columns`), coercing nothing again.
+`pullback` reads a map's coefficients as plain numbers and coerces only its
+sums, so over F_p it composes with a map of Q coefficients in Z_(p), the
+integral generator lifts of `yoneda`, as with that map reduced mod p.
+The spaces depend on the product rule alone, never on the field, so the
+integral lifter of an F_p engine reads them from the F_p complex.
 Degrees 7..12 reuse the vectors of degree i-6, and its solver too wherever
 d^(i-1) is the matrix of d^(i-7) itself; where both are shared, the
 center-module checks take degree i-6's outcome as well.

@@ -24,7 +24,16 @@ terms, and f_(k-1) = eps tau(f_(k-4)) for eps = +1 or -1, step k is appended
 as eps tau(f_(k-3)) with no composition and no solve; every other step is
 solved.  The sign is compared out (`_twist_sign`) once per run of twisted
 steps, after a solved step; each twisted step records its eps, which the
-next step reads.
+next step reads.  `Lifter` does all of this along one window over the field
+of its table; the engine is the lifter of its own window and field.
+The generator lifts are built once per rule and window depth in a process,
+over the integers: the first engine that multiplies lifts them over Q, its
+own window if its field is Q and else a Q window built from the integral
+tables, reading the engine's own cochain spaces, and leaves them in a
+process-wide slot (`_INTEGRAL_LIFTS`) that holds one such lift at a time.
+An engine of any field reads those segments as they are, wherever exact
+checks show that they reduce to a lift in its field, and lifts in its own
+field elsewhere; the segments of one n therefore serve all of its fields.
 Products of classes are compositions of a cochain with a lift of
 the other factor, identified afterwards by the class solver that the
 canonical basis of the product degree holds (`CanonicalBasis.coords`).
@@ -55,12 +64,16 @@ the field-canonical values of its solutions as they are.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraTable
+from .algebra import QQ, AlgebraTable, _integral_tables
 from .cochain import CochainComplex, canonical_cocycles
 from .exactla import ExactMatrix, FieldSpec, det, solve_augmented
-from .resolution import BimoduleMap, ResolutionWindow, compose, tau_twist
+from .nakayama import associated_form
+from .oracle import _rule_key
+from .resolution import (BimoduleMap, ResolutionWindow, build_resolution, compose,
+                         tau_twist)
 
 
 class NotACocycleError(RuntimeError):
@@ -107,102 +120,111 @@ class ChainMapSegment(namedtuple("ChainMapSegment", "base_degree maps signs")):
         return super().__new__(cls, base_degree, maps, {} if signs is None else signs)
 
 
-class YonedaEngine:
-    """Caches lifts of cocycles and computes products in canonical coordinates."""
+# The ring generators' lifts over Q of the rule and window depth last
+# lifted, {(`_rule_key`, maxdeg): IntegralLifts}, one entry at most; it is
+# emptied before a lift for another key starts.
+#
+# Soundness of reading the integral lifts.  An engine over F_p takes its
+# generator segments from here only where three checks pass, exactly:
+#   (a) every differential of its window equals the lifts' Q differential
+#       coerced into F_p, term for term, between equal terms;
+#   (b) each of its generator cocycles, its items taken as they are (ints
+#       0..p-1), is a key that was lifted over Q;
+#   (c) p divides no denominator of any lifted value.
+# Anywhere else it lifts in its own field (`lift_many`).  Every value then
+# lies in Z_(p), the rationals with denominators prime to p, and reduction
+# Z_(p) -> F_p is a ring map.  A Q lift satisfies u o f_0 = phi and
+# d_k o f_k = f_(k-1) o d_(degree+k), where every step was solved
+# consistently or appended as a twist by the note at `_twisted_step`;
+# reducing both sides, with (a) for the differentials and (b) for phi, makes
+# f mod p a chain map over the F_p cocycle along the F_p window, which
+# `certify_exact` certifies a resolution.  No reduced copy is made:
+# `CochainComplex.pullback` sums plain numbers and coerces each sum once, so
+# x o f over F_p is x o (f mod p).  An own-field lift f' is a chain map over
+# the same cocycle, so f - f' lifts zero and, by the comparison theorem
+# (Weibel, Thm 2.2.6), f - f' = d h + h d for some h; then, x being a
+# cocycle, x o (f - f') = (x o h) o d is a coboundary.  So every product has
+# the class that the own-field lift gives it, and every class, relation and
+# audit rank of the body is that lift's: the body keeps its bytes.  A Q
+# engine reads the lifts under the same checks, where (c) is empty.
+_INTEGRAL_LIFTS: dict = {}
 
-    def __init__(self, cx: CochainComplex):
+
+class IntegralLifts:
+    """Generator segments lifted over Q along `window`, keyed as the lift
+    cache keys their cocycles.  Shared by every engine that reads them:
+    read, never change."""
+
+    __slots__ = ("window", "segments", "_scale")
+
+    def __init__(self, window: ResolutionWindow, segments: Dict[tuple, ChainMapSegment]):
+        self.window = window
+        self.segments = segments
+        self._scale: Optional[int] = None
+
+    def scale(self) -> int:
+        """The lcm of the denominators of every lifted value, walked once."""
+        if self._scale is None:
+            scale = 1
+            for seg in self.segments.values():
+                for f in seg.maps:
+                    for terms in f.values:
+                        for c in terms.values():
+                            if type(c) is not int:
+                                scale = lcm(scale, c.denominator)
+            self._scale = scale
+        return self._scale
+
+    def reducible_to(self, window: ResolutionWindow, keys: List[tuple]) -> bool:
+        """Checks (a)-(c) of the note above for an engine over `window`
+        whose generator cocycles have the cache keys `keys`."""
+        F, ours = window.table.field, self.window
+        if not all(key in self.segments for key in keys):
+            return False
+        if window is not ours and not (
+                window.depth == ours.depth and window.terms == ours.terms
+                and all(d.source == q.source and d.target == q.target
+                        and d.values == [{key: fc for key, c in terms.items() if (fc := F(c))}
+                                         for terms in q.values]
+                        for d, q in zip(window.diffs[1:], ours.diffs[1:]))):
+            return False
+        p = F.characteristic
+        return p == 0 or self.scale() % p != 0
+
+
+class Lifter:
+    """Lifts cocycles to chain-map segments along `window`, over the field
+    of `table`.
+
+    Of `cx` it reads only `maxdeg` and the cochain spaces, which the rule
+    alone fixes, the same over every field: an integral lifter for an F_p
+    engine reads that engine's complex and builds no Q complex.
+    """
+
+    def __init__(self, cx: CochainComplex, table: AlgebraTable, window: ResolutionWindow):
         self.cx = cx
-        self.table: AlgebraTable = cx.table
-        self.window: ResolutionWindow = cx.window
-        self._lift_cache: Dict[tuple, ChainMapSegment] = {}
-        self._twist = _twist_classes(self.window)
-        self._gens: Optional[List[Tuple[str, int, dict]]] = None
-        self._generators_lifted = False
-        # `cup_vecs` results by (x key, y key) and `identify` results by key,
-        # a key being (degree, sorted items) as in the lift cache; each
-        # distinct key is held once in `_keys` and shared by every entry
-        self._products: Dict[tuple, dict] = {}
-        self._classes: Dict[tuple, CohomologyClass] = {}
-        self._keys: Dict[tuple, tuple] = {}
+        self.table = table
+        self.window = window
+        self._twist = _twist_classes(window)
         # `_graded_triples` by (term kind, s, tt, degree), within one batch
         self._triples: Dict[tuple, list] = {}
         # lift steps solved and steps appended as twists of an earlier step,
-        # eliminations of a lifting system, products asked of `cup_vecs`, and
-        # its `pullback` walks
+        # and eliminations of a lifting system
         self.steps_solved = 0
         self.steps_twisted = 0
         self.lift_eliminations = 0
-        self.products = 0
-        self.pullback_walks = 0
 
-    def generators(self) -> List[Tuple[str, int, dict]]:
-        """Named cocycle representatives of the ring generators.
-
-        Degree 0 generators are the central elements; the positive-degree
-        ones are y, z_1..z_n, t_1..t_n, gamma and h.
-        """
-        if self._gens is None:
-            n = self.table.n
-            v = {i: canonical_cocycles(self.cx, i).vectors for i in (1, 2, 3, 4, 6)}
-            gens = [("y", 1, v[1][0])]
-            gens += [(f"z{k}", 2, v[2][k - 1]) for k in range(1, n + 1)]
-            gens += [(f"t{k}", 3, v[3][k - 1]) for k in range(1, n + 1)]
-            gens += [("gamma", 4, v[4][0])]
-            gens += [("h", 6, v[6][0])]
-            self._gens = gens
-        return self._gens
-
-    def generator_vector(self, name: str) -> Tuple[int, dict]:
-        for gname, deg, vec in self.generators():
-            if gname == name:
-                return deg, vec
-        raise KeyError(name)
-
-    def work(self) -> Dict[str, int]:
-        """Work so far: lift steps solved and twisted, eliminations of a
-        lifting system, products asked for, the distinct products and classes
-        among them evaluated, and the pull-back walks that evaluated them."""
-        return {"lift_steps_solved": self.steps_solved,
-                "lift_steps_twisted": self.steps_twisted,
-                "lifting_eliminations": self.lift_eliminations,
-                "products": self.products,
-                "products_evaluated": len(self._products),
-                "classes_identified": len(self._classes),
-                "pullback_walks": self.pullback_walks}
-
-    # -- lifting ------------------------------------------------------------
-
-    def lift(self, vec: dict, degree: int, steps: int) -> ChainMapSegment:
-        """Chain-map segment over the given cocycle, read through step `steps`."""
-        return self.lift_many([(vec, degree, steps)])[0]
-
-    def lift_many(self, requests) -> List[ChainMapSegment]:
-        """Segments over several (cocycle, degree, steps) requests.
-
-        `steps` names the deepest step the caller reads.  Every cocycle not
-        lifted before is lifted whole, through step maxdeg - 1 - degree,
-        together with the others: step 0 is read off the grading
-        (`_lift_cochain`), and from step 1 on, step by step, each lifting
-        system meets all of its right-hand sides of the step in one
-        elimination (`_solve_steps`).  The new segments enter the cache only
-        once whole, so a step that fails leaves none of them behind.
-        """
+    def _lift_whole(self, cocycles) -> Dict[tuple, ChainMapSegment]:
+        """Segments over (key, (cocycle, degree)) pairs, each lifted whole,
+        through step maxdeg - 1 - degree, together with the others: step 0
+        is read off the grading (`_lift_cochain`), and from step 1 on, step
+        by step, each lifting system meets all of its right-hand sides of the
+        step in one elimination (`_solve_steps`).  The caller has checked
+        that each is a cocycle."""
         top = self.cx.maxdeg - 1
-        keys, new = [], {}
-        for vec, degree, steps in requests:
-            if degree + steps > top:
-                raise ValueError("window too shallow for the requested lift")
-            key = self._key(degree, vec)
-            keys.append(key)
-            if key in self._lift_cache:
-                # a key is lifted only after its vector passed this check,
-                # so a cache hit is a cocycle already
-                continue
-            if not self.cx.is_cocycle(degree, vec):
-                raise NotACocycleError(f"input of degree {degree} is not a cocycle")
-            new[key] = ChainMapSegment(degree, [self._lift_cochain(degree, vec)])
+        new = {key: ChainMapSegment(degree, [self._lift_cochain(degree, vec)])
+               for key, (vec, degree) in cocycles}
         self.steps_solved += len(new)
-        # a batch of cache hits, as nearly every product's is, takes no step
         for k in range(1, top + 1 if new else 0):
             twisted, solve = [], []
             for seg in new.values():
@@ -220,20 +242,10 @@ class YonedaEngine:
             self.steps_solved += len(solve)
             self.steps_twisted += len(twisted)
         # every repeat of a graded piece falls within one batch, the one that
-        # lifts the generators; kept for the engine's life the lists would
+        # lifts the generators; kept for the lifter's life the lists would
         # cost more memory than they save time
         self._triples.clear()
-        self._lift_cache.update(new)
-        return [self._lift_cache[key] for key in keys]
-
-    def _lift_generators(self):
-        """Lift every ring generator in one batch, each through step
-        maxdeg - 1 - its degree, the deepest step a product in the window
-        could read.  The certificate's products read less: at n=7 the
-        degree-1, -2 and -3 lifts only through step 6."""
-        top = self.cx.maxdeg - 1
-        self.lift_many([(vec, d, top - d) for _, d, vec in self.generators()])
-        self._generators_lifted = True
+        return new
 
     # Soundness of the period shortcut.  `_twist_classes` marks step k >= 4
     # only where it checks, exactly, that d_k equals tau(d_(k-3)) term for
@@ -421,6 +433,164 @@ class YonedaEngine:
                 row = rows[eq_pos[(k2, lhs[1], rhs[1])]]
                 row[col] = row.get(col, 0) + c * lhs[0] * rhs[0]
         return rows, unknowns, eq_pos
+
+
+class YonedaEngine(Lifter):
+    """Caches lifts of cocycles and computes products in canonical coordinates;
+    it lifts along its own complex's window, over its own field."""
+
+    def __init__(self, cx: CochainComplex):
+        super().__init__(cx, cx.table, cx.window)
+        self._lift_cache: Dict[tuple, ChainMapSegment] = {}
+        self._gens: Optional[List[Tuple[str, int, dict]]] = None
+        self._generators_lifted = False
+        # `cup_vecs` results by (x key, y key) and `identify` results by key,
+        # a key being (degree, sorted items) as in the lift cache; each
+        # distinct key is held once in `_keys` and shared by every entry
+        self._products: Dict[tuple, dict] = {}
+        self._classes: Dict[tuple, CohomologyClass] = {}
+        self._keys: Dict[tuple, tuple] = {}
+        # generator segments read off integral lifts built for an earlier
+        # engine, products asked of `cup_vecs`, and its `pullback` walks
+        self.generator_lifts_reused = 0
+        self.products = 0
+        self.pullback_walks = 0
+
+    def generators(self) -> List[Tuple[str, int, dict]]:
+        """Named cocycle representatives of the ring generators.
+
+        Degree 0 generators are the central elements; the positive-degree
+        ones are y, z_1..z_n, t_1..t_n, gamma and h.
+        """
+        if self._gens is None:
+            n = self.table.n
+            v = {i: canonical_cocycles(self.cx, i).vectors for i in (1, 2, 3, 4, 6)}
+            gens = [("y", 1, v[1][0])]
+            gens += [(f"z{k}", 2, v[2][k - 1]) for k in range(1, n + 1)]
+            gens += [(f"t{k}", 3, v[3][k - 1]) for k in range(1, n + 1)]
+            gens += [("gamma", 4, v[4][0])]
+            gens += [("h", 6, v[6][0])]
+            self._gens = gens
+        return self._gens
+
+    def generator_vector(self, name: str) -> Tuple[int, dict]:
+        for gname, deg, vec in self.generators():
+            if gname == name:
+                return deg, vec
+        raise KeyError(name)
+
+    def work(self) -> Dict[str, int]:
+        """Work so far: lift steps solved and twisted and eliminations of a
+        lifting system, by this engine or by the integral lifter it asked,
+        generator segments reused from an earlier engine's integral lifts,
+        products asked for, the distinct products and classes among them
+        evaluated, and the pull-back walks that evaluated them."""
+        return {"lift_steps_solved": self.steps_solved,
+                "lift_steps_twisted": self.steps_twisted,
+                "lifting_eliminations": self.lift_eliminations,
+                "generator_lifts_reused": self.generator_lifts_reused,
+                "products": self.products,
+                "products_evaluated": len(self._products),
+                "classes_identified": len(self._classes),
+                "pullback_walks": self.pullback_walks}
+
+    # -- lifting ------------------------------------------------------------
+
+    def lift(self, vec: dict, degree: int, steps: int) -> ChainMapSegment:
+        """Chain-map segment over the given cocycle, read through step `steps`."""
+        return self.lift_many([(vec, degree, steps)])[0]
+
+    def lift_many(self, requests) -> List[ChainMapSegment]:
+        """Segments over several (cocycle, degree, steps) requests.
+
+        `steps` names the deepest step the caller reads.  Every cocycle not
+        lifted before is lifted whole, in this engine's field, together with
+        the others (`_lift_whole`).  The new segments enter the cache only
+        once whole, so a step that fails leaves none of them behind.
+        """
+        top = self.cx.maxdeg - 1
+        keys, new = [], {}
+        for vec, degree, steps in requests:
+            if degree + steps > top:
+                raise ValueError("window too shallow for the requested lift")
+            key = self._key(degree, vec)
+            keys.append(key)
+            if key in self._lift_cache:
+                # a key is lifted only after its vector passed this check,
+                # so a cache hit is a cocycle already
+                continue
+            if not self.cx.is_cocycle(degree, vec):
+                raise NotACocycleError(f"input of degree {degree} is not a cocycle")
+            new[key] = (vec, degree)
+        # a batch of cache hits, as nearly every product's is, takes no step
+        self._lift_cache.update(self._lift_whole(new.items()))
+        return [self._lift_cache[key] for key in keys]
+
+    def _lift_generators(self):
+        """Lift every ring generator, each through step maxdeg - 1 - its
+        degree, the deepest step a product in the window could read; the
+        certificate's products read less: at n=7 the degree-1, -2 and -3
+        lifts only through step 6.
+
+        The segments are the integral lifts of this engine's rule where the
+        checks of the note at `_INTEGRAL_LIFTS` pass, lifted first if no
+        engine before lifted them (`_lift_integrally`), and else lifted in
+        this field; a generator cached already keeps its segment.
+        """
+        top, cx = self.cx.maxdeg - 1, self.cx
+        requests = [(vec, d, top - d) for _, d, vec in self.generators()]
+        keys = [self._key(d, vec) for vec, d, _ in requests]
+        slot = (_rule_key(self.table), cx.maxdeg)
+        lifts = _INTEGRAL_LIFTS.get(slot)
+        reused = lifts is not None
+        if lifts is None:
+            # emptied first: the process never holds two lifts at once
+            _INTEGRAL_LIFTS.clear()
+            lifts = self._lift_integrally(slot[0], keys, requests)
+            if lifts is not None:
+                _INTEGRAL_LIFTS[slot] = lifts
+        if lifts is None or not lifts.reducible_to(self.window, keys):
+            self.lift_many(requests)
+        else:
+            for key, (vec, d, _) in zip(keys, requests):
+                if key in self._lift_cache:
+                    continue
+                # the cache holds cocycles only, checked in this field
+                if not cx.is_cocycle(d, vec):
+                    raise NotACocycleError(f"input of degree {d} is not a cocycle")
+                self._lift_cache[key] = lifts.segments[key]
+                if reused:
+                    self.generator_lifts_reused += 1
+        self._generators_lifted = True
+
+    def _lift_integrally(self, rule: tuple, keys, requests) -> Optional[IntegralLifts]:
+        """The generators lifted over Q, or None where that is not done.
+
+        Over Q the lifts are this engine's own.  Over F_p a `Lifter` lifts
+        the cocycles, their items taken as ints, along a Q window of the
+        integral tables of n, reading this engine's cochain spaces; its work
+        counts as this engine's.  None where those tables have another rule
+        than `rule`, this engine's, or a step is inconsistent over Q.
+        """
+        t, maxdeg = self.table, self.cx.maxdeg
+        if t.field.characteristic == 0:
+            return IntegralLifts(self.window, dict(zip(keys, self.lift_many(requests))))
+        basis, g, _ = _integral_tables(t.n)
+        table = AlgebraTable(t.n, QQ, basis, g)
+        if _rule_key(table) != rule:
+            return None
+        window = build_resolution(table, associated_form(table), maxdeg)
+        lifter = Lifter(self.cx, table, window)
+        try:
+            segments = lifter._lift_whole(
+                (key, (vec, degree)) for key, (vec, degree, _) in zip(keys, requests))
+        except LiftFailedError:
+            return None
+        finally:
+            self.steps_solved += lifter.steps_solved
+            self.steps_twisted += lifter.steps_twisted
+            self.lift_eliminations += lifter.lift_eliminations
+        return IntegralLifts(window, segments)
 
     # -- products -------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 import sys
 from types import SimpleNamespace
 
-from preproj_hh import oracle
+import pytest
+
+from preproj_hh import oracle, yoneda
 from preproj_hh.algebra import AlgebraTable, BasisMonomial, _integral_tables, build_algebra
 from preproj_hh.cochain import build_complex
 from preproj_hh.exactla import FieldSpec
@@ -15,6 +17,13 @@ from preproj_hh.yoneda import YonedaEngine
 sys.setrecursionlimit(10000)
 
 _CTX = {}
+
+
+@pytest.fixture(autouse=True)
+def no_integral_lifts(monkeypatch):
+    """Every test starts from an empty slot of integral generator lifts, so
+    no lift built by an earlier test is read."""
+    monkeypatch.setattr(yoneda, "_INTEGRAL_LIFTS", {})
 
 
 def context(n: int, char: int = 0, maxdeg: int = 13) -> SimpleNamespace:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preproj_hh import algebra, oracle
+from preproj_hh import algebra, oracle, yoneda
 from preproj_hh.algebra import BasisMonomial
 from preproj_hh.cli import (certificate_bytes, compute_certificate, main,
                             parse_int_list, render_csv, render_markdown,
@@ -185,12 +185,13 @@ def test_certificate_bodies_do_not_depend_on_the_hash_seed():
 
 
 def test_parallel_grid_matches_serial(monkeypatch):
-    # bodies and header work alike: the F_p points read the Q bar ranks of
-    # their n's char-0 point, as in a serial run, whichever worker ran the
-    # other n.  Each run starts from empty Q ranks, which the forked workers
-    # inherit from this process
+    # bodies and header work alike: the F_p points read the Q bar ranks and
+    # the integral generator lifts of their n's char-0 point, as in a serial
+    # run, whichever worker ran the other n.  Each run starts from empty Q
+    # ranks and lifts, which the forked workers inherit from this process
     def grid(jobs):
         monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+        monkeypatch.setattr(yoneda, "_INTEGRAL_LIFTS", {})
         return run_grid(RunConfig([1, 2], [0, 3, 5], jobs=jobs))
 
     serial, parallel = grid(1), grid(2)
@@ -239,19 +240,33 @@ def test_run_grid_gives_one_job_per_n_to_at_most_one_worker_per_n(monkeypatch):
 
 def test_header_work_does_not_depend_on_warm_caches(monkeypatch):
     # n=5 over F3 certified cold, then again after n=5 over Q and n=4 over Q
-    # and F3 have filled the integral tables and the Q bar ranks of the
-    # process: the work is the same, the new counts included.  Each
-    # certificate lifts and multiplies with an engine of its own
+    # and F3 have filled the integral tables, the Q bar ranks and the
+    # integral lifts of the process: the work is the same, the new counts
+    # included.  The cold point lifts the generators, over Q, and the n=5 Q
+    # point reads them; n=4 empties the lifts, so the warm point lifts them
+    # again, and the point after it reads them.  Only the four lifting
+    # counts tell a point that reads from one that lifts.  Each certificate
+    # multiplies with an engine of its own
     monkeypatch.setattr(algebra, "_INTEGRAL_CACHE", {})
     monkeypatch.setattr(oracle, "_RATIONAL_RANKS", {})
+    lifting = ("lift_steps_solved", "lift_steps_twisted", "lifting_eliminations",
+               "generator_lifts_reused")
     cold = compute_certificate(5, 3)
-    for n, char in ((5, 0), (4, 0), (4, 3)):
+    q = compute_certificate(5, 0)
+    for n, char in ((4, 0), (4, 3)):
         compute_certificate(n, char)
     assert set(algebra._INTEGRAL_CACHE) == {4, 5} and oracle._RATIONAL_RANKS
+    # one lift held, n=4's: a rule key starts with its n
+    assert [(rule[0], maxdeg) for rule, maxdeg in yoneda._INTEGRAL_LIFTS] == [(4, 13)]
     warm = compute_certificate(5, 3)
+    read = compute_certificate(5, 3)
     assert {"products_evaluated", "classes_identified"} <= set(cold["header"]["work"])
     assert warm["header"]["work"] == cold["header"]["work"]
-    assert warm["body"] == cold["body"]
+    assert [[c["header"]["work"][key] for key in lifting] for c in (cold, q, warm, read)] == [
+        [55, 78, 81, 0], [0, 0, 0, 13], [55, 78, 81, 0], [0, 0, 0, 13]]
+    assert ({k: v for k, v in read["header"]["work"].items() if k not in lifting}
+            == {k: v for k, v in cold["header"]["work"].items() if k not in lifting})
+    assert warm["body"] == cold["body"] == read["body"]
 
 
 def test_report_rendering(tmp_path, capsys):
@@ -645,12 +660,22 @@ def test_header_records_the_lifting_work():
     header = cert["header"]
     assert set(header) == {"timestamp", "timings", "work"}
     assert header["work"] == {"lift_steps_solved": 71, "lift_steps_twisted": 104,
-                              "lifting_eliminations": 115,
+                              "lifting_eliminations": 115, "generator_lifts_reused": 0,
                               "products": 882, "products_evaluated": 575,
                               "classes_identified": 200, "pullback_walks": 120,
                               "cochain_differentials_built": 6,
                               "one_sided_maps_ranked": 7}
     assert "work" not in cert["body"]
+    # the next point of n=7 reads the 17 generator lifts that this one left,
+    # and lifts nothing
+    f5 = compute_certificate(7, 5, with_oracle=False)
+    assert f5["header"]["work"] == {"lift_steps_solved": 0, "lift_steps_twisted": 0,
+                                    "lifting_eliminations": 0, "generator_lifts_reused": 17,
+                                    "products": 882, "products_evaluated": 575,
+                                    "classes_identified": 224, "pullback_walks": 120,
+                                    "cochain_differentials_built": 6,
+                                    "one_sided_maps_ranked": 7}
+    assert "work" not in f5["body"]
 
 
 def test_header_records_the_bar_eliminations(monkeypatch):
@@ -674,7 +699,7 @@ def test_header_records_the_bar_eliminations(monkeypatch):
 def test_header_records_the_lifting_work_over_q():
     cert = compute_certificate(6, 0, with_oracle=False)
     assert cert["header"]["work"] == {"lift_steps_solved": 63, "lift_steps_twisted": 91,
-                                      "lifting_eliminations": 98,
+                                      "lifting_eliminations": 98, "generator_lifts_reused": 0,
                                       "products": 570, "products_evaluated": 394,
                                       "classes_identified": 214, "pullback_walks": 113,
                                       "cochain_differentials_built": 6,

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ import preproj_hh.yoneda as ymod
 from preproj_hh.algebra import x0_element
 from preproj_hh.cochain import canonical_cocycles
 from preproj_hh.exactla import ExactMatrix, FieldSpec
-from preproj_hh.resolution import BimoduleMap, build_resolution, compose
+from preproj_hh.resolution import BimoduleMap, ResolutionWindow, build_resolution, compose
 from preproj_hh.yoneda import (ChainMapSegment, LiftFailedError, NotACocycleError,
                                adjacency_matrix, c_matrix,
                                closed_form_c_matrix, combinatorial_c_matrix,
@@ -24,9 +25,16 @@ def classes_equal(c1, c2):
 
 
 def verify_segment(engine, seg, vec) -> bool:
-    """Symbolic check of the chain-map identities for a given segment."""
+    """Symbolic check of the chain-map identities for a given segment, each
+    side coerced into the engine's field: a segment of the integral lifts
+    holds Q values, and is a lift over F_p as reduced mod p."""
     w, t = engine.window, engine.table
     degree = seg.base_degree
+
+    def coerced(f):
+        return f.source, f.target, [{key: fc for key, c in terms.items() if (fc := t.field(c))}
+                                    for terms in f.values]
+
     comps = engine.cx.component_values(degree, vec)
     for ks, terms in enumerate(seg.maps[0].values):
         acc: dict = {}
@@ -41,7 +49,7 @@ def verify_segment(engine, seg, vec) -> bool:
     for k in range(1, len(seg.maps)):
         lhs = compose(w.diffs[k], seg.maps[k])
         rhs = compose(seg.maps[k - 1], w.diffs[degree + k])
-        if not lhs.equals(rhs):
+        if coerced(lhs) != coerced(rhs):
             return False
     return True
 
@@ -60,9 +68,11 @@ def test_lift_rejects_non_cocycles():
 
 @pytest.mark.parametrize("n,char", [(3, 0), (4, 3)])
 def test_graded_pieces_are_built_once_per_batch(n, char, monkeypatch):
-    # the generator batch builds each graded piece once, and drops the lists
-    # when it ends; the lifts are those of an engine that rebuilds every one
+    # the generator batch, lifted in the engine's field, builds each graded
+    # piece once, and drops the lists when it ends; the lifts are those of an
+    # engine that rebuilds every one
     ctx = context(n, char)
+    top = ctx.cx.maxdeg - 1
     built = []
 
     def recorded(t, term, s, tt, degree):
@@ -71,7 +81,8 @@ def test_graded_pieces_are_built_once_per_batch(n, char, monkeypatch):
 
     monkeypatch.setattr(ymod, "_graded_triples", recorded)
     eng = YonedaEngine(ctx.cx)
-    eng._lift_generators()
+    batch = [(v, d, top - d) for _, d, v in eng.generators()]
+    eng.lift_many(batch)
     assert len(built) == len(set(built)) and eng._triples == {}
     asked = []
 
@@ -81,7 +92,7 @@ def test_graded_pieces_are_built_once_per_batch(n, char, monkeypatch):
             return _graded_triples(self.table, term, s, tt, degree)
 
     ref = Rebuilding(ctx.cx)
-    ref._lift_generators()
+    ref.lift_many(batch)
     assert len(asked) > len(built) and set(asked) == set(built)
     assert [[m.values for m in seg.maps] for seg in eng._lift_cache.values()] == [
         [m.values for m in seg.maps] for seg in ref._lift_cache.values()]
@@ -108,8 +119,8 @@ def test_memos_keep_no_failure():
     assert eng.products == 2
 
 
-def _certificate_engine(n, char, monkeypatch):
-    """The product engine of one certificate, oracle off, after its run."""
+def _certificate(n, char, monkeypatch):
+    """The engine, body and header `work` of one certificate, oracle off."""
     import preproj_hh.cli as cli
     engines = []
 
@@ -119,9 +130,15 @@ def _certificate_engine(n, char, monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(cli, "YonedaEngine", Kept)
-    assert cli.compute_certificate(n, char, 13, 10000, False)["body"]["pass"]
+    cert = cli.compute_certificate(n, char, 13, 10000, False)
+    assert cert["body"]["pass"]
     (engine,) = engines
-    return engine
+    return engine, cert["body"], cert["header"]["work"]
+
+
+def _certificate_engine(n, char, monkeypatch):
+    """The product engine of one certificate, oracle off, after its run."""
+    return _certificate(n, char, monkeypatch)[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -461,12 +478,12 @@ class _SolvedEveryStep(YonedaEngine):
         return None
 
 
-class _RecordedSteps(YonedaEngine):
+class _Recording:
     """Records (base degree, step) of every solved step, step 0 included, and
-    the key of every assembled lifting system."""
+    the key of every assembled lifting system, on a lifter."""
 
-    def __init__(self, cx):
-        super().__init__(cx)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.solved = []
         self.assembled = []
 
@@ -481,6 +498,33 @@ class _RecordedSteps(YonedaEngine):
     def _assemble(self, k, s, tt, rhs_value_degree):
         self.assembled.append((k, s, tt, rhs_value_degree))
         return super()._assemble(k, s, tt, rhs_value_degree)
+
+
+class _RecordedSteps(_Recording, YonedaEngine):
+    """An engine that records its lifting (`_Recording`)."""
+
+
+def _certificate_lifters(n, char, monkeypatch):
+    """The lifters of one certificate, oracle off, that lifted, and its
+    header `work`: its engine, or the integral lifter the engine asked."""
+    import preproj_hh.cli as cli
+    lifters = []
+
+    class Engine(_RecordedSteps):
+        def __init__(self, cx):
+            super().__init__(cx)
+            lifters.append(self)
+
+    class IntegralLifter(_Recording, ymod.Lifter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lifters.append(self)
+
+    monkeypatch.setattr(cli, "YonedaEngine", Engine)
+    monkeypatch.setattr(ymod, "Lifter", IntegralLifter)
+    cert = cli.compute_certificate(n, char, 13, 10000, False)
+    assert cert["body"]["pass"]
+    return [lifter for lifter in lifters if lifter.solved], cert["header"]["work"]
 
 
 def _lift_generators(eng):
@@ -552,21 +596,14 @@ def test_a_step_that_is_no_twist_keeps_its_own_system():
 def test_distinct_lifting_systems_per_certificate(n, char, eliminations, monkeypatch):
     # pinned: 98 eliminations at n=6 over Q and 115 at n=7 over F3, and
     # each lifting system is assembled once per elimination, where it is
-    # eliminated; step 0 is read off the grading and never assembled
-    import preproj_hh.cli as cli
-    engines = []
-
-    class Recorded(_RecordedSteps):
-        def __init__(self, cx):
-            super().__init__(cx)
-            engines.append(self)
-
-    monkeypatch.setattr(cli, "YonedaEngine", Recorded)
-    assert cli.compute_certificate(n, char, 13, 10000, False)["body"]["pass"]
-    assert len(engines) == 1
-    assert engines[0].lift_eliminations == eliminations
-    assert len(engines[0].assembled) == eliminations
-    assert all(k > 0 for k, _, _, _ in engines[0].assembled)
+    # eliminated; step 0 is read off the grading and never assembled.  One
+    # lifter lifts: the Q engine itself, or the integral lifter of the F3
+    # engine, whose header counts that lifter's work
+    (lifter,), work = _certificate_lifters(n, char, monkeypatch)
+    assert type(lifter).__name__ == ("Engine" if char == 0 else "IntegralLifter")
+    assert lifter.lift_eliminations == work["lifting_eliminations"] == eliminations
+    assert len(lifter.assembled) == eliminations
+    assert all(k > 0 for k, _, _, _ in lifter.assembled)
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
@@ -663,20 +700,9 @@ def test_lift_steps_solved_per_certificate(n, char, solved, monkeypatch):
     # pinned: the period shortcut leaves 63 solved steps at n=6 over Q and
     # 71 at n=7 over F3 (136 and 172 without it); past step 3 only the
     # degree-1 lifts, whose period starts at step 6, solve, and only through 6
-    import preproj_hh.cli as cli
-    engines = []
-
-    class Recorded(_RecordedSteps):
-        def __init__(self, cx):
-            super().__init__(cx)
-            engines.append(self)
-
-    monkeypatch.setattr(cli, "YonedaEngine", Recorded)
-    cert = cli.compute_certificate(n, char, 13, 10000, False)
-    assert cert["body"]["pass"]
-    assert len(engines) == 1
-    assert len(engines[0].solved) == engines[0].steps_solved == solved
-    assert {(d, k) for d, k in engines[0].solved if k > 3} == {(1, 4), (1, 5), (1, 6)}
+    (lifter,), work = _certificate_lifters(n, char, monkeypatch)
+    assert len(lifter.solved) == lifter.steps_solved == work["lift_steps_solved"] == solved
+    assert {(d, k) for d, k in lifter.solved if k > 3} == {(1, 4), (1, 5), (1, 6)}
 
 
 def _reference_twist_sign(later, earlier):
@@ -956,3 +982,157 @@ def test_batched_products_match_lone_products(n, char, monkeypatch):
                 assert batched.work()["products_evaluated"] == lone.work()["products_evaluated"]
     assert batched.products == lone.products
     assert batched.pullback_walks <= lone.pullback_walks
+
+
+# -- integral generator lifts ---------------------------------------------------
+
+
+def _coerced_values(F, f):
+    """The value dicts of f with each coefficient coerced into F."""
+    return [{key: fc for key, c in terms.items() if (fc := F(c))} for terms in f.values]
+
+
+def _assert_lifted_in_its_field(eng):
+    """Every generator segment of eng is the own-field lift, map for map."""
+    top = eng.cx.maxdeg - 1
+    ref = YonedaEngine(eng.cx)
+    for name, d, v in eng.generators():
+        mine = eng.lift(v, d, top - d)
+        assert all(is_canonical(f) for f in mine.maps), name
+        assert [f.values for f in mine.maps] == [
+            f.values for f in ref.lift(v, d, top - d).maps], name
+
+
+@pytest.mark.parametrize("n,char", [(2, 5), (3, 7), (4, 3), (3, 3)])
+def test_integral_lifts_reduce_to_the_lifts_of_the_field(n, char, monkeypatch):
+    # an F_p engine that meets no integral lifts lifts the generators over Q,
+    # along a Q window of its own; each segment, coerced into F_p, is the
+    # lift in F_p, map for map, where p divides 2n+1 (n=3 F7, n=4 F3) too.
+    # A certificate that reads them has the body of one that lifts in F_p
+    cx = context(n, char).cx
+    F, top = cx.table.field, cx.maxdeg - 1
+    eng = YonedaEngine(cx)
+    eng._lift_generators()
+    (lifts,) = ymod._INTEGRAL_LIFTS.values()
+    assert lifts.window is not cx.window and lifts.window.table.field == FieldSpec(0)
+    assert eng.steps_solved > 0 and eng.generator_lifts_reused == 0
+    gens = eng.generators()
+    own = YonedaEngine(cx).lift_many([(v, d, top - d) for _, d, v in gens])
+    for (name, d, v), seg in zip(gens, own):
+        integral = lifts.segments[eng._key(d, v)]
+        assert eng.lift(v, d, top - d) is integral
+        assert [_coerced_values(F, f) for f in integral.maps] == [
+            f.values for f in seg.maps], name
+    read, body, work = _certificate(n, char, monkeypatch)
+    assert work["generator_lifts_reused"] == len(gens) and work["lift_steps_solved"] == 0
+    monkeypatch.setattr(ymod.IntegralLifts, "reducible_to", lambda *args: False)
+    _, own_body, own_work = _certificate(n, char, monkeypatch)
+    assert own_work["generator_lifts_reused"] == 0 < own_work["lift_steps_solved"]
+    assert body == own_body
+
+
+def _negate_a_d3_coefficient(lifts):
+    """The window of the lifts, d_3 with one coefficient negated."""
+    w = lifts.window
+    f = w.diffs[3]
+    values = [dict(terms) for terms in f.values]
+    key = next(iter(values[0]))
+    values[0][key] = -values[0][key]
+    lifts.window = ResolutionWindow(w.table, w.depth, w.terms,
+                                    w.diffs[:3] + [BimoduleMap(f.table, f.source, f.target,
+                                                               values)] + w.diffs[4:],
+                                    w.gen_degrees)
+
+
+def _put_a_denominator(lifts, p):
+    """One value of a lifted map becomes 1/p."""
+    f = next(f for seg in lifts.segments.values() for f in seg.maps[1:] if any(f.values))
+    terms = next(terms for terms in f.values if terms)
+    terms[next(iter(terms))] = Fraction(1, p)
+
+
+@pytest.mark.parametrize("fault", ["another rule", "a d3 coefficient negated",
+                                   "a value 1/p", "a generator not lifted"])
+def test_a_point_whose_check_fails_lifts_in_its_own_field(fault, monkeypatch):
+    # integral lifts of another rule, a window that differs from the point's
+    # in one d3 coefficient, a value whose denominator p divides, or a
+    # generator they do not hold: the F5 point lifts every generator in F5,
+    # and its body is the body of a point that read sound lifts
+    import copy
+    import preproj_hh.cli as cli
+    n, p = 3, 5
+    _, clean, clean_work = _certificate(n, p, monkeypatch)
+    assert clean_work["lift_steps_solved"] > 0
+    monkeypatch.setattr(ymod, "_INTEGRAL_LIFTS", {})
+    if fault == "another rule":
+        # one entry more at the end of the rule: no product reads it, and
+        # the integral tables of n have the rule without it
+        real = cli.build_algebra
+
+        def extended(n, field):
+            t = copy.copy(real(n, field))
+            t.rule = t.rule + [None]
+            return t
+
+        monkeypatch.setattr(cli, "build_algebra", extended)
+    else:
+        _certificate(n, 0, monkeypatch)
+        (lifts,) = ymod._INTEGRAL_LIFTS.values()
+        if fault == "a d3 coefficient negated":
+            _negate_a_d3_coefficient(lifts)
+        elif fault == "a value 1/p":
+            _put_a_denominator(lifts, p)
+        else:
+            del lifts.segments[next(iter(lifts.segments))]
+    eng, body, work = _certificate(n, p, monkeypatch)
+    assert body == clean
+    assert work == clean_work
+    _assert_lifted_in_its_field(eng)
+    if fault == "another rule":
+        assert ymod._INTEGRAL_LIFTS == {}
+
+
+def test_a_generator_inconsistent_over_q_is_lifted_in_its_field():
+    # y plus a coboundary over F3 is a cocycle there, but its items taken as
+    # ints are no cocycle over Q, so a step of the Q lift is inconsistent:
+    # the engine keeps no integral lifts and lifts every generator in F3
+    ctx, q = context(3, 3), context(3, 0)
+    cx, F = ctx.cx, ctx.field
+    y = canonical_cocycles(cx, 1).vectors[0]
+    phi = next(v for col in cx.diffs[0].columns
+               if not q.cx.is_cocycle(1, v := {i: s for i in y.keys() | col.keys()
+                                               if (s := F(y.get(i, 0) + col.get(i, 0)))}))
+    assert cx.is_cocycle(1, phi)
+
+    class Swapped(YonedaEngine):
+        def generators(self):
+            return [(name, d, phi if name == "y" else v) for name, d, v in super().generators()]
+
+    eng = Swapped(cx)
+    eng._lift_generators()
+    assert ymod._INTEGRAL_LIFTS == {}
+    assert eng.generator_lifts_reused == 0
+    _assert_lifted_in_its_field(eng)
+
+
+def test_integral_lifts_hold_one_key_and_none_while_a_lift_runs(monkeypatch):
+    # the slot is emptied before the lift for another n starts, so a grid
+    # over n never holds two lifts; the n=3 F5 point reads n=3's and lifts
+    # nothing
+    held = []
+    real = ymod.Lifter._lift_whole
+
+    def recorded(self, cocycles):
+        cocycles = list(cocycles)
+        if cocycles:
+            held.append(dict(ymod._INTEGRAL_LIFTS))
+        return real(self, cocycles)
+
+    monkeypatch.setattr(ymod.Lifter, "_lift_whole", recorded)
+    kept = []
+    for n, char in ((2, 3), (3, 0), (3, 5), (2, 0)):
+        _, _, work = _certificate(n, char, monkeypatch)
+        ((rule, maxdeg),) = ymod._INTEGRAL_LIFTS
+        kept.append((rule[0], maxdeg, work["generator_lifts_reused"]))
+    assert kept == [(2, 13, 0), (3, 13, 0), (3, 13, 9), (2, 13, 0)]
+    assert held == [{}, {}, {}]
